@@ -26,12 +26,22 @@ for a 500-pass scan of a 192 KB region rather than inventing absolute
 latencies; every knob stays configurable through scenario JSON.
 """
 
+import copy
+import functools
 import json
 import math
 import random
 from dataclasses import dataclass, field, replace
 
-from .checkpoint import DEFAULT_REGISTER_COUNT, MemoryImage
+import numpy as np
+
+from .checkpoint import (
+    DEFAULT_REGISTER_COUNT,
+    Checkpoint,
+    MemoryImage,
+    checkpoint_record,
+    scan_words,
+)
 from .engine import ChallengeResult, ChallengeSpec, multipass, random_spec
 from .errors import UnknownTier
 from .seeding import derive_seed, random_words, sub_rng
@@ -199,6 +209,41 @@ def make_device_state(image_seed: int, image_words: int, region_id: str = "sram"
     words = random_words(derive_seed(image_seed, "image"), image_words)
     regs = random_words(derive_seed(image_seed, "registers"), register_count)
     return DeviceState(MemoryImage(words, region_id), regs)
+
+
+@dataclass(frozen=True)
+class DeviceSnapshot:
+    """The recorded checkpoint of one seeded device image, shared read-only.
+
+    scan is the word sequence a challenge covers (image words, then the
+    register file) as a uint64 array that cannot be written to, so no
+    endpoint can change what another one scans.
+    """
+
+    checkpoint: Checkpoint
+    scan: np.ndarray
+
+    def live_state(self) -> DeviceState:
+        """A fresh mutable device holding a copy of the recorded words."""
+        # the recorded words were validated once, when the image was made
+        image = copy.copy(self.checkpoint.image)
+        image.words = list(image.words)
+        return DeviceState(image, self.checkpoint.register_file)
+
+
+@functools.lru_cache(maxsize=8)
+def device_snapshot(image_seed: int, image_words: int, region_id: str = "sram",
+                    register_count: int = DEFAULT_REGISTER_COUNT) -> DeviceSnapshot:
+    """The snapshot of make_device_state(...), built once per distinct image.
+
+    A process-wide cache is safe because a snapshot is immutable and its
+    words are determined by its key.
+    """
+    cp = checkpoint_record(make_device_state(image_seed, image_words, region_id,
+                                             register_count))
+    # backed by immutable bytes, so the array cannot be made writeable again
+    scan = np.frombuffer(np.array(scan_words(cp), dtype=np.uint64).tobytes(), dtype=np.uint64)
+    return DeviceSnapshot(cp, scan)
 
 
 def adversary_delay_us(adversary: AdversaryConfig, tiers: dict, passes: int) -> float:

@@ -20,18 +20,32 @@ The streaming path keeps only the accumulator, loop counters, the seeds,
 and one coefficient at a time. It never materializes a coefficient array
 or a permuted copy of the image; that constant working set is the security
 argument, and tests assert it structurally.
+
+The verifier and the simulated device do not run the streaming loop for
+p = M61: both go through evaluate(), which hands M61 challenges to the
+vectorized multipass_m61 and every other prime to multipass. multipass_m61
+builds the whole permutation, a pass's coefficients and the weights
+x^i as uint64 arrays and is exactly equal to multipass; the streaming
+multipass stays the constant-working-set reference for what a real device
+computes.
 """
 
 import hashlib
+import math
 import random
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from .checkpoint import MemoryImage
 from .coeffs import RandomSeeds
 from .errors import PermutationDomainMismatch, SpecOutOfField
-from .field import FieldParams, pow_mod
+from .field import M61, FieldParams, m61_dot, m61_mul, m61_reduce, pow_mod
 from .permutation import perm_new
+
+# Words per block in multipass_m61: 64 KB arrays keep the temporaries in cache.
+_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -162,6 +176,71 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
     for j, term in enumerate(terms):
         total = (total + term * pow_mod(x, n - 1 - j, p)) % p
     return ChallengeResult(total, n, spec.digest())
+
+
+def _geometric_m61(ratio: int, count: int) -> np.ndarray:
+    """[ratio^0, ..., ratio^(count-1)] mod M61 as uint64; 0^0 is 1."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * ratio % M61)
+    return np.array(out, dtype=np.uint64)
+
+
+def _powers_m61(x: int, n: int) -> np.ndarray:
+    """[x^0, ..., x^(n-1)] mod M61 as uint64, as x^i = (x^b)^(i // b) * x^(i % b)."""
+    b = math.isqrt(n - 1) + 1  # b*b >= n
+    high = np.repeat(_geometric_m61(pow(x, b, M61), b), b)[:n]
+    low = np.tile(_geometric_m61(x, b), b)[:n]
+    return m61_mul(high, low)
+
+
+def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
+    """Vectorized multi-pass evaluation for p = M61, exactly equal to multipass.
+
+    words is the scanned sequence as a uint64 array. Within a pass the
+    Horner chain over pi[d-1], ..., pi[0] gives the word at address pi[i]
+    the weight x^i, so a pass is one dot product of the masked terms with a
+    weight array built once per challenge (m61_dot sums the reduced products
+    exactly); passes chain in Python ints by x^d.
+    Addresses are processed in blocks of _BLOCK words so that the array
+    temporaries stay small and cache-resident.
+    """
+    p = spec.params.p
+    if p != M61:
+        raise ValueError(f"vectorized evaluator needs p = M61, got p = {p}")
+    d = len(words)
+    if spec.passes * d > p - 1:
+        raise SpecOutOfField(f"passes*word_count = {spec.passes * d} exceeds p-1 = {p - 1}")
+    x = spec.params.x
+    r = spec.seeds.r
+    weight = np.empty(d, dtype=np.uint64)
+    weight[perm_new(d, spec.perm_seed).table()] = _powers_m61(x, d)
+    pass_values = [0] * spec.passes
+    for start in range(0, d, _BLOCK):
+        block_words = words[start:start + _BLOCK]
+        block_weight = weight[start:start + _BLOCK]
+        index1 = np.arange(start + 1, start + 1 + len(block_words), dtype=np.uint64)
+        for pass_no in range(spec.passes):
+            base = index1 + np.uint64(pass_no * d)
+            s = np.full(len(block_words), r[-1], dtype=np.uint64)
+            for rj in r[-2::-1]:
+                s = m61_reduce(m61_mul(s, base) + np.uint64(rj))
+            pass_values[pass_no] += m61_dot(m61_reduce(block_words ^ s), block_weight)
+    x_d = pow(x, d, p)
+    result = 0
+    for value in pass_values:
+        result = (result * x_d + value) % p
+    return ChallengeResult(result, spec.passes * d, spec.digest())
+
+
+def evaluate(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
+    """The challenge result over a uint64 word array, by the fastest exact path.
+
+    p = M61 goes to multipass_m61; any other prime to the streaming multipass.
+    """
+    if spec.params.p == M61:
+        return multipass_m61(words, spec)
+    return multipass(MemoryImage(words.tolist()), spec)
 
 
 def collision_probe(spec: ChallengeSpec, word_count: int, trials: int,

@@ -10,6 +10,8 @@ All functions are pure and safe to call concurrently.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 M61 = (1 << 61) - 1  # 2305843009213693951, default production modulus
 
 # Deterministic Miller-Rabin witnesses: correct for every n < 3.3 * 10^24,
@@ -82,3 +84,50 @@ def pow_mod(base: int, e: int, p: int) -> int:
 def horner_step(acc: int, x: int, term: int, p: int) -> int:
     """One Horner accumulation step: (acc * x + term) mod p."""
     return (acc * x + term) % p
+
+
+# --- vectorized arithmetic mod M61 on uint64 arrays ---------------------------
+# 2^61 = 1 (mod M61), so a value splits into its low 61 bits plus the bits
+# above them. numpy uint64 arithmetic wraps mod 2^64; every intermediate below
+# is kept under 2^64 by construction, so nothing ever wraps.
+
+_M61_U = np.uint64(M61)
+_LO32 = np.uint64(0xFFFFFFFF)
+_LO29 = np.uint64((1 << 29) - 1)
+
+
+def m61_reduce(v: np.ndarray) -> np.ndarray:
+    """v mod M61 for any uint64 array v (values up to 2^64 - 1)."""
+    v = (v & _M61_U) + (v >> 61)  # < 2^61 + 8
+    np.subtract(v, _M61_U, out=v, where=v >= _M61_U)
+    return v
+
+
+def m61_mul(a: np.ndarray, b) -> np.ndarray:
+    """Exact a * b mod M61, elementwise, for uint64 operands in [0, M61).
+
+    Both operands split into 32-bit limbs, a = a1*2^32 + a0 with a1 < 2^29:
+
+        a*b = a1*b1*2^64 + (a1*b0 + a0*b1)*2^32 + a0*b0
+            = 8*a1*b1 + mid_hi + mid_lo*2^32 + a0*b0      (mod M61)
+
+    where mid = mid_hi*2^29 + mid_lo. Each summand is below 2^61, so the
+    sum stays below 2^63 and one Mersenne fold finishes the reduction.
+    b may be a uint64 scalar.
+    """
+    a0, a1 = a & _LO32, a >> 32
+    b0, b1 = b & _LO32, b >> 32
+    mid = a1 * b0 + a0 * b1  # < 2^62
+    lo = a0 * b0             # < 2^64
+    s = ((a1 * b1) << 3) + (mid >> 29) + ((mid & _LO29) << 32) + (lo & _M61_U) + (lo >> 61)
+    return m61_reduce(s)
+
+
+def m61_dot(a: np.ndarray, b: np.ndarray) -> int:
+    """sum(a[i] * b[i]) mod M61 as a Python int, for uint64 arrays in [0, M61).
+
+    The reduced products are summed as 32-bit halves, which is exact for up
+    to 2^32 terms.
+    """
+    prods = m61_mul(a, b)
+    return ((int((prods >> 32).sum()) << 32) + int((prods & _LO32).sum())) % M61

@@ -16,9 +16,13 @@ The round count is configurable; 4 balanced rounds is the standard minimum
 for pseudorandom behavior on tiny domains.
 """
 
+import numpy as np
+
 from .errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
 
 _MASK64 = (1 << 64) - 1
+_MIX_A = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_B = np.uint64(0x94D049BB133111EB)
 
 # Cycle walking virtually never needs more than a handful of tries; a longer
 # walk indicates a broken round function rather than bad luck.
@@ -34,6 +38,16 @@ def _mix64(v: int) -> int:
     v = v * 0xBF58476D1CE4E5B9 & _MASK64
     v ^= v >> 27
     v = v * 0x94D049BB133111EB & _MASK64
+    v ^= v >> 31
+    return v
+
+
+def _mix64_array(v: np.ndarray) -> np.ndarray:
+    """_mix64 over a uint64 array; the multiplies wrap mod 2^64."""
+    v = v ^ (v >> 30)
+    v = v * _MIX_A
+    v ^= v >> 27
+    v *= _MIX_B
     v ^= v >> 31
     return v
 
@@ -101,6 +115,37 @@ class PermutationGenerator:
         raise CycleWalkExceeded(
             f"no in-domain value after {_WALK_CAP} re-encryptions (n={self.n})"
         )
+
+    def table(self) -> np.ndarray:
+        """All of pi as a uint64 array: table()[i] == get(i) for i in [0, n).
+
+        The Feistel rounds run over whole arrays (uint64 multiplies wrap mod
+        2^64 exactly like _mix64's masking), and each cycle-walking step
+        re-encrypts only the entries still outside [0, n).
+        """
+        out = self._encrypt_array(np.arange(self.n, dtype=np.uint64))
+        n = np.uint64(self.n)
+        for _ in range(_WALK_CAP - 1):
+            walk = np.flatnonzero(out >= n)
+            if walk.size == 0:
+                return out
+            out[walk] = self._encrypt_array(out[walk])
+        if (out >= n).any():
+            raise CycleWalkExceeded(
+                f"no in-domain value after {_WALK_CAP} re-encryptions (n={self.n})"
+            )
+        return out
+
+    def _encrypt_array(self, block: np.ndarray) -> np.ndarray:
+        lo_bits = self._half_lo
+        hi_bits = self._half_hi
+        left = block >> lo_bits
+        right = block & np.uint64((1 << lo_bits) - 1)
+        for key in self._keys:
+            mixed = _mix64_array(right ^ np.uint64(key)) & np.uint64((1 << hi_bits) - 1)
+            left, right = right, left ^ mixed
+            hi_bits, lo_bits = lo_bits, hi_bits
+        return (left << lo_bits) | right
 
     def invert(self, j: int) -> int:
         """The rank i with get(i) == j: Feistel rounds run in reverse."""

@@ -27,6 +27,7 @@ and plain TCP.
 """
 
 import itertools
+import logging
 import random
 import socket
 import struct
@@ -35,16 +36,17 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from .checkpoint import MemoryImage, checkpoint_record, checkpoint_replay, scan_words
+from .checkpoint import checkpoint_replay
 from .coeffs import RandomSeeds
 from .device import (
     Measurement,
     Scenario,
     adversary_delay_us,
-    make_device_state,
+    base_cost_us,
+    device_snapshot,
 )
-from .engine import ChallengeResult, ChallengeSpec, multipass
-from .errors import ChannelTimeout, MalformedFrame, SessionMismatch
+from .engine import ChallengeResult, ChallengeSpec, evaluate
+from .errors import ChannelTimeout, MalformedFrame, SessionMismatch, TimecheckError
 from .field import FieldParams
 from .seeding import derive_seed
 from .stats import detect
@@ -61,6 +63,8 @@ STATUS_NMI_RETRY = 1
 STATUS_REGION_MISMATCH = 2
 
 _U64 = struct.Struct("<Q")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -218,6 +222,10 @@ def new_session_id(rng: random.Random) -> int:
 class DeviceEndpoint:
     """Simulated device: replays its trusted checkpoint, scans, responds.
 
+    Every endpoint of the same seeded image shares one DeviceSnapshot (the
+    recorded checkpoint and its read-only scan array); each keeps its own
+    live state, which every session restores from the checkpoint.
+
     behavior selects hostile stubs for verifier tests:
       honest         normal operation
       wrong_result   flips the accumulator, takes baseline time
@@ -235,9 +243,10 @@ class DeviceEndpoint:
         self.restore_us = restore_us
         self.extra_delay_us = extra_delay_us
         self.master_seed = master_seed
-        self.state = make_device_state(scenario.image_seed, scenario.image_words,
-                                       scenario.region_id, scenario.register_count)
-        self.checkpoint = checkpoint_record(self.state)
+        self.snapshot = device_snapshot(scenario.image_seed, scenario.image_words,
+                                        scenario.region_id, scenario.register_count)
+        self.checkpoint = self.snapshot.checkpoint
+        self.state = self.snapshot.live_state()
         self._session_index = 0
         self._last_session_id = 0
 
@@ -251,16 +260,17 @@ class DeviceEndpoint:
         checkpoint_replay(self.checkpoint, self.state)
         restored = encode_restored(RestoredMessage(msg.session_id))
 
-        scan_image = MemoryImage(scan_words(self.checkpoint), scenario.region_id)
-        result = multipass(scan_image, msg.spec)
+        result = evaluate(self.snapshot.scan, msg.spec)
 
-        noise_rng = random.Random(
-            derive_seed(self.master_seed, "device-noise", self._session_index))
+        # price the challenge actually received; the session index drives drift
+        trial_id = self._session_index
         self._session_index += 1
-        noise_us, nmi = scenario.noise.sample(noise_rng)
-        duration = (scenario.passes * scenario.timing_words
-                    * (scenario.scan_us_per_word + scenario.compute_us_per_word)
-                    + adversary_delay_us(scenario.adversary, scenario.tiers, scenario.passes)
+        noise_rng = random.Random(derive_seed(self.master_seed, "device-noise", trial_id))
+        noise_us, nmi = scenario.noise.sample(noise_rng, trial_id)
+        passes = msg.spec.passes
+        duration = (base_cost_us(scenario.timing_words, passes, scenario.scan_us_per_word,
+                                 scenario.compute_us_per_word)
+                    + adversary_delay_us(scenario.adversary, scenario.tiers, passes)
                     + noise_us)
 
         accumulator = result.accumulator
@@ -282,8 +292,7 @@ class DeviceEndpoint:
 
     def expected_result(self, spec: ChallengeSpec) -> ChallengeResult:
         """What an honest scan of the (public) checkpoint must produce."""
-        scan_image = MemoryImage(scan_words(self.checkpoint), self.scenario.region_id)
-        return multipass(scan_image, spec)
+        return evaluate(self.snapshot.scan, spec)
 
 
 # --- channels -------------------------------------------------------------------
@@ -385,7 +394,9 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
 
     time_scale stretches simulated on-device delays into real sleeps
     (1.0 = real time, 0.0 = respond immediately). Returns (server_socket,
-    thread); close the socket to stop. Sessions are strictly serialized.
+    thread); close the socket to stop. Sessions are strictly serialized. A
+    connection whose bytes or challenge cannot be served (bad framing, a spec
+    the device cannot evaluate) is logged and closed; the server keeps going.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -414,7 +425,9 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
                                     time.sleep(delay_us * time_scale / 1e6)
                                 conn.sendall(reply)
                             served += 1
-                except (MalformedFrame, OSError):
+                except (TimecheckError, OSError) as exc:
+                    log.warning("device server: dropped connection: %s: %s",
+                                type(exc).__name__, exc)
                     continue
 
     thread = threading.Thread(target=run, daemon=True)

@@ -1,14 +1,20 @@
 """Tests for framing, channels, hostile stubs, and session verification."""
 
+import logging
 import random
 import socket
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from timecheck.device import attack_scenario, desk_scenario
-from timecheck.engine import random_spec
+from timecheck import engine
+from timecheck.checkpoint import MemoryImage, checkpoint_replay, scan_words
+from timecheck.coeffs import RandomSeeds
+from timecheck.device import NoiseModel, attack_scenario, desk_scenario
+from timecheck.engine import ChallengeSpec, multipass, random_spec
 from timecheck.errors import ChannelTimeout, MalformedFrame, SessionMismatch
-from timecheck.field import M61
+from timecheck.field import M61, FieldParams
 from timecheck.protocol import (
     STATUS_NMI_RETRY,
     STATUS_OK,
@@ -273,6 +279,31 @@ class TestTcpTransport:
         finally:
             server.close()
 
+    def test_server_survives_spec_out_of_field(self, caplog):
+        # p=13 cannot index 2,048 words: the device cannot evaluate this
+        # challenge, drops the connection, and keeps serving
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=27)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        try:
+            chan = TcpChannel(host, port, timeout_s=5.0)
+            hostile = ChallengeSpec(seeds=RandomSeeds((1, 2), FieldParams(13, 5)),
+                                    perm_seed=1, passes=1, region_id=sc.region_id)
+            with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                with pytest.raises(ChannelTimeout):
+                    chan.request(encode_challenge(ChallengeMessage(7, hostile)))
+            assert "SpecOutOfField" in caplog.text
+            assert thread.is_alive()
+            rng = sub_rng(6, "t")
+            spec = fresh_spec(rng, sc)
+            timed = issue_challenge(chan, spec, rng=rng)
+            assert timed.response.status == STATUS_OK
+            honest = DeviceEndpoint(sc, master_seed=28)
+            assert timed.response.accumulator == honest.expected_result(spec).accumulator
+        finally:
+            server.close()
+
     def test_unreachable_target(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -280,6 +311,102 @@ class TestTcpTransport:
         chan = TcpChannel("127.0.0.1", dead_port, timeout_s=0.5)
         with pytest.raises(ChannelTimeout):
             chan.request(encode_challenge(ChallengeMessage(1, fresh_spec())))
+
+
+class TestPricing:
+    """The device prices the challenge it received, drift included."""
+
+    def _duration(self, endpoint, spec):
+        return endpoint.handle_challenge(ChallengeMessage(1, spec))[1][0]
+
+    @pytest.mark.parametrize("kind", ["none", "dram"])
+    def test_priced_by_received_passes(self, kind):
+        sc = desk_scenario()
+        if kind != "none":
+            sc = attack_scenario(sc, kind)
+        rng = sub_rng(7, "t")
+        one = random_spec(sc.prime, sc.k, 1, rng, sc.region_id)
+        eight = random_spec(sc.prime, sc.k, 8, rng, sc.region_id)
+        # equal master seeds: both endpoints draw the same noise
+        d1 = self._duration(DeviceEndpoint(sc, master_seed=30), one)
+        d8 = self._duration(DeviceEndpoint(sc, master_seed=30), eight)
+        per_pass = sc.timing_words * (sc.scan_us_per_word + sc.compute_us_per_word)
+        if kind == "dram":
+            per_pass += 2 * sc.tiers["dram"].per_word_cost
+        assert d8 - d1 == round(7 * per_pass)
+
+    def test_linear_drift_grows_per_session(self):
+        sc = desk_scenario()
+        sc = replace(sc, noise=NoiseModel("empirical", values=(0.0,), drift="linear",
+                                          drift_us_per_trial=50.0))
+        ep = DeviceEndpoint(sc, master_seed=31)
+        rng = sub_rng(8, "t")
+        durations = [self._duration(ep, fresh_spec(rng, sc)) for _ in range(4)]
+        assert [b - a for a, b in zip(durations, durations[1:])] == [50, 50, 50]
+        assert durations[0] == round(sc.base_cost_us())
+
+
+class TestSharedSnapshot:
+    def test_endpoints_share_one_snapshot(self):
+        sc = desk_scenario()
+        a = DeviceEndpoint(sc, master_seed=1)
+        b = DeviceEndpoint(attack_scenario(sc, "dram"), master_seed=2)
+        assert a.snapshot is b.snapshot
+        assert a.checkpoint is b.checkpoint
+        assert a.snapshot.scan is b.snapshot.scan
+        assert a.state is not b.state
+        assert a.snapshot.scan.dtype == np.uint64
+        assert a.snapshot.scan.tolist() == scan_words(a.checkpoint)
+
+    def test_scan_array_is_read_only(self):
+        ep = DeviceEndpoint(desk_scenario(), master_seed=3)
+        scan = ep.snapshot.scan
+        assert scan.flags.writeable is False
+        with pytest.raises(ValueError):
+            scan[0] = 1
+        with pytest.raises(ValueError):
+            scan.flags.writeable = True
+
+    def test_replay_leaves_snapshot_untouched(self):
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=4)
+        other = DeviceEndpoint(sc, master_seed=5)
+        cp = ep.checkpoint
+        recorded = scan_words(cp)
+        scan_before = ep.snapshot.scan.copy()
+        ep.state.image.words[0] ^= 1
+        ep.state.registers[-1] ^= 1
+        ep.state.scratch["implant"] = True
+        assert ep.state.image.words[0] != cp.image.words[0]
+        checkpoint_replay(cp, ep.state)
+        assert list(ep.state.image.words) == list(cp.image.words)
+        assert ep.state.registers == list(cp.register_file)
+        assert ep.state.scratch == {}
+        assert scan_words(cp) == recorded
+        assert np.array_equal(ep.snapshot.scan, scan_before)
+        spec = fresh_spec(sub_rng(9, "t"), sc)
+        assert ep.expected_result(spec) == other.expected_result(spec)
+
+    def test_other_primes_use_streaming_multipass(self, monkeypatch):
+        sc = replace(desk_scenario(), prime=65537)  # 8 passes x 2,048 words < p
+        ep = DeviceEndpoint(sc, master_seed=6)
+        calls = []
+
+        def spy(image, spec, perm=None):
+            calls.append(spec)
+            return multipass(image, spec, perm)
+
+        def vectorized(words, spec):
+            raise AssertionError("the vectorized evaluator is for p = M61 only")
+
+        monkeypatch.setattr(engine, "multipass", spy)
+        monkeypatch.setattr(engine, "multipass_m61", vectorized)
+        spec = fresh_spec(sub_rng(10, "t"), sc)
+        expected = ep.expected_result(spec)
+        _, reply = ep.handle_challenge(ChallengeMessage(1, spec))[1]
+        assert calls == [spec, spec]
+        assert FrameDecoder().feed(reply)[0].accumulator == expected.accumulator
+        assert expected == multipass(MemoryImage(scan_words(ep.checkpoint)), spec)
 
 
 def test_timed_response_ordering_enforced():
