@@ -6,6 +6,7 @@ Every command is deterministic under a fixed --seed (byte-identical outputs).
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -58,21 +59,10 @@ def _scenario_from_args(args) -> Scenario:
     else:
         scenario = builtin_scenario(getattr(args, "scenario", None) or "sram-baseline")
     if getattr(args, "passes", None):
-        scenario = Scenario(**{**_scenario_kwargs(scenario), "passes": args.passes})
+        scenario = dataclasses.replace(scenario, passes=args.passes)
     if getattr(args, "attack", None) and args.attack != "none":
         scenario = attack_scenario(scenario, args.attack)
     return scenario
-
-
-def _scenario_kwargs(s: Scenario) -> dict:
-    return {
-        "name": s.name, "region_id": s.region_id, "image_words": s.image_words,
-        "register_count": s.register_count, "timing_words": s.timing_words,
-        "passes": s.passes, "prime": s.prime, "k": s.k, "tiers": s.tiers,
-        "scan_us_per_word": s.scan_us_per_word,
-        "compute_us_per_word": s.compute_us_per_word, "noise": s.noise,
-        "adversary": s.adversary, "trials": s.trials, "image_seed": s.image_seed,
-    }
 
 
 def _profile_doc(profile: stats.BaselineProfile, scenario: Scenario,
@@ -247,6 +237,10 @@ def _histogram_rows(batches, bins=24):
 
 
 def cmd_reproduce(args) -> int:
+    if args.trials < 2:
+        raise InsufficientSamples(f"reproduce needs --trials >= 2, got {args.trials}")
+    if args.seeds < 1:
+        raise TimecheckError(f"reproduce needs --seeds >= 1, got {args.seeds}")
     os.makedirs(args.out, exist_ok=True)
     if args.table == "fig10":
         return _reproduce_sram_table(args)

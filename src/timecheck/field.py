@@ -8,6 +8,7 @@ for the XOR-masked terms fed into Horner accumulation.
 All functions are pure and safe to call concurrently.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,10 @@ M61 = (1 << 61) - 1  # 2305843009213693951, default production modulus
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+# Every FieldParams validates its modulus, and one trial or session builds
+# several on the same prime. The cache is bounded so that hostile CHALLENGE
+# frames carrying many distinct primes cannot grow memory.
+@functools.lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
     """Deterministic primality check for n < 2^64 (Miller-Rabin, fixed witnesses)."""
     if n < 2:

@@ -50,20 +50,36 @@ class BaselineProfile:
 
 def calibrate(samples) -> BaselineProfile:
     """Build a BaselineProfile; percentiles use linear rank interpolation."""
-    arr = np.asarray(list(samples), dtype=float)
-    if arr.size < 2:
-        raise InsufficientSamples(f"calibration needs >= 2 samples, got {arr.size}")
-    median = float(np.median(arr))
-    return BaselineProfile(
-        samples=tuple(float(v) for v in arr),
-        n=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)),
-        median=median,
-        mad=float(np.median(np.abs(arr - median))),
-        p2_5=float(np.percentile(arr, 2.5)),
-        p97_5=float(np.percentile(arr, 97.5)),
+    return calibrate_rows(np.asarray(list(samples), dtype=float)[np.newaxis, :])[0]
+
+
+def calibrate_rows(rows) -> list:
+    """One BaselineProfile per row of a 2-D array, all rows calibrated at once.
+
+    Every statistic is one numpy reduction along axis 1, so a batch of
+    equal-length baselines pays numpy's per-call overhead once instead of
+    once per baseline. Each profile equals the one-row calibration of its
+    row exactly: the axis reductions run the same arithmetic as their 1-D
+    forms.
+    """
+    arr = np.asarray(rows, dtype=float)
+    if arr.shape[1] < 2:
+        raise InsufficientSamples(f"calibration needs >= 2 samples, got {arr.shape[1]}")
+    median = np.median(arr, axis=1)
+    columns = zip(
+        median.tolist(),
+        arr.mean(axis=1).tolist(),
+        arr.std(axis=1, ddof=1).tolist(),
+        np.median(np.abs(arr - median[:, np.newaxis]), axis=1).tolist(),
+        np.percentile(arr, 2.5, axis=1).tolist(),
+        np.percentile(arr, 97.5, axis=1).tolist(),
     )
+    # rows convert one at a time, so no list of all rows sits beside the tuples
+    return [
+        BaselineProfile(samples=tuple(row.tolist()), n=row.size, mean=mean, std=std,
+                        median=med, mad=mad, p2_5=lo, p97_5=hi)
+        for row, (med, mean, std, mad, lo, hi) in zip(arr, columns)
+    ]
 
 
 # --- serial correlation ------------------------------------------------------
@@ -267,6 +283,11 @@ def confusion_report(baseline_points, attack_points,
     leave-one-out against the remaining baseline points (the tested point
     never calibrates its own band); attack points are classified against
     the full-baseline profile.
+
+    The leave-one-out profiles come from one batched calibration: row i of
+    an n x (n-1) matrix holds the baseline without point i, in order, and a
+    single calibrate_rows call turns every row into the profile that
+    calibrate() would give for that row alone.
     """
     baseline_points = [float(v) for v in baseline_points]
     attack_points = [float(v) for v in attack_points]
@@ -275,10 +296,10 @@ def confusion_report(baseline_points, attack_points,
     full = profile if profile is not None else calibrate(baseline_points)
     loo_profiles = None
     if profile is None:
-        loo_profiles = [
-            calibrate(baseline_points[:i] + baseline_points[i + 1:])
-            for i in range(len(baseline_points))
-        ]
+        n = len(baseline_points)
+        keep = ~np.eye(n, dtype=bool)
+        loo = np.broadcast_to(np.asarray(baseline_points), (n, n))[keep]
+        loo_profiles = calibrate_rows(loo.reshape(n, n - 1))
     rows = {}
     for method in methods:
         fn = DETECTORS[method]

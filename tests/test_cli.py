@@ -1,11 +1,13 @@
 """CLI behavior: exit codes, artifacts, determinism."""
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
 
-from timecheck.cli import main
-from timecheck.device import builtin_scenario, save_scenario
+from timecheck.cli import _scenario_from_args, build_parser, main
+from timecheck.device import builtin_scenario, load_scenario, save_scenario
 
 
 def run(args):
@@ -129,6 +131,52 @@ class TestReproduce:
                      "fig11_hist.csv", "fig13_detection.csv"):
             assert ((tmp_path / "r1" / name).read_bytes()
                     == (tmp_path / "r2" / name).read_bytes())
+
+    # sha256 of fig13_detection.csv at the default --trials 50 --seeds 20. One
+    # flipped leave-one-out decision moves a cell by 0.1 and changes the hash.
+    FIG13_SHA256 = {
+        0: "45fb7ce745af357233d6282bc329a3ecb547b733bd89684b10bb716b62fe8b37",
+        7: "6ac159524f7e5051610d337cd0b9670989dc5e7271b69c81a382baa66a15e16f",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(FIG13_SHA256))
+    def test_detection_table_pinned_bytes(self, tmp_path, seed):
+        assert run(["reproduce", "fig13", "--seed", seed, "--out", tmp_path]) == 0
+        digest = hashlib.sha256((tmp_path / "fig13_detection.csv").read_bytes()).hexdigest()
+        assert digest == self.FIG13_SHA256[seed]
+
+    @pytest.mark.parametrize("table,flag,value", [
+        ("fig13", "--seeds", 0),
+        ("fig13", "--seeds", -1),
+        ("fig10", "--trials", 0),
+        ("fig11", "--trials", 0),
+        ("fig13", "--trials", 0),
+        ("fig10", "--trials", 1),
+    ])
+    def test_bad_counts_are_operational_errors(self, tmp_path, capsys, table, flag, value):
+        out = tmp_path / "out"
+        assert run(["reproduce", table, flag, value, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err
+        assert not out.exists()
+
+
+class TestScenarioFromArgs:
+    def test_passes_override_keeps_every_other_field(self, tmp_path):
+        # a scan length that differs from image_words + register_count
+        sc = dataclasses.replace(builtin_scenario("desk-small"), timing_words=5000)
+        cfg = tmp_path / "sc.json"
+        save_scenario(sc, cfg)
+        args = build_parser().parse_args(["serve", "--config", str(cfg), "--passes", "3"])
+        got = _scenario_from_args(args)
+        want = load_scenario(cfg)
+        assert got.passes == 3
+        assert got.timing_words == want.timing_words == 5000
+        assert got.base_cost_us() != want.base_cost_us()
+        for name in ("name", "region_id", "image_words", "register_count", "prime", "k",
+                     "tiers", "scan_us_per_word", "compute_us_per_word", "noise",
+                     "adversary", "trials", "image_seed"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 class TestCheckpointCommand:

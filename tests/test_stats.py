@@ -5,12 +5,16 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 from scipy import stats as scipy_stats
 
 from timecheck.errors import DegenerateSeries, InsufficientSamples, MaxTrialsExceeded
 from timecheck.stats import (
+    DETECTORS,
     calibrate,
+    calibrate_rows,
     confusion_report,
     detect,
     detect_chebyshev,
@@ -53,6 +57,62 @@ class TestCalibrate:
 
     def test_sample_std_uses_n_minus_1(self):
         assert calibrate([1.0, 3.0]).std == pytest.approx(np.std([1, 3], ddof=1))
+
+
+@st.composite
+def quantized_samples(draw, min_size=2, max_size=80):
+    """Integer-valued durations with heavy ties, like quantized timing noise."""
+    base = draw(st.integers(0, 2 * 10**9))
+    steps = draw(st.lists(st.integers(-3, 3) | st.integers(-10**6, 10**6),
+                          min_size=min_size, max_size=max_size))
+    return [float(base + s) for s in steps]
+
+
+def _outcome(fn):
+    """fn()'s result, or the type of the calibration or detector error it raised."""
+    try:
+        return fn()
+    except (DegenerateSeries, InsufficientSamples) as exc:
+        return type(exc)
+
+
+def _scalar_loo_counts(base, attack, method):
+    fn = DETECTORS[method]
+    full = calibrate(base)
+    fp = sum(fn(calibrate(base[:i] + base[i + 1:]), v).flagged for i, v in enumerate(base))
+    misses = sum(not fn(full, v).flagged for v in attack)
+    return fp, misses
+
+
+class TestCalibrateRows:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 80).flatmap(lambda n: st.lists(
+        quantized_samples(min_size=n, max_size=n), min_size=1, max_size=6)))
+    def test_rows_equal_one_row_calibration(self, rows):
+        profiles = calibrate_rows(np.array(rows))
+        assert len(profiles) == len(rows)
+        for row, prof in zip(rows, profiles):
+            assert prof == calibrate(row)
+
+    @settings(max_examples=100, deadline=None)
+    @given(quantized_samples(), quantized_samples(min_size=1, max_size=20))
+    def test_batched_loo_equals_scalar_loop(self, base, attack):
+        for method in ("percentile", "zscore", "modz"):
+            got = _outcome(lambda: confusion_report(base, attack, methods=(method,)))
+            want = _outcome(lambda: _scalar_loo_counts(base, attack, method))
+            if isinstance(want, tuple):
+                row = got[method]
+                assert (row.false_positives, row.false_negatives) == want
+            else:
+                assert got is want
+
+    def test_two_point_baseline_leaves_one(self):
+        with pytest.raises(InsufficientSamples, match="needs >= 2 samples, got 1"):
+            confusion_report([1.0, 2.0], [5.0])
+
+    def test_single_column_rejected(self):
+        with pytest.raises(InsufficientSamples, match="got 1"):
+            calibrate_rows(np.ones((4, 1)))
 
 
 class TestSerialCorrelation:
