@@ -24,16 +24,35 @@ argument, and tests assert it structurally.
 The verifier and the simulated device do not run the streaming loop for
 p = M61: both go through evaluate(), which hands M61 challenges to the
 vectorized multipass_m61 and every other prime to multipass. multipass_m61
-builds the whole permutation, a pass's coefficients and the weights
-x^i as uint64 arrays and is exactly equal to multipass; the streaming
-multipass stays the constant-working-set reference for what a real device
-computes.
+is exactly equal to multipass; the streaming multipass stays the
+constant-working-set reference for what a real device computes.
+
+multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
+
+- Weights. Horner over pi[d-1], ..., pi[0] gives address pi[i] the weight
+  x^i, so a pass is one dot product of its terms with a d-word weight
+  array. The array is filled tile by tile from PermutationGenerator.tiles;
+  it is the only buffer whose size grows with d.
+- Coefficients. The coefficient polynomial R shifted to the address
+  variable b = idx + 1 is R(t*d + b) = sum_m c_m(t) b^m with
+  c_m(t) = sum_(j>=m) r_j C(j, m) (t*d)^(j-m), computed in Python ints.
+  In b <= d < 2^32 a Horner step needs two 32 x 32-bit multiplies (sums
+  below 2^63; field.m61_muladd_small). Only the first min(k, P) forward
+  differences over the pass index are evaluated that way, once per tile;
+  each later pass advances them with min(k, P)-1 modular additions (sums
+  below 2^62).
+- Dot products. A term is word XOR coefficient, never reduced: the dot
+  product only needs its residue mod p. Its four 16-bit limbs times the
+  weight's three 21-bit limbs sum exactly in float64 (each sum below
+  2^49), and the pass accumulators stay below 2^62 between Mersenne folds.
 """
 
 import hashlib
 import math
+import operator
 import random
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,11 +60,22 @@ import numpy as np
 from .checkpoint import MemoryImage
 from .coeffs import RandomSeeds
 from .errors import PermutationDomainMismatch, SpecOutOfField
-from .field import M61, FieldParams, m61_dot, m61_mul, m61_reduce, pow_mod
+from .field import (M61, FieldParams, m61_add, m61_canon, m61_fold, m61_mul, m61_muladd_small,
+                    pow_mod)
 from .permutation import perm_new
 
-# Words per block in multipass_m61: 64 KB arrays keep the temporaries in cache.
-_BLOCK = 8192
+# Words per tile in multipass_m61: 32 KB uint64 tiles keep every buffer in
+# cache. The float64 limb dot products stay exact for tiles up to 2^16 words.
+_TILE = 4096
+_LIMB21 = np.uint64((1 << 21) - 1)
+_SHIFT21 = np.uint64(21)
+_SHIFT42 = np.uint64(42)
+# 2^(s + 21*c) mod M61 for a term's 16-bit limb at bit s and a weight's
+# 21-bit limb c (2^61 = 1 mod M61). A uint64 viewed as four uint16 lists its
+# limbs low first on a little-endian host, high first on a big-endian one.
+_LIMB16_SHIFTS = (0, 16, 32, 48) if sys.byteorder == "little" else (48, 32, 16, 0)
+_LIMB_SCALES = tuple(pow(2, (s + 21 * c) % 61, M61)
+                     for s in _LIMB16_SHIFTS for c in range(3))
 
 
 @dataclass(frozen=True)
@@ -186,51 +216,130 @@ def _geometric_m61(ratio: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
-def _powers_m61(x: int, n: int) -> np.ndarray:
-    """[x^0, ..., x^(n-1)] mod M61 as uint64, as x^i = (x^b)^(i // b) * x^(i % b)."""
-    b = math.isqrt(n - 1) + 1  # b*b >= n
-    high = np.repeat(_geometric_m61(pow(x, b, M61), b), b)[:n]
-    low = np.tile(_geometric_m61(x, b), b)[:n]
-    return m61_mul(high, low)
+def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
+    """The d-word array weight[pi[i]] = x^i mod M61, filled tile by tile.
+
+    A rank splits into i = h*2^s + l with 2^s about sqrt(d), so
+    x^i = x^(h*2^s) * x^l is one product of two entries from tables of
+    about sqrt(d) powers each. Each batch of ranks from perm.tiles is at
+    most _TILE long, and so is every temporary it allocates.
+    """
+    perm = perm_new(d, perm_seed)
+    s = ((d - 1).bit_length() + 1) // 2
+    low = _geometric_m61(x, 1 << s)
+    high = _geometric_m61(pow(x, 1 << s, M61), ((d - 1) >> s) + 1)
+    shift, mask = np.uint64(s), np.uint64((1 << s) - 1)
+    weight = np.empty(d, dtype=np.uint64)
+    for ranks, indices in perm.tiles(_TILE):
+        weight[indices] = m61_mul(high[ranks >> shift], low[ranks & mask])
+    return weight
+
+
+def _difference_polys(r: tuple, d: int, count: int) -> list:
+    """Coefficients mod M61, lowest first, of Q_m = Delta^m R for m < count.
+
+    R(z) = sum_j r[j] z^j is the coefficient at global index z - 1, and
+    (Delta R)(z) = R(z + d) - R(z) steps it by one pass, so
+    Q_m(b) = sum_i (-1)^(m-i) C(m, i) R(b + i*d) is the m-th forward
+    difference over passes of the coefficient at address b - 1. Q_m has
+    degree len(r) - 1 - m; its higher coefficients cancel and are dropped.
+    R(z + c) expands as sum_m z^m sum_(j>=m) r[j] C(j, m) c^(j-m).
+    """
+    k = len(r)
+    shifted = [[sum(r[j] * math.comb(j, e) * (i * d) ** (j - e) for j in range(e, k))
+                for e in range(k)] for i in range(count)]
+    return [[sum((-1) ** (m - i) * math.comb(m, i) * shifted[i][e] for i in range(m + 1)) % M61
+             for e in range(k - m)] for m in range(count)]
 
 
 def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
     """Vectorized multi-pass evaluation for p = M61, exactly equal to multipass.
 
-    words is the scanned sequence as a uint64 array. Within a pass the
-    Horner chain over pi[d-1], ..., pi[0] gives the word at address pi[i]
-    the weight x^i, so a pass is one dot product of the masked terms with a
-    weight array built once per challenge (m61_dot sums the reduced products
-    exactly); passes chain in Python ints by x^d.
-    Addresses are processed in blocks of _BLOCK words so that the array
-    temporaries stay small and cache-resident.
+    words is the scanned sequence as a uint64 array of d < 2^32 words.
+    Within a pass the Horner chain over pi[d-1], ..., pi[0] gives the word
+    at address pi[i] the weight x^i, so a pass is a dot product of the
+    masked terms with one d-word weight array (_weights_m61); passes chain
+    in Python ints by x^d. The work runs over address tiles of _TILE words,
+    and every array operation of a tile writes into buffers allocated once
+    per call, so no temporary other than the weight array grows with d.
+
+    Per tile of n words, with every bound that keeps uint64 exact:
+
+    - The coefficient of address b - 1 in pass t is R(t*d + b), a
+      polynomial of degree k-1 in t. Its first K = min(k, P) forward
+      differences over t at t = 0 are Q_m(b) (_difference_polys), each
+      evaluated by Horner in the small operand b <= d < 2^32: a step
+      multiplies the two 32-bit limbs of s < 2^61 + 8 by b (products
+      below 2^61 and 2^64), and its five summands stay below 2^63 before
+      one fold (field.m61_muladd_small). Every later pass advances the
+      table with K-1 modular additions of canonical residues (sums below
+      2^62, reduced by min(v, v - p)).
+    - A term is the 64-bit XOR of word and coefficient. It is never reduced
+      mod p: the dot product only needs its residue. Viewed as four 16-bit
+      limbs it multiplies the weight's three 21-bit limbs in one float64
+      (4 x n) @ (n x 3) product per pass. Each of the 12 limb sums is an
+      integer below n * 2^16 * 2^21 <= 2^49 < 2^53, so float64 holds it
+      exactly in any summation order.
+    - The 12 limb sums of each pass add into uint64 accumulators that one
+      Mersenne fold per tile keeps below 2^61 + 8 (below 2^62 before the
+      fold), so nothing wraps for any d. At the end limb (a, c) scales by
+      2^(16a + 21c) mod p.
     """
     p = spec.params.p
     if p != M61:
         raise ValueError(f"vectorized evaluator needs p = M61, got p = {p}")
     d = len(words)
-    if spec.passes * d > p - 1:
-        raise SpecOutOfField(f"passes*word_count = {spec.passes * d} exceeds p-1 = {p - 1}")
+    passes = spec.passes
+    if passes * d > p - 1:
+        raise SpecOutOfField(f"passes*word_count = {passes * d} exceeds p-1 = {p - 1}")
+    if d >= 1 << 32:
+        raise ValueError(f"vectorized evaluator needs fewer than 2^32 words, got {d}")
     x = spec.params.x
-    r = spec.seeds.r
-    weight = np.empty(d, dtype=np.uint64)
-    weight[perm_new(d, spec.perm_seed).table()] = _powers_m61(x, d)
-    pass_values = [0] * spec.passes
-    for start in range(0, d, _BLOCK):
-        block_words = words[start:start + _BLOCK]
-        block_weight = weight[start:start + _BLOCK]
-        index1 = np.arange(start + 1, start + 1 + len(block_words), dtype=np.uint64)
-        for pass_no in range(spec.passes):
-            base = index1 + np.uint64(pass_no * d)
-            s = np.full(len(block_words), r[-1], dtype=np.uint64)
-            for rj in r[-2::-1]:
-                s = m61_reduce(m61_mul(s, base) + np.uint64(rj))
-            pass_values[pass_no] += m61_dot(m61_reduce(block_words ^ s), block_weight)
+    weight = _weights_m61(d, x, spec.perm_seed)
+    polys = _difference_polys(spec.seeds.r, d, min(len(spec.seeds.r), passes))
+    tile = min(d, _TILE)
+    one_based = np.arange(1, tile + 1, dtype=np.uint64)
+    # k rows even when P < k, so the buffers depend on k and the tile, not on P
+    diffs = np.empty((len(spec.seeds.r), tile), dtype=np.uint64)[:len(polys)]
+    b, terms, tmp, tmp2 = np.empty((4, tile), dtype=np.uint64)
+    term_limbs = np.empty((4, tile))
+    weight_limbs = np.empty((3, tile))
+    tile_sums = np.empty((passes, 4, 3))
+    sums = np.zeros((passes, 4, 3), dtype=np.uint64)
+    sums_tmp = np.empty_like(sums)
+    for start in range(0, d, tile):
+        n = min(tile, d - start)
+        if n < tile:
+            diffs, b, terms, tmp, tmp2 = (a[..., :n] for a in (diffs, b, terms, tmp, tmp2))
+            term_limbs, weight_limbs = term_limbs[:, :n], weight_limbs[:, :n]
+        w = weight[start:start + n]
+        np.bitwise_and(w, _LIMB21, out=weight_limbs[0], casting="unsafe")
+        np.right_shift(w, _SHIFT21, out=tmp)
+        np.bitwise_and(tmp, _LIMB21, out=weight_limbs[1], casting="unsafe")
+        np.right_shift(w, _SHIFT42, out=weight_limbs[2], casting="unsafe")
+        np.add(one_based[:n], np.uint64(start), out=b)
+        for diff, q in zip(diffs, polys):
+            diff.fill(q[-1])
+            for c in reversed(q[:-1]):
+                m61_muladd_small(diff, b, c, tmp, tmp2)
+            m61_canon(diff, tmp)
+        tile_words = words[start:start + n]
+        limbs16 = terms.view(np.uint16).reshape(n, 4).T
+        for pass_no in range(passes):
+            if pass_no:
+                for m in range(len(diffs) - 1):
+                    m61_add(diffs[m], diffs[m + 1], tmp)
+            np.bitwise_xor(tile_words, diffs[0], out=terms)
+            np.copyto(term_limbs, limbs16)
+            np.matmul(term_limbs, weight_limbs.T, out=tile_sums[pass_no])
+        np.copyto(sums_tmp, tile_sums, casting="unsafe")
+        sums += sums_tmp
+        m61_fold(sums, sums_tmp)
     x_d = pow(x, d, p)
     result = 0
-    for value in pass_values:
-        result = (result * x_d + value) % p
-    return ChallengeResult(result, spec.passes * d, spec.digest())
+    for row in sums.reshape(passes, 12):  # row by row: no P x 12 list of ints
+        result = (result * x_d + sum(map(operator.mul, row.tolist(), _LIMB_SCALES))) % p
+    return ChallengeResult(result, passes * d, spec.digest())
 
 
 def evaluate(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:

@@ -99,13 +99,73 @@ def horner_step(acc: int, x: int, term: int, p: int) -> int:
 _M61_U = np.uint64(M61)
 _LO32 = np.uint64(0xFFFFFFFF)
 _LO29 = np.uint64((1 << 29) - 1)
+_SHIFT29 = np.uint64(29)
+_SHIFT32 = np.uint64(32)
+_SHIFT61 = np.uint64(61)
+
+
+def m61_fold(v: np.ndarray, tmp: np.ndarray) -> None:
+    """In place: v <- (v & M61) + (v >> 61), congruent to v and below 2^61 + 8.
+
+    tmp is a scratch array of v's shape; v can be any uint64 array.
+    """
+    np.right_shift(v, _SHIFT61, out=tmp)
+    np.bitwise_and(v, _M61_U, out=v)
+    np.add(v, tmp, out=v)
+
+
+def m61_canon(v: np.ndarray, tmp: np.ndarray) -> None:
+    """In place: v <- v mod M61 for values below 2*M61, as min(v, v - M61).
+
+    For v < M61 the subtraction wraps past 2^63 and the minimum keeps v.
+    """
+    np.subtract(v, _M61_U, out=tmp)
+    np.minimum(v, tmp, out=v)
 
 
 def m61_reduce(v: np.ndarray) -> np.ndarray:
     """v mod M61 for any uint64 array v (values up to 2^64 - 1)."""
-    v = (v & _M61_U) + (v >> 61)  # < 2^61 + 8
-    np.subtract(v, _M61_U, out=v, where=v >= _M61_U)
-    return v
+    out = v & _M61_U
+    tmp = v >> _SHIFT61
+    out += tmp  # < 2^61 + 8
+    m61_canon(out, tmp)
+    return out
+
+
+def m61_add(a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
+    """In place: a <- (a + b) mod M61 for a and b in [0, M61)."""
+    np.add(a, b, out=a)
+    m61_canon(a, tmp)
+
+
+def m61_muladd_small(s: np.ndarray, b: np.ndarray, c: int,
+                     tmp: np.ndarray, tmp2: np.ndarray) -> None:
+    """In place: s <- s*b + c mod M61 up to one fold, for a small operand b < 2^32.
+
+    s may be any value below 2^61 + 8 (a folded, not canonical, residue) and
+    c any int in [0, M61). Only s splits into limbs, s = s1*2^32 + s0 with
+    s1 <= 2^29, so two multiplies suffice:
+
+        u = s1*b < 2^61,   v = s0*b < 2^64
+        s*b = u*2^32 + v = (u & (2^29-1))*2^32 + (u >> 29) + (v & M61) + (v >> 61)
+
+    (mod M61). The four summands and c stay below 3*2^61 + 2^33 < 2^63, and
+    one fold leaves s below 2^61 + 8 again; m61_canon makes it canonical.
+    """
+    np.right_shift(s, _SHIFT32, out=tmp)
+    np.multiply(tmp, b, out=tmp)                  # u
+    np.bitwise_and(s, _LO32, out=tmp2)
+    np.multiply(tmp2, b, out=tmp2)                # v
+    np.right_shift(tmp, _SHIFT29, out=s)
+    np.bitwise_and(tmp, _LO29, out=tmp)
+    np.left_shift(tmp, _SHIFT32, out=tmp)
+    np.add(s, tmp, out=s)
+    np.right_shift(tmp2, _SHIFT61, out=tmp)
+    np.add(s, tmp, out=s)
+    np.bitwise_and(tmp2, _M61_U, out=tmp2)
+    np.add(s, tmp2, out=s)
+    np.add(s, np.uint64(c), out=s)
+    m61_fold(s, tmp)
 
 
 def m61_mul(a: np.ndarray, b) -> np.ndarray:
@@ -127,12 +187,3 @@ def m61_mul(a: np.ndarray, b) -> np.ndarray:
     s = ((a1 * b1) << 3) + (mid >> 29) + ((mid & _LO29) << 32) + (lo & _M61_U) + (lo >> 61)
     return m61_reduce(s)
 
-
-def m61_dot(a: np.ndarray, b: np.ndarray) -> int:
-    """sum(a[i] * b[i]) mod M61 as a Python int, for uint64 arrays in [0, M61).
-
-    The reduced products are summed as 32-bit halves, which is exact for up
-    to 2^32 terms.
-    """
-    prods = m61_mul(a, b)
-    return ((int((prods >> 32).sum()) << 32) + int((prods & _LO32).sum())) % M61

@@ -23,6 +23,9 @@ from .errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
 _MASK64 = (1 << 64) - 1
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
+_SHIFT27 = np.uint64(27)
+_SHIFT30 = np.uint64(30)
+_SHIFT31 = np.uint64(31)
 
 # Cycle walking virtually never needs more than a handful of tries; a longer
 # walk indicates a broken round function rather than bad luck.
@@ -42,14 +45,14 @@ def _mix64(v: int) -> int:
     return v
 
 
-def _mix64_array(v: np.ndarray) -> np.ndarray:
-    """_mix64 over a uint64 array; the multiplies wrap mod 2^64."""
-    v = v ^ (v >> 30)
-    v = v * _MIX_A
-    v ^= v >> 27
-    v *= _MIX_B
-    v ^= v >> 31
-    return v
+def _mix64_array(v: np.ndarray, tmp: np.ndarray) -> None:
+    """In place: _mix64 over a uint64 array; the multiplies wrap mod 2^64."""
+    for shift, factor in ((_SHIFT30, _MIX_A), (_SHIFT27, _MIX_B)):
+        np.right_shift(v, shift, out=tmp)
+        np.bitwise_xor(v, tmp, out=v)
+        np.multiply(v, factor, out=v)
+    np.right_shift(v, _SHIFT31, out=tmp)
+    np.bitwise_xor(v, tmp, out=v)
 
 
 class PermutationGenerator:
@@ -116,36 +119,63 @@ class PermutationGenerator:
             f"no in-domain value after {_WALK_CAP} re-encryptions (n={self.n})"
         )
 
-    def table(self) -> np.ndarray:
-        """All of pi as a uint64 array: table()[i] == get(i) for i in [0, n).
+    def tiles(self, size: int):
+        """Yield (ranks, indices) uint64 array pairs with indices[j] == get(ranks[j]).
 
-        The Feistel rounds run over whole arrays (uint64 multiplies wrap mod
-        2^64 exactly like _mix64's masking), and each cycle-walking step
-        re-encrypts only the entries still outside [0, n).
+        Every rank in [0, n) appears in exactly one pair and no pair is longer
+        than size. Ranks enter in increasing order; an entry that encrypts
+        outside [0, n) waits in a pool and re-encrypts together with the next
+        fresh ranks, so cycle walking costs no extra pass per tile and the
+        working set stays O(size) for any n. The Feistel rounds run over
+        whole arrays (uint64 multiplies wrap mod 2^64 exactly like _mix64's
+        masking).
         """
-        out = self._encrypt_array(np.arange(self.n, dtype=np.uint64))
         n = np.uint64(self.n)
-        for _ in range(_WALK_CAP - 1):
-            walk = np.flatnonzero(out >= n)
-            if walk.size == 0:
-                return out
-            out[walk] = self._encrypt_array(out[walk])
-        if (out >= n).any():
-            raise CycleWalkExceeded(
-                f"no in-domain value after {_WALK_CAP} re-encryptions (n={self.n})"
-            )
-        return out
+        ranks = vals = np.empty(0, dtype=np.uint64)
+        walks = np.empty(0, dtype=np.uint64)
+        start = 0
+        while start < self.n or ranks.size:
+            stop = min(self.n, start + size - ranks.size)
+            fresh = np.arange(start, stop, dtype=np.uint64)
+            start = stop
+            ranks = np.concatenate((ranks, fresh))
+            vals = self._encrypt_array(np.concatenate((vals, fresh)))
+            walks = np.concatenate((walks, np.zeros(fresh.size, dtype=np.uint64)))
+            walks += np.uint64(1)
+            outside = vals >= n
+            if not outside.any():
+                yield ranks, vals
+                ranks = vals = ranks[:0]
+                walks = walks[:0]
+                continue
+            # integer takes: boolean-mask indexing is several times slower here
+            inside = np.flatnonzero(~outside)
+            yield ranks.take(inside), vals.take(inside)
+            outside = np.flatnonzero(outside)
+            ranks, vals, walks = ranks.take(outside), vals.take(outside), walks.take(outside)
+            if int(walks.max()) >= _WALK_CAP:
+                raise CycleWalkExceeded(
+                    f"no in-domain value after {_WALK_CAP} re-encryptions (n={self.n})"
+                )
 
     def _encrypt_array(self, block: np.ndarray) -> np.ndarray:
+        """_encrypt over a uint64 array, into buffers allocated once per call."""
         lo_bits = self._half_lo
         hi_bits = self._half_hi
-        left = block >> lo_bits
+        left = block >> np.uint64(lo_bits)
         right = block & np.uint64((1 << lo_bits) - 1)
+        mixed = np.empty_like(block)
+        tmp = np.empty_like(block)
         for key in self._keys:
-            mixed = _mix64_array(right ^ np.uint64(key)) & np.uint64((1 << hi_bits) - 1)
-            left, right = right, left ^ mixed
+            np.bitwise_xor(right, np.uint64(key), out=mixed)
+            _mix64_array(mixed, tmp)
+            np.bitwise_and(mixed, np.uint64((1 << hi_bits) - 1), out=mixed)
+            np.bitwise_xor(left, mixed, out=left)
+            left, right = right, left
             hi_bits, lo_bits = lo_bits, hi_bits
-        return (left << lo_bits) | right
+        np.left_shift(left, np.uint64(lo_bits), out=left)
+        np.bitwise_or(left, right, out=left)
+        return left
 
     def invert(self, j: int) -> int:
         """The rank i with get(i) == j: Feistel rounds run in reverse."""

@@ -63,23 +63,31 @@ def calibrate_rows(rows) -> list:
     forms.
     """
     arr = np.asarray(rows, dtype=float)
+    # rows convert one at a time, so no list of all rows sits beside the tuples
+    return [BaselineProfile(tuple(row.tolist()), row.size, *stat)
+            for row, stat in zip(arr, _row_statistics(arr))]
+
+
+def _row_statistics(arr: np.ndarray):
+    """Per row of a 2-D float array: (mean, std, median, mad, p2_5, p97_5).
+
+    The fields follow BaselineProfile's order after samples and n.
+    """
     if arr.shape[1] < 2:
         raise InsufficientSamples(f"calibration needs >= 2 samples, got {arr.shape[1]}")
     median = np.median(arr, axis=1)
-    columns = zip(
-        median.tolist(),
+    deviation = arr - median[:, np.newaxis]
+    np.abs(deviation, out=deviation)
+    mad = np.median(deviation, axis=1, overwrite_input=True)
+    del deviation  # one array of arr's size at a time beside arr
+    return zip(
         arr.mean(axis=1).tolist(),
         arr.std(axis=1, ddof=1).tolist(),
-        np.median(np.abs(arr - median[:, np.newaxis]), axis=1).tolist(),
+        median.tolist(),
+        mad.tolist(),
         np.percentile(arr, 2.5, axis=1).tolist(),
         np.percentile(arr, 97.5, axis=1).tolist(),
     )
-    # rows convert one at a time, so no list of all rows sits beside the tuples
-    return [
-        BaselineProfile(samples=tuple(row.tolist()), n=row.size, mean=mean, std=std,
-                        median=med, mad=mad, p2_5=lo, p97_5=hi)
-        for row, (med, mean, std, mad, lo, hi) in zip(arr, columns)
-    ]
 
 
 # --- serial correlation ------------------------------------------------------
@@ -284,10 +292,12 @@ def confusion_report(baseline_points, attack_points,
     never calibrates its own band); attack points are classified against
     the full-baseline profile.
 
-    The leave-one-out profiles come from one batched calibration: row i of
-    an n x (n-1) matrix holds the baseline without point i, in order, and a
-    single calibrate_rows call turns every row into the profile that
-    calibrate() would give for that row alone.
+    The leave-one-out statistics come from one batched computation: row i
+    of an n x (n-1) matrix holds the baseline without point i, in order,
+    and _row_statistics reduces every row with the arithmetic calibrate()
+    uses for that row alone. The leave-one-out profiles carry those
+    statistics but no samples tuple, which no detector reads, so they take
+    O(n) memory beside the matrix.
     """
     baseline_points = [float(v) for v in baseline_points]
     attack_points = [float(v) for v in attack_points]
@@ -299,7 +309,9 @@ def confusion_report(baseline_points, attack_points,
         n = len(baseline_points)
         keep = ~np.eye(n, dtype=bool)
         loo = np.broadcast_to(np.asarray(baseline_points), (n, n))[keep]
-        loo_profiles = calibrate_rows(loo.reshape(n, n - 1))
+        # no samples tuples: n of them would hold n x (n-1) floats as objects
+        loo_profiles = [BaselineProfile((), n - 1, *stat)
+                        for stat in _row_statistics(loo.reshape(n, n - 1))]
     rows = {}
     for method in methods:
         fn = DETECTORS[method]

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,21 @@ class TestConfusionReport:
     def test_empty_sets_rejected(self):
         with pytest.raises(InsufficientSamples):
             confusion_report([], [1.0])
+
+    def test_leave_one_out_memory_is_a_few_matrices(self):
+        # n leave-one-out profiles must not each keep n-1 samples: the peak
+        # stays within a few copies of the n x (n-1) float matrix
+        rng = random.Random(14)
+        n = 1000
+        base = [rng.gauss(100.0, 5.0) for _ in range(n)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            confusion_report(base, [130.0])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * (n - 1) * 8
 
 
 class FakeMeasurement:

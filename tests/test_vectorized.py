@@ -1,16 +1,19 @@
 """Tests for the vectorized M61 evaluator, the array permutation and the dispatch."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from timecheck import engine
 from timecheck.checkpoint import MemoryImage, scan_words
 from timecheck.coeffs import RandomSeeds
 from timecheck.device import Scenario
 from timecheck.engine import (
+    _TILE,
     ChallengeSpec,
     evaluate,
     multipass,
@@ -19,7 +22,7 @@ from timecheck.engine import (
     random_spec,
 )
 from timecheck.errors import SpecOutOfField
-from timecheck.field import M61, FieldParams, m61_dot, m61_mul, m61_reduce
+from timecheck.field import M61, FieldParams, m61_add, m61_muladd_small, m61_mul, m61_reduce
 from timecheck.permutation import perm_new
 from timecheck.protocol import ChallengeMessage, DeviceEndpoint, FrameDecoder
 
@@ -32,9 +35,11 @@ words64 = st.one_of(st.just(WORD_MAX), st.just(0), st.integers(0, WORD_MAX))
 
 @st.composite
 def m61_instances(draw):
+    # P > k, P = k and P < k all occur: the pass differences start from
+    # min(k, P) Horner evaluations
     d = draw(st.integers(1, 400))
-    passes = draw(st.integers(1, 4))
-    k = draw(st.integers(1, 5))
+    passes = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
     seeds = tuple(draw(st.lists(field_elements, min_size=k, max_size=k)))
     spec = ChallengeSpec(seeds=RandomSeeds(seeds, FieldParams(M61, draw(field_elements))),
                          perm_seed=draw(st.integers(0, WORD_MAX)), passes=passes)
@@ -52,17 +57,21 @@ def test_vectorized_equals_naive(instance):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 5000), rounds=st.integers(1, 5), seed=st.integers(0, WORD_MAX))
-@example(n=1, rounds=4, seed=0)
-@example(n=2, rounds=1, seed=WORD_MAX)
-@example(n=3, rounds=3, seed=12345)      # bits floored at 2, cycle walking
-@example(n=1 << 11, rounds=4, seed=99)   # power of two: no walking
-@example(n=4097, rounds=5, seed=7)       # odd bit width, walks for almost half
-def test_array_permutation_equals_scalar(n, rounds, seed):
+@given(n=st.integers(1, 5000), rounds=st.integers(1, 5), seed=st.integers(0, WORD_MAX),
+       size=st.integers(1, 3000))
+@example(n=1, rounds=4, seed=0, size=1)
+@example(n=2, rounds=1, seed=WORD_MAX, size=1)
+@example(n=3, rounds=3, seed=12345, size=2)      # bits floored at 2, cycle walking
+@example(n=1 << 11, rounds=4, seed=99, size=1 << 11)   # power of two: no walking
+@example(n=4097, rounds=5, seed=7, size=1000)    # odd bit width, walks for almost half
+def test_array_permutation_equals_scalar(n, rounds, seed, size):
     gen = perm_new(n, seed, rounds)
-    table = gen.table()
-    assert table.dtype == np.uint64
-    assert table.tolist() == [gen.get(i) for i in range(n)]
+    pairs = list(gen.tiles(size))
+    assert all(r.dtype == i.dtype == np.uint64 and r.size == i.size <= size for r, i in pairs)
+    ranks = np.concatenate([r for r, _ in pairs]).tolist()
+    indices = np.concatenate([i for _, i in pairs]).tolist()
+    assert sorted(ranks) == list(range(n))
+    assert indices == [gen.get(r) for r in ranks]
 
 
 @settings(max_examples=200, deadline=None)
@@ -73,17 +82,25 @@ def test_m61_mul_exact(a, b):
     assert m61_mul(arr, arr[::-1]).tolist() == [u * v % M61 for u, v in zip(a, a[::-1])]
 
 
-@settings(deadline=None)
-@given(st.lists(field_elements, min_size=1, max_size=300), st.integers(0, 1000))
-def test_m61_dot_exact(a, seed):
-    b = [random.Random(seed + i).randrange(M61) for i in range(len(a))]
-    want = sum(u * v for u, v in zip(a, b)) % M61
-    assert m61_dot(np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)) == want
+@settings(max_examples=200, deadline=None)
+@given(s=st.lists(st.integers(0, M61 + 7), min_size=1, max_size=40),
+       b=st.one_of(st.just((1 << 32) - 1), st.integers(1, (1 << 32) - 1)),
+       c=field_elements)
+def test_m61_muladd_small_exact(s, b, c):
+    # s may be a folded residue up to 2^61 + 7, the kernel's bound
+    arr = np.array(s, dtype=np.uint64)
+    bs = np.full(len(s), b, dtype=np.uint64)
+    m61_muladd_small(arr, bs, c, np.empty_like(arr), np.empty_like(arr))
+    assert all(v < M61 + 8 for v in arr.tolist())
+    assert [v % M61 for v in arr.tolist()] == [(u * b + c) % M61 for u in s]
 
 
-def test_m61_dot_extreme_values():
-    top = np.full(5000, M61 - 1, dtype=np.uint64)
-    assert m61_dot(top, top) == 5000 * (M61 - 1) ** 2 % M61
+@given(st.lists(st.tuples(field_elements, field_elements), min_size=1, max_size=50))
+def test_m61_add_exact(pairs):
+    a = np.array([u for u, _ in pairs], dtype=np.uint64)
+    b = np.array([v for _, v in pairs], dtype=np.uint64)
+    m61_add(a, b, np.empty_like(a))
+    assert a.tolist() == [(u + v) % M61 for u, v in pairs]
 
 
 @given(st.lists(words64, min_size=1, max_size=50))
@@ -100,6 +117,74 @@ def test_extreme_instances_match_streaming():
             words = [WORD_MAX] + [rng.getrandbits(64) for _ in range(d - 1)]
             got = multipass_m61(np.array(words, dtype=np.uint64), spec)
             assert got == multipass(MemoryImage(words), spec), (d, passes, x)
+
+
+def test_coefficient_equal_to_p_is_made_canonical():
+    # R(1) = 1 + (p - 1) = p: the Horner sum for address 0 is exactly p
+    # after its fold, and only the canonical residue 0 may reach the XOR
+    # (words of all ones or all zeros would hide it: ~s = 7 - s mod p)
+    words = [1, 2, 3, 4, 5]
+    for x in (1, 12345):
+        spec = ChallengeSpec(seeds=RandomSeeds((1, M61 - 1), FieldParams(M61, x)),
+                             perm_seed=3, passes=2)
+        got = multipass_m61(np.array(words, dtype=np.uint64), spec)
+        assert got == multipass_naive(MemoryImage(words), spec), x
+
+
+class _TablePermutation:
+    """pi from the scalar Feistel get, looked up from a list."""
+
+    def __init__(self, n, seed):
+        gen = perm_new(n, seed)
+        self.n = n
+        self.get = [gen.get(i) for i in range(n)].__getitem__
+
+
+@pytest.mark.parametrize("d", (_TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 1, 24640))
+@pytest.mark.parametrize("passes", (1, 2, 9))
+def test_tile_edges_match_streaming(d, passes):
+    # tile boundaries, a partial last tile and the full SRAM size, with
+    # all-ones words and seeds of p - 1
+    words = [WORD_MAX] * d
+    perm = _TablePermutation(d, 0xC0FFEE + d)
+    for k in (1, 4):
+        for x in (0, 1, M61 - 1):
+            spec = ChallengeSpec(seeds=RandomSeeds((M61 - 1,) * k, FieldParams(M61, x)),
+                                 perm_seed=0xC0FFEE + d, passes=passes)
+            got = multipass_m61(np.array(words, dtype=np.uint64), spec)
+            assert got == multipass(MemoryImage(words), spec, perm), (k, x)
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_working_set_bounded():
+    rng = random.Random(0x7E57)
+    words = np.array([rng.getrandbits(64) for _ in range(24640)], dtype=np.uint64)
+    peaks = {passes: _peak_bytes(lambda: multipass_m61(words, random_spec(M61, 4, passes, rng)))
+             for passes in (3, 50)}
+    assert peaks[3] <= 1.25e6
+    # nothing but a few P x 12 accumulators depends on the pass count
+    assert abs(peaks[50] - peaks[3]) <= 8 * _TILE
+
+
+def test_vectorized_rejects_2_32_words(monkeypatch):
+    # a zero-stride view: 2^32 words long without the memory behind it; the
+    # weight build must never start on it
+    def no_weights(*args):
+        raise AssertionError("weight build started on 2^32 words")
+
+    monkeypatch.setattr(engine, "_weights_m61", no_weights)
+    words = np.broadcast_to(np.uint64(0), (1 << 32,))
+    with pytest.raises(ValueError, match="fewer than 2\\^32 words"):
+        multipass_m61(words, random_spec(M61, 2, 1, random.Random(3)))
 
 
 def test_vectorized_rejects_other_primes():
