@@ -39,7 +39,7 @@ from .engine import (
     random_spec,
 )
 from .field import M61, FieldParams, add_mod, horner_step, is_prime, mul_mod, pow_mod
-from .permutation import IdentityPermutation, PermutationGenerator, perm_get, perm_invert, perm_new
+from .permutation import IdentityPermutation, PermutationGenerator, perm_new
 from .stats import (
     BaselineProfile,
     Verdict,

@@ -31,8 +31,10 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
 
 - Weights. Horner over pi[d-1], ..., pi[0] gives address pi[i] the weight
   x^i, so a pass is one dot product of its terms with a d-word weight
-  array. The array is filled tile by tile from PermutationGenerator.tiles;
-  it is the only buffer whose size grows with d.
+  array. pi comes from PermutationGenerator.indices(): per-round lookup
+  tables encrypt the block domain [0, 2^bits) into one uint32 table, and
+  cycle walking gathers from it. The weight array (d uint64) and that
+  table (2^bits < 2d uint32 for d > 2) are the only buffers growing with d.
 - Coefficients. The coefficient polynomial R shifted to the address
   variable b = idx + 1 is R(t*d + b) = sum_m c_m(t) b^m with
   c_m(t) = sum_(j>=m) r_j C(j, m) (t*d)^(j-m), computed in Python ints.
@@ -221,17 +223,18 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
 
     A rank splits into i = h*2^s + l with 2^s about sqrt(d), so
     x^i = x^(h*2^s) * x^l is one product of two entries from tables of
-    about sqrt(d) powers each. Each batch of ranks from perm.tiles is at
-    most _TILE long, and so is every temporary it allocates.
+    about sqrt(d) powers each. pi is indexed by rank, so the powers of about
+    _TILE consecutive ranks are an outer product, scattered through pi.
     """
-    perm = perm_new(d, perm_seed)
+    pi = perm_new(d, perm_seed).indices()
     s = ((d - 1).bit_length() + 1) // 2
     low = _geometric_m61(x, 1 << s)
     high = _geometric_m61(pow(x, 1 << s, M61), ((d - 1) >> s) + 1)
-    shift, mask = np.uint64(s), np.uint64((1 << s) - 1)
+    rows = max(1, _TILE >> s)
     weight = np.empty(d, dtype=np.uint64)
-    for ranks, indices in perm.tiles(_TILE):
-        weight[indices] = m61_mul(high[ranks >> shift], low[ranks & mask])
+    for h in range(0, len(high), rows):
+        i0, i1 = h << s, min(d, (h + rows) << s)
+        weight[pi[i0:i1]] = m61_mul(high[h:h + rows, None], low[None, :]).ravel()[:i1 - i0]
     return weight
 
 

@@ -7,8 +7,9 @@ two use cycle walking: out-of-range outputs are re-encrypted until they land
 inside [0, n). Since 2^b < 2n the expected number of tries is below 2.
 
 Each index is produced in O(1) space and O(1) expected time, and the network
-runs backwards for inversion. This is NOT a cryptographic PRP; it only has
-to make the next challenge address unguessable without the seed.
+runs backwards for inversion; indices() builds all of pi in O(n) memory from
+per-round lookup tables. This is NOT a cryptographic PRP; it only has to
+make the next challenge address unguessable without the seed.
 
 The round function is a keyed multiply-xor-shift mixer (splitmix64-style
 avalanche) over the half-block, the per-round key, and the round number.
@@ -31,6 +32,9 @@ _SHIFT31 = np.uint64(31)
 # walk indicates a broken round function rather than bad luck.
 _WALK_CAP = 64
 
+# Blocks per tile in indices(): its three 64 KB intp buffers stay in cache.
+_DOMAIN_TILE = 1 << 13
+
 DEFAULT_ROUNDS = 4
 
 
@@ -45,14 +49,13 @@ def _mix64(v: int) -> int:
     return v
 
 
-def _mix64_array(v: np.ndarray, tmp: np.ndarray) -> None:
+def _mix64_array(v: np.ndarray) -> None:
     """In place: _mix64 over a uint64 array; the multiplies wrap mod 2^64."""
-    for shift, factor in ((_SHIFT30, _MIX_A), (_SHIFT27, _MIX_B)):
-        np.right_shift(v, shift, out=tmp)
-        np.bitwise_xor(v, tmp, out=v)
-        np.multiply(v, factor, out=v)
-    np.right_shift(v, _SHIFT31, out=tmp)
-    np.bitwise_xor(v, tmp, out=v)
+    v ^= v >> _SHIFT30
+    v *= _MIX_A
+    v ^= v >> _SHIFT27
+    v *= _MIX_B
+    v ^= v >> _SHIFT31
 
 
 class PermutationGenerator:
@@ -119,63 +122,54 @@ class PermutationGenerator:
             f"no in-domain value after {_WALK_CAP} re-encryptions (n={self.n})"
         )
 
-    def tiles(self, size: int):
-        """Yield (ranks, indices) uint64 array pairs with indices[j] == get(ranks[j]).
+    def indices(self) -> np.ndarray:
+        """pi[i] == get(i) for every rank i in [0, n), as one uint32 array.
 
-        Every rank in [0, n) appears in exactly one pair and no pair is longer
-        than size. Ranks enter in increasing order; an entry that encrypts
-        outside [0, n) waits in a pool and re-encrypts together with the next
-        fresh ranks, so cycle walking costs no extra pass per tile and the
-        working set stays O(size) for any n. The Feistel rounds run over
-        whole arrays (uint64 multiplies wrap mod 2^64 exactly like _mix64's
-        masking).
+        A round's mixer _mix64(right ^ key) & mask depends only on the right
+        half, below 2^ceil(bits/2), so each round is a lookup table. The block
+        domain [0, 2^bits) is encrypted into one table of 2^bits < 2n values
+        (4 when n <= 2), tile by tile, each round one gather and one XOR; an
+        out-of-range entry walks its cycle by gathering from that table.
         """
-        n = np.uint64(self.n)
-        ranks = vals = np.empty(0, dtype=np.uint64)
-        walks = np.empty(0, dtype=np.uint64)
-        start = 0
-        while start < self.n or ranks.size:
-            stop = min(self.n, start + size - ranks.size)
-            fresh = np.arange(start, stop, dtype=np.uint64)
-            start = stop
-            ranks = np.concatenate((ranks, fresh))
-            vals = self._encrypt_array(np.concatenate((vals, fresh)))
-            walks = np.concatenate((walks, np.zeros(fresh.size, dtype=np.uint64)))
-            walks += np.uint64(1)
-            outside = vals >= n
-            if not outside.any():
-                yield ranks, vals
-                ranks = vals = ranks[:0]
-                walks = walks[:0]
-                continue
-            # integer takes: boolean-mask indexing is several times slower here
-            inside = np.flatnonzero(~outside)
-            yield ranks.take(inside), vals.take(inside)
-            outside = np.flatnonzero(outside)
-            ranks, vals, walks = ranks.take(outside), vals.take(outside), walks.take(outside)
-            if int(walks.max()) >= _WALK_CAP:
-                raise CycleWalkExceeded(
-                    f"no in-domain value after {_WALK_CAP} re-encryptions (n={self.n})"
-                )
-
-    def _encrypt_array(self, block: np.ndarray) -> np.ndarray:
-        """_encrypt over a uint64 array, into buffers allocated once per call."""
-        lo_bits = self._half_lo
-        hi_bits = self._half_hi
-        left = block >> np.uint64(lo_bits)
-        right = block & np.uint64((1 << lo_bits) - 1)
-        mixed = np.empty_like(block)
-        tmp = np.empty_like(block)
-        for key in self._keys:
-            np.bitwise_xor(right, np.uint64(key), out=mixed)
-            _mix64_array(mixed, tmp)
-            np.bitwise_and(mixed, np.uint64((1 << hi_bits) - 1), out=mixed)
-            np.bitwise_xor(left, mixed, out=left)
-            left, right = right, left
-            hi_bits, lo_bits = lo_bits, hi_bits
-        np.left_shift(left, np.uint64(lo_bits), out=left)
-        np.bitwise_or(left, right, out=left)
-        return left
+        if self.bits > 32:
+            raise ValueError(f"a uint32 permutation table needs n <= 2^32, got n={self.n}")
+        half = 1 << self._half_lo
+        # round r masks to its left half's width: half_hi, half_lo, half_hi, ...
+        widths = [(self._half_hi, self._half_lo)[r % 2] for r in range(self.rounds)]
+        tables = np.bitwise_xor.outer(np.array(self._keys, dtype=np.uint64),
+                                      np.arange(1 << self._half_hi, dtype=np.uint64))
+        _mix64_array(tables)
+        masks = np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)
+        tables = (tables & masks[:, None]).astype(np.intp)
+        enc = np.empty(1 << self.bits, dtype=np.uint32)
+        tile = min(enc.size, _DOMAIN_TILE)
+        # a tile starts at a multiple of the power-of-two tile, so the halves
+        # of block start + j are those of start plus those of j
+        left0, right0 = np.divmod(np.arange(tile, dtype=np.intp), half)
+        left, right, mixed = np.empty((3, tile), dtype=np.intp)
+        for start in range(0, enc.size, tile):
+            np.add(left0, start // half, out=left)
+            np.add(right0, start % half, out=right)
+            for table in tables:
+                table.take(right, out=mixed, mode="clip")  # every index is in range
+                np.bitwise_xor(left, mixed, out=left)
+                left, right = right, left
+            np.left_shift(left, widths[-1], out=left)  # the last right half is widths[-1] wide
+            np.bitwise_or(left, right, out=enc[start:start + tile], casting="unsafe")
+        # pi is enc's first n entries, walked in place: a walk gathers only
+        # from entries >= n, which it never writes
+        pi = enc[:self.n]
+        walking = np.flatnonzero(pi >= self.n)
+        for _ in range(_WALK_CAP - 1):
+            if not walking.size:
+                return pi
+            walked = enc[pi[walking]]
+            pi[walking] = walked
+            walking = walking[walked >= self.n]
+        if walking.size:
+            raise CycleWalkExceeded(f"no in-domain value after {_WALK_CAP} re-encryptions "
+                                    f"(n={self.n})")
+        return pi
 
     def invert(self, j: int) -> int:
         """The rank i with get(i) == j: Feistel rounds run in reverse."""
@@ -213,11 +207,3 @@ class IdentityPermutation:
 def perm_new(n: int, seed: int, rounds: int = DEFAULT_ROUNDS) -> PermutationGenerator:
     """Build a keyed permutation generator over [0, n)."""
     return PermutationGenerator(n, seed, rounds)
-
-
-def perm_get(gen: PermutationGenerator, i: int) -> int:
-    return gen.get(i)
-
-
-def perm_invert(gen: PermutationGenerator, j: int) -> int:
-    return gen.invert(j)

@@ -64,6 +64,10 @@ STATUS_REGION_MISMATCH = 2
 
 _U64 = struct.Struct("<Q")
 
+# Read timeout of an accepted device-server connection, TcpChannel's default:
+# an idle client must not hold the serialized server.
+CONN_TIMEOUT_S = 10.0
+
 log = logging.getLogger(__name__)
 
 
@@ -361,7 +365,7 @@ class LoopbackChannel:
 class TcpChannel:
     """Plain TCP transport with real monotonic timestamps."""
 
-    def __init__(self, host: str, port: int, timeout_s: float = 10.0):
+    def __init__(self, host: str, port: int, timeout_s: float = CONN_TIMEOUT_S):
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
@@ -396,7 +400,8 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     (1.0 = real time, 0.0 = respond immediately). Returns (server_socket,
     thread); close the socket to stop. Sessions are strictly serialized. A
     connection whose bytes or challenge cannot be served (bad framing, a spec
-    the device cannot evaluate) is logged and closed; the server keeps going.
+    the device cannot evaluate, no bytes for CONN_TIMEOUT_S) is logged and
+    closed; the server keeps going.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -411,6 +416,7 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
             except OSError:
                 return
             with conn:
+                conn.settimeout(CONN_TIMEOUT_S)
                 decoder = FrameDecoder()
                 try:
                     while True:
@@ -460,11 +466,11 @@ def issue_challenge(channel, spec: ChallengeSpec, session_id: int = None,
                     f"RESTORED for session {reply.session_id:#x}, expected {session_id:#x}")
             t_start = arrival_us
         elif isinstance(reply, ResponseMessage):
-            if reply.status == STATUS_REGION_MISMATCH:
-                return TimedResponse(reply, arrival_us, arrival_us)
             if reply.session_id != session_id:
                 raise SessionMismatch(
                     f"response for session {reply.session_id:#x}, expected {session_id:#x}")
+            if reply.status == STATUS_REGION_MISMATCH:
+                return TimedResponse(reply, arrival_us, arrival_us)
             if t_start is None:
                 raise MalformedFrame("response arrived before RESTORED acknowledgment")
             return TimedResponse(reply, t_start, arrival_us)

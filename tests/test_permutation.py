@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from timecheck.errors import DomainEmpty, RankOutOfRange
-from timecheck.permutation import IdentityPermutation, perm_get, perm_invert, perm_new
+from timecheck.errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
+from timecheck.permutation import _WALK_CAP, IdentityPermutation, PermutationGenerator, perm_new
 
 
 def assert_bijective(n, seed, rounds=4):
@@ -117,4 +117,64 @@ def test_identity_provider():
 
 def test_module_level_wrappers():
     g = perm_new(64, 11)
-    assert perm_invert(g, perm_get(g, 5)) == 5
+    assert g.invert(g.get(5)) == 5
+
+
+class _WideBlocks(PermutationGenerator):
+    """A generator over [0, n) whose Feistel blocks are forced to `bits` bits."""
+
+    def __init__(self, n, seed, bits):
+        super().__init__(n, seed)
+        self.bits, self._half_hi, self._half_lo = bits, bits - bits // 2, bits // 2
+
+
+def _walk_length(gen, i):
+    """Encryptions until rank i lands in [0, n), without the cap."""
+    v, steps = gen._encrypt(i), 1
+    while v >= gen.n:
+        v, steps = gen._encrypt(v), steps + 1
+    return steps
+
+
+def test_walk_cap_raises():
+    # 2 in-domain values among 2^16 blocks: no walk gets there in 64 tries
+    g = _WideBlocks(2, 1, 16)
+    assert min(_walk_length(g, i) for i in range(2)) > _WALK_CAP
+    with pytest.raises(CycleWalkExceeded):
+        g.get(0)
+    with pytest.raises(CycleWalkExceeded):
+        g.indices()
+
+
+@pytest.mark.parametrize("seed, longest", [(61, _WALK_CAP), (254, _WALK_CAP + 1)])
+def test_walk_cap_is_exact(seed, longest):
+    # 4 in-domain values among 2^8 blocks: walks of about 64 encryptions;
+    # a walk of exactly the cap succeeds, one more encryption raises
+    g = _WideBlocks(4, seed, 8)
+    walks = [_walk_length(g, i) for i in range(4)]
+    assert max(walks) == longest
+    for i, steps in enumerate(walks):
+        if steps <= _WALK_CAP:
+            assert g.get(i) < 4
+        else:
+            with pytest.raises(CycleWalkExceeded):
+                g.get(i)
+    if longest <= _WALK_CAP:
+        assert g.indices().tolist() == [g.get(i) for i in range(4)]
+    else:
+        with pytest.raises(CycleWalkExceeded):
+            g.indices()
+
+
+def test_indices_needs_a_uint32_domain():
+    # checked before any table is allocated
+    with pytest.raises(ValueError, match="n <= 2\\^32"):
+        perm_new((1 << 32) + 1, 5).indices()
+    assert perm_new(1 << 32, 5).bits == 32
+
+
+def test_long_walks_match_scalar():
+    # 1,000 ranks among 2^12 blocks: walks of 4 encryptions on average
+    g = _WideBlocks(1000, 3, 12)
+    assert max(_walk_length(g, i) for i in range(1000)) > 10
+    assert g.indices().tolist() == [g.get(i) for i in range(1000)]

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from timecheck import engine
+from timecheck import engine, protocol
 from timecheck.checkpoint import MemoryImage, checkpoint_replay, scan_words
 from timecheck.coeffs import RandomSeeds
 from timecheck.device import NoiseModel, attack_scenario, desk_scenario
@@ -187,6 +187,15 @@ class TestChannels:
         timed = issue_challenge(chan, spec, rng=rng)
         assert timed.response.status == STATUS_REGION_MISMATCH
 
+    def test_region_mismatch_for_another_session_rejected(self):
+        # a stale or forged refusal must not become this session's verdict
+        class ReplayChannel:
+            def request(self, challenge_frame):
+                return [(100, ResponseMessage(0xBAD, 0, STATUS_REGION_MISMATCH))]
+
+        with pytest.raises(SessionMismatch):
+            issue_challenge(ReplayChannel(), fresh_spec(), session_id=0x600D)
+
 
 @pytest.fixture(scope="module")
 def desk_profile():
@@ -301,6 +310,27 @@ class TestTcpTransport:
             assert timed.response.status == STATUS_OK
             honest = DeviceEndpoint(sc, master_seed=28)
             assert timed.response.accumulator == honest.expected_result(spec).accumulator
+        finally:
+            server.close()
+
+    def test_idle_client_does_not_block_server(self, monkeypatch, caplog):
+        # an accepted connection that never sends is dropped after the read
+        # timeout, and the serialized server goes on to the next client
+        monkeypatch.setattr(protocol, "CONN_TIMEOUT_S", 0.2)
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=29)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as idle:
+                rng = sub_rng(8, "t")
+                spec = fresh_spec(rng, sc)
+                with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                    timed = issue_challenge(TcpChannel(host, port, timeout_s=5.0), spec, rng=rng)
+                assert timed.response.status == STATUS_OK
+                assert timed.response.accumulator == ep.expected_result(spec).accumulator
+                assert "TimeoutError" in caplog.text
+                assert idle.recv(1) == b""  # the server closed the idle connection
         finally:
             server.close()
 

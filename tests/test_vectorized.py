@@ -57,21 +57,18 @@ def test_vectorized_equals_naive(instance):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 5000), rounds=st.integers(1, 5), seed=st.integers(0, WORD_MAX),
-       size=st.integers(1, 3000))
-@example(n=1, rounds=4, seed=0, size=1)
-@example(n=2, rounds=1, seed=WORD_MAX, size=1)
-@example(n=3, rounds=3, seed=12345, size=2)      # bits floored at 2, cycle walking
-@example(n=1 << 11, rounds=4, seed=99, size=1 << 11)   # power of two: no walking
-@example(n=4097, rounds=5, seed=7, size=1000)    # odd bit width, walks for almost half
-def test_array_permutation_equals_scalar(n, rounds, seed, size):
+@given(n=st.integers(1, 5000), rounds=st.integers(1, 5), seed=st.integers(0, WORD_MAX))
+@example(n=1, rounds=4, seed=0)
+@example(n=2, rounds=1, seed=WORD_MAX)
+@example(n=3, rounds=3, seed=12345)      # bits floored at 2, cycle walking
+@example(n=1 << 11, rounds=4, seed=99)   # power of two: no walking
+@example(n=4097, rounds=5, seed=7)       # odd bit width, walks for almost half
+@example(n=20000, rounds=4, seed=0xC0FFEE)  # 2^15 blocks: several domain tiles
+def test_array_permutation_equals_scalar(n, rounds, seed):
     gen = perm_new(n, seed, rounds)
-    pairs = list(gen.tiles(size))
-    assert all(r.dtype == i.dtype == np.uint64 and r.size == i.size <= size for r, i in pairs)
-    ranks = np.concatenate([r for r, _ in pairs]).tolist()
-    indices = np.concatenate([i for _, i in pairs]).tolist()
-    assert sorted(ranks) == list(range(n))
-    assert indices == [gen.get(r) for r in ranks]
+    pi = gen.indices()
+    assert pi.dtype == np.uint32
+    assert pi.tolist() == [gen.get(i) for i in range(n)]
 
 
 @settings(max_examples=200, deadline=None)
