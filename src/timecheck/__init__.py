@@ -28,7 +28,6 @@ from .device import (
     builtin_scenario,
     full_memory_scenario,
     run_trials,
-    simulate_challenge,
 )
 from .engine import (
     ChallengeResult,
@@ -38,7 +37,7 @@ from .engine import (
     multipass_naive,
     random_spec,
 )
-from .field import M61, FieldParams, add_mod, horner_step, is_prime, mul_mod, pow_mod
+from .field import M61, FieldParams, horner_step, is_prime
 from .permutation import IdentityPermutation, PermutationGenerator, perm_new
 from .stats import (
     BaselineProfile,

@@ -28,6 +28,7 @@ from .device import (
     load_scenario,
     make_device_state,
     measurements_to_csv,
+    priced_trials,
     run_trials,
 )
 from .engine import random_spec
@@ -251,12 +252,15 @@ def cmd_reproduce(args) -> int:
     raise TimecheckError(f"unknown table {args.table!r} (fig10|fig11|fig13)")
 
 
+def _durations(scenario: Scenario, trials: int, master_seed: int) -> list:
+    """The priced trial durations of a scenario; the reports read nothing else."""
+    return [duration for duration, _ in priced_trials(scenario, trials, master_seed)]
+
+
 def _reproduce_sram_table(args) -> int:
     names = ("sram-baseline", "sram-dram", "sram-iomem")
-    batches = {}
-    for name in names:
-        meas = run_trials(builtin_scenario(name), args.trials, args.seed)
-        batches[name] = [m.duration_us for m in meas]
+    batches = {name: _durations(builtin_scenario(name), args.trials, args.seed)
+               for name in names}
     base = batches["sram-baseline"]
     rows = []
     for name in names:
@@ -282,8 +286,7 @@ def _reproduce_full_table(args) -> int:
     batches = {}
     for attack in (False, True):
         sc = full_memory_scenario(attack=attack)
-        meas = run_trials(sc, args.trials, args.seed)
-        batches[sc.name] = [m.duration_us for m in meas]
+        batches[sc.name] = _durations(sc, args.trials, args.seed)
     base = batches["full-baseline"]
     attack = batches["full-mmc"]
     base_prof = stats.calibrate(base)
@@ -315,8 +318,8 @@ def aggregate_detection(attack_label: str, n_seeds: int, trials: int, master_see
     n_base = n_atk = 0
     for i in range(n_seeds):
         seed = derive_seed(master_seed, f"detect/{attack_label}", i)
-        base = [m.duration_us for m in run_trials(base_sc, trials, seed)]
-        atk = [m.duration_us for m in run_trials(atk_sc, trials, derive_seed(seed, "atk"))]
+        base = _durations(base_sc, trials, seed)
+        atk = _durations(atk_sc, trials, derive_seed(seed, "atk"))
         rows = stats.confusion_report(base, atk, methods=methods)
         for m in methods:
             fp[m] += rows[m].false_positives

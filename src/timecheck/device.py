@@ -42,7 +42,7 @@ from .checkpoint import (
     checkpoint_record,
     scan_words,
 )
-from .engine import ChallengeResult, ChallengeSpec, multipass, random_spec
+from .engine import random_spec
 from .errors import UnknownTier
 from .seeding import derive_seed, random_words, sub_rng
 
@@ -270,39 +270,6 @@ def base_cost_us(timing_words: int, passes: int, scan_us_per_word: float,
     return passes * timing_words * (scan_us_per_word + compute_us_per_word)
 
 
-def simulate_challenge(image: MemoryImage, spec: ChallengeSpec, tiers: dict,
-                       adversary: AdversaryConfig, noise: NoiseModel, rng_seed: int,
-                       scan_us_per_word: float = None, compute_us_per_word: float = 0.0,
-                       timing_words: int = None, trial_id: int = 0,
-                       scenario: str = "adhoc"):
-    """Full simulation of one challenge: honest accumulator + priced duration.
-
-    The accumulator always comes from the real multi-pass evaluation over the
-    image (a corrupt_result adversary perturbs it afterwards); the duration
-    comes from the timing model, optionally priced for a nominal timing_words
-    scan length when the materialized image is a scaled-down stand-in.
-    """
-    if scan_us_per_word is None:
-        if "sram" not in tiers:
-            raise UnknownTier("tier table has no 'sram' entry for the scan cost")
-        scan_us_per_word = tiers["sram"].per_word_cost
-    result = multipass(image, spec)
-    if adversary.kind == "corrupt_result":
-        result = ChallengeResult((result.accumulator + 1) % spec.params.p,
-                                 result.words_scanned, result.spec_digest)
-    if timing_words is None:
-        timing_words = image.word_count
-    rng = random.Random(rng_seed)
-    noise_us, nmi = noise.sample(rng, trial_id)
-    duration = (base_cost_us(timing_words, spec.passes, scan_us_per_word, compute_us_per_word)
-                + adversary_delay_us(adversary, tiers, spec.passes)
-                + noise_us)
-    meas = Measurement(trial_id=trial_id, scenario=scenario,
-                       duration_us=int(round(duration)), spec_digest=result.spec_digest,
-                       nmi=nmi)
-    return result, meas
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A complete, reproducible experiment configuration."""
@@ -337,26 +304,48 @@ class Scenario:
                             self.scan_us_per_word, self.compute_us_per_word)
 
 
-def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
-    """n timed challenge trials: fresh noise and fresh spec randomness each.
+def price(scenario: Scenario, passes: int, rng: random.Random, trial_id: int = 0):
+    """(duration_us, nmi) of one challenge: base cost + adversary delay + noise.
 
-    The timing model is content-independent, so batch statistics do not
-    re-evaluate the polynomial; the honest accumulator path is exercised by
-    simulate_challenge and by the wire protocol. Per-trial seeds derive from
-    the trial id, never from scheduling order, so output is deterministic.
+    The duration is a float; callers round it to the timer's microseconds.
+    One noise draw comes from rng, and trial_id drives the noise drift.
+    """
+    noise_us, nmi = scenario.noise.sample(rng, trial_id)
+    return (base_cost_us(scenario.timing_words, passes, scenario.scan_us_per_word,
+                         scenario.compute_us_per_word)
+            + adversary_delay_us(scenario.adversary, scenario.tiers, passes)
+            + noise_us), nmi
+
+
+def priced_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
+    """(duration_us, nmi) of n trials at the scenario's passes, in trial order.
+
+    The timing model is content-independent, so only each trial's noise
+    stream, seeded from its trial id, sets its duration: no challenge is
+    drawn and no polynomial is evaluated.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    base = scenario.base_cost_us()
-    adv = adversary_delay_us(scenario.adversary, scenario.tiers, scenario.passes)
+    label = f"{scenario.name}/noise"
     out = []
     for trial_id in range(n_trials):
+        noise_rng = sub_rng(master_seed, label, trial_id)
+        duration, nmi = price(scenario, scenario.passes, noise_rng, trial_id)
+        out.append((int(round(duration)), nmi))
+    return out
+
+
+def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
+    """n timed challenge trials: priced_trials' durations, each with a fresh spec.
+
+    Each Measurement records its spec's digest for the audit trail; the
+    honest accumulator path is exercised by DeviceEndpoint.handle_challenge.
+    """
+    out = []
+    for trial_id, (duration, nmi) in enumerate(priced_trials(scenario, n_trials, master_seed)):
         spec_rng = sub_rng(master_seed, f"{scenario.name}/spec", trial_id)
         spec = random_spec(scenario.prime, scenario.k, scenario.passes, spec_rng,
                            scenario.region_id)
-        noise_rng = sub_rng(master_seed, f"{scenario.name}/noise", trial_id)
-        noise_us, nmi = scenario.noise.sample(noise_rng, trial_id)
-        duration = int(round(base + adv + noise_us))
         out.append(Measurement(trial_id=trial_id, scenario=scenario.name,
                                duration_us=duration, spec_digest=spec.digest(),
                                nmi=nmi))

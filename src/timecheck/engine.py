@@ -62,8 +62,7 @@ import numpy as np
 from .checkpoint import MemoryImage
 from .coeffs import RandomSeeds
 from .errors import PermutationDomainMismatch, SpecOutOfField
-from .field import (M61, FieldParams, m61_add, m61_canon, m61_fold, m61_mul, m61_muladd_small,
-                    pow_mod)
+from .field import M61, FieldParams, m61_add, m61_canon, m61_fold, m61_mul, m61_muladd_small
 from .permutation import perm_new
 
 # Words per tile in multipass_m61: 32 KB uint64 tiles keep every buffer in
@@ -177,7 +176,7 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
 
     Structurally disjoint from the streaming path: builds the full
     coefficient array and the full permuted term sequence, then sums
-    term[j] * x^(N-1-j) with pow_mod. Slow and memory-hungry by design;
+    term[j] * x^(N-1-j) with the builtin pow. Slow and memory-hungry by design;
     capped at 2^16 words.
     """
     d = _check_shape(image, spec, perm)
@@ -206,7 +205,7 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
     n = len(terms)
     total = 0
     for j, term in enumerate(terms):
-        total = (total + term * pow_mod(x, n - 1 - j, p)) % p
+        total = (total + term * pow(x, n - 1 - j, p)) % p
     return ChallengeResult(total, n, spec.digest())
 
 

@@ -70,22 +70,6 @@ class FieldParams:
             raise ValueError(f"evaluation point {self.x} outside [0, {self.p})")
 
 
-def mul_mod(a: int, b: int, p: int) -> int:
-    """(a * b) mod p, exact for any 64-bit p (arbitrary-precision intermediate)."""
-    return a * b % p
-
-
-def add_mod(a: int, b: int, p: int) -> int:
-    """(a + b) mod p without intermediate overflow."""
-    s = a + b
-    return s - p if s >= p else s
-
-
-def pow_mod(base: int, e: int, p: int) -> int:
-    """base^e mod p by square-and-multiply; 0^0 is defined as 1."""
-    return pow(base, e, p)
-
-
 def horner_step(acc: int, x: int, term: int, p: int) -> int:
     """One Horner accumulation step: (acc * x + term) mod p."""
     return (acc * x + term) % p

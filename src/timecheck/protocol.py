@@ -38,13 +38,7 @@ from dataclasses import dataclass
 
 from .checkpoint import checkpoint_replay
 from .coeffs import RandomSeeds
-from .device import (
-    Measurement,
-    Scenario,
-    adversary_delay_us,
-    base_cost_us,
-    device_snapshot,
-)
+from .device import Measurement, Scenario, device_snapshot, price
 from .engine import ChallengeResult, ChallengeSpec, evaluate
 from .errors import ChannelTimeout, MalformedFrame, SessionMismatch, TimecheckError
 from .field import FieldParams
@@ -67,6 +61,8 @@ _U64 = struct.Struct("<Q")
 # Read timeout of an accepted device-server connection, TcpChannel's default:
 # an idle client must not hold the serialized server.
 CONN_TIMEOUT_S = 10.0
+# How often the device server's accept loop checks whether it was closed.
+ACCEPT_POLL_S = 0.1
 
 log = logging.getLogger(__name__)
 
@@ -270,12 +266,7 @@ class DeviceEndpoint:
         trial_id = self._session_index
         self._session_index += 1
         noise_rng = random.Random(derive_seed(self.master_seed, "device-noise", trial_id))
-        noise_us, nmi = scenario.noise.sample(noise_rng, trial_id)
-        passes = msg.spec.passes
-        duration = (base_cost_us(scenario.timing_words, passes, scenario.scan_us_per_word,
-                                 scenario.compute_us_per_word)
-                    + adversary_delay_us(scenario.adversary, scenario.tiers, passes)
-                    + noise_us)
+        duration, nmi = price(scenario, msg.spec.passes, noise_rng, trial_id)
 
         accumulator = result.accumulator
         if scenario.adversary.kind == "corrupt_result" or self.behavior == "wrong_result":
@@ -398,7 +389,8 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
 
     time_scale stretches simulated on-device delays into real sleeps
     (1.0 = real time, 0.0 = respond immediately). Returns (server_socket,
-    thread); close the socket to stop. Sessions are strictly serialized. A
+    thread); close the socket to stop: the thread ends within ACCEPT_POLL_S,
+    or once the connection it serves ends. Sessions are strictly serialized. A
     connection whose bytes or challenge cannot be served (bad framing, a spec
     the device cannot evaluate, no bytes for CONN_TIMEOUT_S) is logged and
     closed; the server keeps going.
@@ -407,12 +399,16 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))
     server.listen(1)
+    # on Linux a close from another thread does not wake a blocked accept()
+    server.settimeout(ACCEPT_POLL_S)
 
     def run():
         served = 0
         while max_sessions is None or served < max_sessions:
             try:
                 conn, _ = server.accept()
+            except socket.timeout:
+                continue
             except OSError:
                 return
             with conn:

@@ -24,6 +24,8 @@ from .errors import (
 # Normal-consistency constant for the modified z-score (Iglewicz & Hoaglin):
 # for gaussian data, 0.6745 * dev / MAD estimates the ordinary z.
 MODIFIED_Z_SCALE = 0.6745
+# Where the MAD is 0, sqrt(pi/2) * MeanAD estimates the gaussian sigma instead.
+MEANAD_SCALE = 1.253314
 
 DEFAULT_Z_THRESHOLD = 2.0
 DEFAULT_MODIFIED_Z_THRESHOLD = 2.5
@@ -46,6 +48,7 @@ class BaselineProfile:
     mad: float      # median absolute deviation
     p2_5: float
     p97_5: float
+    mean_ad: float  # mean absolute deviation about the median
 
 
 def calibrate(samples) -> BaselineProfile:
@@ -63,31 +66,28 @@ def calibrate_rows(rows) -> list:
     forms.
     """
     arr = np.asarray(rows, dtype=float)
+    stats = zip(*(column.tolist() for column in _row_statistics(arr)))
     # rows convert one at a time, so no list of all rows sits beside the tuples
     return [BaselineProfile(tuple(row.tolist()), row.size, *stat)
-            for row, stat in zip(arr, _row_statistics(arr))]
+            for row, stat in zip(arr, stats)]
 
 
-def _row_statistics(arr: np.ndarray):
-    """Per row of a 2-D float array: (mean, std, median, mad, p2_5, p97_5).
+def _row_statistics(arr: np.ndarray) -> tuple:
+    """Per row of a 2-D float array: (mean, std, median, mad, p2_5, p97_5, mean_ad).
 
-    The fields follow BaselineProfile's order after samples and n.
+    Each entry is a float64 column with one value per row, in
+    BaselineProfile's field order after samples and n.
     """
     if arr.shape[1] < 2:
         raise InsufficientSamples(f"calibration needs >= 2 samples, got {arr.shape[1]}")
     median = np.median(arr, axis=1)
     deviation = arr - median[:, np.newaxis]
     np.abs(deviation, out=deviation)
+    mean_ad = deviation.mean(axis=1)
     mad = np.median(deviation, axis=1, overwrite_input=True)
     del deviation  # one array of arr's size at a time beside arr
-    return zip(
-        arr.mean(axis=1).tolist(),
-        arr.std(axis=1, ddof=1).tolist(),
-        median.tolist(),
-        mad.tolist(),
-        np.percentile(arr, 2.5, axis=1).tolist(),
-        np.percentile(arr, 97.5, axis=1).tolist(),
-    )
+    p2_5, p97_5 = np.percentile(arr, (2.5, 97.5), axis=1)
+    return arr.mean(axis=1), arr.std(axis=1, ddof=1), median, mad, p2_5, p97_5, mean_ad
 
 
 # --- serial correlation ------------------------------------------------------
@@ -219,38 +219,74 @@ class Verdict:
     threshold: object
 
 
+# Each detector's arithmetic is written once, as a score-and-flag function of a
+# profile and points: floats for one point, or float64 arrays in which entry i
+# of every field belongs to point i. numpy runs the same IEEE operations in the
+# same order as Python floats, so both forms give bit-identical scores.
+
+def _require_spread(spread, message: str):
+    if np.any(spread == 0.0):
+        raise DegenerateSeries(message)
+
+
+def _score_percentile(profile, points):
+    return points, (points < profile.p2_5) | (points > profile.p97_5)
+
+
+def _score_zscore(profile, points, threshold=DEFAULT_Z_THRESHOLD):
+    _require_spread(profile.std, "z-score needs nonzero baseline spread")
+    z = (points - profile.mean) / profile.std
+    return z, abs(z) > threshold
+
+
+def _score_modified_z(profile, points, threshold=DEFAULT_MODIFIED_Z_THRESHOLD):
+    has_mad = profile.mad != 0.0
+    spread = np.where(has_mad, profile.mad, MEANAD_SCALE * profile.mean_ad)
+    _require_spread(spread, "modified z-score needs nonzero baseline MAD or MeanAD")
+    m = np.where(has_mad, MODIFIED_Z_SCALE, 1.0) * (points - profile.median) / spread
+    return m, abs(m) > threshold
+
+
+def _score_chebyshev(profile, points, k_sigma=DEFAULT_CHEBYSHEV_K):
+    _require_spread(profile.std, "chebyshev bound needs nonzero baseline spread")
+    score = abs(points - profile.mean) / profile.std
+    return score, score > k_sigma
+
+
+_SCORES = {
+    "percentile": _score_percentile,
+    "zscore": _score_zscore,
+    "modz": _score_modified_z,
+    "chebyshev": _score_chebyshev,
+}
+
+
 def detect_percentile(profile: BaselineProfile, point: float) -> Verdict:
     """Non-parametric band check: outside [p2.5, p97.5] of the baseline."""
-    flagged = point < profile.p2_5 or point > profile.p97_5
-    return Verdict("percentile", float(point), flagged,
+    score, flagged = _score_percentile(profile, point)
+    return Verdict("percentile", float(score), bool(flagged),
                    (profile.p2_5, profile.p97_5))
 
 
 def detect_zscore(profile: BaselineProfile, point: float,
                   threshold: float = DEFAULT_Z_THRESHOLD) -> Verdict:
     """Classical z-score against baseline mean and standard deviation."""
-    if profile.std == 0.0:
-        raise DegenerateSeries("z-score needs nonzero baseline spread")
-    z = (point - profile.mean) / profile.std
-    return Verdict("zscore", float(z), abs(z) > threshold, threshold)
+    z, flagged = _score_zscore(profile, point, threshold)
+    return Verdict("zscore", float(z), bool(flagged), threshold)
 
 
 def detect_modified_z(profile: BaselineProfile, point: float,
                       threshold: float = DEFAULT_MODIFIED_Z_THRESHOLD) -> Verdict:
-    """Robust z-score from median and MAD (Iglewicz-Hoaglin scaling)."""
-    if profile.mad == 0.0:
-        raise DegenerateSeries("modified z-score needs nonzero baseline MAD")
-    m = MODIFIED_Z_SCALE * (point - profile.median) / profile.mad
-    return Verdict("modz", float(m), abs(m) > threshold, threshold)
+    """Robust z-score from median and MAD (Iglewicz-Hoaglin), or MeanAD where MAD is 0."""
+    m, flagged = _score_modified_z(profile, point, threshold)
+    return Verdict("modz", float(m), bool(flagged), threshold)
 
 
 def detect_chebyshev(profile: BaselineProfile, point: float,
                      k_sigma: float = DEFAULT_CHEBYSHEV_K) -> Verdict:
     """Distribution-free bound: |dev| > k*sigma has probability <= 1/k^2."""
-    if profile.std == 0.0:
-        raise DegenerateSeries("chebyshev bound needs nonzero baseline spread")
-    score = abs(point - profile.mean) / profile.std
-    return Verdict("chebyshev", float(score), score > k_sigma, k_sigma)
+    score, flagged = _score_chebyshev(profile, point, k_sigma)
+    return Verdict("chebyshev", float(score), bool(flagged), k_sigma)
 
 
 DETECTORS = {
@@ -295,40 +331,34 @@ def confusion_report(baseline_points, attack_points,
     The leave-one-out statistics come from one batched computation: row i
     of an n x (n-1) matrix holds the baseline without point i, in order,
     and _row_statistics reduces every row with the arithmetic calibrate()
-    uses for that row alone. The leave-one-out profiles carry those
-    statistics but no samples tuple, which no detector reads, so they take
-    O(n) memory beside the matrix.
+    uses for that row alone. Its columns form one profile whose entry i is
+    point i's leave-one-out profile, and each method classifies all
+    baseline points against it in one array expression.
     """
-    baseline_points = [float(v) for v in baseline_points]
-    attack_points = [float(v) for v in attack_points]
-    if not baseline_points or not attack_points:
+    baseline = np.asarray([float(v) for v in baseline_points])
+    attack = np.asarray([float(v) for v in attack_points])
+    if not baseline.size or not attack.size:
         raise InsufficientSamples("confusion report needs non-empty point sets")
-    full = profile if profile is not None else calibrate(baseline_points)
-    loo_profiles = None
+    full = profile if profile is not None else calibrate(baseline)
+    against = full
     if profile is None:
-        n = len(baseline_points)
+        n = baseline.size
         keep = ~np.eye(n, dtype=bool)
-        loo = np.broadcast_to(np.asarray(baseline_points), (n, n))[keep]
-        # no samples tuples: n of them would hold n x (n-1) floats as objects
-        loo_profiles = [BaselineProfile((), n - 1, *stat)
-                        for stat in _row_statistics(loo.reshape(n, n - 1))]
+        loo = np.broadcast_to(baseline, (n, n))[keep].reshape(n, n - 1)
+        against = BaselineProfile((), n - 1, *_row_statistics(loo))
     rows = {}
     for method in methods:
-        fn = DETECTORS[method]
-        fp = 0
-        for i, point in enumerate(baseline_points):
-            prof = loo_profiles[i] if loo_profiles is not None else full
-            if fn(prof, point).flagged:
-                fp += 1
-        misses = sum(1 for point in attack_points if not fn(full, point).flagged)
+        score = _SCORES[method]
+        fp = int(np.count_nonzero(score(against, baseline)[1]))
+        misses = int(np.count_nonzero(~score(full, attack)[1]))
         rows[method] = ConfusionRow(
             method=method,
-            fpr=fp / len(baseline_points),
-            fnr=misses / len(attack_points),
+            fpr=fp / baseline.size,
+            fnr=misses / attack.size,
             false_positives=fp,
-            baseline_count=len(baseline_points),
+            baseline_count=baseline.size,
             false_negatives=misses,
-            attack_count=len(attack_points),
+            attack_count=attack.size,
         )
     return rows
 

@@ -10,6 +10,7 @@ from timecheck.device import (
     SRAM_SCAN_WORDS,
     AdversaryConfig,
     NoiseModel,
+    Scenario,
     TierModel,
     adversary_delay_us,
     attack_scenario,
@@ -20,20 +21,17 @@ from timecheck.device import (
     load_scenario,
     make_device_state,
     measurements_to_csv,
+    price,
+    priced_trials,
     run_trials,
     save_scenario,
     scenario_from_json,
     scenario_to_json,
-    simulate_challenge,
     validate_tiers,
 )
 from timecheck.engine import multipass, random_spec
 from timecheck.errors import UnknownTier
-
-
-def small_image(seed=0, n=48):
-    rng = random.Random(seed)
-    return MemoryImage([rng.getrandbits(64) for _ in range(n)])
+from timecheck.protocol import ChallengeMessage, DeviceEndpoint, FrameDecoder
 
 
 class TestTiers:
@@ -97,46 +95,55 @@ class TestAdversaryDelay:
             AdversaryConfig("dram_swap", words_per_pass=0)
 
 
+def small_scenario(**overrides):
+    """A 48-word device (32 image words, 16 registers) on the default tiers."""
+    return Scenario("small", image_words=32, register_count=16, **overrides)
+
+
+def answer(scenario, spec):
+    """(priced delay in us, accumulator) of the device's reply to one challenge."""
+    replies = DeviceEndpoint(scenario, master_seed=3).handle_challenge(ChallengeMessage(1, spec))
+    delay_us, reply = replies[-1]
+    (response,) = FrameDecoder().feed(reply)
+    return delay_us, response.accumulator
+
+
+def honest_accumulator(scenario, spec):
+    state = make_device_state(scenario.image_seed, scenario.image_words,
+                              register_count=scenario.register_count)
+    return multipass(MemoryImage(state.image.words + state.registers), spec).accumulator
+
+
 class TestSimulateChallenge:
     def test_zero_adversary_identity(self):
-        img = small_image()
-        spec = random_spec(1009, 2, 2, random.Random(1))
-        tiers = default_tiers()
         noise = NoiseModel("gaussian", sigma=7.0)
-        _, meas = simulate_challenge(img, spec, tiers, AdversaryConfig("none"), noise, 42)
-        rng = random.Random(42)
-        expect = img.word_count * spec.passes * tiers["sram"].per_word_cost
-        expect += noise.sample(rng)[0]
-        assert meas.duration_us == int(round(expect))
+        sc = small_scenario(passes=2, noise=noise)
+        duration, nmi = price(sc, 2, random.Random(42))
+        expect = 48 * 2 * default_tiers()["sram"].per_word_cost
+        expect += noise.sample(random.Random(42))[0]
+        assert int(round(duration)) == int(round(expect)) and not nmi
 
     def test_honest_accumulator_for_every_kind(self):
-        img = small_image(1)
         spec = random_spec((1 << 61) - 1, 2, 2, random.Random(2))
-        honest = multipass(img, spec).accumulator
+        honest = honest_accumulator(small_scenario(), spec)
         for kind in ("none", "dram_swap", "iomem_swap", "mmc_io"):
-            res, _ = simulate_challenge(img, spec, default_tiers(),
-                                        AdversaryConfig(kind),
-                                        NoiseModel("gaussian", sigma=1.0), 3)
-            assert res.accumulator == honest
+            sc = small_scenario(adversary=AdversaryConfig(kind),
+                                noise=NoiseModel("gaussian", sigma=1.0))
+            assert answer(sc, spec)[1] == honest
 
     def test_corrupt_result_wrong_value_zero_delay(self):
-        img = small_image(2)
         spec = random_spec((1 << 61) - 1, 2, 1, random.Random(3))
-        honest = multipass(img, spec).accumulator
-        res, meas = simulate_challenge(img, spec, default_tiers(),
-                                       AdversaryConfig("corrupt_result"),
-                                       NoiseModel("uniform", width=0.4), 4)
-        assert res.accumulator != honest
-        assert meas.duration_us == int(round(img.word_count * spec.passes
-                                             * default_tiers()["sram"].per_word_cost))
+        sc = small_scenario(adversary=AdversaryConfig("corrupt_result"), scan_us_per_word=1.0,
+                            noise=NoiseModel("uniform", width=0.4))
+        delay_us, accumulator = answer(sc, spec)
+        assert accumulator != honest_accumulator(sc, spec)
+        assert delay_us == 48 * spec.passes
 
     def test_nominal_timing_words_override(self):
-        img = small_image(3, n=16)
-        spec = random_spec(1009, 1, 1, random.Random(4))
-        _, meas = simulate_challenge(img, spec, default_tiers(), AdversaryConfig("none"),
-                                     NoiseModel("uniform", width=0.4), 5,
-                                     timing_words=1000, scan_us_per_word=2.0)
-        assert meas.duration_us == 2000
+        spec = random_spec((1 << 61) - 1, 1, 1, random.Random(4))
+        sc = small_scenario(timing_words=1000, scan_us_per_word=2.0,
+                            noise=NoiseModel("uniform", width=0.4))
+        assert answer(sc, spec)[0] == 2000
 
 
 class TestRunTrials:
@@ -160,6 +167,15 @@ class TestRunTrials:
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
             run_trials(builtin_scenario("sram-baseline"), 0, 0)
+        with pytest.raises(ValueError):
+            priced_trials(builtin_scenario("sram-baseline"), 0, 0)
+
+    def test_durations_are_the_priced_trials(self):
+        base = builtin_scenario("sram-dram")
+        spiky = replace(base, noise=replace(base.noise, nmi_prob=0.3, drift="linear",
+                                            drift_us_per_trial=7.5))
+        ms = run_trials(spiky, 40, 9)
+        assert [(m.duration_us, m.nmi) for m in ms] == priced_trials(spiky, 40, 9)
 
     def test_baseline_mean_matches_calibration(self):
         sc = builtin_scenario("sram-baseline")

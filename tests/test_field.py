@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from timecheck.field import M61, FieldParams, add_mod, horner_step, is_prime, mul_mod, pow_mod
+from timecheck.engine import _geometric_m61
+from timecheck.field import M61, FieldParams, horner_step, is_prime, m61_add, m61_mul
 
 SMALL_PRIMES = (7, 13, 17, 1000003)
 
@@ -45,68 +47,87 @@ class TestFieldParams:
             FieldParams(1, 0)
 
 
+def mul(a, b, p):
+    """a * b mod p through the surviving scalar API: one Horner step, zero term."""
+    return horner_step(a, b, 0, p)
+
+
+def add(a, b, p):
+    """a + b mod p through one Horner step at x = 1."""
+    return horner_step(a, 1, b, p)
+
+
 class TestMulMod:
     def test_small(self):
-        assert mul_mod(3, 4, 7) == 5
+        assert mul(3, 4, 7) == 5
 
     def test_zero_annihilates(self):
         for b in (0, 1, 12, M61 - 1):
-            assert mul_mod(0, b, M61) == 0
+            assert mul(0, b, M61) == 0
+        b = np.array([0, 1, 12, M61 - 1], dtype=np.uint64)
+        assert m61_mul(np.zeros(4, dtype=np.uint64), b).tolist() == [0] * 4
 
     def test_near_word_size_against_bigint(self):
         a = b = (1 << 63) - 1
-        assert mul_mod(a, b, M61) == (a * b) % M61
+        assert mul(a, b, M61) == (a * b) % M61
+        top = np.array([M61 - 1], dtype=np.uint64)
+        assert m61_mul(top, top).tolist() == [(M61 - 1) ** 2 % M61]
 
     @pytest.mark.parametrize("p", [M61, 18446744073709551557])  # largest 64-bit prime
     def test_bigint_oracle_randomized(self, p):
         rng = random.Random(1234)
-        for _ in range(100_000):
-            a = rng.randrange(p)
-            b = rng.randrange(p)
-            assert mul_mod(a, b, p) == (a * b) % p
+        pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(100_000)]
+        for a, b in pairs:
+            assert mul(a, b, p) == (a * b) % p
+        if p == M61:
+            a, b = (np.array(col, dtype=np.uint64) for col in zip(*pairs))
+            assert m61_mul(a, b).tolist() == [(x * y) % p for x, y in pairs]
 
 
 class TestAddMod:
     def test_small(self):
-        assert add_mod(5, 6, 7) == 4
+        assert add(5, 6, 7) == 4
 
     def test_identity(self):
         rng = random.Random(2)
         for _ in range(100):
             a = rng.randrange(M61)
-            assert add_mod(a, 0, M61) == a
+            assert add(a, 0, M61) == a
 
     def test_wraparound_symmetry(self):
         for p in SMALL_PRIMES + (M61,):
-            assert add_mod(p - 1, p - 1, p) == p - 2
+            assert add(p - 1, p - 1, p) == p - 2
+        top = np.array([M61 - 1], dtype=np.uint64)
+        m61_add(top, top.copy(), np.empty_like(top))
+        assert top.tolist() == [M61 - 2]
 
 
 class TestPowMod:
+    """The M61 power tables the vectorized kernel builds its weights from."""
+
     def test_small(self):
-        assert pow_mod(2, 10, 1000003) == 1024
+        assert _geometric_m61(2, 11)[10] == 1024
 
     def test_zero_exponent_is_one(self):
         for b in (0, 1, 7, M61 - 1):
-            assert pow_mod(b, 0, M61) == 1
+            assert _geometric_m61(b, 1).tolist() == [1]
+        assert _geometric_m61(0, 3).tolist() == [1, 0, 0]
 
     def test_bigint_oracle(self):
-        assert pow_mod(7, 13, M61) == 7 ** 13 % M61
+        assert _geometric_m61(7, 14)[13] == 7 ** 13 % M61
         rng = random.Random(3)
         for _ in range(200):
             b = rng.randrange(M61)
-            e = rng.randrange(1 << 20)
-            assert pow_mod(b, e, M61) == pow(b, e, M61)
+            count = rng.randrange(1, 1 << 10)
+            assert _geometric_m61(b, count).tolist() == [pow(b, e, M61) for e in range(count)]
 
     def test_exponent_addition_law(self):
         rng = random.Random(4)
-        for p in (13, 1000003, M61):
-            for _ in range(50):
-                b = rng.randrange(p)
-                e1 = rng.randrange(1000)
-                e2 = rng.randrange(1000)
-                lhs = pow_mod(b, e1 + e2, p)
-                rhs = mul_mod(pow_mod(b, e1, p), pow_mod(b, e2, p), p)
-                assert lhs == rhs
+        for _ in range(50):
+            powers = _geometric_m61(rng.randrange(M61), 2000).tolist()
+            e1 = rng.randrange(1000)
+            e2 = rng.randrange(1000)
+            assert powers[e1 + e2] == powers[e1] * powers[e2] % M61
 
 
 class TestHornerStep:
@@ -138,5 +159,5 @@ class TestHornerStep:
             acc = 0
             for t in terms:
                 acc = horner_step(acc, x, t, p)
-            direct = sum(t * pow_mod(x, n - 1 - j, p) for j, t in enumerate(terms)) % p
+            direct = sum(t * pow(x, n - 1 - j, p) for j, t in enumerate(terms)) % p
             assert acc == direct

@@ -11,7 +11,7 @@ import pytest
 from timecheck import engine, protocol
 from timecheck.checkpoint import MemoryImage, checkpoint_replay, scan_words
 from timecheck.coeffs import RandomSeeds
-from timecheck.device import NoiseModel, attack_scenario, desk_scenario
+from timecheck.device import NoiseModel, attack_scenario, desk_scenario, price
 from timecheck.engine import ChallengeSpec, multipass, random_spec
 from timecheck.errors import ChannelTimeout, MalformedFrame, SessionMismatch
 from timecheck.field import M61, FieldParams
@@ -334,6 +334,13 @@ class TestTcpTransport:
         finally:
             server.close()
 
+    def test_closing_the_socket_stops_the_server(self):
+        ep = DeviceEndpoint(desk_scenario(), master_seed=32)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        server.close()
+        thread.join(timeout=2.0)
+        assert not thread.is_alive()
+
     def test_unreachable_target(self):
         with socket.socket() as probe:
             probe.bind(("127.0.0.1", 0))
@@ -364,6 +371,12 @@ class TestPricing:
         if kind == "dram":
             per_pass += 2 * sc.tiers["dram"].per_word_cost
         assert d8 - d1 == round(7 * per_pass)
+
+    def test_duration_is_the_priced_challenge(self):
+        sc = attack_scenario(desk_scenario(), "iomem")
+        spec = fresh_spec(sub_rng(9, "t"), sc)
+        duration, _ = price(sc, spec.passes, sub_rng(33, "device-noise", 0), 0)
+        assert self._duration(DeviceEndpoint(sc, master_seed=33), spec) == round(duration)
 
     def test_linear_drift_grows_per_session(self):
         sc = desk_scenario()

@@ -13,7 +13,10 @@ from scipy import stats as scipy_stats
 
 from timecheck.errors import DegenerateSeries, InsufficientSamples, MaxTrialsExceeded
 from timecheck.stats import (
+    _SCORES,
     DETECTORS,
+    BaselineProfile,
+    _row_statistics,
     calibrate,
     calibrate_rows,
     confusion_report,
@@ -77,6 +80,23 @@ def _outcome(fn):
         return type(exc)
 
 
+@st.composite
+def mostly_tied_samples(draw):
+    """Baselines with at least half their points on one value, so MADs of 0 are common."""
+    n = draw(st.integers(3, 60))
+    base = draw(st.integers(0, 2 * 10**9))
+    others = draw(st.lists(st.integers(-300, 300), min_size=n // 2, max_size=n // 2))
+    return draw(st.permutations([float(base)] * (n - n // 2) + [float(base + o) for o in others]))
+
+
+def _error_or(fn):
+    """fn()'s result, or the type and message of the detector error it raised."""
+    try:
+        return fn()
+    except DegenerateSeries as exc:
+        return type(exc), str(exc)
+
+
 def _scalar_loo_counts(base, attack, method):
     fn = DETECTORS[method]
     full = calibrate(base)
@@ -106,6 +126,30 @@ class TestCalibrateRows:
                 assert (row.false_positives, row.false_negatives) == want
             else:
                 assert got is want
+
+    @settings(max_examples=150, deadline=None)
+    @given(quantized_samples(min_size=3) | mostly_tied_samples(),
+           quantized_samples(min_size=1, max_size=20))
+    def test_array_scores_equal_scalar_detectors(self, base, attack):
+        # leave-one-out columns against baseline points, the full profile
+        # against attack points: every score bit-identical to detect_*
+        n = len(base)
+        columns = BaselineProfile((), n - 1, *_row_statistics(
+            np.array([base[:i] + base[i + 1:] for i in range(n)])))
+        full = calibrate(base)
+        for method, detector in DETECTORS.items():
+            for against, points, profiles in (
+                    (columns, base, [calibrate(base[:i] + base[i + 1:]) for i in range(n)]),
+                    (full, attack, [full] * len(attack))):
+                got = _error_or(lambda: _SCORES[method](against, np.array(points)))
+                want = _error_or(lambda: [detector(prof, v)
+                                          for prof, v in zip(profiles, points)])
+                if isinstance(want, list):
+                    scores, flags = got
+                    assert scores.tolist() == [v.score for v in want]
+                    assert flags.tolist() == [v.flagged for v in want]
+                else:
+                    assert got == want
 
     def test_two_point_baseline_leaves_one(self):
         with pytest.raises(InsufficientSamples, match="needs >= 2 samples, got 1"):
@@ -249,6 +293,14 @@ class TestDetectors:
         p = calibrate([1, 2, 3, 4, 5])
         assert detect_modified_z(p, 3).score == 0.0
         assert detect_modified_z(p, 3 + 1 / 0.6745 * 2.6).flagged
+
+    def test_modified_z_meanad_fallback(self):
+        # three of five points on the median: MAD 0, MeanAD (0 + 0 + 0 + 1 + 4) / 5
+        p = calibrate([5, 5, 5, 6, 9])
+        assert p.mad == 0.0 and p.mean_ad == 1.0
+        assert detect_modified_z(p, 9).score == 4 / 1.253314
+        assert not detect_modified_z(p, 7).flagged
+        assert detect_modified_z(p, 8.5).flagged
 
     def test_chebyshev(self, profile):
         assert not detect_chebyshev(profile, profile.mean + profile.std).flagged
