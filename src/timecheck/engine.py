@@ -35,6 +35,12 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
   tables encrypt the block domain [0, 2^bits) into one uint32 table, and
   cycle walking gathers from it. The weight array (d uint64) and that
   table (2^bits < 2d uint32 for d > 2) are the only buffers growing with d.
+  The weights depend only on the public spec fields (d, x, perm_seed), so
+  the last two weight arrays built stay in a process-wide cache, read-only.
+  A verifier and a simulated device in one process (challenge --target
+  sim, LoopbackChannel sessions) evaluate each challenge twice, once for
+  expected_result and once in handle_challenge; the second evaluation
+  reuses the first one's weights.
 - Coefficients. The coefficient polynomial R shifted to the address
   variable b = idx + 1 is R(t*d + b) = sum_m c_m(t) b^m with
   c_m(t) = sum_(j>=m) r_j C(j, m) (t*d)^(j-m), computed in Python ints.
@@ -49,6 +55,7 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
   2^49), and the pass accumulators stay below 2^62 between Mersenne folds.
 """
 
+import functools
 import hashlib
 import math
 import operator
@@ -217,6 +224,7 @@ def _geometric_m61(ratio: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
+@functools.lru_cache(maxsize=2)
 def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     """The d-word array weight[pi[i]] = x^i mod M61, filled tile by tile.
 
@@ -224,6 +232,14 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     x^i = x^(h*2^s) * x^l is one product of two entries from tables of
     about sqrt(d) powers each. pi is indexed by rank, so the powers of about
     _TILE consecutive ranks are an outer product, scattered through pi.
+
+    Cached process-wide: the weights are a pure function of three public
+    challenge fields, so a cache hit returns exactly what a rebuild would.
+    The array is read-only (backed by immutable bytes, like the device
+    snapshot's scan array), so no caller can change another caller's
+    weights. Two entries serve the verifier's expected_result followed by
+    the simulated device's handle_challenge for the same challenge, and
+    bound the cache at 2 * 8d bytes.
     """
     pi = perm_new(d, perm_seed).indices()
     s = ((d - 1).bit_length() + 1) // 2
@@ -234,7 +250,7 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     for h in range(0, len(high), rows):
         i0, i1 = h << s, min(d, (h + rows) << s)
         weight[pi[i0:i1]] = m61_mul(high[h:h + rows, None], low[None, :]).ravel()[:i1 - i0]
-    return weight
+    return np.frombuffer(weight.tobytes(), dtype=np.uint64)
 
 
 def _difference_polys(r: tuple, d: int, count: int) -> list:

@@ -21,8 +21,8 @@ Timestamps are taken by the verifier side only; the device never
 self-reports time. Timing starts when the RESTORED acknowledgment arrives
 (checkpoint restore cost is excluded) and stops at the first response byte.
 
-Transports: a deterministic in-process channel, a loopback byte stream with
-injected jitter (frames really are serialized and incrementally re-parsed),
+Transports: a loopback byte stream with injected jitter (frames really are
+serialized and incrementally re-parsed; with no jitter, durations are exact),
 and plain TCP.
 """
 
@@ -55,6 +55,10 @@ MSG_RESPONSE = 3
 STATUS_OK = 0
 STATUS_NMI_RETRY = 1
 STATUS_REGION_MISMATCH = 2
+STATUS_REFUSED = 3
+# statuses a device answers at once, without a RESTORED acknowledgment
+_REFUSALS = {STATUS_REGION_MISMATCH: "region mismatch",
+             STATUS_REFUSED: "challenge cannot be evaluated"}
 
 _U64 = struct.Struct("<Q")
 
@@ -231,6 +235,10 @@ class DeviceEndpoint:
       wrong_result   flips the accumulator, takes baseline time
       stale_session  replays the previous session id in its response
       delayed        honest value, extra_delay_us slower
+
+    A challenge for another region, or one whose evaluation raises a
+    TimecheckError (say a prime too small for the image), is answered at once
+    with a refusal status and no RESTORED frame; the refusal is logged.
     """
 
     def __init__(self, scenario: Scenario, master_seed: int = 0,
@@ -258,9 +266,14 @@ class DeviceEndpoint:
             return [(0.0, encode_response(reply))]
 
         checkpoint_replay(self.checkpoint, self.state)
+        try:
+            result = evaluate(self.snapshot.scan, msg.spec)
+        except TimecheckError as exc:
+            log.warning("device refused session %#x: %s: %s",
+                        msg.session_id, type(exc).__name__, exc)
+            reply = ResponseMessage(msg.session_id, 0, STATUS_REFUSED)
+            return [(0.0, encode_response(reply))]
         restored = encode_restored(RestoredMessage(msg.session_id))
-
-        result = evaluate(self.snapshot.scan, msg.spec)
 
         # price the challenge actually received; the session index drives drift
         trial_id = self._session_index
@@ -292,42 +305,13 @@ class DeviceEndpoint:
 
 # --- channels -------------------------------------------------------------------
 
-class InProcessChannel:
-    """Deterministic function-call transport with a virtual clock."""
-
-    def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 0.0,
-                 jitter_seed: int = 0):
-        self.endpoint = endpoint
-        self.jitter_us = jitter_us
-        self._rng = random.Random(derive_seed(jitter_seed, "channel-jitter"))
-        self._clock_us = 0.0
-
-    def _stamp(self, at_us: float) -> int:
-        if self.jitter_us:
-            at_us += self._rng.uniform(-self.jitter_us, self.jitter_us)
-        return int(round(at_us))
-
-    def request(self, challenge_frame: bytes):
-        """-> [(arrival_us, message), ...] for every reply frame."""
-        decoder = FrameDecoder()
-        msgs = decoder.feed(challenge_frame)
-        if len(msgs) != 1 or not isinstance(msgs[0], ChallengeMessage):
-            raise MalformedFrame("channel expects exactly one challenge frame")
-        out = []
-        for delay_us, reply in self.endpoint.handle_challenge(msgs[0]):
-            self._clock_us += delay_us
-            for decoded in FrameDecoder().feed(reply):
-                out.append((self._stamp(self._clock_us), decoded))
-        return out
-
-
 class LoopbackChannel:
     """Byte-stream transport: frames are serialized, chunked, and re-parsed.
 
     Reply bytes travel through a single incremental decoder in small chunks,
     so framing bugs cannot hide; arrival stamps carry uniform +/-jitter, so a
     measured duration deviates from the device's true duration by at most
-    2 * jitter_us.
+    2 * jitter_us. With jitter_us=0 a measured duration is the device's own.
     """
 
     def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 3.0,
@@ -376,7 +360,7 @@ class TcpChannel:
                     for decoded in decoder.feed(data):
                         out.append((now, decoded))
                         pending -= 1
-                        if isinstance(decoded, ResponseMessage) and decoded.status == STATUS_REGION_MISMATCH:
+                        if isinstance(decoded, ResponseMessage) and decoded.status in _REFUSALS:
                             pending = 0
         except OSError as exc:
             raise ChannelTimeout(f"cannot reach {self.host}:{self.port}: {exc}") from exc
@@ -391,9 +375,10 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     (1.0 = real time, 0.0 = respond immediately). Returns (server_socket,
     thread); close the socket to stop: the thread ends within ACCEPT_POLL_S,
     or once the connection it serves ends. Sessions are strictly serialized. A
-    connection whose bytes or challenge cannot be served (bad framing, a spec
-    the device cannot evaluate, no bytes for CONN_TIMEOUT_S) is logged and
-    closed; the server keeps going.
+    challenge the device cannot evaluate is refused with STATUS_REFUSED and
+    logged, and its connection stays open. A connection whose bytes cannot be
+    served (bad framing, no bytes for CONN_TIMEOUT_S) is logged and closed;
+    the server keeps going.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -465,7 +450,7 @@ def issue_challenge(channel, spec: ChallengeSpec, session_id: int = None,
             if reply.session_id != session_id:
                 raise SessionMismatch(
                     f"response for session {reply.session_id:#x}, expected {session_id:#x}")
-            if reply.status == STATUS_REGION_MISMATCH:
+            if reply.status in _REFUSALS:
                 return TimedResponse(reply, arrival_us, arrival_us)
             if t_start is None:
                 raise MalformedFrame("response arrived before RESTORED acknowledgment")
@@ -495,8 +480,8 @@ def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
     verdicts, not exceptions.
     """
     resp = timed.response
-    if resp.status == STATUS_REGION_MISMATCH:
-        return SessionVerdict("REJECT", "device refused: region mismatch", None)
+    if resp.status in _REFUSALS:
+        return SessionVerdict("REJECT", f"device refused: {_REFUSALS[resp.status]}", None)
     if resp.accumulator != expected.accumulator:
         return SessionVerdict("REJECT", "accumulator mismatch", None)
     if resp.status == STATUS_NMI_RETRY:

@@ -18,11 +18,11 @@ from timecheck.field import M61, FieldParams
 from timecheck.protocol import (
     STATUS_NMI_RETRY,
     STATUS_OK,
+    STATUS_REFUSED,
     STATUS_REGION_MISMATCH,
     ChallengeMessage,
     DeviceEndpoint,
     FrameDecoder,
-    InProcessChannel,
     LoopbackChannel,
     ResponseMessage,
     RestoredMessage,
@@ -147,7 +147,7 @@ class TestChannels:
         sc = desk_scenario()
         ep = DeviceEndpoint(sc, master_seed=5)
         twin = DeviceEndpoint(sc, master_seed=5)  # replays the same noise draws
-        chan = InProcessChannel(ep)
+        chan = LoopbackChannel(ep, jitter_us=0.0)
         rng = sub_rng(0, "t")
         for i in range(5):
             spec = fresh_spec(rng, sc)
@@ -181,7 +181,7 @@ class TestChannels:
     def test_region_mismatch_status(self):
         sc = desk_scenario()
         ep = DeviceEndpoint(sc, master_seed=10)
-        chan = InProcessChannel(ep)
+        chan = LoopbackChannel(ep, jitter_us=0.0)
         rng = sub_rng(3, "t")
         spec = random_spec(sc.prime, sc.k, sc.passes, rng, region_id="full")
         timed = issue_challenge(chan, spec, rng=rng)
@@ -190,11 +190,27 @@ class TestChannels:
     def test_region_mismatch_for_another_session_rejected(self):
         # a stale or forged refusal must not become this session's verdict
         class ReplayChannel:
-            def request(self, challenge_frame):
-                return [(100, ResponseMessage(0xBAD, 0, STATUS_REGION_MISMATCH))]
+            def __init__(self, status):
+                self.status = status
 
-        with pytest.raises(SessionMismatch):
-            issue_challenge(ReplayChannel(), fresh_spec(), session_id=0x600D)
+            def request(self, challenge_frame):
+                return [(100, ResponseMessage(0xBAD, 0, self.status))]
+
+        for status in (STATUS_REGION_MISMATCH, STATUS_REFUSED):
+            with pytest.raises(SessionMismatch):
+                issue_challenge(ReplayChannel(status), fresh_spec(), session_id=0x600D)
+
+    def test_refusal_is_a_reject_verdict(self):
+        sc = desk_scenario()
+        chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=30), jitter_us=0.0)
+        hostile = ChallengeSpec(seeds=RandomSeeds((1, 2), FieldParams(13, 5)),
+                                perm_seed=1, passes=1, region_id=sc.region_id)
+        timed = issue_challenge(chan, hostile, session_id=0x600D)
+        assert timed.response == ResponseMessage(0x600D, 0, STATUS_REFUSED)
+        assert timed.duration_us == 0
+        verdict = verify_response(None, timed, profile=None)
+        assert verdict.outcome == "REJECT"
+        assert verdict.reason.startswith("device refused: ")
 
 
 @pytest.fixture(scope="module")
@@ -289,27 +305,39 @@ class TestTcpTransport:
             server.close()
 
     def test_server_survives_spec_out_of_field(self, caplog):
-        # p=13 cannot index 2,048 words: the device cannot evaluate this
-        # challenge, drops the connection, and keeps serving
+        # p=13 cannot index 2,048 words: the device refuses this challenge at
+        # once, logs why, and answers a good challenge on the same connection
         sc = desk_scenario()
         ep = DeviceEndpoint(sc, master_seed=27)
         server, thread = serve_device(ep, port=0, time_scale=0.0)
         host, port = server.getsockname()
+
+        def replies(sock, decoder):
+            out = []
+            while not any(isinstance(m, ResponseMessage) for m in out):
+                data = sock.recv(4096)
+                assert data, "device closed the connection"
+                out.extend(decoder.feed(data))
+            return out
+
         try:
-            chan = TcpChannel(host, port, timeout_s=5.0)
-            hostile = ChallengeSpec(seeds=RandomSeeds((1, 2), FieldParams(13, 5)),
-                                    perm_seed=1, passes=1, region_id=sc.region_id)
-            with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
-                with pytest.raises(ChannelTimeout):
-                    chan.request(encode_challenge(ChallengeMessage(7, hostile)))
-            assert "SpecOutOfField" in caplog.text
-            assert thread.is_alive()
-            rng = sub_rng(6, "t")
-            spec = fresh_spec(rng, sc)
-            timed = issue_challenge(chan, spec, rng=rng)
-            assert timed.response.status == STATUS_OK
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                decoder = FrameDecoder()
+                hostile = ChallengeSpec(seeds=RandomSeeds((1, 2), FieldParams(13, 5)),
+                                        perm_seed=1, passes=1, region_id=sc.region_id)
+                with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                    sock.sendall(encode_challenge(ChallengeMessage(7, hostile)))
+                    refused = replies(sock, decoder)
+                assert refused == [ResponseMessage(7, 0, STATUS_REFUSED)]
+                assert "SpecOutOfField" in caplog.text
+                assert thread.is_alive()
+                spec = fresh_spec(sub_rng(6, "t"), sc)
+                sock.sendall(encode_challenge(ChallengeMessage(8, spec)))
+                restored, response = replies(sock, decoder)
+            assert restored == RestoredMessage(8)
+            assert response.session_id == 8 and response.status == STATUS_OK
             honest = DeviceEndpoint(sc, master_seed=28)
-            assert timed.response.accumulator == honest.expected_result(spec).accumulator
+            assert response.accumulator == honest.expected_result(spec).accumulator
         finally:
             server.close()
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from timecheck import engine
 from timecheck.checkpoint import MemoryImage, scan_words
 from timecheck.coeffs import RandomSeeds
-from timecheck.device import Scenario
+from timecheck.device import Scenario, desk_scenario
 from timecheck.engine import (
     _TILE,
     ChallengeSpec,
@@ -23,8 +23,14 @@ from timecheck.engine import (
 )
 from timecheck.errors import SpecOutOfField
 from timecheck.field import M61, FieldParams, m61_add, m61_muladd_small, m61_mul, m61_reduce
-from timecheck.permutation import perm_new
-from timecheck.protocol import ChallengeMessage, DeviceEndpoint, FrameDecoder
+from timecheck.permutation import PermutationGenerator, perm_new
+from timecheck.protocol import (
+    ChallengeMessage,
+    DeviceEndpoint,
+    FrameDecoder,
+    LoopbackChannel,
+    issue_challenge,
+)
 
 WORD_MAX = (1 << 64) - 1
 PRIMES = (13, 1009, M61)
@@ -150,6 +156,60 @@ def test_tile_edges_match_streaming(d, passes):
                                  perm_seed=0xC0FFEE + d, passes=passes)
             got = multipass_m61(np.array(words, dtype=np.uint64), spec)
             assert got == multipass(MemoryImage(words), spec, perm), (k, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 5000), x=field_elements, perm_seed=st.integers(0, WORD_MAX))
+@example(d=1, x=0, perm_seed=0)
+@example(d=_TILE + 1, x=M61 - 1, perm_seed=WORD_MAX)
+def test_cached_weights_equal_reference(d, x, perm_seed):
+    gen = perm_new(d, perm_seed)
+    want = [0] * d
+    for i in range(d):
+        want[gen.get(i)] = pow(x, i, M61)
+    first = engine._weights_m61(d, x, perm_seed)
+    again = engine._weights_m61(d, x, perm_seed)  # a cache hit
+    assert first.dtype == np.uint64
+    assert first.tolist() == want
+    assert again.tolist() == want
+
+
+def test_cached_weights_are_read_only():
+    weight = engine._weights_m61(64, 3, 11)
+    with pytest.raises(ValueError):
+        weight[0] = 1
+    with pytest.raises(ValueError):
+        weight.flags.writeable = True
+
+
+def test_weight_cache_is_bounded():
+    for seed in range(50):
+        engine._weights_m61(100 + seed, 3, seed)
+    info = engine._weights_m61.cache_info()
+    assert info.maxsize == 2
+    assert info.currsize <= 2
+
+
+def test_loopback_session_builds_scan_order_once(monkeypatch):
+    # the verifier's expected_result and the simulated device's
+    # handle_challenge evaluate the same challenge in one process
+    calls = []
+    indices = PermutationGenerator.indices
+
+    def counted(gen):
+        calls.append(gen.n)
+        return indices(gen)
+
+    monkeypatch.setattr(PermutationGenerator, "indices", counted)
+    sc = desk_scenario()
+    verifier = DeviceEndpoint(sc, master_seed=1)
+    chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=2))
+    rng = random.Random(0x5E55)
+    spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
+    expected = verifier.expected_result(spec)
+    timed = issue_challenge(chan, spec, rng=rng)
+    assert timed.response.accumulator == expected.accumulator
+    assert calls == [sc.image_words + sc.register_count]
 
 
 def _peak_bytes(fn):
