@@ -32,7 +32,6 @@ from .device import (
 from .engine import (
     ChallengeResult,
     ChallengeSpec,
-    collision_probe,
     multipass,
     multipass_naive,
     random_spec,

@@ -11,6 +11,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import stats
 from .checkpoint import (
     Checkpoint,
@@ -308,27 +310,41 @@ def _reproduce_full_table(args) -> int:
     return EXIT_OK
 
 
+# Leave-one-out values one confusion_report call classifies at most, unless a
+# single seed alone holds more: it bounds the stacked leave-one-out matrix
+# (and each of its temporaries) at 512 KB. The default 20 seeds x 50 x 49 =
+# 49,000 values fit in one call.
+LOO_BATCH_VALUES = 1 << 16
+
+
 def aggregate_detection(attack_label: str, n_seeds: int, trials: int, master_seed: int,
                         methods=("percentile", "zscore", "modz")) -> dict:
-    """Pooled FPR/FNR over n_seeds independent paired runs of one experiment."""
+    """Pooled FPR/FNR over n_seeds independent paired runs of one experiment.
+
+    Every seed is priced first, one row per seed; the rows are then
+    classified in batches of as many seeds as fit in LOO_BATCH_VALUES.
+    """
     base_sc = builtin_scenario(f"detector-{attack_label}-baseline")
     atk_sc = builtin_scenario(f"detector-{attack_label}-attack")
-    fp = {m: 0 for m in methods}
-    fn = {m: 0 for m in methods}
-    n_base = n_atk = 0
+    base = np.empty((n_seeds, trials))
+    atk = np.empty((n_seeds, trials))
     for i in range(n_seeds):
         seed = derive_seed(master_seed, f"detect/{attack_label}", i)
-        base = _durations(base_sc, trials, seed)
-        atk = _durations(atk_sc, trials, derive_seed(seed, "atk"))
-        rows = stats.confusion_report(base, atk, methods=methods)
+        base[i] = _durations(base_sc, trials, seed)
+        atk[i] = _durations(atk_sc, trials, derive_seed(seed, "atk"))
+    batch = max(1, LOO_BATCH_VALUES // (trials * (trials - 1)))
+    fp = dict.fromkeys(methods, 0)
+    fn = dict.fromkeys(methods, 0)
+    for lo in range(0, n_seeds, batch):
+        rows = stats.confusion_report(base[lo:lo + batch], atk[lo:lo + batch],
+                                      methods=methods)
         for m in methods:
             fp[m] += rows[m].false_positives
             fn[m] += rows[m].false_negatives
-        n_base += len(base)
-        n_atk += len(atk)
-    return {m: {"fpr": fp[m] / n_base, "fnr": fn[m] / n_atk,
+    n_points = n_seeds * trials
+    return {m: {"fpr": fp[m] / n_points, "fnr": fn[m] / n_points,
                 "false_positives": fp[m], "false_negatives": fn[m],
-                "baseline_points": n_base, "attack_points": n_atk}
+                "baseline_points": n_points, "attack_points": n_points}
             for m in methods}
 
 

@@ -44,7 +44,7 @@ from .checkpoint import (
 )
 from .engine import random_spec
 from .errors import UnknownTier
-from .seeding import derive_seed, random_words, sub_rng
+from .seeding import derive_seed, derive_seeds, random_words, sub_rng
 
 # --- default calibration ---------------------------------------------------
 # 192 KB of 8-byte words plus a 64-word register file, scanned 500 times in
@@ -322,14 +322,18 @@ def priced_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
 
     The timing model is content-independent, so only each trial's noise
     stream, seeded from its trial id, sets its duration: no challenge is
-    drawn and no polynomial is evaluated.
+    drawn and no polynomial is evaluated. Trial i's stream is
+    random.Random(derive_seed(master_seed, f"{scenario.name}/noise", i)); one
+    generator is reseeded per trial, which restores exactly that state
+    (gauss_next included) without building a new object.
     """
     if n_trials < 1:
         raise ValueError("need at least one trial")
-    label = f"{scenario.name}/noise"
+    noise_rng = random.Random(0)
     out = []
-    for trial_id in range(n_trials):
-        noise_rng = sub_rng(master_seed, label, trial_id)
+    for trial_id, seed in enumerate(derive_seeds(master_seed, f"{scenario.name}/noise",
+                                                 n_trials)):
+        noise_rng.seed(seed)
         duration, nmi = price(scenario, scenario.passes, noise_rng, trial_id)
         out.append((int(round(duration)), nmi))
     return out

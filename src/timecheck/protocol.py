@@ -475,13 +475,16 @@ def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
                     method: str = "percentile", **detector_kwargs) -> SessionVerdict:
     """Value check first, then the configured timing detector.
 
-    A wrong accumulator rejects unconditionally, whatever the timing says.
-    An interrupt-spoiled measurement asks for a retry. All failures are
-    verdicts, not exceptions.
+    A refusal or a status the protocol does not define rejects before the
+    value check. A wrong accumulator rejects unconditionally, whatever the
+    timing says. An interrupt-spoiled measurement asks for a retry. All
+    failures are verdicts, not exceptions.
     """
     resp = timed.response
     if resp.status in _REFUSALS:
         return SessionVerdict("REJECT", f"device refused: {_REFUSALS[resp.status]}", None)
+    if resp.status not in (STATUS_OK, STATUS_NMI_RETRY):
+        return SessionVerdict("REJECT", f"unknown status {resp.status}", None)
     if resp.accumulator != expected.accumulator:
         return SessionVerdict("REJECT", "accumulator mismatch", None)
     if resp.status == STATUS_NMI_RETRY:

@@ -16,6 +16,20 @@ def derive_seed(master: int, label: str, index: int = 0) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def derive_seeds(master: int, label: str, count: int):
+    """derive_seed(master, label, i) for i in range(count), in order.
+
+    The hash of the shared "master:label:" prefix is computed once and copied
+    for each index, so a long run of trial seeds skips the formatting and the
+    prefix hashing derive_seed repeats per call.
+    """
+    prefix = hashlib.blake2b(f"{master}:{label}:".encode(), digest_size=8)
+    for index in range(count):
+        h = prefix.copy()
+        h.update(str(index).encode())
+        yield int.from_bytes(h.digest(), "little")
+
+
 def sub_rng(master: int, label: str, index: int = 0) -> random.Random:
     return random.Random(derive_seed(master, label, index))
 

@@ -321,31 +321,37 @@ class ConfusionRow:
 def confusion_report(baseline_points, attack_points,
                      methods=("percentile", "zscore", "modz"),
                      profile: BaselineProfile = None) -> dict:
-    """Per-method FPR/FNR over labeled point sets.
+    """Per-method FPR/FNR over labeled point sets, pooled over independent runs.
+
+    Each point set is a sequence or array holding one run (1-D) or one run
+    per row (2-D); row i of the attack points belongs to the run of baseline
+    row i. The counts are pooled over the rows, so a 2-D report equals the
+    sum of its rows' 1-D reports.
 
     When no explicit profile is given, each baseline point is classified
-    leave-one-out against the remaining baseline points (the tested point
+    leave-one-out against the remaining points of its row (the tested point
     never calibrates its own band); attack points are classified against
-    the full-baseline profile.
+    their row's full-baseline profile. An explicit profile judges every point.
 
-    The leave-one-out statistics come from one batched computation: row i
-    of an n x (n-1) matrix holds the baseline without point i, in order,
-    and _row_statistics reduces every row with the arithmetic calibrate()
-    uses for that row alone. Its columns form one profile whose entry i is
-    point i's leave-one-out profile, and each method classifies all
-    baseline points against it in one array expression.
+    Every profile comes from one _row_statistics call, which reduces each row
+    with the arithmetic calibrate() uses for that row alone: one over the
+    S x n baseline rows, and one over the stacked (S*n) x (n-1) leave-one-out
+    matrix. Their columns, shaped to broadcast against the points, form the
+    profiles every method scores all points against in one array expression.
     """
-    baseline = np.asarray([float(v) for v in baseline_points])
-    attack = np.asarray([float(v) for v in attack_points])
+    baseline = np.atleast_2d(np.asarray(baseline_points, dtype=float))
+    attack = np.atleast_2d(np.asarray(attack_points, dtype=float))
+    if baseline.ndim > 2 or attack.ndim > 2 or baseline.shape[0] != attack.shape[0]:
+        raise ValueError("point sets must be 1-D, or 2-D with one row per run in both")
     if not baseline.size or not attack.size:
         raise InsufficientSamples("confusion report needs non-empty point sets")
-    full = profile if profile is not None else calibrate(baseline)
-    against = full
+    runs, n = baseline.shape
+    full = against = profile
     if profile is None:
-        n = baseline.size
-        keep = ~np.eye(n, dtype=bool)
-        loo = np.broadcast_to(baseline, (n, n))[keep].reshape(n, n - 1)
-        against = BaselineProfile((), n - 1, *_row_statistics(loo))
+        full = BaselineProfile((), n, *(column[:, np.newaxis]
+                                         for column in _row_statistics(baseline)))
+        against = BaselineProfile((), n - 1, *(column.reshape(runs, n) for column
+                                               in _row_statistics(_leave_one_out(baseline))))
     rows = {}
     for method in methods:
         score = _SCORES[method]
@@ -361,6 +367,19 @@ def confusion_report(baseline_points, attack_points,
             attack_count=attack.size,
         )
     return rows
+
+
+def _leave_one_out(rows: np.ndarray) -> np.ndarray:
+    """The (S*n) x (n-1) matrix whose row s*n + i is rows[s] without point i, in order.
+
+    It is filled in place, with no temporary of its size: entry (i, j) of a
+    run's block is point j + 1, or point j where j < i.
+    """
+    runs, n = rows.shape
+    out = np.empty((runs, n, n - 1))
+    np.copyto(out, rows[:, np.newaxis, 1:])
+    np.copyto(out, rows[:, np.newaxis, :-1], where=np.tri(n, n - 1, -1, dtype=bool))
+    return out.reshape(runs * n, n - 1)
 
 
 # --- challenge repetition policy ----------------------------------------------

@@ -13,12 +13,14 @@ from timecheck.checkpoint import MemoryImage
 from timecheck.cli import aggregate_detection, main
 from timecheck.coeffs import RandomSeeds, coefficient_at
 from timecheck.device import attack_scenario, builtin_scenario, desk_scenario, run_trials
-from timecheck.engine import collision_probe, multipass, multipass_naive, random_spec
+from timecheck.engine import multipass, multipass_naive, random_spec
 from timecheck.field import M61, FieldParams
 from timecheck.permutation import perm_new
 from timecheck.protocol import DeviceEndpoint, LoopbackChannel, issue_challenge, verify_response
 from timecheck.seeding import sub_rng
 from timecheck import stats
+
+from collision import collision_probe
 
 PRIMES = (13, 1009, M61)
 

@@ -3,11 +3,14 @@
 import dataclasses
 import hashlib
 import json
+import random
 
 import pytest
 
-from timecheck.cli import _scenario_from_args, build_parser, main
-from timecheck.device import builtin_scenario, load_scenario, save_scenario
+from timecheck import cli, stats
+from timecheck.cli import _scenario_from_args, aggregate_detection, build_parser, main
+from timecheck.device import builtin_scenario, load_scenario, price, save_scenario
+from timecheck.seeding import derive_seed
 
 
 def run(args):
@@ -190,6 +193,63 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and flag in err
         assert not out.exists()
+
+
+def _reference_durations(sc, trials, seed):
+    return [int(round(price(sc, sc.passes,
+                            random.Random(derive_seed(seed, f"{sc.name}/noise", i)), i)[0]))
+            for i in range(trials)]
+
+
+def _per_seed_detection(attack_label, n_seeds, trials, master_seed, methods):
+    """Pooled counts from one one-row confusion report per seed."""
+    base_sc = builtin_scenario(f"detector-{attack_label}-baseline")
+    atk_sc = builtin_scenario(f"detector-{attack_label}-attack")
+    fp = dict.fromkeys(methods, 0)
+    fn = dict.fromkeys(methods, 0)
+    for i in range(n_seeds):
+        seed = derive_seed(master_seed, f"detect/{attack_label}", i)
+        rows = stats.confusion_report(
+            _reference_durations(base_sc, trials, seed),
+            _reference_durations(atk_sc, trials, derive_seed(seed, "atk")), methods=methods)
+        for m in methods:
+            fp[m] += rows[m].false_positives
+            fn[m] += rows[m].false_negatives
+    points = n_seeds * trials
+    return {m: {"fpr": fp[m] / points, "fnr": fn[m] / points,
+                "false_positives": fp[m], "false_negatives": fn[m],
+                "baseline_points": points, "attack_points": points}
+            for m in methods}
+
+
+class TestAggregateDetection:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """The number of seeds in each confusion_report call, in call order."""
+        sizes = []
+        report = stats.confusion_report
+
+        def counting_report(base, atk, **kwargs):
+            sizes.append(len(base))
+            return report(base, atk, **kwargs)
+
+        monkeypatch.setattr(stats, "confusion_report", counting_report)
+        return sizes
+
+    @pytest.mark.parametrize("attack_label", ["dram", "iomem"])
+    def test_batches_equal_per_seed_loop(self, batches, attack_label):
+        # 40 seeds x 50 x 49 leave-one-out values: batches of 26 and 14 seeds
+        methods = ("percentile", "zscore", "modz", "chebyshev")
+        got = aggregate_detection(attack_label, 40, 50, 11, methods=methods)
+        assert batches == [26, 14]
+        assert got == _per_seed_detection(attack_label, 40, 50, 11, methods)
+
+    def test_one_seed_per_batch_past_the_budget(self, batches, monkeypatch):
+        monkeypatch.setattr(cli, "LOO_BATCH_VALUES", 100)
+        got = aggregate_detection("iomem", 3, 12, 5)
+        assert batches == [1, 1, 1]
+        assert got == _per_seed_detection("iomem", 3, 12, 5,
+                                          ("percentile", "zscore", "modz"))
 
 
 class TestScenarioFromArgs:

@@ -4,6 +4,8 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecheck.checkpoint import MemoryImage
 from timecheck.device import (
@@ -18,6 +20,7 @@ from timecheck.device import (
     default_tiers,
     desk_scenario,
     full_memory_scenario,
+    list_scenarios,
     load_scenario,
     make_device_state,
     measurements_to_csv,
@@ -32,6 +35,7 @@ from timecheck.device import (
 from timecheck.engine import multipass, random_spec
 from timecheck.errors import UnknownTier
 from timecheck.protocol import ChallengeMessage, DeviceEndpoint, FrameDecoder
+from timecheck.seeding import derive_seed
 
 
 class TestTiers:
@@ -176,6 +180,25 @@ class TestRunTrials:
                                             drift_us_per_trial=7.5))
         ms = run_trials(spiky, 40, 9)
         assert [(m.duration_us, m.nmi) for m in ms] == priced_trials(spiky, 40, 9)
+
+    # every builtin, plus gaussian noise with drift and interrupt spikes: a
+    # gaussian draw caches a second normal that reseeding must discard
+    PRICED_SCENARIOS = [builtin_scenario(name) for name in list_scenarios()] + [
+        replace(builtin_scenario("sram-dram"), name="gauss-drift-nmi",
+                noise=NoiseModel("gaussian", sigma=150.0, drift="linear",
+                                 drift_us_per_trial=3.25, nmi_prob=0.25)),
+    ]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(-2**63, 2**64), st.integers(1, 12))
+    def test_priced_trials_equal_fresh_stream_per_trial(self, master, n):
+        for sc in self.PRICED_SCENARIOS:
+            want = []
+            for i in range(n):
+                rng = random.Random(derive_seed(master, f"{sc.name}/noise", i))
+                duration, nmi = price(sc, sc.passes, rng, i)
+                want.append((int(round(duration)), nmi))
+            assert priced_trials(sc, n, master) == want, sc.name
 
     def test_baseline_mean_matches_calibration(self):
         sc = builtin_scenario("sram-baseline")

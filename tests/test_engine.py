@@ -11,7 +11,6 @@ from timecheck.checkpoint import MemoryImage
 from timecheck.coeffs import RandomSeeds, coefficient_at
 from timecheck.engine import (
     ChallengeSpec,
-    collision_probe,
     multipass,
     multipass_naive,
     random_spec,
@@ -19,6 +18,8 @@ from timecheck.engine import (
 from timecheck.errors import PermutationDomainMismatch, SpecOutOfField
 from timecheck.field import M61, FieldParams, horner_step
 from timecheck.permutation import IdentityPermutation
+
+from collision import collision_probe
 
 PRIMES = (13, 1009, M61)
 

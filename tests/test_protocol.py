@@ -260,6 +260,21 @@ class TestHostileStubs:
         verdict = self._session(DeviceEndpoint(self.sc, master_seed=19))
         assert verdict.outcome == "ACCEPT"
 
+    def test_unknown_status_rejected(self):
+        # the right accumulator at a normal time, under a status the protocol
+        # does not define: the decoder passes any u8 through
+        ep = DeviceEndpoint(self.sc, master_seed=19)
+        chan = LoopbackChannel(ep, jitter_us=0.4, jitter_seed=13)
+        spec = fresh_spec(self.rng, self.sc)
+        timed = issue_challenge(chan, spec, rng=self.rng)
+        expected = DeviceEndpoint(self.sc, master_seed=14).expected_result(spec)
+        assert verify_response(expected, timed, self.profile).outcome == "ACCEPT"
+        odd = replace(timed, response=replace(timed.response, status=200))
+        verdict = verify_response(expected, odd, self.profile)
+        assert verdict.outcome == "REJECT"
+        assert verdict.reason == "unknown status 200"
+        assert verdict.detector is None
+
     def test_value_check_precedes_timing(self):
         # wrong value at a perfectly normal time: REJECT for the value
         ep = DeviceEndpoint(self.sc, master_seed=20, behavior="wrong_result")

@@ -16,6 +16,7 @@ from timecheck.stats import (
     _SCORES,
     DETECTORS,
     BaselineProfile,
+    ConfusionRow,
     _row_statistics,
     calibrate,
     calibrate_rows,
@@ -333,7 +334,54 @@ class TestDetectors:
             detect("magic", calibrate([1.0, 2.0]), 1.0)
 
 
+@st.composite
+def paired_runs(draw):
+    """1-5 runs of equal-length baseline and attack rows; some rows constant or nearly so."""
+    n = draw(st.integers(3, 30))
+    m = draw(st.integers(1, 10))
+    row = st.one_of([quantized_samples(min_size=n, max_size=n)] * 6 + [
+        st.lists(st.sampled_from((5e8, 5e8 + 131.0)), min_size=n, max_size=n)])
+    return draw(st.lists(st.tuples(row, quantized_samples(min_size=m, max_size=m)),
+                         min_size=1, max_size=5))
+
+
+ALL_METHODS = tuple(_SCORES)
+
+
 class TestConfusionReport:
+    @settings(max_examples=150, deadline=None)
+    @given(paired_runs())
+    def test_rows_pool_their_one_row_reports(self, runs):
+        got = _error_or(lambda: confusion_report(np.array([b for b, _ in runs]),
+                                                 np.array([a for _, a in runs]),
+                                                 methods=ALL_METHODS))
+        per_row = [_error_or(lambda: confusion_report(b, a, methods=ALL_METHODS))
+                   for b, a in runs]
+        errors = [r for r in per_row if not isinstance(r, dict)]
+        if errors:
+            assert got == errors[0]
+            return
+        for method in ALL_METHODS:
+            rows = [r[method] for r in per_row]
+            fp = sum(r.false_positives for r in rows)
+            misses = sum(r.false_negatives for r in rows)
+            n_base = sum(r.baseline_count for r in rows)
+            n_atk = sum(r.attack_count for r in rows)
+            assert got[method] == ConfusionRow(method, fp / n_base, misses / n_atk,
+                                               fp, n_base, misses, n_atk)
+
+    def test_one_degenerate_row_raises_for_all(self):
+        rng = random.Random(15)
+        base = [[rng.gauss(100.0, 5.0) for _ in range(20)] for _ in range(3)]
+        base[1] = [100.0] * 19 + [104.0]  # leaving out 104 leaves a constant row
+        attack = [[130.0]] * 3
+        with pytest.raises(DegenerateSeries, match="z-score needs nonzero baseline spread"):
+            confusion_report(base, attack, methods=("percentile", "zscore"))
+
+    def test_row_counts_must_match(self):
+        with pytest.raises(ValueError):
+            confusion_report(np.ones((3, 5)), np.ones((2, 4)))
+
     def test_perfect_separation(self):
         rng = random.Random(12)
         base = [rng.uniform(-100, 100) for _ in range(50)]
