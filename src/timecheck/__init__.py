@@ -13,7 +13,6 @@ from .checkpoint import (
     checkpoint_record,
     checkpoint_replay,
     entropy_report,
-    fill_slack,
     load_checkpoint,
     save_checkpoint,
 )
@@ -37,7 +36,7 @@ from .engine import (
     random_spec,
 )
 from .field import M61, FieldParams, horner_step, is_prime
-from .permutation import IdentityPermutation, PermutationGenerator, perm_new
+from .permutation import IdentityPermutation, PermutationGenerator
 from .stats import (
     BaselineProfile,
     Verdict,
@@ -48,7 +47,6 @@ from .stats import (
     detect_percentile,
     detect_zscore,
     ks_test,
-    repeat_policy,
     serial_correlation,
     t_test,
 )

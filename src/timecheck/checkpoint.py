@@ -1,9 +1,7 @@
 """Capture, store, restore, and sanity-check challenged memory snapshots.
 
 A checkpoint freezes the word array under challenge plus a small modeled
-register file. Replay restores both bit-exactly and clears every other
-piece of simulated volatile state, so the device afterwards retains no
-memory of anything that ran before the checkpoint.
+register file. Replay restores both bit-exactly.
 
 Checkpoint file format (little-endian, versioned, bit-exact):
 
@@ -21,19 +19,12 @@ an optional JSON sidecar next to the binary file.
 
 import json
 import math
-import random
 import struct
 import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import (
-    NotQuiesced,
-    RangeOutOfBounds,
-    RangeOverlap,
-    SizeMismatch,
-    VersionMismatch,
-)
+from .errors import NotQuiesced, SizeMismatch, VersionMismatch
 
 MAGIC = b"TCCK"
 FORMAT_VERSION = 1
@@ -96,12 +87,7 @@ def checkpoint_record(state) -> Checkpoint:
 
 
 def checkpoint_replay(cp: Checkpoint, state):
-    """Restore image and register file to the recorded values, bit-exactly.
-
-    All other simulated volatile state is reset (adversary residue excepted:
-    persistent malware surviving a replay is exactly what the timing
-    challenge exists to expose).
-    """
+    """Restore image and register file to the recorded values, bit-exactly."""
     if cp.format_version not in SUPPORTED_VERSIONS:
         raise VersionMismatch(f"checkpoint format_version {cp.format_version} unsupported")
     if len(state.image.words) != cp.image.word_count:
@@ -116,9 +102,6 @@ def checkpoint_replay(cp: Checkpoint, state):
         )
     state.image.words[:] = cp.image.words
     state.registers[:] = cp.register_file
-    reset = getattr(state, "reset_volatile", None)
-    if reset is not None:
-        reset()
     return state
 
 
@@ -202,8 +185,7 @@ def entropy_report(image: MemoryImage, block_bytes: int = 4096, threshold: float
     """Byte-histogram Shannon entropy (bits/byte) per fixed-size block.
 
     The last block may be partial. Entropy is permutation-invariant within a
-    block and bounded in [0, 8]; deployers use the low-entropy fraction to
-    decide where slack filling is needed.
+    block and bounded in [0, 8].
     """
     if block_bytes < 1:
         raise ValueError("block size must be positive")
@@ -216,26 +198,3 @@ def entropy_report(image: MemoryImage, block_bytes: int = 4096, threshold: float
         h = -sum((c / n) * math.log2(c / n) for c in counts.values())
         report.block_entropies.append(h)
     return report
-
-
-def fill_slack(image: MemoryImage, slack_ranges, rng_seed: int) -> MemoryImage:
-    """Copy of the image with the given word ranges filled by seeded random words.
-
-    Ranges are half-open (start, stop) word intervals; they must lie inside
-    the image and must not overlap. Deterministic for a fixed rng_seed.
-    """
-    d = image.word_count
-    ranges = sorted((int(a), int(b)) for a, b in slack_ranges)
-    prev_stop = None
-    for start, stop in ranges:
-        if start < 0 or stop > d or start > stop:
-            raise RangeOutOfBounds(f"range ({start}, {stop}) outside image of {d} words")
-        if prev_stop is not None and start < prev_stop:
-            raise RangeOverlap(f"range ({start}, {stop}) overlaps previous range")
-        prev_stop = stop
-    rng = random.Random(rng_seed)
-    words = list(image.words)
-    for start, stop in ranges:
-        for i in range(start, stop):
-            words[i] = rng.getrandbits(64)
-    return MemoryImage(words, image.region_id)

@@ -31,7 +31,7 @@ import functools
 import json
 import math
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .checkpoint import (
     scan_words,
 )
 from .engine import random_spec
-from .errors import UnknownTier
+from .errors import TimecheckError, UnknownTier
 from .seeding import derive_seed, derive_seeds, random_words, sub_rng
 
 # --- default calibration ---------------------------------------------------
@@ -191,16 +191,12 @@ class Measurement:
 
 
 class DeviceState:
-    """Live, mutable device: challenged words, register file, volatile residue."""
+    """Live, mutable device: challenged words and register file."""
 
     def __init__(self, image: MemoryImage, registers, quiesced: bool = True):
         self.image = image
         self.registers = list(registers)
         self.quiesced = quiesced
-        self.scratch = {}  # simulated volatile state, cleared by replay
-
-    def reset_volatile(self):
-        self.scratch.clear()
 
 
 def make_device_state(image_seed: int, image_words: int, region_id: str = "sram",
@@ -498,91 +494,50 @@ def attack_scenario(base: Scenario, kind: str) -> Scenario:
 # --- scenario JSON ----------------------------------------------------------
 
 def scenario_to_json(scenario: Scenario) -> dict:
-    return {
-        "name": scenario.name,
-        "region_id": scenario.region_id,
-        "image_words": scenario.image_words,
-        "register_count": scenario.register_count,
-        "timing_words": scenario.timing_words,
-        "passes": scenario.passes,
-        "prime": scenario.prime,
-        "k": scenario.k,
-        "tiers": {n: {"per_word_cost": t.per_word_cost,
-                      "per_op_fixed_cost": t.per_op_fixed_cost}
-                  for n, t in sorted(scenario.tiers.items())},
-        "scan_us_per_word": scenario.scan_us_per_word,
-        "compute_us_per_word": scenario.compute_us_per_word,
-        "noise": {
-            "kind": scenario.noise.kind,
-            "sigma": scenario.noise.sigma,
-            "width": scenario.noise.width,
-            "values": list(scenario.noise.values),
-            "drift": scenario.noise.drift,
-            "drift_us_per_trial": scenario.noise.drift_us_per_trial,
-            "drift_step_at": scenario.noise.drift_step_at,
-            "drift_step_us": scenario.noise.drift_step_us,
-            "nmi_prob": scenario.noise.nmi_prob,
-            "nmi_us": scenario.noise.nmi_us,
-        },
-        "adversary": {
-            "kind": scenario.adversary.kind,
-            "words_per_pass": scenario.adversary.words_per_pass,
-            "trigger_index": scenario.adversary.trigger_index,
-            "payload_bytes": scenario.adversary.payload_bytes,
-        },
-        "trials": scenario.trials,
-        "image_seed": scenario.image_seed,
-    }
+    """Every field of the scenario in field order, with the tiers sorted by name."""
+    doc = asdict(scenario)
+    doc["tiers"] = {n: {k: v for k, v in t.items() if k != "name"}
+                    for n, t in sorted(doc["tiers"].items())}
+    doc["noise"]["values"] = list(doc["noise"]["values"])
+    return doc
+
+
+def _known(cls, doc, where: str, *given):
+    """doc, once each of its keys names a field of cls that the caller has not given."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    unknown = set(doc) - ({f.name for f in fields(cls)} - set(given))
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
+    return doc
 
 
 def scenario_from_json(doc: dict) -> Scenario:
+    """The inverse of scenario_to_json; an omitted key takes its dataclass default.
+
+    A key that names no field, at any level, raises ValueError: a typo must
+    not fall back to the default unnoticed.
+    """
+    doc = dict(_known(Scenario, doc, "scenario"))
     if "tiers" in doc:
-        tiers = {n: TierModel(n, t["per_word_cost"], t.get("per_op_fixed_cost", 0.0))
-                 for n, t in doc["tiers"].items()}
-    else:
-        tiers = default_tiers()
-    noise_doc = doc.get("noise", {})
-    noise = NoiseModel(
-        kind=noise_doc.get("kind", "gaussian"),
-        sigma=noise_doc.get("sigma", 185.0),
-        width=noise_doc.get("width", 320.0),
-        values=tuple(noise_doc.get("values", ())),
-        drift=noise_doc.get("drift", "none"),
-        drift_us_per_trial=noise_doc.get("drift_us_per_trial", 0.0),
-        drift_step_at=noise_doc.get("drift_step_at", 0),
-        drift_step_us=noise_doc.get("drift_step_us", 0.0),
-        nmi_prob=noise_doc.get("nmi_prob", 0.0),
-        nmi_us=noise_doc.get("nmi_us", 50_000.0),
-    )
-    adv_doc = doc.get("adversary", {})
-    adversary = AdversaryConfig(
-        kind=adv_doc.get("kind", "none"),
-        words_per_pass=adv_doc.get("words_per_pass", 1),
-        trigger_index=adv_doc.get("trigger_index", 100),
-        payload_bytes=adv_doc.get("payload_bytes", MMC_PAYLOAD_BYTES),
-    )
-    return Scenario(
-        name=doc["name"],
-        region_id=doc.get("region_id", "sram"),
-        image_words=doc.get("image_words", SRAM_IMAGE_WORDS),
-        register_count=doc.get("register_count", SRAM_REGISTER_WORDS),
-        timing_words=doc.get("timing_words"),
-        passes=doc.get("passes", SRAM_PASSES),
-        prime=doc.get("prime", (1 << 61) - 1),
-        k=doc.get("k", 4),
-        tiers=tiers,
-        scan_us_per_word=doc.get("scan_us_per_word"),
-        compute_us_per_word=doc.get("compute_us_per_word", 0.0),
-        noise=noise,
-        adversary=adversary,
-        trials=doc.get("trials", 50),
-        image_seed=doc.get("image_seed", 7),
-    )
+        doc["tiers"] = {n: TierModel(n, **_known(TierModel, t, f"tiers.{n}", "name"))
+                        for n, t in doc["tiers"].items()}
+    if "noise" in doc:
+        noise = _known(NoiseModel, doc["noise"], "noise")
+        doc["noise"] = NoiseModel(**{**noise, "values": tuple(noise.get("values", ()))})
+    if "adversary" in doc:
+        doc["adversary"] = AdversaryConfig(**_known(AdversaryConfig, doc["adversary"],
+                                                    "adversary"))
+    return Scenario(**doc)
 
 
 def load_scenario(path) -> Scenario:
+    """The scenario in a JSON file; a file that does not describe one raises TimecheckError."""
     with open(path) as fh:
-        return scenario_from_json(json.load(fh))
+        try:
+            return scenario_from_json(json.load(fh))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise TimecheckError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def save_scenario(scenario: Scenario, path):

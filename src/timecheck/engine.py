@@ -70,7 +70,7 @@ from .checkpoint import MemoryImage
 from .coeffs import RandomSeeds
 from .errors import PermutationDomainMismatch, SpecOutOfField
 from .field import M61, FieldParams, m61_add, m61_canon, m61_fold, m61_mul, m61_muladd_small
-from .permutation import perm_new
+from .permutation import PermutationGenerator
 
 # Words per tile in multipass_m61: 32 KB uint64 tiles keep every buffer in
 # cache. The float64 limb dot products stay exact for tiles up to 2^16 words.
@@ -156,7 +156,7 @@ def multipass(image: MemoryImage, spec: ChallengeSpec, perm=None) -> ChallengeRe
     """
     d = _check_shape(image, spec, perm)
     if perm is None:
-        perm = perm_new(d, spec.perm_seed)
+        perm = PermutationGenerator(d, spec.perm_seed)
     # Hot loop: bind everything to locals. Everything held here is O(k):
     # accumulator, counters, the seed tuple, one coefficient.
     words = image.words
@@ -190,7 +190,7 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
     if d > 1 << 16:
         raise ValueError("naive oracle capped at 2^16 words")
     if perm is None:
-        perm = perm_new(d, spec.perm_seed)
+        perm = PermutationGenerator(d, spec.perm_seed)
     p = spec.params.p
     x = spec.params.x
     r = spec.seeds.r
@@ -241,7 +241,7 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     the simulated device's handle_challenge for the same challenge, and
     bound the cache at 2 * 8d bytes.
     """
-    pi = perm_new(d, perm_seed).indices()
+    pi = PermutationGenerator(d, perm_seed).indices()
     s = ((d - 1).bit_length() + 1) // 2
     low = _geometric_m61(x, 1 << s)
     high = _geometric_m61(pow(x, 1 << s, M61), ((d - 1) >> s) + 1)

@@ -43,14 +43,6 @@ class SizeMismatch(TimecheckError):
     """Live region and checkpoint disagree on word count."""
 
 
-class RangeOverlap(TimecheckError):
-    """Slack ranges overlap."""
-
-
-class RangeOutOfBounds(TimecheckError):
-    """Slack range outside the image."""
-
-
 # challenge engine
 
 class SpecOutOfField(TimecheckError):
@@ -75,10 +67,6 @@ class InsufficientSamples(TimecheckError):
 
 class DegenerateSeries(TimecheckError):
     """Statistic undefined: zero variance / zero MAD series."""
-
-
-class MaxTrialsExceeded(TimecheckError):
-    """repeat_policy hit its trial cap before reaching the target confidence."""
 
 
 # protocol

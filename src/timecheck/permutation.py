@@ -202,8 +202,3 @@ class IdentityPermutation:
 
     def invert(self, j: int) -> int:
         return self.get(j)
-
-
-def perm_new(n: int, seed: int, rounds: int = DEFAULT_ROUNDS) -> PermutationGenerator:
-    """Build a keyed permutation generator over [0, n)."""
-    return PermutationGenerator(n, seed, rounds)

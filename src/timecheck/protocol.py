@@ -67,6 +67,12 @@ _U64 = struct.Struct("<Q")
 CONN_TIMEOUT_S = 10.0
 # How often the device server's accept loop checks whether it was closed.
 ACCEPT_POLL_S = 0.1
+# The largest challenge a device evaluates: k seed values, and passes * d
+# scanned words (2^25 is 2.7x the paper's 500-pass SRAM scan of 12.3 M words).
+# One frame can carry k up to 65,535 and passes up to 2^32-1, enough to stall
+# the serialized server for days or exhaust its memory.
+MAX_K = 64
+MAX_SCAN_WORDS = 1 << 25
 
 log = logging.getLogger(__name__)
 
@@ -236,9 +242,10 @@ class DeviceEndpoint:
       stale_session  replays the previous session id in its response
       delayed        honest value, extra_delay_us slower
 
-    A challenge for another region, or one whose evaluation raises a
-    TimecheckError (say a prime too small for the image), is answered at once
-    with a refusal status and no RESTORED frame; the refusal is logged.
+    A challenge for another region, one over MAX_K or MAX_SCAN_WORDS, or one
+    whose evaluation raises a TimecheckError (say a prime too small for the
+    image), is answered at once with a refusal status and no RESTORED frame;
+    a refusal for any reason but the region is logged.
     """
 
     def __init__(self, scenario: Scenario, master_seed: int = 0,
@@ -261,18 +268,20 @@ class DeviceEndpoint:
     def handle_challenge(self, msg: ChallengeMessage):
         """-> [(delay_us, reply_frame), ...] with simulated on-device delays."""
         scenario = self.scenario
-        if msg.spec.region_id != scenario.region_id:
+        spec = msg.spec
+        if spec.region_id != scenario.region_id:
             reply = ResponseMessage(msg.session_id, 0, STATUS_REGION_MISMATCH)
             return [(0.0, encode_response(reply))]
+        scanned = spec.passes * self.snapshot.scan.size
+        if spec.seeds.k > MAX_K or scanned > MAX_SCAN_WORDS:
+            return self._refuse(msg, f"k={spec.seeds.k} and {scanned} scanned words exceed "
+                                     f"the budget of {MAX_K} and {MAX_SCAN_WORDS}")
 
         checkpoint_replay(self.checkpoint, self.state)
         try:
-            result = evaluate(self.snapshot.scan, msg.spec)
+            result = evaluate(self.snapshot.scan, spec)
         except TimecheckError as exc:
-            log.warning("device refused session %#x: %s: %s",
-                        msg.session_id, type(exc).__name__, exc)
-            reply = ResponseMessage(msg.session_id, 0, STATUS_REFUSED)
-            return [(0.0, encode_response(reply))]
+            return self._refuse(msg, f"{type(exc).__name__}: {exc}")
         restored = encode_restored(RestoredMessage(msg.session_id))
 
         # price the challenge actually received; the session index drives drift
@@ -297,6 +306,11 @@ class DeviceEndpoint:
         # delays leave the device at the timer's microsecond granularity
         return [(int(round(self.restore_us)), restored),
                 (max(0, int(round(duration))), encode_response(reply))]
+
+    @staticmethod
+    def _refuse(msg: ChallengeMessage, reason: str):
+        log.warning("device refused session %#x: %s", msg.session_id, reason)
+        return [(0.0, encode_response(ResponseMessage(msg.session_id, 0, STATUS_REFUSED)))]
 
     def expected_result(self, spec: ChallengeSpec) -> ChallengeResult:
         """What an honest scan of the (public) checkpoint must produce."""
@@ -375,10 +389,10 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     (1.0 = real time, 0.0 = respond immediately). Returns (server_socket,
     thread); close the socket to stop: the thread ends within ACCEPT_POLL_S,
     or once the connection it serves ends. Sessions are strictly serialized. A
-    challenge the device cannot evaluate is refused with STATUS_REFUSED and
-    logged, and its connection stays open. A connection whose bytes cannot be
-    served (bad framing, no bytes for CONN_TIMEOUT_S) is logged and closed;
-    the server keeps going.
+    challenge the device cannot or will not evaluate is refused with
+    STATUS_REFUSED and logged, and its connection stays open. Any other error
+    while serving a connection (bad framing, no bytes for CONN_TIMEOUT_S) is
+    logged and closes only that connection; the server keeps going.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -415,7 +429,9 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
                 except (TimecheckError, OSError) as exc:
                     log.warning("device server: dropped connection: %s: %s",
                                 type(exc).__name__, exc)
-                    continue
+                except Exception:
+                    # a defect, not a hostile peer: keep serving, keep the traceback
+                    log.exception("device server: dropped connection")
 
     thread = threading.Thread(target=run, daemon=True)
     thread.start()

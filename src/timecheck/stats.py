@@ -2,9 +2,7 @@
 
 Calibration turns a batch of timed trials into a BaselineProfile holding
 location, spread, and tail statistics. Detectors classify a single timing
-against that profile; distribution tests compare whole batches; the repeat
-policy drives per-session confidence to an arbitrary target by issuing
-independent challenges.
+against that profile; distribution tests compare whole batches.
 
 Everything here is pure over immutable inputs and safe for concurrent use.
 """
@@ -15,11 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import (
-    DegenerateSeries,
-    InsufficientSamples,
-    MaxTrialsExceeded,
-)
+from .errors import DegenerateSeries, InsufficientSamples
 
 # Normal-consistency constant for the modified z-score (Iglewicz & Hoaglin):
 # for gaussian data, 0.6745 * dev / MAD estimates the ordinary z.
@@ -380,55 +374,3 @@ def _leave_one_out(rows: np.ndarray) -> np.ndarray:
     np.copyto(out, rows[:, np.newaxis, 1:])
     np.copyto(out, rows[:, np.newaxis, :-1], where=np.tri(n, n - 1, -1, dtype=bool))
     return out.reshape(runs * n, n - 1)
-
-
-# --- challenge repetition policy ----------------------------------------------
-
-@dataclass(frozen=True)
-class RepeatDecision:
-    accepted: bool
-    trials: int
-    nmi_retries: int
-    residual_miss: float
-    verdicts: tuple
-
-
-def repeat_policy(profile: BaselineProfile, challenger, target_confidence: float,
-                  per_trial_miss: float = 0.1, method: str = "percentile",
-                  max_trials: int = 32, max_nmi_retries: int = 8) -> RepeatDecision:
-    """Issue independent challenges until the residual miss probability is low.
-
-    target_confidence is the residual false-negative probability to reach:
-    with per-trial miss probability m, t clean trials leave m^t. A flagged
-    trial rejects immediately. Trials that report an interrupt spike are
-    invalid measurements and are retried without counting.
-    """
-    if not 0.0 < target_confidence < 1.0:
-        raise ValueError("target_confidence must be in (0, 1)")
-    if not 0.0 < per_trial_miss < 1.0:
-        raise ValueError("per_trial_miss must be in (0, 1)")
-    fn = DETECTORS[method]
-    verdicts = []
-    residual = 1.0
-    trials = 0
-    nmi_retries = 0
-    while trials < max_trials:
-        out = challenger()
-        duration = getattr(out, "duration_us", out)
-        if getattr(out, "nmi", False):
-            nmi_retries += 1
-            if nmi_retries > max_nmi_retries:
-                raise MaxTrialsExceeded(f"{nmi_retries} interrupt-spoiled trials")
-            continue
-        trials += 1
-        verdict = fn(profile, float(duration))
-        verdicts.append(verdict)
-        if verdict.flagged:
-            return RepeatDecision(False, trials, nmi_retries, residual, tuple(verdicts))
-        residual *= per_trial_miss
-        # tolerate float dust so e.g. 0.1^3 meets a 1e-3 target exactly
-        if residual <= target_confidence * (1.0 + 1e-9):
-            return RepeatDecision(True, trials, nmi_retries, residual, tuple(verdicts))
-    raise MaxTrialsExceeded(
-        f"no decision after {max_trials} trials (residual {residual:.3g})"
-    )

@@ -4,7 +4,7 @@ import random
 
 from timecheck.checkpoint import MemoryImage
 from timecheck.engine import ChallengeSpec, multipass
-from timecheck.permutation import perm_new
+from timecheck.permutation import PermutationGenerator
 
 
 def collision_probe(spec: ChallengeSpec, word_count: int, trials: int,
@@ -19,7 +19,7 @@ def collision_probe(spec: ChallengeSpec, word_count: int, trials: int,
     if spec.params.p > 1 << 16:
         raise ValueError("collision probe meant for small primes (p <= 2^16)")
     rng = random.Random(rng_seed)
-    perm = perm_new(word_count, spec.perm_seed)
+    perm = PermutationGenerator(word_count, spec.perm_seed)
     collisions = 0
     for _ in range(trials):
         a = [rng.getrandbits(64) for _ in range(word_count)]

@@ -15,7 +15,7 @@ from timecheck.coeffs import RandomSeeds, coefficient_at
 from timecheck.device import attack_scenario, builtin_scenario, desk_scenario, run_trials
 from timecheck.engine import multipass, multipass_naive, random_spec
 from timecheck.field import M61, FieldParams
-from timecheck.permutation import perm_new
+from timecheck.permutation import PermutationGenerator
 from timecheck.protocol import DeviceEndpoint, LoopbackChannel, issue_challenge, verify_response
 from timecheck.seeding import sub_rng
 from timecheck import stats
@@ -96,7 +96,7 @@ def test_c04_permutation_bijectivity():
     seeds = (101, 202, 303)
     for n in sizes:
         for seed in seeds:
-            g = perm_new(n, seed)
+            g = PermutationGenerator(n, seed)
             hit = bytearray(n)
             for i in range(n):
                 j = g.get(i)

@@ -296,3 +296,18 @@ def test_config_file_overrides_scenario(tmp_path, capsys):
     assert run(["calibrate", "--config", cfg, "--trials", 20,
                 "--out", tmp_path]) == 0
     assert (tmp_path / "desk-small-profile.json").exists()
+
+
+@pytest.mark.parametrize("text, needle", [
+    ('{"name": "x", "passess": 3}', "passess"),
+    ('{"passes": 3}', "name"),
+    ('{"name": "x", "noise": {"kind": "weird"}}', "weird"),
+    ('{"name": "x",', "JSONDecodeError"),
+])
+def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(text)
+    assert run(["calibrate", "--config", cfg, "--trials", 5, "--out", tmp_path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and needle in err
+    assert not list(tmp_path.glob("*-profile.json"))

@@ -1,5 +1,7 @@
 """Tests for the device timing simulator."""
 
+import hashlib
+import json
 import random
 from dataclasses import replace
 
@@ -33,9 +35,23 @@ from timecheck.device import (
     validate_tiers,
 )
 from timecheck.engine import multipass, random_spec
-from timecheck.errors import UnknownTier
+from timecheck.errors import TimecheckError, UnknownTier
 from timecheck.protocol import ChallengeMessage, DeviceEndpoint, FrameDecoder
 from timecheck.seeding import derive_seed
+
+# sha256 of json.dumps(scenario_to_json(builtin_scenario(name)), indent=2)
+BUILTIN_JSON_SHA256 = {
+    "sram-baseline": "1fc0abb532a7cf524f35e6a1eda77615ed653eaba1db3c5dbb79816c90f10ca9",
+    "sram-dram": "ce83089aa173c7801c17b3c135acd8e92df1fa302f4e96fbe855b51d83f3f37e",
+    "sram-iomem": "773a020e9708e84b137f9b06d0c482a78be90687ff94d1daf8ef8d2d382fac99",
+    "detector-dram-baseline": "2edc2a3d13e4cbc41736ad7583353c3030936895edd3b5f03a0a0f26c1e175b7",
+    "detector-dram-attack": "56c2615ba3a34f92a49780a13d590a3169d5e02188c6f5db43a5352f7621ef53",
+    "detector-iomem-baseline": "3bf9a5dbbe9fb9d83eff78b0a5329433f87fa76707c671b5a131873ad2682212",
+    "detector-iomem-attack": "d3571fea8c2908e64c385722a813e0efbe092876951986c8bf22d836f0eea418",
+    "full-baseline": "91da7ed96d0d83ea396cafb505fde1326343798fab45371d3a393829ec795240",
+    "full-mmc": "b0434456b6090114269b01407e74955f2b426d379033dc146510bee33707bcef",
+    "desk-small": "a4f5811105f0b4b42017c6972419172ffc000b10530c20176373db38f0b62ff2",
+}
 
 
 class TestTiers:
@@ -292,6 +308,39 @@ class TestScenarios:
         assert sc.passes == 500 and sc.region_id == "sram"
         assert scenario_to_json(sc)["prime"] == (1 << 61) - 1
 
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_builtin_json_bytes_pinned(self, name):
+        # key order and number formatting are part of the file format
+        text = json.dumps(scenario_to_json(builtin_scenario(name)), indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_JSON_SHA256[name]
+        assert scenario_from_json(json.loads(text)) == builtin_scenario(name)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"name": "x", "passess": 3}, "passess"),
+        ({"name": "x", "noise": {"kind": "uniform", "widht": 9.0}}, "widht"),
+        ({"name": "x", "adversary": {"kind": "dram_swap", "word_per_pass": 2}}, "word_per_pass"),
+        ({"name": "x", "tiers": {"sram": {"per_word_cost": 0.5, "fixed": 1.0}}}, "fixed"),
+        ({"name": "x", "tiers": {"sram": {"per_word_cost": 0.5, "name": "dram"}}}, "name"),
+    ])
+    def test_json_unknown_key_rejected(self, doc, key):
+        with pytest.raises(ValueError, match=key):
+            scenario_from_json(doc)
+
+    @pytest.mark.parametrize("text", [
+        '{"name": "x", "passess": 3}',
+        '{"passes": 3}',
+        '{"name": "x", "noise": {"kind": "weird"}}',
+        '{"name": "x", "tiers": {"dram": {"per_word_cost": 4.0}}}',
+        '{"name": "x", "tiers": []}',
+        '["name"]',
+        '{"name": "x",',
+    ])
+    def test_load_scenario_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(TimecheckError, match="bad.json"):
+            load_scenario(path)
+
     def test_desk_scenario_shape(self):
         sc = desk_scenario()
         assert sc.timing_words == 2048
@@ -309,13 +358,6 @@ class TestCsvExport:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "sram-baseline"
         assert int(first[2]) > 0 and len(first[3]) == 32
-
-
-def test_device_state_volatile_reset():
-    st = make_device_state(0, 16)
-    st.scratch["x"] = 1
-    st.reset_volatile()
-    assert st.scratch == {}
 
 
 def test_noise_model_validation():

@@ -60,8 +60,8 @@ class TestMultipass:
         words = [rng.getrandbits(64) for _ in range(d)]
         spec = spec_for(p, x, [0], perm_seed=4)
         res = multipass(MemoryImage(words), spec)
-        from timecheck.permutation import perm_new
-        g = perm_new(d, 4)
+        from timecheck.permutation import PermutationGenerator
+        g = PermutationGenerator(d, 4)
         acc = 0
         for i in range(d - 1, -1, -1):
             acc = horner_step(acc, x, words[g.get(i)] % p, p)
@@ -72,8 +72,8 @@ class TestMultipass:
         words = [rng.getrandbits(64) for _ in range(8)]
         spec = spec_for(M61, 0, [3, 1], perm_seed=2)
         res = multipass(MemoryImage(words), spec)
-        from timecheck.permutation import perm_new
-        g = perm_new(8, 2)
+        from timecheck.permutation import PermutationGenerator
+        g = PermutationGenerator(8, 2)
         last_idx = g.get(0)  # rank 0 is scanned last
         s = coefficient_at(spec.seeds, last_idx)
         assert res.accumulator == (words[last_idx] ^ s) % M61

@@ -5,11 +5,11 @@ import random
 import pytest
 
 from timecheck.errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
-from timecheck.permutation import _WALK_CAP, IdentityPermutation, PermutationGenerator, perm_new
+from timecheck.permutation import _WALK_CAP, IdentityPermutation, PermutationGenerator
 
 
 def assert_bijective(n, seed, rounds=4):
-    g = perm_new(n, seed, rounds)
+    g = PermutationGenerator(n, seed, rounds)
     seen = set()
     for i in range(n):
         j = g.get(i)
@@ -20,20 +20,20 @@ def assert_bijective(n, seed, rounds=4):
 
 
 def test_singleton_domain():
-    g = perm_new(1, 777)
+    g = PermutationGenerator(1, 777)
     assert g.get(0) == 0
     assert g.invert(0) == 0
 
 
 def test_empty_domain_rejected():
     with pytest.raises(DomainEmpty):
-        perm_new(0, 1)
+        PermutationGenerator(0, 1)
     with pytest.raises(DomainEmpty):
         IdentityPermutation(0)
 
 
 def test_rank_bounds():
-    g = perm_new(10, 3)
+    g = PermutationGenerator(10, 3)
     with pytest.raises(RankOutOfRange):
         g.get(10)
     with pytest.raises(RankOutOfRange):
@@ -58,7 +58,7 @@ def test_cycle_walking_domain():
 
 
 def test_larger_domain_spot_round_trip():
-    g = perm_new(1 << 20, 9)
+    g = PermutationGenerator(1 << 20, 9)
     rng = random.Random(0)
     for _ in range(2000):
         i = rng.randrange(1 << 20)
@@ -66,20 +66,20 @@ def test_larger_domain_spot_round_trip():
 
 
 def test_determinism():
-    a = perm_new(4096, 31337)
-    b = perm_new(4096, 31337)
+    a = PermutationGenerator(4096, 31337)
+    b = PermutationGenerator(4096, 31337)
     assert [a.get(i) for i in range(4096)] == [b.get(i) for i in range(4096)]
 
 
 def test_seed_changes_output():
-    a = perm_new(4096, 1)
-    b = perm_new(4096, 2)
+    a = PermutationGenerator(4096, 1)
+    b = PermutationGenerator(4096, 2)
     assert [a.get(i) for i in range(256)] != [b.get(i) for i in range(256)]
 
 
 def test_round_count_configurable():
-    a = perm_new(512, 7, rounds=4)
-    b = perm_new(512, 7, rounds=6)
+    a = PermutationGenerator(512, 7, rounds=4)
+    b = PermutationGenerator(512, 7, rounds=6)
     assert_bijective(512, 7, rounds=6)
     assert [a.get(i) for i in range(64)] != [b.get(i) for i in range(64)]
 
@@ -101,7 +101,7 @@ def test_first_output_roughly_uniform_over_seeds():
     n = 256
     counts = [0] * n
     for seed in range(1000):
-        counts[perm_new(n, seed).get(0)] += 1
+        counts[PermutationGenerator(n, seed).get(0)] += 1
     expected = 1000 / n
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     p = float(special.chdtrc(n - 1, chi2))
@@ -116,7 +116,7 @@ def test_identity_provider():
 
 
 def test_module_level_wrappers():
-    g = perm_new(64, 11)
+    g = PermutationGenerator(64, 11)
     assert g.invert(g.get(5)) == 5
 
 
@@ -169,8 +169,8 @@ def test_walk_cap_is_exact(seed, longest):
 def test_indices_needs_a_uint32_domain():
     # checked before any table is allocated
     with pytest.raises(ValueError, match="n <= 2\\^32"):
-        perm_new((1 << 32) + 1, 5).indices()
-    assert perm_new(1 << 32, 5).bits == 32
+        PermutationGenerator((1 << 32) + 1, 5).indices()
+    assert PermutationGenerator(1 << 32, 5).bits == 32
 
 
 def test_long_walks_match_scalar():

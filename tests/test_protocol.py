@@ -3,10 +3,13 @@
 import logging
 import random
 import socket
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecheck import engine, protocol
 from timecheck.checkpoint import MemoryImage, checkpoint_replay, scan_words
@@ -50,6 +53,16 @@ def feed_in_chunks(decoder, data, size):
     out = []
     for i in range(0, len(data), size):
         out.extend(decoder.feed(data[i:i + size]))
+    return out
+
+
+def read_through_response(sock, decoder):
+    """Messages read from a device connection up to and including a response."""
+    out = []
+    while not any(isinstance(m, ResponseMessage) for m in out):
+        data = sock.recv(4096)
+        assert data, "device closed the connection"
+        out.extend(decoder.feed(data))
     return out
 
 
@@ -123,6 +136,71 @@ class TestFraming:
         body = raw[8:-4] + b"\x00"
         with pytest.raises(MalformedFrame):
             decode_body(body)
+
+
+PRIMES = (2, 13, 65537, M61, (1 << 64) - 59)
+u64 = st.integers(0, (1 << 64) - 1)
+
+
+@st.composite
+def challenge_messages(draw, k=st.one_of(st.integers(1, 8), st.integers(9, 300),
+                                          st.just(65535))):
+    p = draw(st.sampled_from(PRIMES))
+    k = draw(k)
+    if k <= 8:
+        r = draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    else:  # drawing 65,535 values one by one would dominate the test
+        seed_rng = random.Random(draw(u64))
+        r = [seed_rng.randrange(p) for _ in range(k)]
+    spec = ChallengeSpec(seeds=RandomSeeds(r, FieldParams(p, draw(st.integers(0, p - 1)))),
+                         perm_seed=draw(u64), passes=draw(st.integers(1, (1 << 32) - 1)),
+                         region_id=draw(st.text(max_size=40)))
+    return ChallengeMessage(draw(u64), spec)
+
+
+responses = st.builds(ResponseMessage, u64, u64, st.integers(0, 255))
+messages = st.one_of(challenge_messages(k=st.integers(1, 8)), responses,
+                     st.builds(RestoredMessage, u64))
+# framed bodies of any message type, so decode_body sees shapes it must refuse
+garbage = st.one_of(st.binary(max_size=80),
+                    st.builds(lambda kind, rest: protocol.frame(bytes([kind]) + rest),
+                              st.integers(0, 255), st.binary(max_size=80)))
+
+
+class TestCodecProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(challenge_messages())
+    def test_challenge_round_trip_full_ranges(self, msg):
+        assert FrameDecoder().feed(encode_challenge(msg)) == [msg]
+
+    @settings(max_examples=200, deadline=None)
+    @given(responses, st.builds(RestoredMessage, u64))
+    def test_response_and_restored_round_trip_full_ranges(self, resp, restored):
+        assert FrameDecoder().feed(encode_response(resp)) == [resp]
+        assert FrameDecoder().feed(encode_restored(restored)) == [restored]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(messages, max_size=6), st.data())
+    def test_any_chunking_yields_the_same_messages(self, msgs, data):
+        encode = {ChallengeMessage: encode_challenge, ResponseMessage: encode_response,
+                  RestoredMessage: encode_restored}
+        stream = b"".join(encode[type(m)](m) for m in msgs)
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(stream)), max_size=12)))
+        decoder = FrameDecoder()
+        out = []
+        for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+            out.extend(decoder.feed(stream[lo:hi]))
+        assert out == msgs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(garbage, min_size=1, max_size=6))
+    def test_arbitrary_bytes_raise_only_malformed_frame(self, chunks):
+        decoder = FrameDecoder()
+        try:
+            for chunk in chunks:
+                decoder.feed(chunk)
+        except MalformedFrame:
+            pass
 
 
 class TestSessionIds:
@@ -211,6 +289,23 @@ class TestChannels:
         verdict = verify_response(None, timed, profile=None)
         assert verdict.outcome == "REJECT"
         assert verdict.reason.startswith("device refused: ")
+
+    def test_challenge_budget_bounds_are_inclusive(self, monkeypatch):
+        sc = desk_scenario()  # k = 2, 8 passes x 2,048 words
+        monkeypatch.setattr(protocol, "MAX_K", 2)
+        monkeypatch.setattr(protocol, "MAX_SCAN_WORDS", 8 * 2048)
+        ep = DeviceEndpoint(sc, master_seed=31)
+        rng = sub_rng(11, "t")
+
+        def statuses(spec):
+            replies = ep.handle_challenge(ChallengeMessage(1, spec))
+            return [m.status for _, reply in replies for m in FrameDecoder().feed(reply)
+                    if isinstance(m, ResponseMessage)], len(replies)
+
+        assert statuses(fresh_spec(rng, sc)) == ([STATUS_OK], 2)
+        assert statuses(replace(fresh_spec(rng, sc), passes=9)) == ([STATUS_REFUSED], 1)
+        k3 = random_spec(sc.prime, 3, sc.passes, rng, sc.region_id)
+        assert statuses(k3) == ([STATUS_REFUSED], 1)
 
 
 @pytest.fixture(scope="module")
@@ -326,15 +421,6 @@ class TestTcpTransport:
         ep = DeviceEndpoint(sc, master_seed=27)
         server, thread = serve_device(ep, port=0, time_scale=0.0)
         host, port = server.getsockname()
-
-        def replies(sock, decoder):
-            out = []
-            while not any(isinstance(m, ResponseMessage) for m in out):
-                data = sock.recv(4096)
-                assert data, "device closed the connection"
-                out.extend(decoder.feed(data))
-            return out
-
         try:
             with socket.create_connection((host, port), timeout=5.0) as sock:
                 decoder = FrameDecoder()
@@ -342,17 +428,78 @@ class TestTcpTransport:
                                         perm_seed=1, passes=1, region_id=sc.region_id)
                 with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
                     sock.sendall(encode_challenge(ChallengeMessage(7, hostile)))
-                    refused = replies(sock, decoder)
+                    refused = read_through_response(sock, decoder)
                 assert refused == [ResponseMessage(7, 0, STATUS_REFUSED)]
                 assert "SpecOutOfField" in caplog.text
                 assert thread.is_alive()
                 spec = fresh_spec(sub_rng(6, "t"), sc)
                 sock.sendall(encode_challenge(ChallengeMessage(8, spec)))
-                restored, response = replies(sock, decoder)
+                restored, response = read_through_response(sock, decoder)
             assert restored == RestoredMessage(8)
             assert response.session_id == 8 and response.status == STATUS_OK
             honest = DeviceEndpoint(sc, master_seed=28)
             assert response.accumulator == honest.expected_result(spec).accumulator
+        finally:
+            server.close()
+
+    def test_server_refuses_oversized_challenges(self, caplog):
+        # passes = 2^32-1 would allocate hundreds of GiB and k = 256 would take
+        # about a minute of setup: both are refused before replay, at once, and
+        # the same connection then serves a good challenge
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=30)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        rng = sub_rng(10, "t")
+        hostile = {1: replace(fresh_spec(rng, sc), passes=(1 << 32) - 1),
+                   2: random_spec(sc.prime, 256, sc.passes, rng, sc.region_id)}
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                decoder = FrameDecoder()
+                for session_id, spec in hostile.items():
+                    start = time.monotonic()
+                    with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                        sock.sendall(encode_challenge(ChallengeMessage(session_id, spec)))
+                        refused = read_through_response(sock, decoder)
+                    assert time.monotonic() - start < 1.0
+                    assert refused == [ResponseMessage(session_id, 0, STATUS_REFUSED)]
+                    assert f"session {session_id:#x}: k=" in caplog.text
+                assert thread.is_alive()
+                spec = fresh_spec(rng, sc)
+                sock.sendall(encode_challenge(ChallengeMessage(3, spec)))
+                restored, response = read_through_response(sock, decoder)
+            assert restored == RestoredMessage(3)
+            assert response.status == STATUS_OK
+            assert response.accumulator == ep.expected_result(spec).accumulator
+        finally:
+            server.close()
+
+    def test_unexpected_error_drops_only_its_connection(self, monkeypatch, caplog):
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=33)
+        honest = ep.handle_challenge
+        calls = []
+
+        def fails_once(msg):
+            calls.append(msg.session_id)
+            if len(calls) == 1:
+                raise RuntimeError("injected defect")
+            return honest(msg)
+
+        monkeypatch.setattr(ep, "handle_challenge", fails_once)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        chan = TcpChannel(host, port, timeout_s=5.0)
+        rng = sub_rng(12, "t")
+        try:
+            with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                with pytest.raises(ChannelTimeout):
+                    issue_challenge(chan, fresh_spec(rng, sc), rng=rng)
+            assert "RuntimeError: injected defect" in caplog.text  # with its traceback
+            assert thread.is_alive()
+            spec = fresh_spec(rng, sc)
+            timed = issue_challenge(chan, spec, rng=rng)
+            assert timed.response.accumulator == ep.expected_result(spec).accumulator
         finally:
             server.close()
 
@@ -462,12 +609,10 @@ class TestSharedSnapshot:
         scan_before = ep.snapshot.scan.copy()
         ep.state.image.words[0] ^= 1
         ep.state.registers[-1] ^= 1
-        ep.state.scratch["implant"] = True
         assert ep.state.image.words[0] != cp.image.words[0]
         checkpoint_replay(cp, ep.state)
         assert list(ep.state.image.words) == list(cp.image.words)
         assert ep.state.registers == list(cp.register_file)
-        assert ep.state.scratch == {}
         assert scan_words(cp) == recorded
         assert np.array_equal(ep.snapshot.scan, scan_before)
         spec = fresh_spec(sub_rng(9, "t"), sc)

@@ -1,4 +1,4 @@
-"""Tests for calibration, distribution tests, detectors, and the repeat policy."""
+"""Tests for calibration, distribution tests, and detectors."""
 
 import math
 import random
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy import stats as scipy_stats
 
-from timecheck.errors import DegenerateSeries, InsufficientSamples, MaxTrialsExceeded
+from timecheck.errors import DegenerateSeries, InsufficientSamples
 from timecheck.stats import (
     _SCORES,
     DETECTORS,
@@ -27,7 +27,6 @@ from timecheck.stats import (
     detect_percentile,
     detect_zscore,
     ks_test,
-    repeat_policy,
     serial_correlation,
     t_test,
 )
@@ -424,69 +423,3 @@ class TestConfusionReport:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * n * (n - 1) * 8
-
-
-class FakeMeasurement:
-    def __init__(self, duration_us, nmi=False):
-        self.duration_us = duration_us
-        self.nmi = nmi
-
-
-class TestRepeatPolicy:
-    @pytest.fixture
-    def profile(self):
-        rng = random.Random(14)
-        return calibrate([rng.gauss(1000.0, 10.0) for _ in range(100)])
-
-    def test_three_trials_for_cube_target(self, profile):
-        calls = []
-
-        def challenger():
-            calls.append(1)
-            return FakeMeasurement(profile.median)
-
-        decision = repeat_policy(profile, challenger, target_confidence=1e-3,
-                                 per_trial_miss=0.1)
-        assert decision.accepted and decision.trials == 3
-        assert decision.residual_miss == pytest.approx(1e-3)
-
-    def test_single_confident_trial(self, profile):
-        decision = repeat_policy(profile, lambda: FakeMeasurement(profile.median),
-                                 target_confidence=0.2, per_trial_miss=0.1)
-        assert decision.accepted and decision.trials == 1
-
-    def test_flag_rejects_immediately(self, profile):
-        decision = repeat_policy(profile, lambda: FakeMeasurement(profile.mean + 1e6),
-                                 target_confidence=1e-3, per_trial_miss=0.1)
-        assert not decision.accepted and decision.trials == 1
-
-    def test_nmi_retries_do_not_count(self, profile):
-        feed = [FakeMeasurement(profile.median + 9e5, nmi=True),
-                FakeMeasurement(profile.median),
-                FakeMeasurement(profile.median),
-                FakeMeasurement(profile.median)]
-        decision = repeat_policy(profile, lambda: feed.pop(0),
-                                 target_confidence=1e-3, per_trial_miss=0.1)
-        assert decision.accepted and decision.trials == 3 and decision.nmi_retries == 1
-
-    def test_cap_exceeded(self, profile):
-        with pytest.raises(MaxTrialsExceeded):
-            repeat_policy(profile, lambda: FakeMeasurement(profile.median),
-                          target_confidence=1e-12, per_trial_miss=0.99, max_trials=5)
-
-    def test_adversarial_stream_flags_quickly(self, profile):
-        rng = random.Random(15)
-        rejected = 0
-        for _ in range(100):
-            stream = (FakeMeasurement(rng.gauss(1000.0, 10.0) + 4000.0) for _ in iter(int, 1))
-            decision = repeat_policy(profile, lambda s=stream: next(s),
-                                     target_confidence=1e-6, per_trial_miss=0.1)
-            rejected += not decision.accepted
-        assert rejected >= 99
-
-    def test_parameter_validation(self, profile):
-        with pytest.raises(ValueError):
-            repeat_policy(profile, lambda: FakeMeasurement(0), target_confidence=1.5)
-        with pytest.raises(ValueError):
-            repeat_policy(profile, lambda: FakeMeasurement(0), target_confidence=0.5,
-                          per_trial_miss=1.0)

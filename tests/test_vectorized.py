@@ -23,7 +23,7 @@ from timecheck.engine import (
 )
 from timecheck.errors import SpecOutOfField
 from timecheck.field import M61, FieldParams, m61_add, m61_muladd_small, m61_mul, m61_reduce
-from timecheck.permutation import PermutationGenerator, perm_new
+from timecheck.permutation import PermutationGenerator
 from timecheck.protocol import (
     ChallengeMessage,
     DeviceEndpoint,
@@ -71,7 +71,7 @@ def test_vectorized_equals_naive(instance):
 @example(n=4097, rounds=5, seed=7)       # odd bit width, walks for almost half
 @example(n=20000, rounds=4, seed=0xC0FFEE)  # 2^15 blocks: several domain tiles
 def test_array_permutation_equals_scalar(n, rounds, seed):
-    gen = perm_new(n, seed, rounds)
+    gen = PermutationGenerator(n, seed, rounds)
     pi = gen.indices()
     assert pi.dtype == np.uint32
     assert pi.tolist() == [gen.get(i) for i in range(n)]
@@ -138,7 +138,7 @@ class _TablePermutation:
     """pi from the scalar Feistel get, looked up from a list."""
 
     def __init__(self, n, seed):
-        gen = perm_new(n, seed)
+        gen = PermutationGenerator(n, seed)
         self.n = n
         self.get = [gen.get(i) for i in range(n)].__getitem__
 
@@ -163,7 +163,7 @@ def test_tile_edges_match_streaming(d, passes):
 @example(d=1, x=0, perm_seed=0)
 @example(d=_TILE + 1, x=M61 - 1, perm_seed=WORD_MAX)
 def test_cached_weights_equal_reference(d, x, perm_seed):
-    gen = perm_new(d, perm_seed)
+    gen = PermutationGenerator(d, perm_seed)
     want = [0] * d
     for i in range(d):
         want[gen.get(i)] = pow(x, i, M61)
