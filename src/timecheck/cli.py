@@ -39,6 +39,7 @@ from .protocol import (
     DeviceEndpoint,
     LoopbackChannel,
     TcpChannel,
+    budget_refusal,
     issue_challenge,
     measurement_from_timed,
     serve_device,
@@ -65,6 +66,10 @@ def _scenario_from_args(args) -> Scenario:
         scenario = dataclasses.replace(scenario, passes=args.passes)
     if getattr(args, "attack", None) and args.attack != "none":
         scenario = attack_scenario(scenario, args.attack)
+    refusal = budget_refusal(scenario.k, scenario.passes
+                             * (scenario.image_words + scenario.register_count))
+    if refusal:  # checked before anything is evaluated or sent
+        raise TimecheckError(f"a device refuses this challenge: {refusal}")
     return scenario
 
 
@@ -166,8 +171,7 @@ def _challenge_once(args, scenario: Scenario, profile, attempt: int = 0):
                                   jitter_seed=derive_seed(master, "jitter", attempt))
         expected = endpoint.expected_result(spec)
     elif args.target.startswith("tcp://"):
-        hostport = args.target[len("tcp://"):]
-        host, _, port = hostport.partition(":")
+        host, _, port = args.target[len("tcp://"):].partition(":")
         channel = TcpChannel(host, int(port))
         # the checkpoint is public: rebuild the device's snapshot locally
         local = DeviceEndpoint(scenario, master_seed=0)

@@ -17,9 +17,10 @@ exceed p, so the term is reduced mod p before entering Horner; the naive
 oracle below applies the identical rule.
 
 The streaming path keeps only the accumulator, loop counters, the seeds,
-and one coefficient at a time. It never materializes a coefficient array
-or a permuted copy of the image; that constant working set is the security
-argument, and tests assert it structurally.
+one coefficient at a time and the permutation's O(sqrt d) round tables
+(per-challenge constants, like its round keys, with no per-word state). It
+never materializes a coefficient array or a permuted copy of the image; that
+working set is the security argument, and tests assert it structurally.
 
 The verifier and the simulated device do not run the streaming loop for
 p = M61: both go through evaluate(), which hands M61 challenges to the

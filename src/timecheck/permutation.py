@@ -6,15 +6,16 @@ both halves are non-empty even for n <= 2). Domains that are not powers of
 two use cycle walking: out-of-range outputs are re-encrypted until they land
 inside [0, n). Since 2^b < 2n the expected number of tries is below 2.
 
-Each index is produced in O(1) space and O(1) expected time, and the network
-runs backwards for inversion; indices() builds all of pi in O(n) memory from
-per-round lookup tables. This is NOT a cryptographic PRP; it only has to
-make the next challenge address unguessable without the seed.
-
 The round function is a keyed multiply-xor-shift mixer (splitmix64-style
-avalanche) over the half-block, the per-round key, and the round number.
-The round count is configurable; 4 balanced rounds is the standard minimum
-for pseudorandom behavior on tiny domains.
+avalanche) of the right half-block and the round's key. It depends only on
+that half, below 2^ceil(b/2), so each generator evaluates it once, into one
+lookup table per round: O(sqrt n) space per generator, built at construction.
+get and invert (the same tables in reverse round order) then cost O(1)
+expected time per index, and indices() builds all of pi in O(n) memory from
+the same tables. This is NOT a cryptographic PRP; it only has to make the
+next challenge address unguessable without the seed. The round count is
+configurable; 4 balanced rounds is the standard minimum for pseudorandom
+behavior on tiny domains.
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
 
 _MASK64 = (1 << 64) - 1
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_A = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_B = np.uint64(0x94D049BB133111EB)
 _SHIFT27 = np.uint64(27)
@@ -38,19 +40,8 @@ _DOMAIN_TILE = 1 << 13
 DEFAULT_ROUNDS = 4
 
 
-def _mix64(v: int) -> int:
-    """splitmix64 finalizer: full avalanche on a 64-bit word."""
-    v &= _MASK64
-    v ^= v >> 30
-    v = v * 0xBF58476D1CE4E5B9 & _MASK64
-    v ^= v >> 27
-    v = v * 0x94D049BB133111EB & _MASK64
-    v ^= v >> 31
-    return v
-
-
 def _mix64_array(v: np.ndarray) -> None:
-    """In place: _mix64 over a uint64 array; the multiplies wrap mod 2^64."""
+    """In place: the splitmix64 finalizer over a uint64 array; multiplies wrap mod 2^64."""
     v ^= v >> _SHIFT30
     v *= _MIX_A
     v ^= v >> _SHIFT27
@@ -65,7 +56,7 @@ class PermutationGenerator:
     construction; concurrent get/invert calls are safe.
     """
 
-    __slots__ = ("n", "seed", "bits", "rounds", "_keys", "_half_hi", "_half_lo")
+    __slots__ = ("n", "seed", "bits", "rounds", "_tables", "_rows", "_lo_in", "_lo_out")
 
     def __init__(self, n: int, seed: int, rounds: int = DEFAULT_ROUNDS):
         if n < 1:
@@ -76,38 +67,41 @@ class PermutationGenerator:
         self.seed = seed & _MASK64
         self.bits = max(2, (n - 1).bit_length())
         self.rounds = rounds
-        # Unbalanced split when bits is odd: left half gets the extra bit.
-        self._half_hi = self.bits - self.bits // 2  # left width, ceil(b/2)
-        self._half_lo = self.bits // 2              # right width, floor(b/2)
-        self._keys = tuple(
-            _mix64(self.seed ^ _mix64((rnd + 1) * 0x9E3779B97F4A7C15))
-            for rnd in range(rounds)
-        )
+        self._build_tables()
+
+    def _build_tables(self) -> None:
+        """Round r's table: the mixer of every right half-block with round r's key.
+
+        The left half gets the extra bit when bits is odd and the halves swap
+        every round, so round r masks to ceil(bits/2), floor(bits/2), ... bits.
+        _tables (intp) serves indices(); _rows, the same tables as lists,
+        serves the scalar path, which indexes lists far faster than arrays.
+        """
+        hi, lo = self.bits - self.bits // 2, self.bits // 2
+        keys = np.arange(1, self.rounds + 1, dtype=np.uint64) * _GOLDEN
+        _mix64_array(keys)
+        keys ^= np.uint64(self.seed)
+        _mix64_array(keys)
+        tables = np.bitwise_xor.outer(keys, np.arange(1 << hi, dtype=np.uint64))
+        _mix64_array(tables)
+        widths = [(hi, lo)[r % 2] for r in range(self.rounds)]
+        tables &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
+        self._tables = tables.astype(np.intp)
+        self._rows = self._tables.tolist()
+        # the right half's width in a block going in and in one coming out
+        self._lo_in, self._lo_out = lo, widths[-1]
 
     def _encrypt(self, block: int) -> int:
-        lo_bits = self._half_lo
-        hi_bits = self._half_hi
-        left = block >> lo_bits
-        right = block & ((1 << lo_bits) - 1)
-        for key in self._keys:
-            # new left takes the old right; widths swap every round
-            left, right = right, left ^ (_mix64(right ^ key) & ((1 << hi_bits) - 1))
-            hi_bits, lo_bits = lo_bits, hi_bits
-        return (left << lo_bits) | right
+        left, right = divmod(block, 1 << self._lo_in)
+        for table in self._rows:
+            left, right = right, left ^ table[right]
+        return (left << self._lo_out) | right
 
     def _decrypt(self, block: int) -> int:
-        # With an even round count the final widths equal the initial ones;
-        # with an odd count they are swapped. Track them explicitly.
-        if self.rounds % 2 == 0:
-            hi_bits, lo_bits = self._half_hi, self._half_lo
-        else:
-            hi_bits, lo_bits = self._half_lo, self._half_hi
-        left = block >> lo_bits
-        right = block & ((1 << lo_bits) - 1)
-        for key in reversed(self._keys):
-            hi_bits, lo_bits = lo_bits, hi_bits
-            left, right = right ^ (_mix64(left ^ key) & ((1 << hi_bits) - 1)), left
-        return (left << lo_bits) | right
+        left, right = divmod(block, 1 << self._lo_out)
+        for table in reversed(self._rows):
+            left, right = right ^ table[left], left
+        return (left << self._lo_in) | right
 
     def get(self, i: int) -> int:
         """The permuted index pi[i], with cycle walking to stay inside [0, n)."""
@@ -125,22 +119,14 @@ class PermutationGenerator:
     def indices(self) -> np.ndarray:
         """pi[i] == get(i) for every rank i in [0, n), as one uint32 array.
 
-        A round's mixer _mix64(right ^ key) & mask depends only on the right
-        half, below 2^ceil(bits/2), so each round is a lookup table. The block
-        domain [0, 2^bits) is encrypted into one table of 2^bits < 2n values
-        (4 when n <= 2), tile by tile, each round one gather and one XOR; an
-        out-of-range entry walks its cycle by gathering from that table.
+        The block domain [0, 2^bits) is encrypted into one table of
+        2^bits < 2n values (4 when n <= 2), tile by tile, each round one
+        gather from its round table and one XOR; an out-of-range entry walks
+        its cycle by gathering from that table.
         """
         if self.bits > 32:
             raise ValueError(f"a uint32 permutation table needs n <= 2^32, got n={self.n}")
-        half = 1 << self._half_lo
-        # round r masks to its left half's width: half_hi, half_lo, half_hi, ...
-        widths = [(self._half_hi, self._half_lo)[r % 2] for r in range(self.rounds)]
-        tables = np.bitwise_xor.outer(np.array(self._keys, dtype=np.uint64),
-                                      np.arange(1 << self._half_hi, dtype=np.uint64))
-        _mix64_array(tables)
-        masks = np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)
-        tables = (tables & masks[:, None]).astype(np.intp)
+        half = 1 << self._lo_in
         enc = np.empty(1 << self.bits, dtype=np.uint32)
         tile = min(enc.size, _DOMAIN_TILE)
         # a tile starts at a multiple of the power-of-two tile, so the halves
@@ -150,11 +136,11 @@ class PermutationGenerator:
         for start in range(0, enc.size, tile):
             np.add(left0, start // half, out=left)
             np.add(right0, start % half, out=right)
-            for table in tables:
+            for table in self._tables:
                 table.take(right, out=mixed, mode="clip")  # every index is in range
                 np.bitwise_xor(left, mixed, out=left)
                 left, right = right, left
-            np.left_shift(left, widths[-1], out=left)  # the last right half is widths[-1] wide
+            np.left_shift(left, self._lo_out, out=left)
             np.bitwise_or(left, right, out=enc[start:start + tile], casting="unsafe")
         # pi is enc's first n entries, walked in place: a walk gathers only
         # from entries >= n, which it never writes
@@ -199,6 +185,3 @@ class IdentityPermutation:
         if not 0 <= i < self.n:
             raise RankOutOfRange(f"rank {i} outside [0, {self.n})")
         return i
-
-    def invert(self, j: int) -> int:
-        return self.get(j)

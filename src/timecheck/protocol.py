@@ -77,6 +77,13 @@ MAX_SCAN_WORDS = 1 << 25
 log = logging.getLogger(__name__)
 
 
+def budget_refusal(k: int, scanned: int):
+    """Why a device refuses a challenge of k seeds and scanned words, or None."""
+    if k > MAX_K or scanned > MAX_SCAN_WORDS:
+        return (f"k={k} and {scanned} scanned words exceed "
+                f"the budget of {MAX_K} and {MAX_SCAN_WORDS}")
+
+
 @dataclass(frozen=True)
 class ChallengeMessage:
     session_id: int
@@ -272,10 +279,9 @@ class DeviceEndpoint:
         if spec.region_id != scenario.region_id:
             reply = ResponseMessage(msg.session_id, 0, STATUS_REGION_MISMATCH)
             return [(0.0, encode_response(reply))]
-        scanned = spec.passes * self.snapshot.scan.size
-        if spec.seeds.k > MAX_K or scanned > MAX_SCAN_WORDS:
-            return self._refuse(msg, f"k={spec.seeds.k} and {scanned} scanned words exceed "
-                                     f"the budget of {MAX_K} and {MAX_SCAN_WORDS}")
+        refusal = budget_refusal(spec.seeds.k, spec.passes * self.snapshot.scan.size)
+        if refusal:
+            return self._refuse(msg, refusal)
 
         checkpoint_replay(self.checkpoint, self.state)
         try:
@@ -513,6 +519,10 @@ def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
 
 def measurement_from_timed(timed: TimedResponse, trial_id: int, scenario: str,
                            spec: ChallengeSpec) -> Measurement:
+    """A timed session as a Measurement; a refused session has no duration to record."""
+    if timed.response.status in _REFUSALS:
+        raise TimecheckError(f"device refused session {trial_id}: "
+                             f"{_REFUSALS[timed.response.status]}")
     return Measurement(trial_id=trial_id, scenario=scenario,
                        duration_us=max(1, timed.duration_us),
                        spec_digest=spec.digest(),

@@ -7,9 +7,11 @@ import random
 
 import pytest
 
-from timecheck import cli, stats
+from timecheck import cli, protocol, stats
 from timecheck.cli import _scenario_from_args, aggregate_detection, build_parser, main
 from timecheck.device import builtin_scenario, load_scenario, price, save_scenario
+from timecheck.errors import TimecheckError
+from timecheck.protocol import DeviceEndpoint, LoopbackChannel
 from timecheck.seeding import derive_seed
 
 
@@ -38,6 +40,23 @@ class TestCalibrate:
     def test_single_trial_errors(self, tmp_path):
         assert run(["calibrate", "--scenario", "desk-small", "--trials", 1,
                     "--out", tmp_path]) == 1
+
+    @pytest.mark.parametrize("target", ["sim", "loopback"])
+    def test_over_budget_passes_is_an_operational_error(self, tmp_path, capsys, target):
+        # 20,000 passes x 2,048 words exceed MAX_SCAN_WORDS: every session
+        # would be refused, so nothing is run and no profile is written
+        code = run(["calibrate", "--scenario", "desk-small", "--passes", 20000,
+                    "--target", target, "--trials", 5, "--out", tmp_path])
+        assert code == 1
+        assert "exceed the budget" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_session_is_not_recorded(self):
+        sc = builtin_scenario("desk-small")
+        other_region = DeviceEndpoint(dataclasses.replace(sc, region_id="dram"))
+        channel = LoopbackChannel(other_region, jitter_us=0.0)
+        with pytest.raises(TimecheckError, match="refused session 0: region mismatch"):
+            cli._session_measurements(sc, channel, 3, 0)
 
     def test_deterministic_outputs(self, tmp_path):
         for sub in ("a", "b"):
@@ -79,6 +98,27 @@ class TestChallenge:
         code = run(["challenge", "--profile", calibrated, "--scenario", "desk-small",
                     "--passes", 9])
         assert code == 1
+
+    def test_over_budget_passes_exits_before_evaluating(self, tmp_path, monkeypatch, capsys):
+        # 1,400 passes x 24,640 words exceed MAX_SCAN_WORDS: an operator error,
+        # found before the verifier evaluates its expected result or sends anything
+        assert run(["calibrate", "--scenario", "sram-baseline", "--trials", 20,
+                    "--out", tmp_path]) == 0
+        profile = tmp_path / "sram-baseline-profile.json"
+        doc = json.loads(profile.read_text())
+        profile.write_text(json.dumps(dict(doc, passes=1400)))
+        capsys.readouterr()
+
+        def evaluate(words, spec):
+            raise AssertionError("an over-budget challenge was evaluated")
+
+        monkeypatch.setattr(protocol, "evaluate", evaluate)
+        code = run(["challenge", "--scenario", "sram-baseline", "--passes", 1400,
+                    "--profile", profile])
+        out, err = capsys.readouterr()
+        assert code == 1
+        assert out == ""
+        assert "a device refuses this challenge: k=4 and 34496000 scanned words" in err
 
     def test_interrupt_storm_is_operational_error(self, tmp_path, calibrated):
         from dataclasses import replace

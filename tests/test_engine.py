@@ -193,6 +193,18 @@ class TestCollisionProbe:
             collision_probe(spec, 4, 100)
 
 
+def test_streaming_accumulators_pinned():
+    # fixed values: the streaming path reads its scan order through get, and
+    # the other engine tests compare it only to engines sharing that order
+    rng = random.Random(1009)
+    accumulators = []
+    for _ in range(8):
+        spec = random_spec(1009, 3, 4, rng)
+        image = MemoryImage([rng.getrandbits(64) for _ in range(250)])
+        accumulators.append(multipass(image, spec).accumulator)
+    assert accumulators == [584, 205, 678, 45, 463, 702, 74, 465]
+
+
 def test_streaming_path_materializes_nothing():
     # Constant working set: no list/set/dict displays, comprehensions, or
     # append calls inside multipass. The naive oracle is the negative control.

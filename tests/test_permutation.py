@@ -1,8 +1,12 @@
 """Tests for the keyed Feistel permutation."""
 
+import hashlib
 import random
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecheck.errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
 from timecheck.permutation import _WALK_CAP, IdentityPermutation, PermutationGenerator
@@ -120,12 +124,27 @@ def test_module_level_wrappers():
     assert g.invert(g.get(5)) == 5
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 1 << 14), seed=st.integers(0, (1 << 64) - 1), rounds=st.integers(1, 6),
+       data=st.data())
+def test_permutation_properties(n, seed, rounds, data):
+    g = PermutationGenerator(n, seed, rounds)
+    pi = g.indices()
+    assert sorted(pi.tolist()) == list(range(n))
+    ranks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=50))
+    for i in ranks:
+        j = g.get(i)
+        assert j == pi[i]
+        assert g.invert(j) == i
+
+
 class _WideBlocks(PermutationGenerator):
     """A generator over [0, n) whose Feistel blocks are forced to `bits` bits."""
 
     def __init__(self, n, seed, bits):
         super().__init__(n, seed)
-        self.bits, self._half_hi, self._half_lo = bits, bits - bits // 2, bits // 2
+        self.bits = bits
+        self._build_tables()
 
 
 def _walk_length(gen, i):
@@ -167,7 +186,8 @@ def test_walk_cap_is_exact(seed, longest):
 
 
 def test_indices_needs_a_uint32_domain():
-    # checked before any table is allocated
+    # checked before the 2^bits-entry domain table is allocated; the round
+    # tables, 2^ceil(bits/2) entries each, come with the generator
     with pytest.raises(ValueError, match="n <= 2\\^32"):
         PermutationGenerator((1 << 32) + 1, 5).indices()
     assert PermutationGenerator(1 << 32, 5).bits == 32
@@ -178,3 +198,37 @@ def test_long_walks_match_scalar():
     g = _WideBlocks(1000, 3, 12)
     assert max(_walk_length(g, i) for i in range(1000)) > 10
     assert g.indices().tolist() == [g.get(i) for i in range(1000)]
+
+
+# Fixed sha256 values of the scan order: every engine test compares engines
+# that share one permutation, so only these notice a changed round function,
+# key schedule, half-block split or walk.
+PIN_SEED = 0x5EED_F00D
+
+
+@pytest.mark.parametrize("n, rounds, digest", [
+    (1, 4, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+    (5, 4, "1751d3cd7c09b4b0189b16e756420ca85c5033c2d4522f3326795a12d255bd8f"),
+    (1000, 4, "81490892af3a2f02e360ea5ce22d0efe577a19c3e964383909313fca1b7034b6"),
+    (2048, 4, "6c9679db2b93c64c568914cffe0ec678ff56e906333478ca5dc5cf8710525904"),
+    (24640, 4, "aee8f89dfb339c0bd83f374e41728f829db2f555052b6895651bd4a2cf5fdc3b"),
+    (65536, 4, "735e1091daf34e5e109566ca63d65d676d31ccfdb599c133c70174f62e821997"),
+    (4097, 1, "e693542eb016de76763b73e8cafaeba4ef672f3a32e8cd82fd88c68e8f36d8ca"),
+    (4097, 3, "821004c1b5c7b2c7cae959d6c77133aab85b50a8e1a1a5285f47b980150bdc81"),
+    (4097, 5, "322d974f5ec36850210fdfaf3fb8f5547e9772bb801b10677377c66ace38898e"),
+])
+def test_indices_pinned(n, rounds, digest):
+    pi = PermutationGenerator(n, PIN_SEED, rounds).indices()
+    assert hashlib.sha256(pi.astype("<u4").tobytes()).hexdigest() == digest
+
+
+def test_get_and_invert_pinned():
+    g = PermutationGenerator(1 << 20, PIN_SEED)
+    rng = random.Random(20)
+    ranks = [rng.randrange(1 << 20) for _ in range(2000)]
+    got = struct.pack("<2000I", *map(g.get, ranks))
+    inverted = struct.pack("<2000I", *map(g.invert, ranks))
+    assert hashlib.sha256(got).hexdigest() == \
+        "a18063de8d282a4adb3e36f54dc7e869cadc9cc6a260964cb6494332e393ad7e"
+    assert hashlib.sha256(inverted).hexdigest() == \
+        "72b5339943a0ec92fdaaa810bab64e73431df2607fb01edcdc0df520e3d938bf"

@@ -122,6 +122,15 @@ def test_extreme_instances_match_streaming():
             assert got == multipass(MemoryImage(words), spec), (d, passes, x)
 
 
+def test_m61_accumulator_pinned():
+    # a fixed value at the SRAM word count: the other M61 tests compare
+    # engines that share one scan order
+    rng = random.Random(24640)
+    spec = random_spec(M61, 4, 3, rng)
+    words = np.array([rng.getrandbits(64) for _ in range(24640)], dtype=np.uint64)
+    assert multipass_m61(words, spec).accumulator == 180955120824669888
+
+
 def test_coefficient_equal_to_p_is_made_canonical():
     # R(1) = 1 + (p - 1) = p: the Horner sum for address 0 is exactly p
     # after its fold, and only the canonical residue 0 may reach the XOR
