@@ -62,7 +62,9 @@ def _scenario_from_args(args) -> Scenario:
         scenario = full_memory_scenario(attack=False)
     else:
         scenario = builtin_scenario(getattr(args, "scenario", None) or "sram-baseline")
-    if getattr(args, "passes", None):
+    if getattr(args, "passes", None) is not None:
+        if args.passes < 1:
+            raise TimecheckError(f"--passes must be >= 1, got {args.passes}")
         scenario = dataclasses.replace(scenario, passes=args.passes)
     if getattr(args, "attack", None) and args.attack != "none":
         scenario = attack_scenario(scenario, args.attack)

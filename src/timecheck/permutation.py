@@ -18,6 +18,8 @@ configurable; 4 balanced rounds is the standard minimum for pseudorandom
 behavior on tiny domains.
 """
 
+import functools
+
 import numpy as np
 
 from .errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
@@ -49,6 +51,18 @@ def _mix64_array(v: np.ndarray) -> None:
     v ^= v >> _SHIFT31
 
 
+@functools.lru_cache(maxsize=8)
+def _round_constants(rounds: int) -> np.ndarray:
+    """mix((r + 1) * golden) for r < rounds: the half of the key schedule free of the seed.
+
+    Cached per process and read-only (backed by immutable bytes), so every
+    generator of the same round count shares one array no caller can change.
+    """
+    constants = np.arange(1, rounds + 1, dtype=np.uint64) * _GOLDEN
+    _mix64_array(constants)
+    return np.frombuffer(constants.tobytes(), dtype=np.uint64)
+
+
 class PermutationGenerator:
     """Deterministic bijection on [0, n) keyed by a 64-bit seed.
 
@@ -78,9 +92,7 @@ class PermutationGenerator:
         serves the scalar path, which indexes lists far faster than arrays.
         """
         hi, lo = self.bits - self.bits // 2, self.bits // 2
-        keys = np.arange(1, self.rounds + 1, dtype=np.uint64) * _GOLDEN
-        _mix64_array(keys)
-        keys ^= np.uint64(self.seed)
+        keys = _round_constants(self.rounds) ^ np.uint64(self.seed)
         _mix64_array(keys)
         tables = np.bitwise_xor.outer(keys, np.arange(1 << hi, dtype=np.uint64))
         _mix64_array(tables)

@@ -63,7 +63,8 @@ _REFUSALS = {STATUS_REGION_MISMATCH: "region mismatch",
 _U64 = struct.Struct("<Q")
 
 # Read timeout of an accepted device-server connection, TcpChannel's default:
-# an idle client must not hold the serialized server.
+# an idle client must not hold the serialized server. It is also each frame's
+# deadline, so a client trickling a frame byte by byte cannot hold it either.
 CONN_TIMEOUT_S = 10.0
 # How often the device server's accept loop checks whether it was closed.
 ACCEPT_POLL_S = 0.1
@@ -196,6 +197,11 @@ class FrameDecoder:
 
     def __init__(self):
         self._buf = bytearray()
+
+    @property
+    def pending(self) -> bool:
+        """Whether bytes of an incomplete frame are held."""
+        return bool(self._buf)
 
     def feed(self, data: bytes):
         """Append raw bytes; yield decoded messages for each complete frame."""
@@ -397,8 +403,11 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     or once the connection it serves ends. Sessions are strictly serialized. A
     challenge the device cannot or will not evaluate is refused with
     STATUS_REFUSED and logged, and its connection stays open. Any other error
-    while serving a connection (bad framing, no bytes for CONN_TIMEOUT_S) is
-    logged and closes only that connection; the server keeps going.
+    while serving a connection is logged and closes only that connection; the
+    server keeps going. Such errors include bad framing, no bytes for
+    CONN_TIMEOUT_S between frames, and a frame not complete CONN_TIMEOUT_S
+    after the read that brought its first byte (time spent serving the frames
+    before it on the connection does not count).
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -417,14 +426,22 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
             except OSError:
                 return
             with conn:
-                conn.settimeout(CONN_TIMEOUT_S)
                 decoder = FrameDecoder()
+                deadline = None  # monotonic time by which the pending frame must be complete
                 try:
                     while True:
+                        timeout = CONN_TIMEOUT_S
+                        if deadline is not None:
+                            timeout = deadline - time.monotonic()
+                            if timeout <= 0:
+                                raise TimeoutError(f"frame incomplete after {CONN_TIMEOUT_S} s")
+                        conn.settimeout(timeout)
                         data = conn.recv(4096)
                         if not data:
                             break
-                        for msg in decoder.feed(data):
+                        conn.settimeout(CONN_TIMEOUT_S)  # replies get the full timeout
+                        msgs = decoder.feed(data)
+                        for msg in msgs:
                             if not isinstance(msg, ChallengeMessage):
                                 continue
                             for delay_us, reply in endpoint.handle_challenge(msg):
@@ -432,6 +449,10 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
                                     time.sleep(delay_us * time_scale / 1e6)
                                 conn.sendall(reply)
                             served += 1
+                        if not decoder.pending:
+                            deadline = None
+                        elif msgs or deadline is None:  # a new frame began in this read
+                            deadline = time.monotonic() + CONN_TIMEOUT_S
                 except (TimecheckError, OSError) as exc:
                     log.warning("device server: dropped connection: %s: %s",
                                 type(exc).__name__, exc)

@@ -5,13 +5,17 @@ location, spread, and tail statistics. Detectors classify a single timing
 against that profile; distribution tests compare whole batches.
 
 Everything here is pure over immutable inputs and safe for concurrent use.
+
+scipy.special is imported inside the two functions that compute a p-value
+from it, serial_correlation and t_test, so a process that calls neither
+(challenge, serve) never loads scipy: that import costs about half of the
+package's start-up time.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateSeries, InsufficientSamples
 
@@ -122,6 +126,8 @@ def serial_correlation(samples, max_lag: int) -> SerialCorrelation:
     flagged = tuple(lag for lag, r in zip(range(1, max_lag + 1), rs) if abs(r) > band)
     q = n * (n + 2) * sum(r * r / (n - lag)
                           for lag, r in zip(range(1, max_lag + 1), rs))
+    from scipy import special
+
     q_pvalue = float(special.chdtrc(max_lag, q))
     return SerialCorrelation(
         lags=tuple(range(1, max_lag + 1)),
@@ -155,6 +161,8 @@ def t_test(a, b):
     sb = vb / xb.size
     t = (xa.mean() - xb.mean()) / math.sqrt(sa + sb)
     df = (sa + sb) ** 2 / (sa ** 2 / (xa.size - 1) + sb ** 2 / (xb.size - 1))
+    from scipy import special
+
     p = 2.0 * float(special.stdtr(df, -abs(t)))
     return float(t), min(1.0, p)
 

@@ -3,7 +3,10 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -351,3 +354,68 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: ") and needle in err
     assert not list(tmp_path.glob("*-profile.json"))
+
+
+@pytest.mark.parametrize("command", ["calibrate", "challenge", "serve"])
+@pytest.mark.parametrize("passes", [0, -2])
+def test_passes_below_one_is_an_operational_error(tmp_path, monkeypatch, capsys,
+                                                  command, passes):
+    # 0 used to fall back to the scenario's passes, and -2 to end in a traceback
+
+    def serve_device(*args, **kwargs):
+        raise AssertionError("serve started with a bad --passes")
+
+    monkeypatch.setattr(cli, "serve_device", serve_device)
+    extra = {"calibrate": ["--trials", 5, "--out", tmp_path / "out"],
+             "challenge": ["--profile", tmp_path / "profile.json"],
+             "serve": ["--port", 0]}[command]
+    assert run([command, "--scenario", "desk-small", "--passes", passes, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --passes must be >= 1, got {passes}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# Runs in a fresh interpreter: a challenge and one served TCP session, then the
+# names of the loaded scipy modules, then a Ljung-Box p-value.
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from timecheck import cli, stats
+from timecheck.device import desk_scenario
+from timecheck.engine import random_spec
+from timecheck.protocol import DeviceEndpoint, TcpChannel, issue_challenge, serve_device
+from timecheck.seeding import sub_rng
+
+profile, samples = sys.argv[1], json.loads(sys.argv[2])
+code = cli.main(["challenge", "--scenario", "desk-small", "--target", "sim",
+                 "--profile", profile, "--seed", "5", "--jitter", "0.4"])
+sc = desk_scenario()
+endpoint = DeviceEndpoint(sc, master_seed=25)
+server, thread = serve_device(endpoint, port=0, time_scale=0.0)
+rng = sub_rng(5, "t")
+spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
+timed = issue_challenge(TcpChannel(*server.getsockname(), timeout_s=5.0), spec, rng=rng)
+server.close()
+thread.join(timeout=2.0)
+served = timed.response.accumulator == endpoint.expected_result(spec).accumulator
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+q = stats.serial_correlation(samples, 5)
+print(json.dumps({"code": code, "served": served, "scipy": loaded,
+                  "q": [q.q_stat, q.q_pvalue]}))
+"""
+
+
+def test_challenge_and_serve_never_load_scipy(calibrated):
+    # scipy only computes p-values; importing it takes about half of start-up
+    samples = [float((37 * i) % 11) for i in range(40)]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(calibrated),
+                           json.dumps(samples)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == 0 and got["served"]
+    assert got["scipy"] == []
+    want = stats.serial_correlation(samples, 5)
+    assert got["q"] == [want.q_stat, want.q_pvalue]

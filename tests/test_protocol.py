@@ -3,7 +3,9 @@
 import logging
 import random
 import socket
+import threading
 import time
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -521,6 +523,133 @@ class TestTcpTransport:
                 assert timed.response.accumulator == ep.expected_result(spec).accumulator
                 assert "TimeoutError" in caplog.text
                 assert idle.recv(1) == b""  # the server closed the idle connection
+        finally:
+            server.close()
+
+    def test_trickling_client_does_not_block_server(self, monkeypatch, caplog):
+        # a client that sends one byte of a valid frame inside every read
+        # timeout is dropped once its frame is CONN_TIMEOUT_S late, and the
+        # serialized server goes on to the next client
+        monkeypatch.setattr(protocol, "CONN_TIMEOUT_S", 0.3)
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=34)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        rng = sub_rng(13, "t")
+        data = encode_challenge(ChallengeMessage(1, fresh_spec(rng, sc)))
+        stop = threading.Event()
+        sent = []
+
+        def trickle(sock):
+            try:
+                for byte in data:
+                    if stop.wait(0.1):
+                        return
+                    sock.sendall(bytes([byte]))
+                    sent.append(byte)
+            except OSError:
+                pass  # the server closed the connection
+
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as slow:
+                trickler = threading.Thread(target=trickle, args=(slow,), daemon=True)
+                trickler.start()
+                time.sleep(0.15)  # the server is reading the trickle
+                spec = fresh_spec(rng, sc)
+                start = time.monotonic()
+                with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                    timed = issue_challenge(TcpChannel(host, port, timeout_s=5.0), spec,
+                                            rng=rng)
+                waited = time.monotonic() - start
+                stop.set()
+                trickler.join(timeout=2.0)
+            assert not trickler.is_alive()
+            assert waited < 1.5, f"the second client waited {waited:.2f} s"
+            assert 0 < len(sent) < len(data)
+            assert "TimeoutError" in caplog.text
+            assert timed.response.accumulator == ep.expected_result(spec).accumulator
+        finally:
+            stop.set()
+            server.close()
+
+    def test_pipelined_frames_answered_in_order(self):
+        # 50 challenges, every third one over budget, in one sendall
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=35)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        rng = sub_rng(14, "t")
+        specs = {}
+        for session_id in range(1, 51):
+            spec = fresh_spec(rng, sc)
+            if session_id % 6 == 3:
+                spec = replace(spec, passes=(1 << 32) - 1)
+            elif session_id % 6 == 0:
+                spec = random_spec(sc.prime, 256, sc.passes, rng, sc.region_id)
+            specs[session_id] = spec
+        try:
+            with socket.create_connection((host, port), timeout=10.0) as sock:
+                sock.sendall(b"".join(encode_challenge(ChallengeMessage(i, spec))
+                                      for i, spec in specs.items()))
+                decoder = FrameDecoder()
+                replies = []
+                while sum(isinstance(m, ResponseMessage) for m in replies) < len(specs):
+                    data = sock.recv(4096)
+                    assert data, "device closed the connection"
+                    replies.extend(decoder.feed(data))
+        finally:
+            server.close()
+        want = []
+        for session_id, spec in specs.items():
+            if session_id % 3 == 0:
+                want.append(ResponseMessage(session_id, 0, STATUS_REFUSED))
+            else:
+                want += [RestoredMessage(session_id),
+                         ResponseMessage(session_id, ep.expected_result(spec).accumulator,
+                                         STATUS_OK)]
+        assert replies == want
+
+    def test_huge_region_id_is_a_region_mismatch(self):
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=36)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        rng = sub_rng(15, "t")
+        huge = replace(fresh_spec(rng, sc), region_id="r" * 65535)
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                decoder = FrameDecoder()
+                sock.sendall(encode_challenge(ChallengeMessage(1, huge)))
+                assert read_through_response(sock, decoder) == [
+                    ResponseMessage(1, 0, STATUS_REGION_MISMATCH)]
+                spec = fresh_spec(rng, sc)
+                sock.sendall(encode_challenge(ChallengeMessage(2, spec)))
+                restored, response = read_through_response(sock, decoder)
+            assert restored == RestoredMessage(2)
+            assert response == ResponseMessage(2, ep.expected_result(spec).accumulator,
+                                               STATUS_OK)
+        finally:
+            server.close()
+
+    def test_region_not_utf8_drops_only_its_connection(self, caplog):
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=37)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        rng = sub_rng(16, "t")
+        good = encode_challenge(ChallengeMessage(1, fresh_spec(rng, sc)))
+        region = sc.region_id.encode()
+        body = good[8:-4 - len(region)] + b"\xff" * len(region)
+        hostile = good[:8] + body + zlib.crc32(body).to_bytes(4, "little")
+        try:
+            with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                with socket.create_connection((host, port), timeout=5.0) as sock:
+                    sock.sendall(hostile)
+                    assert sock.recv(1) == b""  # dropped, with no reply
+                spec = fresh_spec(rng, sc)
+                timed = issue_challenge(TcpChannel(host, port, timeout_s=5.0), spec, rng=rng)
+            assert "MalformedFrame: undecodable body" in caplog.text
+            assert timed.response.accumulator == ep.expected_result(spec).accumulator
         finally:
             server.close()
 
