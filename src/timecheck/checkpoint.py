@@ -1,7 +1,8 @@
 """Capture, store, restore, and sanity-check challenged memory snapshots.
 
 A checkpoint freezes the word array under challenge plus a small modeled
-register file. Replay restores both bit-exactly.
+register file, as one uint64 array: the image words, then the registers.
+Replay restores both bit-exactly.
 
 Checkpoint file format (little-endian, versioned, bit-exact):
 
@@ -24,7 +25,9 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import NotQuiesced, SizeMismatch, VersionMismatch
+import numpy as np
+
+from .errors import NotQuiesced, SizeMismatch, TimecheckError, VersionMismatch
 
 MAGIC = b"TCCK"
 FORMAT_VERSION = 1
@@ -40,10 +43,12 @@ _HEADER = struct.Struct("<4sIQI")
 
 @dataclass
 class MemoryImage:
-    """The word array being challenged, with region metadata.
+    """The word list the streaming reference engines scan, with region metadata.
 
-    Live device state uses a mutable list; checkpoints hold tuples so the
-    recorded copy cannot be modified in place.
+    Device and checkpoint memory is a uint64 array (DeviceState.words,
+    Checkpoint.words). The streaming multipass and multipass_naive take the
+    words as Python ints instead, because they multiply them by powers of x
+    as exact integers, which a uint64 array would wrap.
     """
 
     words: "list | tuple"
@@ -61,14 +66,29 @@ class MemoryImage:
         return len(self.words)
 
 
-@dataclass(frozen=True)
-class Checkpoint:
-    """Immutable snapshot of image words and register file."""
+def _frozen(words) -> np.ndarray:
+    """A uint64 copy of words backed by immutable bytes, so it cannot be made writeable."""
+    return np.frombuffer(np.asarray(words, dtype=np.uint64).tobytes(), dtype=np.uint64)
 
-    image: MemoryImage
-    register_file: tuple
-    created_at: float
+
+@dataclass(frozen=True, eq=False)
+class Checkpoint:
+    """Immutable snapshot of image words and register file.
+
+    words is one read-only uint64 array: the image words, then the
+    register_count register words. It is exactly what a challenge scans.
+    """
+
+    words: np.ndarray
+    register_count: int
+    region_id: str = "sram"
+    created_at: float = 0.0
     format_version: int = FORMAT_VERSION
+
+    @property
+    def word_count(self) -> int:
+        """Image words, registers excluded."""
+        return self.words.size - self.register_count
 
 
 def checkpoint_record(state) -> Checkpoint:
@@ -79,44 +99,30 @@ def checkpoint_record(state) -> Checkpoint:
     """
     if not getattr(state, "quiesced", False):
         raise NotQuiesced("device has active interference sources; quiesce before recording")
-    return Checkpoint(
-        image=MemoryImage(tuple(state.image.words), state.image.region_id),
-        register_file=tuple(state.registers),
-        created_at=time.time(),
-    )
+    return Checkpoint(_frozen(state.words), state.register_count, state.region_id,
+                      created_at=time.time())
 
 
 def checkpoint_replay(cp: Checkpoint, state):
     """Restore image and register file to the recorded values, bit-exactly."""
     if cp.format_version not in SUPPORTED_VERSIONS:
         raise VersionMismatch(f"checkpoint format_version {cp.format_version} unsupported")
-    if len(state.image.words) != cp.image.word_count:
-        raise SizeMismatch(
-            f"live region has {len(state.image.words)} words, "
-            f"checkpoint has {cp.image.word_count}"
-        )
-    if len(state.registers) != len(cp.register_file):
-        raise SizeMismatch(
-            f"live register file has {len(state.registers)} words, "
-            f"checkpoint has {len(cp.register_file)}"
-        )
-    state.image.words[:] = cp.image.words
-    state.registers[:] = cp.register_file
+    live = (state.words.size - state.register_count, state.register_count)
+    if live != (cp.word_count, cp.register_count):
+        raise SizeMismatch(f"live device has {live[0]} image and {live[1]} register words, "
+                           f"checkpoint has {cp.word_count} and {cp.register_count}")
+    np.copyto(state.words, cp.words)
     return state
 
 
 def save_checkpoint(cp: Checkpoint, path, sidecar: bool = True):
     """Write the checkpoint in the binary format above (+ JSON sidecar)."""
-    words = cp.image.words
-    regs = cp.register_file
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, cp.format_version, len(words), len(regs)))
-        fh.write(struct.pack(f"<{len(words)}Q", *words))
-        if regs:
-            fh.write(struct.pack(f"<{len(regs)}Q", *regs))
+        fh.write(_HEADER.pack(MAGIC, cp.format_version, cp.word_count, cp.register_count))
+        fh.write(cp.words.astype("<u8").tobytes())
     if sidecar:
         meta = {
-            "region_id": cp.image.region_id,
+            "region_id": cp.region_id,
             "created_at": cp.created_at,
             "format_version": cp.format_version,
         }
@@ -126,7 +132,11 @@ def save_checkpoint(cp: Checkpoint, path, sidecar: bool = True):
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint file, picking up the JSON sidecar when present."""
+    """Read a checkpoint file, picking up the JSON sidecar when present.
+
+    A file or sidecar that does not describe a checkpoint raises a
+    TimecheckError naming the file.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:4] != MAGIC:
@@ -137,28 +147,36 @@ def load_checkpoint(path) -> Checkpoint:
     expect = _HEADER.size + 8 * (word_count + reg_count)
     if len(raw) != expect:
         raise SizeMismatch(f"{path}: expected {expect} bytes, found {len(raw)}")
-    words = list(struct.unpack_from(f"<{word_count}Q", raw, _HEADER.size))
-    regs = struct.unpack_from(f"<{reg_count}Q", raw, _HEADER.size + 8 * word_count)
-    region_id = "sram"
-    created_at = 0.0
+    if word_count < 1:
+        raise SizeMismatch(f"{path}: a checkpoint needs at least one image word")
+    words = _frozen(np.frombuffer(raw, dtype="<u8", offset=_HEADER.size))
+    meta = {}
+    sidecar = f"{path}.json"
     try:
-        with open(str(path) + ".json") as fh:
+        with open(sidecar) as fh:
             meta = json.load(fh)
-        region_id = meta.get("region_id", region_id)
-        created_at = meta.get("created_at", created_at)
     except FileNotFoundError:
         pass
-    image = MemoryImage(tuple(words), region_id)
-    return Checkpoint(image=image, register_file=tuple(regs), created_at=created_at, format_version=version)
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise TimecheckError(f"{sidecar}: {type(exc).__name__}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise TimecheckError(f"{sidecar}: expected a JSON object")
+    region_id = meta.get("region_id", "sram")
+    created_at = meta.get("created_at", 0.0)
+    if not isinstance(region_id, str):
+        raise TimecheckError(f"{sidecar}: region_id must be a string, got {region_id!r}")
+    if isinstance(created_at, bool) or not isinstance(created_at, (int, float)):
+        raise TimecheckError(f"{sidecar}: created_at must be a number, got {created_at!r}")
+    return Checkpoint(words, reg_count, region_id, created_at, version)
 
 
 def scan_words(cp: Checkpoint) -> list:
-    """The full word sequence a challenge scans: image then register file.
+    """The full word sequence a challenge scans, as Python ints: image then registers.
 
     Appending the registers extends the scanned length, so the challenge
     covers "CPU registers" without a second scan mode.
     """
-    return list(cp.image.words) + list(cp.register_file)
+    return cp.words.tolist()
 
 
 @dataclass
@@ -181,15 +199,15 @@ class EntropyReport:
         return min(self.block_entropies)
 
 
-def entropy_report(image: MemoryImage, block_bytes: int = 4096, threshold: float = 4.0) -> EntropyReport:
-    """Byte-histogram Shannon entropy (bits/byte) per fixed-size block.
+def entropy_report(words, block_bytes: int = 4096, threshold: float = 4.0) -> EntropyReport:
+    """Byte-histogram Shannon entropy (bits/byte) per fixed-size block of a word array.
 
-    The last block may be partial. Entropy is permutation-invariant within a
-    block and bounded in [0, 8].
+    The words are read as little-endian u64s. The last block may be partial.
+    Entropy is permutation-invariant within a block and bounded in [0, 8].
     """
     if block_bytes < 1:
         raise ValueError("block size must be positive")
-    data = struct.pack(f"<{image.word_count}Q", *image.words)
+    data = np.asarray(words, dtype=np.uint64).astype("<u8").tobytes()
     report = EntropyReport(block_bytes=block_bytes, threshold=threshold)
     for start in range(0, len(data), block_bytes):
         block = data[start:start + block_bytes]

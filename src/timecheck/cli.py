@@ -15,7 +15,7 @@ import numpy as np
 
 from . import stats
 from .checkpoint import (
-    Checkpoint,
+    DEFAULT_REGISTER_COUNT,
     checkpoint_record,
     entropy_report,
     load_checkpoint,
@@ -175,7 +175,7 @@ def _challenge_once(args, scenario: Scenario, profile, attempt: int = 0):
     elif args.target.startswith("tcp://"):
         host, _, port = args.target[len("tcp://"):].partition(":")
         channel = TcpChannel(host, int(port))
-        # the checkpoint is public: rebuild the device's snapshot locally
+        # the checkpoint is public: rebuild the device's checkpoint locally
         local = DeviceEndpoint(scenario, master_seed=0)
         expected = local.expected_result(spec)
     else:
@@ -385,20 +385,21 @@ def cmd_serve(args) -> int:
 
 def cmd_checkpoint(args) -> int:
     if args.make:
+        if args.words < 1:
+            raise TimecheckError(f"--words must be >= 1, got {args.words}")
+        if args.registers < 0:
+            raise TimecheckError(f"--registers must be >= 0, got {args.registers}")
         state = make_device_state(args.seed, args.words, args.region, args.registers)
-        cp = checkpoint_record(state)
-        cp = Checkpoint(cp.image, cp.register_file, created_at=0.0,
-                        format_version=cp.format_version)
+        cp = dataclasses.replace(checkpoint_record(state), created_at=0.0)
         save_checkpoint(cp, args.make)
-        print(f"wrote {args.make} ({cp.image.word_count} words, "
-              f"{len(cp.register_file)} registers)")
+        print(f"wrote {args.make} ({cp.word_count} words, {cp.register_count} registers)")
         return EXIT_OK
     cp = load_checkpoint(args.inspect)
-    rep = entropy_report(cp.image)
+    rep = entropy_report(cp.words[:cp.word_count])
     print(json.dumps({
-        "word_count": cp.image.word_count,
-        "register_count": len(cp.register_file),
-        "region_id": cp.image.region_id,
+        "word_count": cp.word_count,
+        "register_count": cp.register_count,
+        "region_id": cp.region_id,
         "format_version": cp.format_version,
         "entropy_bits_per_byte_min": round(rep.min_entropy, 3),
         "low_entropy_block_fraction": round(rep.low_entropy_fraction, 3),
@@ -465,7 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--make", metavar="PATH")
     g.add_argument("--inspect", metavar="PATH")
     p.add_argument("--words", type=int, default=4096)
-    p.add_argument("--registers", type=int, default=34)
+    p.add_argument("--registers", type=int, default=DEFAULT_REGISTER_COUNT)
     p.add_argument("--region", default="sram")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_checkpoint)

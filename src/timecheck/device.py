@@ -26,7 +26,6 @@ for a 500-pass scan of a 192 KB region rather than inventing absolute
 latencies; every knob stays configurable through scenario JSON.
 """
 
-import copy
 import functools
 import json
 import math
@@ -35,13 +34,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .checkpoint import (
-    DEFAULT_REGISTER_COUNT,
-    Checkpoint,
-    MemoryImage,
-    checkpoint_record,
-    scan_words,
-)
+from .checkpoint import DEFAULT_REGISTER_COUNT, Checkpoint, checkpoint_record
 from .engine import random_spec
 from .errors import TimecheckError, UnknownTier
 from .seeding import derive_seed, derive_seeds, random_words, sub_rng
@@ -191,11 +184,20 @@ class Measurement:
 
 
 class DeviceState:
-    """Live, mutable device: challenged words and register file."""
+    """Live, mutable device memory in a Checkpoint's layout.
 
-    def __init__(self, image: MemoryImage, registers, quiesced: bool = True):
-        self.image = image
-        self.registers = list(registers)
+    words is one writable uint64 array: the challenged image words, then the
+    register_count register words.
+    """
+
+    def __init__(self, words, register_count: int, region_id: str = "sram",
+                 quiesced: bool = True):
+        self.words = np.array(words, dtype=np.uint64)
+        if not 0 <= register_count < self.words.size:
+            raise ValueError("a device needs at least one image word and "
+                             "a non-negative register count")
+        self.register_count = register_count
+        self.region_id = region_id
         self.quiesced = quiesced
 
 
@@ -204,42 +206,19 @@ def make_device_state(image_seed: int, image_words: int, region_id: str = "sram"
     """Seeded device with pseudorandom memory content and register file."""
     words = random_words(derive_seed(image_seed, "image"), image_words)
     regs = random_words(derive_seed(image_seed, "registers"), register_count)
-    return DeviceState(MemoryImage(words, region_id), regs)
-
-
-@dataclass(frozen=True)
-class DeviceSnapshot:
-    """The recorded checkpoint of one seeded device image, shared read-only.
-
-    scan is the word sequence a challenge covers (image words, then the
-    register file) as a uint64 array that cannot be written to, so no
-    endpoint can change what another one scans.
-    """
-
-    checkpoint: Checkpoint
-    scan: np.ndarray
-
-    def live_state(self) -> DeviceState:
-        """A fresh mutable device holding a copy of the recorded words."""
-        # the recorded words were validated once, when the image was made
-        image = copy.copy(self.checkpoint.image)
-        image.words = list(image.words)
-        return DeviceState(image, self.checkpoint.register_file)
+    return DeviceState(words + regs, register_count, region_id)
 
 
 @functools.lru_cache(maxsize=8)
 def device_snapshot(image_seed: int, image_words: int, region_id: str = "sram",
-                    register_count: int = DEFAULT_REGISTER_COUNT) -> DeviceSnapshot:
-    """The snapshot of make_device_state(...), built once per distinct image.
+                    register_count: int = DEFAULT_REGISTER_COUNT) -> Checkpoint:
+    """The checkpoint of make_device_state(...), recorded once per distinct image.
 
-    A process-wide cache is safe because a snapshot is immutable and its
-    words are determined by its key.
+    A process-wide cache is safe because a checkpoint's words are read-only
+    and determined by its key.
     """
-    cp = checkpoint_record(make_device_state(image_seed, image_words, region_id,
-                                             register_count))
-    # backed by immutable bytes, so the array cannot be made writeable again
-    scan = np.frombuffer(np.array(scan_words(cp), dtype=np.uint64).tobytes(), dtype=np.uint64)
-    return DeviceSnapshot(cp, scan)
+    return checkpoint_record(make_device_state(image_seed, image_words, region_id,
+                                               register_count))
 
 
 def adversary_delay_us(adversary: AdversaryConfig, tiers: dict, passes: int) -> float:

@@ -236,9 +236,8 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
 
     Cached process-wide: the weights are a pure function of three public
     challenge fields, so a cache hit returns exactly what a rebuild would.
-    The array is read-only (backed by immutable bytes, like the device
-    snapshot's scan array), so no caller can change another caller's
-    weights. Two entries serve the verifier's expected_result followed by
+    The array is read-only (backed by immutable bytes, like a checkpoint's
+    words), so no caller can change another caller's weights. Two entries serve the verifier's expected_result followed by
     the simulated device's handle_challenge for the same challenge, and
     bound the cache at 2 * 8d bytes.
     """

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 from .checkpoint import checkpoint_replay
 from .coeffs import RandomSeeds
-from .device import Measurement, Scenario, device_snapshot, price
+from .device import DeviceState, Measurement, Scenario, device_snapshot, price
 from .engine import ChallengeResult, ChallengeSpec, evaluate
 from .errors import ChannelTimeout, MalformedFrame, SessionMismatch, TimecheckError
 from .field import FieldParams
@@ -74,6 +74,9 @@ ACCEPT_POLL_S = 0.1
 # the serialized server for days or exhaust its memory.
 MAX_K = 64
 MAX_SCAN_WORDS = 1 << 25
+# Modeled time, in microseconds, from a challenge to the device's RESTORED
+# frame. The verifier's clock starts at that frame, so it never enters a duration.
+RESTORE_US = 500
 
 log = logging.getLogger(__name__)
 
@@ -243,17 +246,17 @@ def new_session_id(rng: random.Random) -> int:
 # --- simulated device endpoint -------------------------------------------------
 
 class DeviceEndpoint:
-    """Simulated device: replays its trusted checkpoint, scans, responds.
+    """Simulated device: replays its trusted checkpoint, scans what it restored, responds.
 
-    Every endpoint of the same seeded image shares one DeviceSnapshot (the
-    recorded checkpoint and its read-only scan array); each keeps its own
-    live state, which every session restores from the checkpoint.
+    Every endpoint of the same seeded image shares one read-only Checkpoint;
+    each keeps its own writable state, which every session restores from the
+    checkpoint with one copy and then scans. The verifier's expected_result
+    scans the checkpoint itself.
 
-    behavior selects hostile stubs for verifier tests:
+    behavior selects a hostile stub for verifier tests:
       honest         normal operation
-      wrong_result   flips the accumulator, takes baseline time
       stale_session  replays the previous session id in its response
-      delayed        honest value, extra_delay_us slower
+    A wrong value or extra time comes from the scenario's adversary instead.
 
     A challenge for another region, one over MAX_K or MAX_SCAN_WORDS, or one
     whose evaluation raises a TimecheckError (say a prime too small for the
@@ -262,19 +265,16 @@ class DeviceEndpoint:
     """
 
     def __init__(self, scenario: Scenario, master_seed: int = 0,
-                 behavior: str = "honest", restore_us: float = 500.0,
-                 extra_delay_us: float = 0.0):
-        if behavior not in ("honest", "wrong_result", "stale_session", "delayed"):
+                 behavior: str = "honest"):
+        if behavior not in ("honest", "stale_session"):
             raise ValueError(f"unknown behavior {behavior!r}")
         self.scenario = scenario
         self.behavior = behavior
-        self.restore_us = restore_us
-        self.extra_delay_us = extra_delay_us
         self.master_seed = master_seed
-        self.snapshot = device_snapshot(scenario.image_seed, scenario.image_words,
-                                        scenario.region_id, scenario.register_count)
-        self.checkpoint = self.snapshot.checkpoint
-        self.state = self.snapshot.live_state()
+        self.checkpoint = device_snapshot(scenario.image_seed, scenario.image_words,
+                                          scenario.region_id, scenario.register_count)
+        self.state = DeviceState(self.checkpoint.words, self.checkpoint.register_count,
+                                 scenario.region_id)
         self._session_index = 0
         self._last_session_id = 0
 
@@ -285,13 +285,13 @@ class DeviceEndpoint:
         if spec.region_id != scenario.region_id:
             reply = ResponseMessage(msg.session_id, 0, STATUS_REGION_MISMATCH)
             return [(0.0, encode_response(reply))]
-        refusal = budget_refusal(spec.seeds.k, spec.passes * self.snapshot.scan.size)
+        refusal = budget_refusal(spec.seeds.k, spec.passes * self.state.words.size)
         if refusal:
             return self._refuse(msg, refusal)
 
         checkpoint_replay(self.checkpoint, self.state)
         try:
-            result = evaluate(self.snapshot.scan, spec)
+            result = evaluate(self.state.words, spec)
         except TimecheckError as exc:
             return self._refuse(msg, f"{type(exc).__name__}: {exc}")
         restored = encode_restored(RestoredMessage(msg.session_id))
@@ -303,10 +303,8 @@ class DeviceEndpoint:
         duration, nmi = price(scenario, msg.spec.passes, noise_rng, trial_id)
 
         accumulator = result.accumulator
-        if scenario.adversary.kind == "corrupt_result" or self.behavior == "wrong_result":
+        if scenario.adversary.kind == "corrupt_result":
             accumulator = (accumulator + 1) % msg.spec.params.p
-        if self.behavior == "delayed":
-            duration += self.extra_delay_us
 
         session_id = msg.session_id
         if self.behavior == "stale_session" and self._last_session_id:
@@ -316,7 +314,7 @@ class DeviceEndpoint:
         status = STATUS_NMI_RETRY if nmi else STATUS_OK
         reply = ResponseMessage(session_id, accumulator, status)
         # delays leave the device at the timer's microsecond granularity
-        return [(int(round(self.restore_us)), restored),
+        return [(RESTORE_US, restored),
                 (max(0, int(round(duration))), encode_response(reply))]
 
     @staticmethod
@@ -326,7 +324,7 @@ class DeviceEndpoint:
 
     def expected_result(self, spec: ChallengeSpec) -> ChallengeResult:
         """What an honest scan of the (public) checkpoint must produce."""
-        return evaluate(self.snapshot.scan, spec)
+        return evaluate(self.checkpoint.words, spec)
 
 
 # --- channels -------------------------------------------------------------------

@@ -269,7 +269,7 @@ def test_c09_end_to_end_protocol():
         assert ok == count, (kind, ok, count)
 
     # wrong accumulator with perfectly normal timing: value check must win
-    liar = DeviceEndpoint(sc, master_seed=6, behavior="wrong_result")
+    liar = DeviceEndpoint(attack_scenario(sc, "corrupt"), master_seed=6)
     channel = LoopbackChannel(liar, jitter_us=0.4, jitter_seed=7)
     for _ in range(10):
         spec = random_spec(sc.prime, sc.k, sc.passes, session_rng, sc.region_id)
@@ -280,7 +280,7 @@ def test_c09_end_to_end_protocol():
     elapsed = time.time() - t0
     assert elapsed < 60.0
     detail = ", ".join(f"{k}:{a}/{b}" for k, (a, b) in outcomes.items())
-    report(9, f"sessions {detail}; wrong-value stub 10/10 rejected; {elapsed:.1f}s")
+    report(9, f"sessions {detail}; corrupt-result device 10/10 rejected; {elapsed:.1f}s")
 
 
 def test_c10_reproduction_determinism(tmp_path):

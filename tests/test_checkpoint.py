@@ -1,11 +1,18 @@
 """Tests for checkpoint record/replay, serialization, and entropy."""
 
 import random
+import struct
+import tempfile
+from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from timecheck.checkpoint import (
-    MemoryImage,
+    DEFAULT_REGISTER_COUNT,
     checkpoint_record,
     checkpoint_replay,
     entropy_report,
@@ -17,6 +24,10 @@ from timecheck.device import DeviceState, make_device_state
 from timecheck.errors import NotQuiesced, SizeMismatch, VersionMismatch
 
 
+# words at the signed/unsigned boundaries, which a signed-int slip would mangle
+_EDGE_WORDS = (0, 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1)
+
+
 @pytest.fixture
 def state():
     return make_device_state(image_seed=1, image_words=64)
@@ -25,8 +36,8 @@ def state():
 class TestRecordReplay:
     def test_record_copies_bit_for_bit(self, state):
         cp = checkpoint_record(state)
-        assert tuple(cp.image.words) == tuple(state.image.words)
-        assert tuple(cp.register_file) == tuple(state.registers)
+        assert np.array_equal(cp.words, state.words)
+        assert cp.register_count == state.register_count
 
     def test_record_requires_quiesce(self, state):
         state.quiesced = False
@@ -35,49 +46,48 @@ class TestRecordReplay:
 
     def test_record_is_deep_copy(self, state):
         cp = checkpoint_record(state)
-        before = cp.image.words[0]
-        state.image.words[0] ^= 0xFFFF
-        assert cp.image.words[0] == before
+        before = int(cp.words[0])
+        state.words[0] ^= 0xFFFF
+        assert cp.words[0] == before
 
     def test_replay_restores_after_mutation(self, state):
         cp = checkpoint_record(state)
-        state.image.words[3] ^= 1 << 17
-        state.registers[5] = 0
+        state.words[3] ^= 1 << 17
+        state.words[64 + 5] = 0
         checkpoint_replay(cp, state)
-        assert list(state.image.words) == list(cp.image.words)
-        assert list(state.registers) == list(cp.register_file)
+        assert np.array_equal(state.words, cp.words)
 
     def test_replay_idempotent_on_identical_state(self, state):
         cp = checkpoint_record(state)
-        before = list(state.image.words)
+        before = state.words.copy()
         checkpoint_replay(cp, state)
-        assert list(state.image.words) == before
+        assert np.array_equal(state.words, before)
 
     def test_replay_onto_zeroed_state(self, state):
         cp = checkpoint_record(state)
-        zeroed = DeviceState(MemoryImage([0] * 64), [0] * len(state.registers))
+        zeroed = DeviceState(np.zeros_like(state.words), state.register_count)
         checkpoint_replay(cp, zeroed)
-        assert list(zeroed.image.words) == list(cp.image.words)
+        assert np.array_equal(zeroed.words, cp.words)
 
     def test_replay_single_adversary_write(self, state):
         cp = checkpoint_record(state)
         victim = random.Random(3).randrange(64)
-        state.image.words[victim] ^= 1  # single-bit implant
-        diff_before = [i for i in range(64) if state.image.words[i] != cp.image.words[i]]
+        state.words[victim] ^= 1  # single-bit implant
+        diff_before = [i for i in range(64) if state.words[i] != cp.words[i]]
         assert diff_before == [victim]
         checkpoint_replay(cp, state)
-        diff_after = [i for i in range(64) if state.image.words[i] != cp.image.words[i]]
+        diff_after = [i for i in range(64) if state.words[i] != cp.words[i]]
         assert diff_after == []
 
     def test_replay_size_mismatch(self, state):
         cp = checkpoint_record(state)
-        small = DeviceState(MemoryImage([0] * 63), [0] * len(state.registers))
+        small = DeviceState([0] * (63 + state.register_count), state.register_count)
         with pytest.raises(SizeMismatch):
             checkpoint_replay(cp, small)
 
     def test_replay_version_mismatch(self, state):
         cp = checkpoint_record(state)
-        bad = type(cp)(cp.image, cp.register_file, cp.created_at, format_version=99)
+        bad = replace(cp, format_version=99)
         with pytest.raises(VersionMismatch):
             checkpoint_replay(bad, state)
 
@@ -87,11 +97,10 @@ class TestRecordReplay:
             st = make_device_state(rng.getrandbits(32), rng.randint(1, 200))
             cp = checkpoint_record(st)
             for _ in range(rng.randint(0, 30)):
-                st.image.words[rng.randrange(st.image.word_count)] = rng.getrandbits(64)
-                st.registers[rng.randrange(len(st.registers))] = rng.getrandbits(64)
+                st.words[rng.randrange(cp.word_count)] = rng.getrandbits(64)
+                st.words[cp.word_count + rng.randrange(st.register_count)] = rng.getrandbits(64)
             checkpoint_replay(cp, st)
-            assert tuple(st.image.words) == tuple(cp.image.words)
-            assert tuple(st.registers) == tuple(cp.register_file)
+            assert np.array_equal(st.words, cp.words)
 
 
 class TestSerialization:
@@ -100,10 +109,10 @@ class TestSerialization:
         path = tmp_path / "dev.ck"
         save_checkpoint(cp, path)
         back = load_checkpoint(path)
-        assert tuple(back.image.words) == tuple(cp.image.words)
-        assert back.register_file == cp.register_file
+        assert np.array_equal(back.words, cp.words)
+        assert back.register_count == cp.register_count
         assert back.format_version == cp.format_version
-        assert back.image.region_id == cp.image.region_id
+        assert back.region_id == cp.region_id
 
     def test_sram_sized_image_round_trips(self, tmp_path):
         st = make_device_state(image_seed=2, image_words=24576)
@@ -128,16 +137,43 @@ class TestSerialization:
         with pytest.raises(SizeMismatch):
             load_checkpoint(path)
 
+    @settings(max_examples=80, deadline=None)
+    @given(image_words=st.integers(1, 4096), register_count=st.integers(0, 64),
+           seed=st.integers(0, 2**32 - 1),
+           planted=st.lists(st.tuples(st.integers(0, 4096 + 63),
+                                      st.sampled_from(_EDGE_WORDS) | st.integers(0, 2**64 - 1)),
+                            max_size=8))
+    def test_codec_round_trip_property(self, image_words, register_count, seed, planted):
+        # record -> save -> load -> replay onto zeroed memory is bit-exact
+        rng = random.Random(seed)
+        words = [rng.getrandbits(64) for _ in range(image_words + register_count)]
+        for index, word in planted:
+            words[index % len(words)] = word
+        cp = checkpoint_record(DeviceState(words, register_count))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp, "a.ck"), Path(tmp, "b.ck")
+            save_checkpoint(cp, path)
+            back = load_checkpoint(path)
+            save_checkpoint(back, again)
+            saved = path.read_bytes()
+            assert again.read_bytes() == saved
+        assert saved[20:] == struct.pack(f"<{len(words)}Q", *words)
+        assert (back.word_count, back.register_count) == (image_words, register_count)
+        zeroed = DeviceState([0] * len(words), register_count)
+        checkpoint_replay(back, zeroed)
+        assert zeroed.words.tolist() == words
+
     def test_scan_words_appends_registers(self, state):
         cp = checkpoint_record(state)
         seq = scan_words(cp)
-        assert seq[:64] == list(cp.image.words)
-        assert seq[64:] == list(cp.register_file)
+        assert seq[:64] == state.words[:64].tolist()
+        assert seq[64:] == state.words[64:].tolist()
+        assert len(seq) == 64 + DEFAULT_REGISTER_COUNT
 
 
 class TestEntropy:
     def test_all_zero_image(self):
-        rep = entropy_report(MemoryImage([0] * 1024))
+        rep = entropy_report([0] * 1024)
         assert all(h == 0.0 for h in rep.block_entropies)
         assert rep.low_entropy_fraction == 1.0
 
@@ -145,21 +181,20 @@ class TestEntropy:
         # 512 words = 4096 bytes; every byte value appears exactly 16 times
         data = bytes(range(256)) * 16
         words = [int.from_bytes(data[i:i + 8], "little") for i in range(0, 4096, 8)]
-        rep = entropy_report(MemoryImage(words))
+        rep = entropy_report(words)
         assert rep.block_entropies == [8.0]
 
     def test_bounded_and_block_count(self):
-        img = MemoryImage(list(range(1000)))
-        rep = entropy_report(img, block_bytes=512)
+        rep = entropy_report(np.arange(1000, dtype=np.uint64), block_bytes=512)
         assert len(rep.block_entropies) == (8000 + 511) // 512
         assert all(0.0 <= h <= 8.0 for h in rep.block_entropies)
 
     def test_permutation_invariant_within_block(self):
         rng = random.Random(4)
         words = [rng.getrandbits(64) for _ in range(512)]
-        h1 = entropy_report(MemoryImage(words)).block_entropies
+        h1 = entropy_report(words).block_entropies
         rng.shuffle(words)
-        h2 = entropy_report(MemoryImage(words)).block_entropies
+        h2 = entropy_report(words).block_entropies
         assert h1 == pytest.approx(h2)
 
     def test_reference_entropy_cross_check(self):
@@ -170,8 +205,7 @@ class TestEntropy:
 
         rng = random.Random(5)
         words = [rng.getrandbits(64) if i % 2 else 0 for i in range(512)]
-        img = MemoryImage(words)
-        rep = entropy_report(img, block_bytes=4096)
+        rep = entropy_report(words, block_bytes=4096)
         data = struct.pack("<512Q", *words)
         counts = Counter(data)
         expect = -sum((c / 4096) * math.log2(c / 4096) for c in counts.values())
@@ -180,7 +214,7 @@ class TestEntropy:
 
     def test_seeded_random_image_is_high_entropy(self):
         rng = random.Random(2)
-        rep = entropy_report(MemoryImage([rng.getrandbits(64) for _ in range(4096)]))
+        rep = entropy_report([rng.getrandbits(64) for _ in range(4096)])
         assert len(rep.block_entropies) == 8
         assert min(rep.block_entropies) >= 7.9
         assert rep.low_entropy_fraction == 0.0

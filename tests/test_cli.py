@@ -5,12 +5,15 @@ import hashlib
 import json
 import os
 import random
+import re
+import struct
 import subprocess
 import sys
 
 import pytest
 
 from timecheck import cli, protocol, stats
+from timecheck.checkpoint import load_checkpoint
 from timecheck.cli import _scenario_from_args, aggregate_detection, build_parser, main
 from timecheck.device import builtin_scenario, load_scenario, price, save_scenario
 from timecheck.errors import TimecheckError
@@ -330,6 +333,42 @@ class TestCheckpointCommand:
         run(["checkpoint", "--make", b, "--words", 256, "--seed", 9])
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.ck.json").read_bytes() == (tmp_path / "b.ck.json").read_bytes()
+
+    def test_make_file_bytes_pinned(self, tmp_path):
+        path = tmp_path / "x.ck"
+        assert run(["checkpoint", "--make", path, "--words", 4096, "--seed", 7]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "9978cfe689277487a5a4f55c971bd70c7190ba88d98bb07d1efeebd7b8b8f300")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--words", 0, "--words must be >= 1, got 0"),
+        ("--registers", -3, "--registers must be >= 0, got -3"),
+    ], ids=["words-0", "registers-negative"])
+    def test_make_refuses_bad_sizes(self, tmp_path, capsys, flag, value, message):
+        path = tmp_path / "x.ck"
+        assert run(["checkpoint", "--make", path, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("name, content", [
+        ("x.ck", b"TCCK" + struct.pack("<IQI", 1, 0, 2) + bytes(16)),
+        ("x.ck.json", b"{broken"),
+        ("x.ck.json", b"[1]"),
+        ("x.ck.json", b'{"region_id": 5}'),
+    ], ids=["no-image-words", "sidecar-not-json", "sidecar-not-object",
+            "sidecar-region-not-string"])
+    def test_inspect_malformed_file_is_an_operational_error(self, tmp_path, capsys, name,
+                                                            content):
+        path = tmp_path / "x.ck"
+        assert run(["checkpoint", "--make", path, "--words", 4, "--registers", 2]) == 0
+        bad = tmp_path / name
+        bad.write_bytes(content)
+        with pytest.raises(TimecheckError, match=re.escape(str(bad))):
+            load_checkpoint(path)
+        capsys.readouterr()
+        assert run(["checkpoint", "--inspect", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1
 
 
 def test_config_file_overrides_scenario(tmp_path, capsys):

@@ -131,7 +131,7 @@ def answer(scenario, spec):
 def honest_accumulator(scenario, spec):
     state = make_device_state(scenario.image_seed, scenario.image_words,
                               register_count=scenario.register_count)
-    return multipass(MemoryImage(state.image.words + state.registers), spec).accumulator
+    return multipass(MemoryImage(state.words.tolist()), spec).accumulator
 
 
 class TestSimulateChallenge:

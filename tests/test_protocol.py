@@ -344,14 +344,9 @@ class TestHostileStubs:
             issue_challenge(chan, fresh_spec(self.rng, self.sc), rng=self.rng)
 
     def test_wrong_result_rejected_by_value(self):
-        verdict = self._session(DeviceEndpoint(self.sc, master_seed=17,
-                                               behavior="wrong_result"))
+        verdict = self._session(DeviceEndpoint(attack_scenario(self.sc, "corrupt"),
+                                               master_seed=17))
         assert verdict.outcome == "REJECT" and "accumulator" in verdict.reason
-
-    def test_delayed_response_rejected_by_timing(self):
-        verdict = self._session(DeviceEndpoint(self.sc, master_seed=18,
-                                               behavior="delayed", extra_delay_us=5000))
-        assert verdict.outcome == "REJECT" and "timing" in verdict.reason
 
     def test_honest_device_accepted(self):
         verdict = self._session(DeviceEndpoint(self.sc, master_seed=19))
@@ -374,7 +369,7 @@ class TestHostileStubs:
 
     def test_value_check_precedes_timing(self):
         # wrong value at a perfectly normal time: REJECT for the value
-        ep = DeviceEndpoint(self.sc, master_seed=20, behavior="wrong_result")
+        ep = DeviceEndpoint(attack_scenario(self.sc, "corrupt"), master_seed=20)
         verdict = self._session(ep)
         assert verdict.outcome == "REJECT"
         assert verdict.detector is None
@@ -383,7 +378,7 @@ class TestHostileStubs:
         for kind in ("dram", "iomem", "mmc"):
             ep = DeviceEndpoint(attack_scenario(self.sc, kind), master_seed=21)
             verdict = self._session(ep)
-            assert verdict.outcome == "REJECT", kind
+            assert verdict.outcome == "REJECT" and "timing" in verdict.reason, kind
 
     def test_nmi_asks_for_retry(self):
         from dataclasses import replace
@@ -713,16 +708,16 @@ class TestSharedSnapshot:
         sc = desk_scenario()
         a = DeviceEndpoint(sc, master_seed=1)
         b = DeviceEndpoint(attack_scenario(sc, "dram"), master_seed=2)
-        assert a.snapshot is b.snapshot
         assert a.checkpoint is b.checkpoint
-        assert a.snapshot.scan is b.snapshot.scan
         assert a.state is not b.state
-        assert a.snapshot.scan.dtype == np.uint64
-        assert a.snapshot.scan.tolist() == scan_words(a.checkpoint)
+        assert not np.shares_memory(a.state.words, b.state.words)
+        assert not np.shares_memory(a.state.words, a.checkpoint.words)
+        assert a.checkpoint.words.dtype == np.uint64
+        assert a.checkpoint.words.tolist() == scan_words(a.checkpoint)
 
     def test_scan_array_is_read_only(self):
         ep = DeviceEndpoint(desk_scenario(), master_seed=3)
-        scan = ep.snapshot.scan
+        scan = ep.checkpoint.words
         assert scan.flags.writeable is False
         with pytest.raises(ValueError):
             scan[0] = 1
@@ -735,17 +730,35 @@ class TestSharedSnapshot:
         other = DeviceEndpoint(sc, master_seed=5)
         cp = ep.checkpoint
         recorded = scan_words(cp)
-        scan_before = ep.snapshot.scan.copy()
-        ep.state.image.words[0] ^= 1
-        ep.state.registers[-1] ^= 1
-        assert ep.state.image.words[0] != cp.image.words[0]
+        ep.state.words[0] ^= 1
+        ep.state.words[-1] ^= 1
+        assert ep.state.words[0] != cp.words[0]
         checkpoint_replay(cp, ep.state)
-        assert list(ep.state.image.words) == list(cp.image.words)
-        assert ep.state.registers == list(cp.register_file)
+        assert ep.state.words.tolist() == recorded
         assert scan_words(cp) == recorded
-        assert np.array_equal(ep.snapshot.scan, scan_before)
         spec = fresh_spec(sub_rng(9, "t"), sc)
         assert ep.expected_result(spec) == other.expected_result(spec)
+
+    def test_device_scans_the_state_it_restored(self, monkeypatch, desk_profile):
+        sc, profile = desk_profile
+
+        def session(ep, spec):
+            chan = LoopbackChannel(ep, jitter_us=0.4, jitter_seed=13)
+            timed = issue_challenge(chan, spec, rng=random.Random(2))
+            return timed, verify_response(ep.expected_result(spec), timed, profile)
+
+        ep = DeviceEndpoint(sc, master_seed=19)
+        spec = fresh_spec(sub_rng(5, "sessions"), sc)
+        ep.state.words[7] ^= 1 << 63
+        timed, verdict = session(ep, spec)  # replay undoes the flip
+        assert timed.response.accumulator == ep.expected_result(spec).accumulator
+        assert verdict.outcome == "ACCEPT"
+
+        monkeypatch.setattr(protocol, "checkpoint_replay", lambda cp, state: state)
+        ep.state.words[7] ^= 1 << 63
+        timed, verdict = session(ep, spec)
+        assert timed.response.accumulator != ep.expected_result(spec).accumulator
+        assert verdict.outcome == "REJECT" and "accumulator" in verdict.reason
 
     def test_other_primes_use_streaming_multipass(self, monkeypatch):
         sc = replace(desk_scenario(), prime=65537)  # 8 passes x 2,048 words < p
