@@ -42,10 +42,7 @@ from .stats import (
     Verdict,
     calibrate,
     confusion_report,
-    detect_chebyshev,
-    detect_modified_z,
-    detect_percentile,
-    detect_zscore,
+    detect,
     ks_test,
     serial_correlation,
     t_test,

@@ -167,6 +167,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise TimecheckError(f"{sidecar}: region_id must be a string, got {region_id!r}")
     if isinstance(created_at, bool) or not isinstance(created_at, (int, float)):
         raise TimecheckError(f"{sidecar}: created_at must be a number, got {created_at!r}")
+    if meta.get("format_version", version) != version:
+        raise VersionMismatch(f"{sidecar}: format_version {meta['format_version']!r} "
+                              f"does not match the file's {version}")
     return Checkpoint(words, reg_count, region_id, created_at, version)
 
 

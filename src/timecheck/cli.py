@@ -22,6 +22,7 @@ from .checkpoint import (
     save_checkpoint,
 )
 from .device import (
+    ATTACKS,
     Scenario,
     attack_scenario,
     builtin_scenario,
@@ -51,22 +52,14 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 2
 
-DETECTOR_CHOICES = ("percentile", "zscore", "modz", "chebyshev")
-ATTACK_CHOICES = ("none", "dram", "iomem", "mmc", "corrupt")
-
 
 def _scenario_from_args(args) -> Scenario:
-    if getattr(args, "config", None):
-        scenario = load_scenario(args.config)
-    elif getattr(args, "region", None) == "full":
-        scenario = full_memory_scenario(attack=False)
-    else:
-        scenario = builtin_scenario(getattr(args, "scenario", None) or "sram-baseline")
-    if getattr(args, "passes", None) is not None:
+    scenario = load_scenario(args.config) if args.config else builtin_scenario(args.scenario)
+    if args.passes is not None:
         if args.passes < 1:
             raise TimecheckError(f"--passes must be >= 1, got {args.passes}")
         scenario = dataclasses.replace(scenario, passes=args.passes)
-    if getattr(args, "attack", None) and args.attack != "none":
+    if getattr(args, "attack", "none") != "none":
         scenario = attack_scenario(scenario, args.attack)
     refusal = budget_refusal(scenario.k, scenario.passes
                              * (scenario.image_words + scenario.register_count))
@@ -109,6 +102,24 @@ def _read_profile(path):
     return stats.calibrate(doc["samples_us"]), doc
 
 
+def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
+    """(channel, endpoint) to the device that --target names.
+
+    tcp://host:port is a TcpChannel, with endpoint None. The value simulated
+    names a DeviceEndpoint behind a LoopbackChannel, seeded for the attempt.
+    """
+    if args.target.startswith("tcp://"):
+        host, _, port = args.target[len("tcp://"):].partition(":")
+        if not port.isdigit():
+            raise TimecheckError(f"target {args.target!r} is not tcp://host:port")
+        return TcpChannel(host, int(port)), None
+    if args.target != simulated:
+        raise TimecheckError(f"unknown target {args.target!r}")
+    endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device", attempt))
+    return LoopbackChannel(endpoint, jitter_us=args.jitter,
+                           jitter_seed=derive_seed(args.seed, "jitter", attempt)), endpoint
+
+
 def _session_measurements(scenario, channel, n, master_seed):
     """Timed sessions through a live channel, as Measurement records."""
     rng = sub_rng(master_seed, "calibration")
@@ -127,17 +138,9 @@ def cmd_calibrate(args) -> int:
         raise InsufficientSamples("calibration needs --trials >= 2")
     if args.target == "sim":
         measurements = run_trials(scenario, args.trials, args.seed)
-    elif args.target == "loopback":
-        endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device"))
-        channel = LoopbackChannel(endpoint, jitter_us=args.jitter,
-                                  jitter_seed=derive_seed(args.seed, "jitter"))
-        measurements = _session_measurements(scenario, channel, args.trials, args.seed)
-    elif args.target.startswith("tcp://"):
-        host, _, port = args.target[len("tcp://"):].partition(":")
-        channel = TcpChannel(host, int(port))
-        measurements = _session_measurements(scenario, channel, args.trials, args.seed)
     else:
-        raise TimecheckError(f"unknown target {args.target!r}")
+        channel, _ = _connect(args, scenario, "loopback")
+        measurements = _session_measurements(scenario, channel, args.trials, args.seed)
     durations = [m.duration_us for m in measurements]
     profile = stats.calibrate(durations)
     max_lag = min(10, len(durations) - 1)
@@ -167,19 +170,10 @@ def _challenge_once(args, scenario: Scenario, profile, attempt: int = 0):
     spec_rng = sub_rng(master, "challenge-spec", attempt)
     spec = random_spec(scenario.prime, scenario.k, scenario.passes, spec_rng,
                        scenario.region_id)
-    if args.target == "sim":
-        endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(master, "device", attempt))
-        channel = LoopbackChannel(endpoint, jitter_us=args.jitter,
-                                  jitter_seed=derive_seed(master, "jitter", attempt))
-        expected = endpoint.expected_result(spec)
-    elif args.target.startswith("tcp://"):
-        host, _, port = args.target[len("tcp://"):].partition(":")
-        channel = TcpChannel(host, int(port))
-        # the checkpoint is public: rebuild the device's checkpoint locally
-        local = DeviceEndpoint(scenario, master_seed=0)
-        expected = local.expected_result(spec)
-    else:
-        raise TimecheckError(f"unknown target {args.target!r} (use sim or tcp://host:port)")
+    channel, endpoint = _connect(args, scenario, "sim", attempt)
+    if endpoint is None:  # the checkpoint is public: rebuild the device's checkpoint locally
+        endpoint = DeviceEndpoint(scenario, master_seed=0)
+    expected = endpoint.expected_result(spec)
     timed = issue_challenge(channel, spec, rng=sub_rng(master, "session"))
     verdict = verify_response(expected, timed, profile, method=args.detector)
     return spec, timed, verdict
@@ -416,9 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--scenario", choices=list_scenarios(), default=None)
+        p.add_argument("--scenario", choices=list_scenarios(), default="sram-baseline")
         p.add_argument("--config", help="scenario JSON file (overrides --scenario)")
-        p.add_argument("--region", choices=("sram", "full"), default=None)
         p.add_argument("--passes", type=int, default=None,
                        help="override pass count (default from scenario)")
 
@@ -436,8 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--profile", required=True, help="profile JSON from calibrate")
     p.add_argument("--target", default="sim", help="sim or tcp://host:port")
-    p.add_argument("--detector", choices=DETECTOR_CHOICES, default="percentile")
-    p.add_argument("--attack", choices=ATTACK_CHOICES, default="none")
+    p.add_argument("--detector", choices=tuple(stats.DETECTORS), default="percentile")
+    p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
     p.add_argument("--jitter", type=float, default=3.0,
                    help="loopback channel jitter in us")
     p.set_defaults(fn=cmd_challenge)
@@ -453,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="serve a simulated device over TCP")
     common(p)
-    p.add_argument("--attack", choices=ATTACK_CHOICES, default="none")
+    p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--time-scale", type=float, default=1.0,

@@ -14,7 +14,8 @@ persistent implant), so
                                                      + tier.per_op_fixed_cost)
 
 while an mmc_io adversary pays for a single payload transfer once per
-challenge, at the scan index given by trigger_index.
+challenge. Its trigger_index is carried in scenario files but does not enter
+the price.
 
 The simulated adversary is time-only: it always returns the correct
 accumulator and pays only latency, which is the strongest stealthy attacker.
@@ -37,6 +38,7 @@ import numpy as np
 from .checkpoint import DEFAULT_REGISTER_COUNT, Checkpoint, checkpoint_record
 from .engine import random_spec
 from .errors import TimecheckError, UnknownTier
+from .field import is_prime
 from .seeding import derive_seed, derive_seeds, random_words, sub_rng
 
 # --- default calibration ---------------------------------------------------
@@ -53,6 +55,7 @@ SRAM_BASELINE_MEAN_US = 9.591e6
 SRAM_SCAN_US_PER_WORD = SRAM_BASELINE_MEAN_US / (SRAM_PASSES * SRAM_SCAN_WORDS)
 
 FULL_IMAGE_WORDS = (4 << 30) // 8 + SRAM_IMAGE_WORDS  # 4 GiB of DRAM + SRAM
+FULL_STANDIN_WORDS = 4096  # the image a full-memory device materializes
 FULL_PASSES = 1
 FULL_BASELINE_MEAN_US = 1.731895e9
 FULL_SCAN_US_PER_WORD = FULL_BASELINE_MEAN_US / (FULL_PASSES * FULL_IMAGE_WORDS)
@@ -62,8 +65,8 @@ FULL_MMC_SIGMA_US = 28587.0
 MMC_PAYLOAD_BYTES = 512
 MMC_DELAY_US = 3.570e6  # mean shift of the full-memory storage attack
 
-SWAP_KINDS = ("dram_swap", "iomem_swap")
-_SWAP_TIER = {"dram_swap": "dram", "iomem_swap": "iomem"}
+# The tier each swap adversary evicts words to.
+SWAP_TIERS = {"dram_swap": "dram", "iomem_swap": "iomem"}
 
 
 @dataclass(frozen=True)
@@ -111,14 +114,24 @@ class AdversaryConfig:
 
     kind: str = "none"  # none | dram_swap | iomem_swap | mmc_io | corrupt_result
     words_per_pass: int = 1
-    trigger_index: int = 100
+    trigger_index: int = 100  # carried in scenario files; not priced
     payload_bytes: int = MMC_PAYLOAD_BYTES
 
     def __post_init__(self):
-        if self.kind not in ("none", "dram_swap", "iomem_swap", "mmc_io", "corrupt_result"):
+        if self.kind not in ("none", "mmc_io", "corrupt_result", *SWAP_TIERS):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        if self.kind in SWAP_KINDS and self.words_per_pass < 1:
+        if self.kind in SWAP_TIERS and self.words_per_pass < 1:
             raise ValueError("swap adversaries move at least one word per pass")
+
+
+# Each --attack name and the adversary it installs.
+ATTACKS = {
+    "none": AdversaryConfig("none"),
+    "dram": AdversaryConfig("dram_swap", words_per_pass=1),
+    "iomem": AdversaryConfig("iomem_swap", words_per_pass=1),
+    "mmc": AdversaryConfig("mmc_io"),
+    "corrupt": AdversaryConfig("corrupt_result"),
+}
 
 
 @dataclass(frozen=True)
@@ -225,8 +238,8 @@ def adversary_delay_us(adversary: AdversaryConfig, tiers: dict, passes: int) -> 
     """Total injected latency for one challenge."""
     if adversary.kind in ("none", "corrupt_result"):
         return 0.0
-    if adversary.kind in SWAP_KINDS:
-        tier_name = _SWAP_TIER[adversary.kind]
+    if adversary.kind in SWAP_TIERS:
+        tier_name = SWAP_TIERS[adversary.kind]
         tier = tiers.get(tier_name)
         if tier is None:
             raise UnknownTier(f"adversary targets missing tier {tier_name!r}")
@@ -238,11 +251,6 @@ def adversary_delay_us(adversary: AdversaryConfig, tiers: dict, passes: int) -> 
         raise UnknownTier("adversary targets missing tier 'mmc'")
     payload_words = math.ceil(adversary.payload_bytes / 8)
     return payload_words * tier.per_word_cost + tier.per_op_fixed_cost
-
-
-def base_cost_us(timing_words: int, passes: int, scan_us_per_word: float,
-                 compute_us_per_word: float = 0.0) -> float:
-    return passes * timing_words * (scan_us_per_word + compute_us_per_word)
 
 
 @dataclass(frozen=True)
@@ -273,10 +281,17 @@ class Scenario:
         if self.scan_us_per_word is None:
             object.__setattr__(self, "scan_us_per_word",
                                self.tiers["sram"].per_word_cost)
+        for name in ("passes", "k", "image_words", "timing_words"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.register_count < 0:
+            raise ValueError(f"register_count must be >= 0, got {self.register_count}")
+        if not (2 <= self.prime < 1 << 64 and is_prime(self.prime)):
+            raise ValueError(f"prime must be a prime below 2^64, got {self.prime}")
 
-    def base_cost_us(self) -> float:
-        return base_cost_us(self.timing_words, self.passes,
-                            self.scan_us_per_word, self.compute_us_per_word)
+    def base_cost_us(self, passes: int) -> float:
+        """Honest scan time of a challenge of this many passes, before noise."""
+        return passes * self.timing_words * (self.scan_us_per_word + self.compute_us_per_word)
 
 
 def price(scenario: Scenario, passes: int, rng: random.Random, trial_id: int = 0):
@@ -286,8 +301,7 @@ def price(scenario: Scenario, passes: int, rng: random.Random, trial_id: int = 0
     One noise draw comes from rng, and trial_id drives the noise drift.
     """
     noise_us, nmi = scenario.noise.sample(rng, trial_id)
-    return (base_cost_us(scenario.timing_words, passes, scenario.scan_us_per_word,
-                         scenario.compute_us_per_word)
+    return (scenario.base_cost_us(passes)
             + adversary_delay_us(scenario.adversary, scenario.tiers, passes)
             + noise_us), nmi
 
@@ -373,47 +387,41 @@ def _weighted_values(atoms):
     return tuple(vals)
 
 
+def _sram(noise: NoiseModel, attack: str = "none"):
+    """Factory of an SRAM-scale preset: Scenario's defaults with this noise and attack."""
+    return lambda name: Scenario(name, noise=noise, adversary=ATTACKS[attack])
+
+
+_FIG13_DRAM_NOISE = NoiseModel("empirical", values=_quantized(FIG13_DRAM_FRAME_US, 2))
+_FIG13_IOMEM_NOISE = NoiseModel("empirical", values=_weighted_values(FIG13_IOMEM_ATOMS))
+
+# Every builtin scenario: its name and the factory that builds it from that name.
+SCENARIOS = {
+    "sram-baseline": _sram(NoiseModel("gaussian", sigma=185.0)),
+    "sram-dram": _sram(NoiseModel("gaussian", sigma=130.0), "dram"),
+    "sram-iomem": _sram(NoiseModel("gaussian", sigma=128.0), "iomem"),
+    "detector-dram-baseline": _sram(_FIG13_DRAM_NOISE),
+    "detector-dram-attack": _sram(_FIG13_DRAM_NOISE, "dram"),
+    "detector-iomem-baseline": _sram(_FIG13_IOMEM_NOISE),
+    "detector-iomem-attack": _sram(_FIG13_IOMEM_NOISE, "iomem"),
+    "full-baseline": lambda name: full_memory_scenario(attack=False),
+    "full-mmc": lambda name: full_memory_scenario(attack=True),
+    "desk-small": lambda name: desk_scenario(),
+}
+
+
 def builtin_scenario(name: str) -> Scenario:
-    """Named experiment presets; see list_scenarios()."""
-    sram = dict(region_id="sram", image_words=SRAM_IMAGE_WORDS,
-                register_count=SRAM_REGISTER_WORDS, passes=SRAM_PASSES)
-    if name == "sram-baseline":
-        return Scenario(name=name, noise=NoiseModel("gaussian", sigma=185.0), **sram)
-    if name == "sram-dram":
-        return Scenario(name=name, noise=NoiseModel("gaussian", sigma=130.0),
-                        adversary=AdversaryConfig("dram_swap", words_per_pass=1), **sram)
-    if name == "sram-iomem":
-        return Scenario(name=name, noise=NoiseModel("gaussian", sigma=128.0),
-                        adversary=AdversaryConfig("iomem_swap", words_per_pass=1), **sram)
-    if name.startswith("detector-"):
-        if "dram" in name:
-            noise = NoiseModel("empirical", values=_quantized(FIG13_DRAM_FRAME_US, 2))
-            adv = AdversaryConfig("dram_swap", words_per_pass=1)
-        else:
-            noise = NoiseModel("empirical", values=_weighted_values(FIG13_IOMEM_ATOMS))
-            adv = AdversaryConfig("iomem_swap", words_per_pass=1)
-        if name.endswith("-baseline"):
-            adv = AdversaryConfig("none")
-        elif not name.endswith("-attack"):
-            raise ValueError(f"unknown scenario {name!r}")
-        return Scenario(name=name, noise=noise, adversary=adv, **sram)
-    if name == "full-baseline":
-        return full_memory_scenario(attack=False)
-    if name == "full-mmc":
-        return full_memory_scenario(attack=True)
-    if name == "desk-small":
-        return desk_scenario()
-    raise ValueError(f"unknown scenario {name!r}; known: {', '.join(list_scenarios())}")
+    """The named experiment preset; see list_scenarios()."""
+    if name not in SCENARIOS:
+        raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
+    return SCENARIOS[name](name)
 
 
 def list_scenarios() -> tuple:
-    return ("sram-baseline", "sram-dram", "sram-iomem",
-            "detector-dram-baseline", "detector-dram-attack",
-            "detector-iomem-baseline", "detector-iomem-attack",
-            "full-baseline", "full-mmc", "desk-small")
+    return tuple(SCENARIOS)
 
 
-def desk_scenario(name: str = "desk-small") -> Scenario:
+def desk_scenario() -> Scenario:
     """Fast end-to-end configuration: a 2048-word scan in 8 passes.
 
     Sized so a full session (restore + honest scan on both sides) runs in
@@ -428,46 +436,35 @@ def desk_scenario(name: str = "desk-small") -> Scenario:
         "mmc": TierModel("mmc", MMC_DELAY_US / (MMC_PAYLOAD_BYTES // 8)),
     }
     return Scenario(
-        name=name, region_id="sram", image_words=2014, register_count=34,
+        name="desk-small", region_id="sram", image_words=2014, register_count=34,
         passes=8, k=2, tiers=tiers,
         noise=NoiseModel("empirical", values=(-200.0, -100.0, 0.0, 100.0, 200.0)),
         trials=40,
     )
 
 
-def full_memory_scenario(attack: bool, desk_image_words: int = 4096) -> Scenario:
+def full_memory_scenario(attack: bool) -> Scenario:
     """Whole-memory scan pricing: 4 GiB of DRAM plus SRAM in a single pass.
 
-    The materialized image is a desk-scale stand-in; the timing model prices
-    the nominal full word count. The storage attack fires one 512-byte
-    payload transfer when the scan index reaches trigger_index.
+    The materialized image is a desk-scale stand-in of FULL_STANDIN_WORDS
+    words; the timing model prices the nominal full word count. The storage
+    attack pays one 512-byte payload transfer per challenge.
     """
     name = "full-mmc" if attack else "full-baseline"
     sigma = FULL_MMC_SIGMA_US if attack else FULL_BASELINE_SIGMA_US
-    adversary = (AdversaryConfig("mmc_io", trigger_index=100,
-                                 payload_bytes=MMC_PAYLOAD_BYTES)
-                 if attack else AdversaryConfig("none"))
     return Scenario(name=name, region_id="full",
-                    image_words=desk_image_words, register_count=SRAM_REGISTER_WORDS,
+                    image_words=FULL_STANDIN_WORDS, register_count=SRAM_REGISTER_WORDS,
                     timing_words=FULL_IMAGE_WORDS, passes=FULL_PASSES,
                     scan_us_per_word=FULL_SCAN_US_PER_WORD,
                     noise=NoiseModel("gaussian", sigma=sigma),
-                    adversary=adversary)
+                    adversary=ATTACKS["mmc" if attack else "none"])
 
 
 def attack_scenario(base: Scenario, kind: str) -> Scenario:
-    """Copy of a scenario with a different adversary."""
-    if kind == "none":
-        adv = AdversaryConfig("none")
-    elif kind == "mmc":
-        adv = AdversaryConfig("mmc_io")
-    elif kind in ("dram", "iomem"):
-        adv = AdversaryConfig(f"{kind}_swap", words_per_pass=1)
-    elif kind == "corrupt":
-        adv = AdversaryConfig("corrupt_result")
-    else:
+    """Copy of a scenario with the adversary of ATTACKS[kind], named base+kind."""
+    if kind not in ATTACKS:
         raise ValueError(f"unknown attack kind {kind!r}")
-    return replace(base, name=f"{base.name.split('+')[0]}+{kind}", adversary=adv)
+    return replace(base, name=f"{base.name.split('+')[0]}+{kind}", adversary=ATTACKS[kind])
 
 
 # --- scenario JSON ----------------------------------------------------------

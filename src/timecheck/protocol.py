@@ -66,6 +66,10 @@ _U64 = struct.Struct("<Q")
 # an idle client must not hold the serialized server. It is also each frame's
 # deadline, so a client trickling a frame byte by byte cannot hold it either.
 CONN_TIMEOUT_S = 10.0
+# How long the device server reads from one connection, so that a client
+# sending cheap challenges cannot keep the serialized server for good.
+# TcpChannel opens one connection per session and never meets it.
+CONN_BUDGET_S = 60.0
 # How often the device server's accept loop checks whether it was closed.
 ACCEPT_POLL_S = 0.1
 # The largest challenge a device evaluates: k seed values, and passes * d
@@ -403,9 +407,10 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     STATUS_REFUSED and logged, and its connection stays open. Any other error
     while serving a connection is logged and closes only that connection; the
     server keeps going. Such errors include bad framing, no bytes for
-    CONN_TIMEOUT_S between frames, and a frame not complete CONN_TIMEOUT_S
-    after the read that brought its first byte (time spent serving the frames
-    before it on the connection does not count).
+    CONN_TIMEOUT_S between frames, a frame not complete CONN_TIMEOUT_S after
+    the read that brought its first byte (time spent serving the frames
+    before it on the connection does not count), and a read begun
+    CONN_BUDGET_S or more after the connection was accepted.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -426,14 +431,16 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
             with conn:
                 decoder = FrameDecoder()
                 deadline = None  # monotonic time by which the pending frame must be complete
+                closes_at = time.monotonic() + CONN_BUDGET_S
                 try:
                     while True:
-                        timeout = CONN_TIMEOUT_S
-                        if deadline is not None:
-                            timeout = deadline - time.monotonic()
-                            if timeout <= 0:
-                                raise TimeoutError(f"frame incomplete after {CONN_TIMEOUT_S} s")
-                        conn.settimeout(timeout)
+                        now = time.monotonic()
+                        if now >= closes_at:
+                            raise TimeoutError(f"connection open for {CONN_BUDGET_S} s")
+                        if deadline is not None and now >= deadline:
+                            raise TimeoutError(f"frame incomplete after {CONN_TIMEOUT_S} s")
+                        ends = now + CONN_TIMEOUT_S if deadline is None else deadline
+                        conn.settimeout(min(ends, closes_at) - now)
                         data = conn.recv(4096)
                         if not data:
                             break
@@ -513,7 +520,7 @@ class SessionVerdict:
 
 
 def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
-                    method: str = "percentile", **detector_kwargs) -> SessionVerdict:
+                    method: str = "percentile") -> SessionVerdict:
     """Value check first, then the configured timing detector.
 
     A refusal or a status the protocol does not define rejects before the
@@ -530,7 +537,7 @@ def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
         return SessionVerdict("REJECT", "accumulator mismatch", None)
     if resp.status == STATUS_NMI_RETRY:
         return SessionVerdict("RETRY", "interrupt spike spoiled the measurement", None)
-    verdict = detect(method, profile, float(timed.duration_us), **detector_kwargs)
+    verdict = detect(method, profile, float(timed.duration_us))
     if verdict.flagged:
         return SessionVerdict("REJECT", f"timing outlier ({method})", verdict)
     return SessionVerdict("ACCEPT", "value and timing within baseline", verdict)

@@ -51,30 +51,18 @@ class BaselineProfile:
 
 def calibrate(samples) -> BaselineProfile:
     """Build a BaselineProfile; percentiles use linear rank interpolation."""
-    return calibrate_rows(np.asarray(list(samples), dtype=float)[np.newaxis, :])[0]
-
-
-def calibrate_rows(rows) -> list:
-    """One BaselineProfile per row of a 2-D array, all rows calibrated at once.
-
-    Every statistic is one numpy reduction along axis 1, so a batch of
-    equal-length baselines pays numpy's per-call overhead once instead of
-    once per baseline. Each profile equals the one-row calibration of its
-    row exactly: the axis reductions run the same arithmetic as their 1-D
-    forms.
-    """
-    arr = np.asarray(rows, dtype=float)
-    stats = zip(*(column.tolist() for column in _row_statistics(arr)))
-    # rows convert one at a time, so no list of all rows sits beside the tuples
-    return [BaselineProfile(tuple(row.tolist()), row.size, *stat)
-            for row, stat in zip(arr, stats)]
+    arr = np.asarray(list(samples), dtype=float)
+    stats = (column.item() for column in _row_statistics(arr[np.newaxis, :]))
+    return BaselineProfile(tuple(arr.tolist()), arr.size, *stats)
 
 
 def _row_statistics(arr: np.ndarray) -> tuple:
     """Per row of a 2-D float array: (mean, std, median, mad, p2_5, p97_5, mean_ad).
 
     Each entry is a float64 column with one value per row, in
-    BaselineProfile's field order after samples and n.
+    BaselineProfile's field order after samples and n. A row's statistics
+    equal calibrate(row)'s exactly: the axis reductions run the same
+    arithmetic as their 1-D forms.
     """
     if arr.shape[1] < 2:
         raise InsufficientSamples(f"calibration needs >= 2 samples, got {arr.shape[1]}")
@@ -221,90 +209,61 @@ class Verdict:
     threshold: object
 
 
-# Each detector's arithmetic is written once, as a score-and-flag function of a
-# profile and points: floats for one point, or float64 arrays in which entry i
-# of every field belongs to point i. numpy runs the same IEEE operations in the
-# same order as Python floats, so both forms give bit-identical scores.
+# Each detector is written once, as a function of a profile and points that
+# returns (score, flagged, threshold): points are floats for one point, or
+# float64 arrays in which entry i of every field belongs to point i. numpy runs
+# the same IEEE operations in the same order as Python floats, so both forms
+# give bit-identical scores.
 
 def _require_spread(spread, message: str):
     if np.any(spread == 0.0):
         raise DegenerateSeries(message)
 
 
-def _score_percentile(profile, points):
-    return points, (points < profile.p2_5) | (points > profile.p97_5)
+def _percentile(profile, points):
+    """Non-parametric band check: outside [p2.5, p97.5] of the baseline."""
+    band = (profile.p2_5, profile.p97_5)
+    return points, (points < band[0]) | (points > band[1]), band
 
 
-def _score_zscore(profile, points, threshold=DEFAULT_Z_THRESHOLD):
+def _zscore(profile, points):
+    """Classical z-score against baseline mean and standard deviation."""
     _require_spread(profile.std, "z-score needs nonzero baseline spread")
     z = (points - profile.mean) / profile.std
-    return z, abs(z) > threshold
+    return z, abs(z) > DEFAULT_Z_THRESHOLD, DEFAULT_Z_THRESHOLD
 
 
-def _score_modified_z(profile, points, threshold=DEFAULT_MODIFIED_Z_THRESHOLD):
+def _modified_z(profile, points):
+    """Robust z-score from median and MAD (Iglewicz-Hoaglin), or MeanAD where MAD is 0."""
     has_mad = profile.mad != 0.0
     spread = np.where(has_mad, profile.mad, MEANAD_SCALE * profile.mean_ad)
     _require_spread(spread, "modified z-score needs nonzero baseline MAD or MeanAD")
     m = np.where(has_mad, MODIFIED_Z_SCALE, 1.0) * (points - profile.median) / spread
-    return m, abs(m) > threshold
+    return m, abs(m) > DEFAULT_MODIFIED_Z_THRESHOLD, DEFAULT_MODIFIED_Z_THRESHOLD
 
 
-def _score_chebyshev(profile, points, k_sigma=DEFAULT_CHEBYSHEV_K):
+def _chebyshev(profile, points):
+    """Distribution-free bound: |dev| > k*sigma has probability <= 1/k^2."""
     _require_spread(profile.std, "chebyshev bound needs nonzero baseline spread")
     score = abs(points - profile.mean) / profile.std
-    return score, score > k_sigma
+    return score, score > DEFAULT_CHEBYSHEV_K, DEFAULT_CHEBYSHEV_K
 
 
-_SCORES = {
-    "percentile": _score_percentile,
-    "zscore": _score_zscore,
-    "modz": _score_modified_z,
-    "chebyshev": _score_chebyshev,
-}
-
-
-def detect_percentile(profile: BaselineProfile, point: float) -> Verdict:
-    """Non-parametric band check: outside [p2.5, p97.5] of the baseline."""
-    score, flagged = _score_percentile(profile, point)
-    return Verdict("percentile", float(score), bool(flagged),
-                   (profile.p2_5, profile.p97_5))
-
-
-def detect_zscore(profile: BaselineProfile, point: float,
-                  threshold: float = DEFAULT_Z_THRESHOLD) -> Verdict:
-    """Classical z-score against baseline mean and standard deviation."""
-    z, flagged = _score_zscore(profile, point, threshold)
-    return Verdict("zscore", float(z), bool(flagged), threshold)
-
-
-def detect_modified_z(profile: BaselineProfile, point: float,
-                      threshold: float = DEFAULT_MODIFIED_Z_THRESHOLD) -> Verdict:
-    """Robust z-score from median and MAD (Iglewicz-Hoaglin), or MeanAD where MAD is 0."""
-    m, flagged = _score_modified_z(profile, point, threshold)
-    return Verdict("modz", float(m), bool(flagged), threshold)
-
-
-def detect_chebyshev(profile: BaselineProfile, point: float,
-                     k_sigma: float = DEFAULT_CHEBYSHEV_K) -> Verdict:
-    """Distribution-free bound: |dev| > k*sigma has probability <= 1/k^2."""
-    score, flagged = _score_chebyshev(profile, point, k_sigma)
-    return Verdict("chebyshev", float(score), bool(flagged), k_sigma)
-
-
+# Every detector, by the name --detector and confusion_report take.
 DETECTORS = {
-    "percentile": detect_percentile,
-    "zscore": detect_zscore,
-    "modz": detect_modified_z,
-    "chebyshev": detect_chebyshev,
+    "percentile": _percentile,
+    "zscore": _zscore,
+    "modz": _modified_z,
+    "chebyshev": _chebyshev,
 }
 
 
-def detect(method: str, profile: BaselineProfile, point: float, **kwargs) -> Verdict:
-    try:
-        fn = DETECTORS[method]
-    except KeyError:
+def detect(method: str, profile: BaselineProfile, point: float) -> Verdict:
+    """The named detector's call on one point; threshold is the band tuple for percentile."""
+    if method not in DETECTORS:
         raise ValueError(f"unknown detector {method!r}; known: {', '.join(DETECTORS)}")
-    return fn(profile, point, **kwargs)
+    score, flagged, threshold = DETECTORS[method](profile, point)
+    return Verdict(method, float(score), bool(flagged), threshold)
 
 
 # --- confusion metrics -------------------------------------------------------
@@ -356,7 +315,7 @@ def confusion_report(baseline_points, attack_points,
                                                in _row_statistics(_leave_one_out(baseline))))
     rows = {}
     for method in methods:
-        score = _SCORES[method]
+        score = DETECTORS[method]
         fp = int(np.count_nonzero(score(against, baseline)[1]))
         misses = int(np.count_nonzero(~score(full, attack)[1]))
         rows[method] = ConfusionRow(

@@ -1,5 +1,6 @@
 """CLI behavior: exit codes, artifacts, determinism."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -15,7 +16,14 @@ import pytest
 from timecheck import cli, protocol, stats
 from timecheck.checkpoint import load_checkpoint
 from timecheck.cli import _scenario_from_args, aggregate_detection, build_parser, main
-from timecheck.device import builtin_scenario, load_scenario, price, save_scenario
+from timecheck.device import (
+    ATTACKS,
+    builtin_scenario,
+    list_scenarios,
+    load_scenario,
+    price,
+    save_scenario,
+)
 from timecheck.errors import TimecheckError
 from timecheck.protocol import DeviceEndpoint, LoopbackChannel
 from timecheck.seeding import derive_seed
@@ -99,6 +107,16 @@ class TestChallenge:
         code = run(["challenge", "--profile", calibrated, "--scenario", "desk-small",
                     "--target", "tcp://127.0.0.1:1"])
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["calibrate", "challenge"])
+    @pytest.mark.parametrize("target", ["tcp://127.0.0.1", "tcp://127.0.0.1:x", "udp://h:1"])
+    def test_malformed_target_is_an_operational_error(self, tmp_path, calibrated, capsys,
+                                                      command, target):
+        extra = {"calibrate": ["--out", tmp_path / "out"],
+                 "challenge": ["--profile", calibrated]}[command]
+        assert run([command, "--scenario", "desk-small", "--target", target, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(target) in err and err.count("\n") == 1
 
     def test_shape_mismatch_errors(self, tmp_path, calibrated):
         code = run(["challenge", "--profile", calibrated, "--scenario", "desk-small",
@@ -309,11 +327,30 @@ class TestScenarioFromArgs:
         want = load_scenario(cfg)
         assert got.passes == 3
         assert got.timing_words == want.timing_words == 5000
-        assert got.base_cost_us() != want.base_cost_us()
+        assert got.base_cost_us(got.passes) != want.base_cost_us(want.passes)
         for name in ("name", "region_id", "image_words", "register_count", "prime", "k",
                      "tiers", "scan_us_per_word", "compute_us_per_word", "noise",
                      "adversary", "trials", "image_seed"):
             assert getattr(got, name) == getattr(want, name), name
+
+
+def _options(command):
+    """{option string: action} of one subcommand's parser."""
+    (commands,) = [a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    return {flag: action for action in commands.choices[command]._actions
+            for flag in action.option_strings}
+
+
+@pytest.mark.parametrize("command", ["calibrate", "challenge", "serve"])
+def test_choices_come_from_the_registries(command):
+    options = _options(command)
+    assert tuple(options["--scenario"].choices) == list_scenarios()
+    assert "--region" not in options
+    if command != "calibrate":
+        assert tuple(options["--attack"].choices) == tuple(ATTACKS)
+    if command == "challenge":
+        assert tuple(options["--detector"].choices) == tuple(stats.DETECTORS)
 
 
 class TestCheckpointCommand:
@@ -355,8 +392,9 @@ class TestCheckpointCommand:
         ("x.ck.json", b"{broken"),
         ("x.ck.json", b"[1]"),
         ("x.ck.json", b'{"region_id": 5}'),
+        ("x.ck.json", b'{"format_version": 99}'),
     ], ids=["no-image-words", "sidecar-not-json", "sidecar-not-object",
-            "sidecar-region-not-string"])
+            "sidecar-region-not-string", "sidecar-version-differs"])
     def test_inspect_malformed_file_is_an_operational_error(self, tmp_path, capsys, name,
                                                             content):
         path = tmp_path / "x.ck"
@@ -385,6 +423,8 @@ def test_config_file_overrides_scenario(tmp_path, capsys):
     ('{"passes": 3}', "name"),
     ('{"name": "x", "noise": {"kind": "weird"}}', "weird"),
     ('{"name": "x",', "JSONDecodeError"),
+    ('{"name": "x", "image_words": 0}', "image_words must be >= 1, got 0"),
+    ('{"name": "x", "prime": 15}', "prime must be a prime below 2^64, got 15"),
 ])
 def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.json"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from timecheck.checkpoint import MemoryImage
 from timecheck.device import (
+    ATTACKS,
     SRAM_SCAN_WORDS,
     AdversaryConfig,
     NoiseModel,
@@ -51,6 +52,22 @@ BUILTIN_JSON_SHA256 = {
     "full-baseline": "91da7ed96d0d83ea396cafb505fde1326343798fab45371d3a393829ec795240",
     "full-mmc": "b0434456b6090114269b01407e74955f2b426d379033dc146510bee33707bcef",
     "desk-small": "a4f5811105f0b4b42017c6972419172ffc000b10530c20176373db38f0b62ff2",
+}
+
+# sha256 of the five texts json.dumps(scenario_to_json(attack_scenario(
+# builtin_scenario(name), kind)), indent=2), kind in ATTACK_KINDS, concatenated
+ATTACK_KINDS = ("none", "dram", "iomem", "mmc", "corrupt")
+ATTACK_JSON_SHA256 = {
+    "sram-baseline": "629a5c5c771a0ad1dddae2069451c736f09609a6f18955661783acbe1e0bda20",
+    "sram-dram": "a84f3f837724e250f37181d7df1a769d14eee9f6690289743ee91e611763feb5",
+    "sram-iomem": "87e06a40cbaa27275797ad9e1be426223e99834aa001490281888be9fe9bbd61",
+    "detector-dram-baseline": "32ee5b6de7ba84fdffc7480487e6dd097a32f7ac0b0a1eb6efa14d3006f3a6fc",
+    "detector-dram-attack": "870828fd55b1fb8a2dc852581103d72fa6bb80ce04dab59743dfdf3df2e245f4",
+    "detector-iomem-baseline": "476798108aa26b1866612217c085cec716ba4379359bd172e765c33eced64e0c",
+    "detector-iomem-attack": "ab71cf93d6186f086d70fbd0c15dd868bd12a8153ba1303139b153407a530359",
+    "full-baseline": "aac64e89015629626862bc6dd1586d035a4288e0746cf60f21a40f08c07acd82",
+    "full-mmc": "266f3d307774c8de876fc67e425839be35d76ea28a9688bdf0d7f07070aab684",
+    "desk-small": "d3bb5653c93b3960695665ed6498c79d8936c831f21b8f85721240b27835a536",
 }
 
 
@@ -269,7 +286,7 @@ class TestScenarios:
     def test_full_memory_calibration(self):
         base = full_memory_scenario(attack=False)
         atk = full_memory_scenario(attack=True)
-        assert base.base_cost_us() == pytest.approx(1.731895e9)
+        assert base.base_cost_us(base.passes) == pytest.approx(1.731895e9)
         delta = adversary_delay_us(atk.adversary, atk.tiers, atk.passes)
         assert delta == pytest.approx(3.570e6)
 
@@ -283,7 +300,7 @@ class TestScenarios:
     def test_compute_cost_adds_to_base(self):
         sc = replace(builtin_scenario("sram-baseline"), compute_us_per_word=0.1)
         extra = sc.passes * sc.timing_words * 0.1
-        assert sc.base_cost_us() == pytest.approx(9.591e6 + extra)
+        assert sc.base_cost_us(sc.passes) == pytest.approx(9.591e6 + extra)
 
     def test_attack_scenario_helper(self):
         sc = attack_scenario(builtin_scenario("sram-baseline"), "iomem")
@@ -315,6 +332,32 @@ class TestScenarios:
         assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_JSON_SHA256[name]
         assert scenario_from_json(json.loads(text)) == builtin_scenario(name)
 
+    @pytest.mark.parametrize("name", list_scenarios())
+    def test_attack_json_bytes_pinned(self, name):
+        text = "".join(json.dumps(scenario_to_json(attack_scenario(builtin_scenario(name),
+                                                                   kind)), indent=2)
+                       for kind in ATTACK_KINDS)
+        assert hashlib.sha256(text.encode()).hexdigest() == ATTACK_JSON_SHA256[name]
+
+    def test_registries(self):
+        assert set(ATTACKS) == set(ATTACK_KINDS)
+        assert set(list_scenarios()) == set(BUILTIN_JSON_SHA256)
+        for name in list_scenarios():
+            assert builtin_scenario(name).name == name
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"passes": 0}, "passes must be >= 1, got 0"),
+        ({"k": 0}, "k must be >= 1, got 0"),
+        ({"image_words": 0}, "image_words must be >= 1, got 0"),
+        ({"timing_words": 0}, "timing_words must be >= 1, got 0"),
+        ({"register_count": -1}, "register_count must be >= 0, got -1"),
+        ({"prime": 15}, "prime must be a prime below 2\\^64, got 15"),
+        ({"prime": (1 << 64) + 13}, "got 18446744073709551629"),
+    ])
+    def test_impossible_values_rejected(self, doc, message):
+        with pytest.raises(ValueError, match=message):
+            scenario_from_json({"name": "x", **doc})
+
     @pytest.mark.parametrize("doc, key", [
         ({"name": "x", "passess": 3}, "passess"),
         ({"name": "x", "noise": {"kind": "uniform", "widht": 9.0}}, "widht"),
@@ -332,6 +375,10 @@ class TestScenarios:
         '{"name": "x", "noise": {"kind": "weird"}}',
         '{"name": "x", "tiers": {"dram": {"per_word_cost": 4.0}}}',
         '{"name": "x", "tiers": []}',
+        '{"name": "x", "passes": 0}',
+        '{"name": "x", "k": 0}',
+        '{"name": "x", "image_words": 0}',
+        '{"name": "x", "prime": 15}',
         '["name"]',
         '{"name": "x",',
     ])
@@ -344,7 +391,7 @@ class TestScenarios:
     def test_desk_scenario_shape(self):
         sc = desk_scenario()
         assert sc.timing_words == 2048
-        assert sc.base_cost_us() == pytest.approx(12288.0)
+        assert sc.base_cost_us(sc.passes) == pytest.approx(12288.0)
 
 
 class TestCsvExport:

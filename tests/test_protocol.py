@@ -567,6 +567,60 @@ class TestTcpTransport:
             stop.set()
             server.close()
 
+    def test_client_of_many_cheap_sessions_does_not_block_server(self, monkeypatch, caplog):
+        # a client that sends one complete, cheap challenge inside every read
+        # timeout is dropped once its connection is CONN_BUDGET_S old, and the
+        # serialized server goes on to the next client
+        monkeypatch.setattr(protocol, "CONN_TIMEOUT_S", 0.3)
+        monkeypatch.setattr(protocol, "CONN_BUDGET_S", 1.0)
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=37)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        rng = sub_rng(15, "t")
+        frames = [encode_challenge(ChallengeMessage(i, fresh_spec(rng, sc))) for i in range(1, 41)]
+        stop = threading.Event()
+        answered = []
+
+        def keep_busy(sock):
+            decoder = FrameDecoder()
+            try:
+                for data in frames:
+                    if stop.wait(0.2):
+                        return
+                    sock.sendall(data)
+                    msgs = []
+                    while not any(isinstance(m, ResponseMessage) for m in msgs):
+                        chunk = sock.recv(4096)
+                        if not chunk:
+                            return  # the server closed the connection
+                        msgs += decoder.feed(chunk)
+                    answered.append(msgs[-1])
+            except OSError:
+                pass  # the server reset the connection
+
+        try:
+            with socket.create_connection((host, port), timeout=5.0) as busy:
+                client = threading.Thread(target=keep_busy, args=(busy,), daemon=True)
+                client.start()
+                time.sleep(0.5)  # the server is serving the busy client
+                spec = fresh_spec(rng, sc)
+                start = time.monotonic()
+                with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                    timed = issue_challenge(TcpChannel(host, port, timeout_s=3.0), spec,
+                                            rng=rng)
+                waited = time.monotonic() - start
+                stop.set()
+                client.join(timeout=2.0)
+            assert not client.is_alive()
+            assert waited < 2.0, f"the second client waited {waited:.2f} s"
+            assert 2 <= len(answered) < len(frames)
+            assert "TimeoutError" in caplog.text
+            assert timed.response.accumulator == ep.expected_result(spec).accumulator
+        finally:
+            stop.set()
+            server.close()
+
     def test_pipelined_frames_answered_in_order(self):
         # 50 challenges, every third one over budget, in one sendall
         sc = desk_scenario()
@@ -700,7 +754,7 @@ class TestPricing:
         rng = sub_rng(8, "t")
         durations = [self._duration(ep, fresh_spec(rng, sc)) for _ in range(4)]
         assert [b - a for a, b in zip(durations, durations[1:])] == [50, 50, 50]
-        assert durations[0] == round(sc.base_cost_us())
+        assert durations[0] == round(sc.base_cost_us(sc.passes))
 
 
 class TestSharedSnapshot:

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -13,19 +14,16 @@ from scipy import stats as scipy_stats
 
 from timecheck.errors import DegenerateSeries, InsufficientSamples
 from timecheck.stats import (
-    _SCORES,
+    DEFAULT_CHEBYSHEV_K,
+    DEFAULT_MODIFIED_Z_THRESHOLD,
+    DEFAULT_Z_THRESHOLD,
     DETECTORS,
     BaselineProfile,
     ConfusionRow,
     _row_statistics,
     calibrate,
-    calibrate_rows,
     confusion_report,
     detect,
-    detect_chebyshev,
-    detect_modified_z,
-    detect_percentile,
-    detect_zscore,
     ks_test,
     serial_correlation,
     t_test,
@@ -44,9 +42,9 @@ class TestCalibrate:
         p = calibrate([7.0] * 10)
         assert p.std == 0.0 and p.mad == 0.0
         with pytest.raises(DegenerateSeries):
-            detect_zscore(p, 7.0)
+            detect("zscore", p, 7.0)
         with pytest.raises(DegenerateSeries):
-            detect_modified_z(p, 7.0)
+            detect("modz", p, 7.0)
 
     def test_insufficient(self):
         with pytest.raises(InsufficientSamples):
@@ -98,10 +96,10 @@ def _error_or(fn):
 
 
 def _scalar_loo_counts(base, attack, method):
-    fn = DETECTORS[method]
     full = calibrate(base)
-    fp = sum(fn(calibrate(base[:i] + base[i + 1:]), v).flagged for i, v in enumerate(base))
-    misses = sum(not fn(full, v).flagged for v in attack)
+    fp = sum(detect(method, calibrate(base[:i] + base[i + 1:]), v).flagged
+             for i, v in enumerate(base))
+    misses = sum(not detect(method, full, v).flagged for v in attack)
     return fp, misses
 
 
@@ -110,10 +108,10 @@ class TestCalibrateRows:
     @given(st.integers(2, 80).flatmap(lambda n: st.lists(
         quantized_samples(min_size=n, max_size=n), min_size=1, max_size=6)))
     def test_rows_equal_one_row_calibration(self, rows):
-        profiles = calibrate_rows(np.array(rows))
-        assert len(profiles) == len(rows)
-        for row, prof in zip(rows, profiles):
-            assert prof == calibrate(row)
+        # confusion_report's batched profiles rely on this equality
+        columns = _row_statistics(np.array(rows))
+        for i, row in enumerate(rows):
+            assert tuple(column[i] for column in columns) == astuple(calibrate(row))[2:]
 
     @settings(max_examples=100, deadline=None)
     @given(quantized_samples(), quantized_samples(min_size=1, max_size=20))
@@ -132,20 +130,20 @@ class TestCalibrateRows:
            quantized_samples(min_size=1, max_size=20))
     def test_array_scores_equal_scalar_detectors(self, base, attack):
         # leave-one-out columns against baseline points, the full profile
-        # against attack points: every score bit-identical to detect_*
+        # against attack points: every score bit-identical to detect()
         n = len(base)
         columns = BaselineProfile((), n - 1, *_row_statistics(
             np.array([base[:i] + base[i + 1:] for i in range(n)])))
         full = calibrate(base)
-        for method, detector in DETECTORS.items():
+        for method, score in DETECTORS.items():
             for against, points, profiles in (
                     (columns, base, [calibrate(base[:i] + base[i + 1:]) for i in range(n)]),
                     (full, attack, [full] * len(attack))):
-                got = _error_or(lambda: _SCORES[method](against, np.array(points)))
-                want = _error_or(lambda: [detector(prof, v)
+                got = _error_or(lambda: score(against, np.array(points)))
+                want = _error_or(lambda: [detect(method, prof, v)
                                           for prof, v in zip(profiles, points)])
                 if isinstance(want, list):
-                    scores, flags = got
+                    scores, flags, _ = got
                     assert scores.tolist() == [v.score for v in want]
                     assert flags.tolist() == [v.flagged for v in want]
                 else:
@@ -157,7 +155,7 @@ class TestCalibrateRows:
 
     def test_single_column_rejected(self):
         with pytest.raises(InsufficientSamples, match="got 1"):
-            calibrate_rows(np.ones((4, 1)))
+            _row_statistics(np.ones((4, 1)))
 
 
 class TestSerialCorrelation:
@@ -268,44 +266,48 @@ class TestDetectors:
         return calibrate([rng.gauss(1000.0, 10.0) for _ in range(200)])
 
     def test_percentile_band(self, profile):
-        assert not detect_percentile(profile, profile.median).flagged
-        assert detect_percentile(profile, max(profile.samples) + 100).flagged
-        assert detect_percentile(profile, min(profile.samples) - 100).flagged
+        assert not detect("percentile", profile, profile.median).flagged
+        assert detect("percentile", profile, max(profile.samples) + 100).flagged
+        assert detect("percentile", profile, min(profile.samples) - 100).flagged
 
     def test_percentile_exhaustive_sweep(self, profile):
         # flags exactly the points strictly outside [p2.5, p97.5]
         for v in profile.samples:
             expect = v < profile.p2_5 or v > profile.p97_5
-            assert detect_percentile(profile, v).flagged == expect
+            assert detect("percentile", profile, v).flagged == expect
 
     def test_zscore(self, profile):
-        assert detect_zscore(profile, profile.mean).score == 0.0
-        assert not detect_zscore(profile, profile.mean).flagged
-        v = detect_zscore(profile, profile.mean + 3 * profile.std)
+        assert detect("zscore", profile, profile.mean).score == 0.0
+        assert not detect("zscore", profile, profile.mean).flagged
+        v = detect("zscore", profile, profile.mean + 3 * profile.std)
         assert v.flagged and v.score == pytest.approx(3.0)
 
-    def test_zscore_threshold_configurable(self, profile):
-        point = profile.mean + 2.5 * profile.std
-        assert detect_zscore(profile, point, threshold=2.0).flagged
-        assert not detect_zscore(profile, point, threshold=3.0).flagged
+    def test_verdict_reports_its_threshold(self, profile):
+        band = (profile.p2_5, profile.p97_5)
+        for method, threshold in (("percentile", band), ("zscore", DEFAULT_Z_THRESHOLD),
+                                  ("modz", DEFAULT_MODIFIED_Z_THRESHOLD),
+                                  ("chebyshev", DEFAULT_CHEBYSHEV_K)):
+            assert detect(method, profile, profile.mean).threshold == threshold
+        assert detect("zscore", profile, profile.mean + 2.5 * profile.std).flagged
+        assert not detect("zscore", profile, profile.mean + 1.5 * profile.std).flagged
 
     def test_modified_z_center(self):
         p = calibrate([1, 2, 3, 4, 5])
-        assert detect_modified_z(p, 3).score == 0.0
-        assert detect_modified_z(p, 3 + 1 / 0.6745 * 2.6).flagged
+        assert detect("modz", p, 3).score == 0.0
+        assert detect("modz", p, 3 + 1 / 0.6745 * 2.6).flagged
 
     def test_modified_z_meanad_fallback(self):
         # three of five points on the median: MAD 0, MeanAD (0 + 0 + 0 + 1 + 4) / 5
         p = calibrate([5, 5, 5, 6, 9])
         assert p.mad == 0.0 and p.mean_ad == 1.0
-        assert detect_modified_z(p, 9).score == 4 / 1.253314
-        assert not detect_modified_z(p, 7).flagged
-        assert detect_modified_z(p, 8.5).flagged
+        assert detect("modz", p, 9).score == 4 / 1.253314
+        assert not detect("modz", p, 7).flagged
+        assert detect("modz", p, 8.5).flagged
 
     def test_chebyshev(self, profile):
-        assert not detect_chebyshev(profile, profile.mean + profile.std).flagged
+        assert not detect("chebyshev", profile, profile.mean + profile.std).flagged
         far = profile.mean + 215 * profile.std
-        assert detect_chebyshev(profile, far).flagged
+        assert detect("chebyshev", profile, far).flagged
         assert 1 / 31.6 ** 2 < 0.0011  # bound claimed by the default k
 
     def test_translation_consistency(self):
@@ -325,7 +327,7 @@ class TestDetectors:
         rng = random.Random(11)
         xs = [rng.gauss(0.0, 1.0) for _ in range(100_000)]
         p = calibrate(xs)
-        fpr = sum(detect_zscore(p, x).flagged for x in xs) / len(xs)
+        fpr = sum(detect("zscore", p, x).flagged for x in xs) / len(xs)
         assert abs(fpr - 0.0455) < 0.005
 
     def test_unknown_method(self):
@@ -344,7 +346,7 @@ def paired_runs(draw):
                          min_size=1, max_size=5))
 
 
-ALL_METHODS = tuple(_SCORES)
+ALL_METHODS = tuple(DETECTORS)
 
 
 class TestConfusionReport:
@@ -402,7 +404,7 @@ class TestConfusionReport:
         profile = calibrate(base)
         rows = confusion_report(base, [1000.0], methods=("percentile",), profile=profile)
         # self-inclusive: only points strictly outside the band flag
-        flagged = sum(detect_percentile(profile, v).flagged for v in base)
+        flagged = sum(detect("percentile", profile, v).flagged for v in base)
         assert rows["percentile"].false_positives == flagged
 
     def test_empty_sets_rejected(self):
