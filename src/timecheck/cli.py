@@ -7,7 +7,9 @@ Every command is deterministic under a fixed --seed (byte-identical outputs).
 import argparse
 import csv
 import dataclasses
+import functools
 import json
+import math
 import os
 import sys
 
@@ -96,10 +98,21 @@ def _profile_doc(profile: stats.BaselineProfile, scenario: Scenario,
     }
 
 
+_PROFILE_SHAPE = ("region_id", "timing_words", "passes", "prime", "k")
+
+
 def _read_profile(path):
+    """(profile, shape) from a calibrate profile JSON; a malformed file raises TimecheckError."""
     with open(path) as fh:
-        doc = json.load(fh)
-    return stats.calibrate(doc["samples_us"]), doc
+        try:
+            doc = json.load(fh)
+            shape = tuple(doc[key] for key in _PROFILE_SHAPE)
+            samples = doc["samples_us"]
+            if not all(type(s) in (int, float) and math.isfinite(s) for s in samples):
+                raise ValueError("samples_us holds a value that is not a finite number")
+            return stats.calibrate(samples), shape
+        except (KeyError, TypeError, ValueError, TimecheckError) as exc:
+            raise TimecheckError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
@@ -181,8 +194,7 @@ def _challenge_once(args, scenario: Scenario, profile, attempt: int = 0):
 
 def cmd_challenge(args) -> int:
     scenario = _scenario_from_args(args)
-    profile, doc = _read_profile(args.profile)
-    shape = (doc["region_id"], doc["timing_words"], doc["passes"], doc["prime"], doc["k"])
+    profile, shape = _read_profile(args.profile)
     want = (scenario.region_id, scenario.timing_words, scenario.passes,
             scenario.prime, scenario.k)
     if shape != want:
@@ -401,7 +413,9 @@ def cmd_checkpoint(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="timecheck",
         description="timing-based software root of trust: challenge engine, "

@@ -40,8 +40,11 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
   the last two weight arrays built stay in a process-wide cache, read-only.
   A verifier and a simulated device in one process (challenge --target
   sim, LoopbackChannel sessions) evaluate each challenge twice, once for
-  expected_result and once in handle_challenge; the second evaluation
-  reuses the first one's weights.
+  expected_result and once in handle_challenge. When the device's words
+  equal the checkpoint's, the second evaluation is a lookup: multipass_m61
+  remembers its last two results with private copies of their words. When
+  they differ (tampered or unreplayed memory), it scans again and reuses
+  the first one's weights.
 - Coefficients. The coefficient polynomial R shifted to the address
   variable b = idx + 1 is R(t*d + b) = sum_m c_m(t) b^m with
   c_m(t) = sum_(j>=m) r_j C(j, m) (t*d)^(j-m), computed in Python ints.
@@ -63,6 +66,7 @@ import operator
 import random
 import struct
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,6 +89,13 @@ _SHIFT42 = np.uint64(42)
 _LIMB16_SHIFTS = (0, 16, 32, 48) if sys.byteorder == "little" else (48, 32, 16, 0)
 _LIMB_SCALES = tuple(pow(2, (s + 21 * c) % 61, M61)
                      for s in _LIMB16_SHIFTS for c in range(3))
+# multipass_m61's remembered evaluations, least recently used first:
+# (spec, private copy of the words, result). Two entries, like the weight
+# cache: a verifier's expected_result and a simulated device's scan of the
+# same challenge. The lock lets serve_device's thread and a verifier share it.
+_MEMO_SIZE = 2
+_memo = []
+_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -237,9 +248,11 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     Cached process-wide: the weights are a pure function of three public
     challenge fields, so a cache hit returns exactly what a rebuild would.
     The array is read-only (backed by immutable bytes, like a checkpoint's
-    words), so no caller can change another caller's weights. Two entries serve the verifier's expected_result followed by
-    the simulated device's handle_challenge for the same challenge, and
-    bound the cache at 2 * 8d bytes.
+    words), so no caller can change another caller's weights. Two entries
+    serve the verifier's expected_result followed by a simulated device's
+    scan of the same challenge over memory that differs from the
+    checkpoint (equal memory is a multipass_m61 memo hit and needs no
+    weights), and bound the cache at 2 * 8d bytes.
     """
     pi = PermutationGenerator(d, perm_seed).indices()
     s = ((d - 1).bit_length() + 1) // 2
@@ -277,9 +290,49 @@ def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
     Within a pass the Horner chain over pi[d-1], ..., pi[0] gives the word
     at address pi[i] the weight x^i, so a pass is a dot product of the
     masked terms with one d-word weight array (_weights_m61); passes chain
-    in Python ints by x^d. The work runs over address tiles of _TILE words,
-    and every array operation of a tile writes into buffers allocated once
-    per call, so no temporary other than the weight array grows with d.
+    in Python ints by x^d (_scan_m61).
+
+    The result is a pure function of the spec and the word values, so the
+    last _MEMO_SIZE evaluations are remembered process-wide, each with a
+    private copy of its words: a call whose spec is equal and whose words
+    are equal element by element returns the remembered result without
+    scanning. Any other call scans, tampered or unreplayed memory included.
+    A verifier and a simulated device in one process (challenge --target
+    sim, LoopbackChannel sessions) thus scan each challenge once; a device
+    behind TCP scans in its own process.
+
+    Working set: the scan's buffers are allocated once per call over a tile
+    of _TILE words, so besides the permutation table only the weight array
+    grows with d. The weight cache and the memo each hold at most two
+    d-word arrays, 2 x 8d bytes apiece.
+    """
+    p = spec.params.p
+    if p != M61:
+        raise ValueError(f"vectorized evaluator needs p = M61, got p = {p}")
+    d = len(words)
+    if spec.passes * d > p - 1:
+        raise SpecOutOfField(f"passes*word_count = {spec.passes * d} exceeds p-1 = {p - 1}")
+    if d >= 1 << 32:
+        raise ValueError(f"vectorized evaluator needs fewer than 2^32 words, got {d}")
+    with _memo_lock:
+        for i, (seen_spec, seen_words, result) in enumerate(_memo):
+            if seen_spec == spec and np.array_equal(seen_words, words):
+                _memo.append(_memo.pop(i))
+                return result
+    result = _scan_m61(words, spec)
+    entry = (spec, np.array(words, dtype=np.uint64), result)  # copied: callers may mutate
+    with _memo_lock:
+        _memo.append(entry)
+        del _memo[:-_MEMO_SIZE]
+    return result
+
+
+def _scan_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
+    """The tiled scan behind multipass_m61, whose checks it assumes.
+
+    The work runs over address tiles of _TILE words, and every array
+    operation of a tile writes into buffers allocated once per call, so no
+    temporary other than the weight array grows with d.
 
     Per tile of n words, with every bound that keeps uint64 exact:
 
@@ -304,14 +357,8 @@ def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
       2^(16a + 21c) mod p.
     """
     p = spec.params.p
-    if p != M61:
-        raise ValueError(f"vectorized evaluator needs p = M61, got p = {p}")
     d = len(words)
     passes = spec.passes
-    if passes * d > p - 1:
-        raise SpecOutOfField(f"passes*word_count = {passes * d} exceeds p-1 = {p - 1}")
-    if d >= 1 << 32:
-        raise ValueError(f"vectorized evaluator needs fewer than 2^32 words, got {d}")
     x = spec.params.x
     weight = _weights_m61(d, x, spec.perm_seed)
     polys = _difference_polys(spec.seeds.r, d, min(len(spec.seeds.r), passes))

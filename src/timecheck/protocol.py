@@ -255,7 +255,10 @@ class DeviceEndpoint:
     Every endpoint of the same seeded image shares one read-only Checkpoint;
     each keeps its own writable state, which every session restores from the
     checkpoint with one copy and then scans. The verifier's expected_result
-    scans the checkpoint itself.
+    scans the checkpoint itself. For p = M61 an evaluation over words equal
+    to one of the last two evaluated in this process, under an equal spec,
+    is a lookup (engine.multipass_m61), so a simulated device in the
+    verifier's process scans a replayed challenge once, not twice.
 
     behavior selects a hostile stub for verifier tests:
       honest         normal operation

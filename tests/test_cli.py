@@ -157,6 +157,28 @@ class TestChallenge:
                     "--seed", 5, "--jitter", 0.4])
         assert code == 1
 
+    @pytest.mark.parametrize("edit, needle", [
+        (lambda doc: "not json", "JSONDecodeError"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "region_id"}, "KeyError: 'region_id'"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "samples_us"}, "KeyError: 'samples_us'"),
+        (lambda doc: [doc], "TypeError"),
+        (lambda doc: dict(doc, samples_us=["fast", 1.0]), "not a finite number"),
+        (lambda doc: dict(doc, samples_us=[None, 1.0]), "not a finite number"),
+        (lambda doc: dict(doc, samples_us=12.0), "TypeError"),
+        (lambda doc: dict(doc, samples_us=doc["samples_us"][:1]), "InsufficientSamples"),
+    ], ids=["not-json", "no-region-id", "no-samples", "not-an-object", "string-sample",
+            "null-sample", "samples-not-a-list", "one-sample"])
+    def test_malformed_profile_is_an_operational_error(self, tmp_path, calibrated, capsys,
+                                                       edit, needle):
+        doc = edit(json.loads(calibrated.read_text()))
+        bad = tmp_path / "bad-profile.json"
+        bad.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        capsys.readouterr()
+        code = run(["challenge", "--profile", bad, "--scenario", "desk-small", "--seed", 5])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: ") and needle in err and err.count("\n") == 1
+
 
 class TestReproduce:
     def test_sram_table(self, tmp_path):
@@ -351,6 +373,31 @@ def test_choices_come_from_the_registries(command):
         assert tuple(options["--attack"].choices) == tuple(ATTACKS)
     if command == "challenge":
         assert tuple(options["--detector"].choices) == tuple(stats.DETECTORS)
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+    parser = build_parser()
+    assert parser.parse_args(["challenge", "--profile", "p", "--passes", "9"]).passes == 9
+    again = parser.parse_args(["challenge", "--profile", "p"])
+    assert again.passes is None and again.fn is cli.cmd_challenge
+
+
+def test_repeated_main_calls_keep_dispatching(tmp_path, calibrated, capsys):
+    challenge = ["challenge", "--profile", calibrated, "--scenario", "desk-small",
+                 "--seed", 5, "--jitter", 0.4]
+    capsys.readouterr()
+    assert run(challenge) == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:  # argparse exits on an unknown scenario
+        run(["challenge", "--profile", calibrated, "--scenario", "no-such-scenario"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(["checkpoint", "--make", tmp_path / "x.ck", "--words", 4]) == 0
+    assert run(["challenge", *challenge[1:], "--attack", "corrupt"]) == 2
+    capsys.readouterr()
+    assert run(challenge) == 0
+    assert capsys.readouterr().out == first
 
 
 class TestCheckpointCommand:

@@ -1,7 +1,11 @@
 """Tests for the vectorized M61 evaluator, the array permutation and the dispatch."""
 
 import random
+import sys
+import threading
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import strategies as st
 from timecheck import engine
 from timecheck.checkpoint import MemoryImage, scan_words
 from timecheck.coeffs import RandomSeeds
-from timecheck.device import Scenario, desk_scenario
+from timecheck.device import Scenario, attack_scenario, desk_scenario
 from timecheck.engine import (
     _TILE,
     ChallengeSpec,
@@ -29,7 +33,9 @@ from timecheck.protocol import (
     DeviceEndpoint,
     FrameDecoder,
     LoopbackChannel,
+    TcpChannel,
     issue_challenge,
+    serve_device,
 )
 
 WORD_MAX = (1 << 64) - 1
@@ -291,3 +297,165 @@ def test_endpoints_match_naive_for_every_prime(p):
         assert ep.expected_result(spec) == naive
         _, reply = ep.handle_challenge(ChallengeMessage(1, spec))[1]
         assert FrameDecoder().feed(reply)[0].accumulator == naive.accumulator
+
+
+# --- the evaluation memo ---------------------------------------------------------
+
+def _counting_scans():
+    """Patch that counts multipass_m61's scans (a memo hit does not scan)."""
+    return mock.patch.object(engine, "_scan_m61", wraps=engine._scan_m61)
+
+
+def _changed(words, spec, data):
+    """(words, spec) with one bit of one word, or one spec field, changed."""
+    what = data.draw(st.sampled_from(("word", "r", "x", "perm_seed", "passes", "region_id")))
+    seeds, params = spec.seeds, spec.params
+    if what == "word":
+        i = data.draw(st.integers(0, len(words) - 1))
+        words = words[:i] + [words[i] ^ (1 << data.draw(st.integers(0, 63)))] + words[i + 1:]
+    elif what == "r":
+        r = list(seeds.r)
+        j = data.draw(st.integers(0, len(r) - 1))
+        r[j] = (r[j] + data.draw(st.integers(1, M61 - 1))) % M61
+        spec = replace(spec, seeds=RandomSeeds(tuple(r), params))
+    elif what == "x":
+        x = (params.x + data.draw(st.integers(1, M61 - 1))) % M61
+        spec = replace(spec, seeds=RandomSeeds(seeds.r, FieldParams(M61, x)))
+    elif what == "perm_seed":
+        spec = replace(spec, perm_seed=spec.perm_seed ^ (1 << data.draw(st.integers(0, 63))))
+    elif what == "passes":
+        spec = replace(spec, passes=spec.passes + data.draw(st.sampled_from((-1, 1)))
+                       if spec.passes > 1 else 2)
+    else:
+        spec = replace(spec, region_id=spec.region_id + "-other")
+    return words, spec
+
+
+@settings(max_examples=50, deadline=None)
+@given(m61_instances())
+def test_memo_hit_equals_a_fresh_scan_and_streaming(instance):
+    words, spec = instance
+    first = multipass_m61(np.array(words, dtype=np.uint64), spec)
+    with _counting_scans() as scan:
+        hit = multipass_m61(np.array(words, dtype=np.uint64), spec)  # equal words, new array
+    assert scan.call_count == 0
+    assert hit == first
+    assert hit == engine._scan_m61(np.array(words, dtype=np.uint64), spec)
+    assert hit == multipass(MemoryImage(words), spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m61_instances(), st.data())
+def test_memo_misses_on_any_changed_bit_or_field(instance, data):
+    words, spec = instance
+    engine._memo.clear()  # a previous example's entry may equal the changed one
+    multipass_m61(np.array(words, dtype=np.uint64), spec)
+    words, spec = _changed(words, spec, data)
+    with _counting_scans() as scan:
+        got = multipass_m61(np.array(words, dtype=np.uint64), spec)
+    assert scan.call_count == 1
+    assert got == multipass_naive(MemoryImage(words), spec)
+
+
+@settings(max_examples=50, deadline=None)
+@given(m61_instances(), st.data())
+def test_caller_mutation_cannot_change_a_later_result(instance, data):
+    words, spec = instance
+    i = data.draw(st.integers(0, len(words) - 1))
+    flip = np.uint64(1 << data.draw(st.integers(0, 63)))
+    base = np.array(words, dtype=np.uint64)
+    view = base.view()
+    view.flags.writeable = False  # read-only, yet its writable base can change
+    first = multipass_m61(view, spec)
+    base[i] ^= flip
+    assert multipass_m61(view, spec) == multipass_naive(MemoryImage(view.tolist()), spec)
+    base[i] ^= flip
+    assert multipass_m61(view, spec) == first
+    assert first == multipass_naive(MemoryImage(words), spec)
+
+
+def test_memo_holds_the_last_two_evaluations():
+    rng = random.Random()
+    calls = [(np.array([rng.getrandbits(64) for _ in range(8)], dtype=np.uint64),
+              random_spec(M61, 2, 1, rng)) for _ in range(5)]
+    for words, spec in calls:
+        multipass_m61(words, spec)
+        assert len(engine._memo) <= 2
+    with _counting_scans() as scan:
+        for words, spec in calls[-2:]:
+            multipass_m61(words, spec)
+        assert scan.call_count == 0
+        multipass_m61(*calls[-3])
+        assert scan.call_count == 1
+    assert len(engine._memo) == 2
+
+
+def test_loopback_session_after_expected_result_scans_once(monkeypatch):
+    scans = []
+    scan = engine._scan_m61
+
+    def counted(words, spec):
+        scans.append(spec)
+        return scan(words, spec)
+
+    monkeypatch.setattr(engine, "_scan_m61", counted)
+    sc = desk_scenario()
+    verifier = DeviceEndpoint(sc, master_seed=1)
+    honest = LoopbackChannel(DeviceEndpoint(sc, master_seed=2))
+    corrupt = LoopbackChannel(DeviceEndpoint(attack_scenario(sc, "corrupt"), master_seed=3))
+    rng = random.Random()
+    for chan, offset in ((honest, 0), (corrupt, 1)):
+        spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
+        expected = verifier.expected_result(spec)
+        timed = issue_challenge(chan, spec, rng=rng)
+        assert timed.response.accumulator == (expected.accumulator + offset) % M61
+        assert scans[-1:] == [spec] and scans.count(spec) == 1
+
+
+def test_concurrent_evaluation_with_a_served_device_stays_exact():
+    # serve_device's thread and several verifier threads share the memo;
+    # more threads than cores, switching as often as the interpreter allows
+    sc = Scenario(name="tiny-m61", image_words=61, register_count=3, passes=3,
+                  prime=M61, k=3, image_seed=61)
+    device = DeviceEndpoint(sc, master_seed=1)
+    verifier = DeviceEndpoint(sc, master_seed=2)
+    image = MemoryImage(scan_words(device.checkpoint))
+    wrong, sizes = [], []
+    stop = threading.Event()
+
+    def verify_elsewhere():
+        rng = random.Random()
+        while not stop.is_set():
+            spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
+            words = np.array(image.words, dtype=np.uint64)
+            words[rng.randrange(words.size)] ^= np.uint64(rng.getrandbits(64) | 1)
+            for w in (words, device.checkpoint.words, words):
+                if multipass_m61(w, spec) != multipass_naive(MemoryImage(w.tolist()), spec):
+                    wrong.append(spec)
+            sizes.append(len(engine._memo))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    server, thread = serve_device(device, port=0, time_scale=0.0)
+    others = [threading.Thread(target=verify_elsewhere) for _ in range(4)]
+    try:
+        for t in others:
+            t.start()
+        chan = TcpChannel(*server.getsockname(), timeout_s=5.0)
+        rng = random.Random()
+        for _ in range(40):
+            spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
+            timed = issue_challenge(chan, spec, rng=rng)
+            want = multipass_naive(image, spec)
+            assert timed.response.accumulator == want.accumulator
+            assert verifier.expected_result(spec) == want  # may hit the server's entry
+    finally:
+        stop.set()
+        for t in others:
+            t.join(timeout=10.0)
+        server.close()
+        thread.join(timeout=2.0)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in others)
+    assert wrong == []
+    assert sizes and max(sizes) <= engine._MEMO_SIZE
