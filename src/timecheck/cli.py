@@ -266,15 +266,16 @@ def cmd_reproduce(args) -> int:
     raise TimecheckError(f"unknown table {args.table!r} (fig10|fig11|fig13)")
 
 
-def _durations(scenario: Scenario, trials: int, master_seed: int) -> list:
-    """The priced trial durations of a scenario; the reports read nothing else."""
-    return [duration for duration, _ in priced_trials(scenario, trials, master_seed)]
+def _durations(batches) -> list:
+    """The priced trial durations of each (scenario, trials, master_seed) batch;
+    the reports read nothing else."""
+    return [[duration for duration, _ in rows] for rows in priced_trials(batches)]
 
 
 def _reproduce_sram_table(args) -> int:
     names = ("sram-baseline", "sram-dram", "sram-iomem")
-    batches = {name: _durations(builtin_scenario(name), args.trials, args.seed)
-               for name in names}
+    batches = dict(zip(names, _durations(
+        [(builtin_scenario(name), args.trials, args.seed) for name in names])))
     base = batches["sram-baseline"]
     rows = []
     for name in names:
@@ -297,10 +298,9 @@ def _reproduce_sram_table(args) -> int:
 
 
 def _reproduce_full_table(args) -> int:
-    batches = {}
-    for attack in (False, True):
-        sc = full_memory_scenario(attack=attack)
-        batches[sc.name] = _durations(sc, args.trials, args.seed)
+    scenarios = [full_memory_scenario(attack=attack) for attack in (False, True)]
+    durations = _durations([(sc, args.trials, args.seed) for sc in scenarios])
+    batches = {sc.name: d for sc, d in zip(scenarios, durations)}
     base = batches["full-baseline"]
     attack = batches["full-mmc"]
     base_prof = stats.calibrate(base)
@@ -329,41 +329,49 @@ def _reproduce_full_table(args) -> int:
 LOO_BATCH_VALUES = 1 << 16
 
 
-def aggregate_detection(attack_label: str, n_seeds: int, trials: int, master_seed: int,
+def aggregate_detection(attack_labels, n_seeds: int, trials: int, master_seed: int,
                         methods=("percentile", "zscore", "modz")) -> dict:
-    """Pooled FPR/FNR over n_seeds independent paired runs of one experiment.
+    """Pooled FPR/FNR over n_seeds independent paired runs of each experiment,
+    by attack label.
 
-    Every seed is priced first, one row per seed; the rows are then
-    classified in batches of as many seeds as fit in LOO_BATCH_VALUES.
+    Every run of every experiment is priced first, in one priced_trials call
+    (one baseline and one attack row per seed); each experiment's rows are
+    then classified in batches of as many seeds as fit in LOO_BATCH_VALUES.
     """
-    base_sc = builtin_scenario(f"detector-{attack_label}-baseline")
-    atk_sc = builtin_scenario(f"detector-{attack_label}-attack")
-    base = np.empty((n_seeds, trials))
-    atk = np.empty((n_seeds, trials))
-    for i in range(n_seeds):
-        seed = derive_seed(master_seed, f"detect/{attack_label}", i)
-        base[i] = _durations(base_sc, trials, seed)
-        atk[i] = _durations(atk_sc, trials, derive_seed(seed, "atk"))
+    batches = []
+    for attack_label in attack_labels:
+        base_sc = builtin_scenario(f"detector-{attack_label}-baseline")
+        atk_sc = builtin_scenario(f"detector-{attack_label}-attack")
+        seeds = [derive_seed(master_seed, f"detect/{attack_label}", i) for i in range(n_seeds)]
+        batches += [(base_sc, trials, seed) for seed in seeds]
+        batches += [(atk_sc, trials, derive_seed(seed, "atk")) for seed in seeds]
+    rows = np.empty((len(batches), trials))
+    for row, priced in zip(rows, priced_trials(batches)):
+        row[:] = [duration for duration, _ in priced]
+    rows = rows.reshape(len(attack_labels), 2, n_seeds, trials)
     batch = max(1, LOO_BATCH_VALUES // (trials * (trials - 1)))
-    fp = dict.fromkeys(methods, 0)
-    fn = dict.fromkeys(methods, 0)
-    for lo in range(0, n_seeds, batch):
-        rows = stats.confusion_report(base[lo:lo + batch], atk[lo:lo + batch],
-                                      methods=methods)
-        for m in methods:
-            fp[m] += rows[m].false_positives
-            fn[m] += rows[m].false_negatives
     n_points = n_seeds * trials
-    return {m: {"fpr": fp[m] / n_points, "fnr": fn[m] / n_points,
-                "false_positives": fp[m], "false_negatives": fn[m],
-                "baseline_points": n_points, "attack_points": n_points}
-            for m in methods}
+    out = {}
+    for attack_label, (base, atk) in zip(attack_labels, rows):
+        fp = dict.fromkeys(methods, 0)
+        fn = dict.fromkeys(methods, 0)
+        for lo in range(0, n_seeds, batch):
+            report = stats.confusion_report(base[lo:lo + batch], atk[lo:lo + batch],
+                                            methods=methods)
+            for m in methods:
+                fp[m] += report[m].false_positives
+                fn[m] += report[m].false_negatives
+        out[attack_label] = {m: {"fpr": fp[m] / n_points, "fnr": fn[m] / n_points,
+                                 "false_positives": fp[m], "false_negatives": fn[m],
+                                 "baseline_points": n_points, "attack_points": n_points}
+                             for m in methods}
+    return out
 
 
 def _reproduce_detection_table(args) -> int:
     rows = []
-    for attack_label in ("dram", "iomem"):
-        agg = aggregate_detection(attack_label, args.seeds, args.trials, args.seed)
+    aggs = aggregate_detection(("dram", "iomem"), args.seeds, args.trials, args.seed)
+    for attack_label, agg in aggs.items():
         for method in ("percentile", "zscore", "modz"):
             r = agg[method]
             rows.append([attack_label, method,

@@ -28,6 +28,7 @@ latencies; every knob stays configurable through scenario JSON.
 """
 
 import functools
+import itertools
 import json
 import math
 import random
@@ -39,7 +40,7 @@ from .checkpoint import DEFAULT_REGISTER_COUNT, Checkpoint, checkpoint_record
 from .engine import random_spec
 from .errors import TimecheckError, UnknownTier
 from .field import is_prime
-from .seeding import derive_seed, derive_seeds, random_words, sub_rng
+from .seeding import derive_seed, derive_seeds, random_words, replay_streams, sub_rng
 
 # --- default calibration ---------------------------------------------------
 # 192 KB of 8-byte words plus a 64-word register file, scanned 500 times in
@@ -162,6 +163,19 @@ class NoiseModel:
             raise ValueError("empirical noise needs sample values")
         if self.drift not in ("none", "linear", "step"):
             raise ValueError(f"unknown drift kind {self.drift!r}")
+        for name in ("sigma", "width", "drift_us_per_trial", "drift_step_at",
+                     "drift_step_us", "nmi_prob", "nmi_us"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"noise {name} must be finite, got {getattr(self, name)}")
+        if not all(math.isfinite(v) for v in self.values):
+            raise ValueError(f"noise values must be finite, got {list(self.values)}")
+        if self.sigma < 0 or self.width < 0:
+            raise ValueError(f"noise sigma and width must be >= 0, got {self.sigma} "
+                             f"and {self.width}")
+        if not 0.0 <= self.nmi_prob <= 1.0:
+            raise ValueError(f"noise nmi_prob must be in [0, 1], got {self.nmi_prob}")
+        if self.drift_step_at < 0:
+            raise ValueError(f"noise drift_step_at must be >= 0, got {self.drift_step_at}")
 
     def sample(self, rng: random.Random, trial_id: int = 0):
         """(noise_us, nmi_fired) for one trial."""
@@ -306,26 +320,39 @@ def price(scenario: Scenario, passes: int, rng: random.Random, trial_id: int = 0
             + noise_us), nmi
 
 
-def priced_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
-    """(duration_us, nmi) of n trials at the scenario's passes, in trial order.
+def priced_trials(batches):
+    """(duration_us, nmi) of every trial of each (scenario, n_trials, master_seed)
+    batch, at the scenario's passes: an iterator of one list per batch, in
+    trial order.
 
     The timing model is content-independent, so only each trial's noise
     stream, seeded from its trial id, sets its duration: no challenge is
-    drawn and no polynomial is evaluated. Trial i's stream is
-    random.Random(derive_seed(master_seed, f"{scenario.name}/noise", i)); one
-    generator is reseeded per trial, which restores exactly that state
-    (gauss_next included) without building a new object.
+    drawn and no polynomial is evaluated. Trial i of a batch draws from
+    random.Random(derive_seed(master_seed, f"{scenario.name}/noise", i)).
+    The streams of all batches come from one seeding.replay_streams call,
+    which seeds seeding.NUMPY_SEEDING_MIN or more streams in one numpy pass,
+    so a caller with many small batches passes them together. Each batch is
+    priced when it is read, so a caller that stores durations as it reads
+    holds one batch's results at a time.
     """
-    if n_trials < 1:
+    batches = list(batches)
+    if any(n_trials < 1 for _, n_trials, _ in batches):
         raise ValueError("need at least one trial")
-    noise_rng = random.Random(0)
-    out = []
-    for trial_id, seed in enumerate(derive_seeds(master_seed, f"{scenario.name}/noise",
-                                                 n_trials)):
-        noise_rng.seed(seed)
-        duration, nmi = price(scenario, scenario.passes, noise_rng, trial_id)
-        out.append((int(round(duration)), nmi))
-    return out
+    seeds = np.fromiter(
+        itertools.chain.from_iterable(derive_seeds(master_seed, f"{sc.name}/noise", n)
+                                      for sc, n, master_seed in batches),
+        np.uint64, sum(n for _, n, _ in batches))
+    streams = replay_streams(seeds)
+
+    def priced():
+        for scenario, n_trials, _ in batches:
+            rows = []
+            for trial_id, rng in zip(range(n_trials), streams):
+                duration, nmi = price(scenario, scenario.passes, rng, trial_id)
+                rows.append((int(round(duration)), nmi))
+            yield rows
+
+    return priced()
 
 
 def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
@@ -335,7 +362,8 @@ def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
     honest accumulator path is exercised by DeviceEndpoint.handle_challenge.
     """
     out = []
-    for trial_id, (duration, nmi) in enumerate(priced_trials(scenario, n_trials, master_seed)):
+    [priced] = priced_trials([(scenario, n_trials, master_seed)])
+    for trial_id, (duration, nmi) in enumerate(priced):
         spec_rng = sub_rng(master_seed, f"{scenario.name}/spec", trial_id)
         spec = random_spec(scenario.prime, scenario.k, scenario.passes, spec_rng,
                            scenario.region_id)

@@ -139,8 +139,9 @@ def test_c06_detector_metrics_reproduction():
     # and modified-z at 0% FNR within a 5-point band; modified-z FPR for the
     # iomem run within 5 points of 9%
     tol = 0.05
+    aggs = aggregate_detection(("dram", "iomem"), n_seeds=20, trials=50, master_seed=0)
     for attack, modz_fpr_target in (("dram", 0.0), ("iomem", 0.09)):
-        agg = aggregate_detection(attack, n_seeds=20, trials=50, master_seed=0)
+        agg = aggs[attack]
         for method in ("percentile", "zscore"):
             assert abs(agg[method]["fpr"] - 0.0) <= tol, (attack, method, agg[method])
             assert abs(agg[method]["fnr"] - 0.0) <= tol, (attack, method, agg[method])
@@ -167,8 +168,8 @@ def test_paper_tables_over_master_seeds():
     always_zero |= {("dram", "modz", "fpr"), ("dram", "modz", "fnr")}
     cells = {cell: [] for cell in paper}
     for seed in seeds:
-        for attack in ("dram", "iomem"):
-            agg = aggregate_detection(attack, n_seeds=20, trials=50, master_seed=seed)
+        aggs = aggregate_detection(("dram", "iomem"), n_seeds=20, trials=50, master_seed=seed)
+        for attack, agg in aggs.items():
             for method in ("percentile", "zscore", "modz"):
                 for rate in ("fpr", "fnr"):
                     cells[attack, method, rate].append(agg[method][rate])
@@ -185,8 +186,8 @@ def test_paper_tables_over_master_seeds():
                "full-baseline": 1.731895e9, "full-mmc": 1.735465e9}
     worst_error, worst_t_p, least_shift = 0.0, 0.0, math.inf
     for seed in seeds:
-        batches = {name: [d for d, _ in priced_trials(builtin_scenario(name), 50, seed)]
-                   for name in targets}
+        priced = priced_trials([(builtin_scenario(name), 50, seed) for name in targets])
+        batches = {name: [d for d, _ in rows] for name, rows in zip(targets, priced)}
         for name, target in targets.items():
             error = abs(sum(batches[name]) / 50 - target) / target
             assert error < 0.01, (seed, name, error)

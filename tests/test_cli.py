@@ -257,6 +257,69 @@ class TestReproduce:
         for name, want in self.SUMMARY_SHA256[seed].items():
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == want, name
 
+    # sha256 of more reproduce outputs, taken before the noise streams were
+    # seeded in batches. A table that prices 1,300 trials or more (fig13 4 x
+    # seeds x trials, fig10 3 x trials, fig11 2 x trials) seeds them with
+    # numpy, a smaller one with CPython.
+    MORE_SHA256 = [
+        (('fig13', '--seed', '3'), {
+            "fig13_detection.csv": "ce8e8c229db71b7bccfa73d27e76dbc9d58a1e4b2c922d748b0b945c641d6f66",
+        }),
+        (('fig13', '--seed', '11'), {
+            "fig13_detection.csv": "677f596b1745c7d543f3fbbe21b0bec44c37fb9770c772bf74bb5b32730599d7",
+        }),
+        (('fig13', '--seed', '0', '--seeds', '2', '--trials', '8'), {
+            "fig13_detection.csv": "c6a6eb768886bd2e73715af4810c0c51f5a6d6557fa950edf35db86a356adf24",
+        }),
+        (('fig13', '--seed', '9', '--seeds', '1'), {
+            "fig13_detection.csv": "9949b4f41f0c94ae8e5f43a582b926bb2b1acc768838820eaa79c34eba92bc80",
+        }),
+        (('fig13', '--seed', '0', '--seeds', '100'), {
+            "fig13_detection.csv": "5d908c9985de811b4f4baf430322f784ec948a2307512408cc8b1cd7c23f4258",
+        }),
+        (('fig13', '--seed', '5', '--seeds', '33', '--trials', '17'), {
+            "fig13_detection.csv": "30532299bc2674a201255df66e51a6bb134790a51c571a3599f3c00e39aaf9ba",
+        }),
+        (('fig10', '--seed', '3'), {
+            "fig10_hist.csv": "52e80c5074146a9fb3a16632447128f6758768cb941c8e9ace5128ad51809f1d",
+            "fig10_summary.csv": "0f109fe2090fe2e68930f54de4ff99df492d2207f9ae63d44f1be7482a9ab05b",
+        }),
+        (('fig10', '--seed', '11'), {
+            "fig10_hist.csv": "0eb6fa53a55b4c2da615ff0fe776b22b052ec33db2b116609c2e1bb267b836b9",
+            "fig10_summary.csv": "1be3e0762b344dc968451d85e2725cd4a809b654fecef74a49fab989b062bbf4",
+        }),
+        (('fig10', '--seed', '0', '--trials', '2'), {
+            "fig10_hist.csv": "88d0d6b2cb7349d4e9cf1fe6eede8205928b7112ec940af04a22feed3e72e90f",
+            "fig10_summary.csv": "f5fbcd7e146b4e380f6cad23ef237041fc8e63841df733bd64ce4fa61d7978c6",
+        }),
+        (('fig10', '--seed', '2', '--trials', '1000'), {
+            "fig10_hist.csv": "54a16f15e13b1e899e5f93710b5054bdba4c28947350ca795fb98d0b3db383ba",
+            "fig10_summary.csv": "cde064a5020264488c8eb406d40f96d1d1a025a1e4a93d0fc3b917beee72481a",
+        }),
+        (('fig11', '--seed', '3'), {
+            "fig11_hist.csv": "13ccb506ea2c65410e205c1d6b40cd63845c6265a0c99159bedd0cc82c4a0f08",
+            "fig11_summary.csv": "a11b5e05286ecc628b66064a12ae84393a459f00025511ce30e4b6ab49f02dce",
+        }),
+        (('fig11', '--seed', '11'), {
+            "fig11_hist.csv": "d066d2af83802d9cd5326087c0bd5d08a50d5d3ced083ff8291ddeb6a0d1d7eb",
+            "fig11_summary.csv": "ea3215fa0008392a2117278aa846b4b3913af7eda3a5e761773cd4af414171aa",
+        }),
+        (('fig11', '--seed', '0', '--trials', '2'), {
+            "fig11_hist.csv": "7438a1325b3a15a1bf3e88134a4ac2e9932aea5b74b070de1384b94b42c31ee3",
+            "fig11_summary.csv": "c42b498317bbc64959278021ca141beaf4429461b9ff034495d223155bc62c92",
+        }),
+        (('fig11', '--seed', '2', '--trials', '1000'), {
+            "fig11_hist.csv": "82ae26898f2765b49e93194791a534508b59728adb576a86bb6b8ab66190eb26",
+            "fig11_summary.csv": "fb731cf3f7fde08971bbfe8095401637fd8893628f40dfff96ecbeef45afed27",
+        }),
+    ]
+
+    @pytest.mark.parametrize("args, want", MORE_SHA256)
+    def test_more_tables_pinned_bytes(self, tmp_path, args, want):
+        assert run(["reproduce", *args, "--out", tmp_path]) == 0
+        for name, digest in want.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
     def test_detection_table_zero_mad_baseline(self, tmp_path):
         # one detector-dram baseline run at this seed has 25 of its 50 points
         # on one value, so a leave-one-out MAD is 0 and modified-z falls back
@@ -326,13 +389,13 @@ class TestAggregateDetection:
     def test_batches_equal_per_seed_loop(self, batches, attack_label):
         # 40 seeds x 50 x 49 leave-one-out values: batches of 26 and 14 seeds
         methods = ("percentile", "zscore", "modz", "chebyshev")
-        got = aggregate_detection(attack_label, 40, 50, 11, methods=methods)
+        got = aggregate_detection((attack_label,), 40, 50, 11, methods=methods)[attack_label]
         assert batches == [26, 14]
         assert got == _per_seed_detection(attack_label, 40, 50, 11, methods)
 
     def test_one_seed_per_batch_past_the_budget(self, batches, monkeypatch):
         monkeypatch.setattr(cli, "LOO_BATCH_VALUES", 100)
-        got = aggregate_detection("iomem", 3, 12, 5)
+        got = aggregate_detection(("iomem",), 3, 12, 5)["iomem"]
         assert batches == [1, 1, 1]
         assert got == _per_seed_detection("iomem", 3, 12, 5,
                                           ("percentile", "zscore", "modz"))
@@ -456,6 +519,32 @@ class TestCheckpointCommand:
         assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1
 
 
+# sha256 of calibrate's measurements and profile at --seed 4, taken before the
+# noise streams were seeded in batches: 1,500 trials are seeded with numpy.
+CALIBRATE_SHA256 = [
+        ("sram-baseline", 50, {
+            "sram-baseline-measurements.csv": "a1ff236c39893100f2e7649a41462d83f8189ddbfdc5232d53480207b43f5d00",
+            "sram-baseline-profile.json": "1889cb59eb6ed492705bb8169a87015e8d20ca894de4ebfbf9fd2c909c413743",
+        }),
+        ("sram-baseline", 1500, {
+            "sram-baseline-measurements.csv": "1a508575a7558c6d0676a19941ce735adec091ff592cf7d3364fd5e02d1b53c3",
+            "sram-baseline-profile.json": "bca9371af1f554fbb0c9eba25a777c1f3ac1409aa1fc1717cf2fdf2cbc340569",
+        }),
+        ("detector-iomem-baseline", 1500, {
+            "detector-iomem-baseline-measurements.csv": "ddaba44dfcf1efc633ec819e824c3dc0aeae023a0bb07c9c3eb023ee60ebc9b3",
+            "detector-iomem-baseline-profile.json": "41e23555b406c0d28a2dd7d2ab614f8778b40c28f23f2733cac135888a31453d",
+        }),
+]
+
+
+@pytest.mark.parametrize("scenario, trials, want", CALIBRATE_SHA256)
+def test_calibrate_pinned_bytes(tmp_path, scenario, trials, want):
+    assert run(["calibrate", "--scenario", scenario, "--trials", trials, "--seed", 4,
+                "--out", tmp_path]) == 0
+    for name, digest in want.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
 def test_config_file_overrides_scenario(tmp_path, capsys):
     sc = builtin_scenario("desk-small")
     cfg = tmp_path / "tweaked.json"
@@ -472,6 +561,10 @@ def test_config_file_overrides_scenario(tmp_path, capsys):
     ('{"name": "x",', "JSONDecodeError"),
     ('{"name": "x", "image_words": 0}', "image_words must be >= 1, got 0"),
     ('{"name": "x", "prime": 15}', "prime must be a prime below 2^64, got 15"),
+    ('{"name": "x", "noise": {"sigma": NaN}}', "noise sigma must be finite, got nan"),
+    ('{"name": "x", "noise": {"kind": "empirical", "values": [Infinity]}}',
+     "noise values must be finite, got [inf]"),
+    ('{"name": "x", "noise": {"nmi_prob": 1.5}}', "noise nmi_prob must be in [0, 1], got 1.5"),
 ])
 def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.json"

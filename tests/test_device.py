@@ -38,7 +38,7 @@ from timecheck.device import (
 from timecheck.engine import multipass, random_spec
 from timecheck.errors import TimecheckError, UnknownTier
 from timecheck.protocol import ChallengeMessage, DeviceEndpoint, FrameDecoder
-from timecheck.seeding import derive_seed
+from timecheck.seeding import NUMPY_SEEDING_MIN, derive_seed
 
 # sha256 of json.dumps(scenario_to_json(builtin_scenario(name)), indent=2)
 BUILTIN_JSON_SHA256 = {
@@ -205,33 +205,44 @@ class TestRunTrials:
         with pytest.raises(ValueError):
             run_trials(builtin_scenario("sram-baseline"), 0, 0)
         with pytest.raises(ValueError):
-            priced_trials(builtin_scenario("sram-baseline"), 0, 0)
+            priced_trials([(builtin_scenario("sram-baseline"), 0, 0)])
 
     def test_durations_are_the_priced_trials(self):
         base = builtin_scenario("sram-dram")
         spiky = replace(base, noise=replace(base.noise, nmi_prob=0.3, drift="linear",
                                             drift_us_per_trial=7.5))
         ms = run_trials(spiky, 40, 9)
-        assert [(m.duration_us, m.nmi) for m in ms] == priced_trials(spiky, 40, 9)
+        assert [[(m.duration_us, m.nmi) for m in ms]] == list(priced_trials([(spiky, 40, 9)]))
 
-    # every builtin, plus gaussian noise with drift and interrupt spikes: a
-    # gaussian draw caches a second normal that reseeding must discard
+    # every builtin, plus gaussian and uniform noise with drift and interrupt
+    # spikes: a gaussian draw caches a second normal that a new stream must discard
     PRICED_SCENARIOS = [builtin_scenario(name) for name in list_scenarios()] + [
         replace(builtin_scenario("sram-dram"), name="gauss-drift-nmi",
                 noise=NoiseModel("gaussian", sigma=150.0, drift="linear",
                                  drift_us_per_trial=3.25, nmi_prob=0.25)),
+        replace(builtin_scenario("sram-iomem"), name="uniform-step-nmi",
+                noise=NoiseModel("uniform", width=90.0, drift="step", drift_step_at=3,
+                                 drift_step_us=400.0, nmi_prob=0.4)),
     ]
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(-2**63, 2**64), st.integers(1, 12))
-    def test_priced_trials_equal_fresh_stream_per_trial(self, master, n):
+    @given(st.integers(-2**63, 2**64), st.integers(1, 12), st.booleans())
+    def test_priced_trials_equal_fresh_stream_per_trial(self, master, n, cross):
+        # each scenario alone, then all in one call; with cross, that call's
+        # batch is large enough to be seeded with numpy, each alone is not
+        if cross:
+            n += NUMPY_SEEDING_MIN // len(self.PRICED_SCENARIOS)
+            assert n * len(self.PRICED_SCENARIOS) >= NUMPY_SEEDING_MIN > n
+        want = []
         for sc in self.PRICED_SCENARIOS:
-            want = []
+            rows = []
             for i in range(n):
                 rng = random.Random(derive_seed(master, f"{sc.name}/noise", i))
                 duration, nmi = price(sc, sc.passes, rng, i)
-                want.append((int(round(duration)), nmi))
-            assert priced_trials(sc, n, master) == want, sc.name
+                rows.append((int(round(duration)), nmi))
+            assert list(priced_trials([(sc, n, master)])) == [rows], sc.name
+            want.append(rows)
+        assert list(priced_trials([(sc, n, master) for sc in self.PRICED_SCENARIOS])) == want
 
     def test_baseline_mean_matches_calibration(self):
         sc = builtin_scenario("sram-baseline")
@@ -379,6 +390,19 @@ class TestScenarios:
         '{"name": "x", "k": 0}',
         '{"name": "x", "image_words": 0}',
         '{"name": "x", "prime": 15}',
+        '{"name": "x", "noise": {"sigma": NaN}}',
+        '{"name": "x", "noise": {"kind": "uniform", "width": Infinity}}',
+        '{"name": "x", "noise": {"kind": "empirical", "values": [0.0, Infinity]}}',
+        '{"name": "x", "noise": {"kind": "empirical", "values": [NaN]}}',
+        '{"name": "x", "noise": {"drift": "linear", "drift_us_per_trial": -Infinity}}',
+        '{"name": "x", "noise": {"drift": "step", "drift_step_us": NaN}}',
+        '{"name": "x", "noise": {"drift": "step", "drift_step_at": -1}}',
+        '{"name": "x", "noise": {"nmi_prob": 1.5}}',
+        '{"name": "x", "noise": {"nmi_prob": -0.1}}',
+        '{"name": "x", "noise": {"nmi_prob": NaN}}',
+        '{"name": "x", "noise": {"nmi_us": Infinity}}',
+        '{"name": "x", "noise": {"sigma": -1.0}}',
+        '{"name": "x", "noise": {"kind": "uniform", "width": -2.0}}',
         '["name"]',
         '{"name": "x",',
     ])
