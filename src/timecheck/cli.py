@@ -25,6 +25,7 @@ from .checkpoint import (
 )
 from .device import (
     ATTACKS,
+    Measurement,
     Scenario,
     attack_scenario,
     builtin_scenario,
@@ -36,17 +37,14 @@ from .device import (
     priced_trials,
     run_trials,
 )
-from .engine import random_spec
 from .errors import InsufficientSamples, TimecheckError
 from .protocol import (
     DeviceEndpoint,
     LoopbackChannel,
     TcpChannel,
     budget_refusal,
-    issue_challenge,
-    measurement_from_timed,
+    run_session,
     serve_device,
-    verify_response,
 )
 from .seeding import derive_seed, sub_rng
 
@@ -133,18 +131,6 @@ def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
                            jitter_seed=derive_seed(args.seed, "jitter", attempt)), endpoint
 
 
-def _session_measurements(scenario, channel, n, master_seed):
-    """Timed sessions through a live channel, as Measurement records."""
-    rng = sub_rng(master_seed, "calibration")
-    out = []
-    for trial_id in range(n):
-        spec = random_spec(scenario.prime, scenario.k, scenario.passes, rng,
-                           scenario.region_id)
-        timed = issue_challenge(channel, spec, rng=rng)
-        out.append(measurement_from_timed(timed, trial_id, scenario.name, spec))
-    return out
-
-
 def cmd_calibrate(args) -> int:
     scenario = _scenario_from_args(args)
     if args.trials < 2:
@@ -153,8 +139,20 @@ def cmd_calibrate(args) -> int:
         measurements = run_trials(scenario, args.trials, args.seed)
     else:
         channel, _ = _connect(args, scenario, "loopback")
-        measurements = _session_measurements(scenario, channel, args.trials, args.seed)
-    durations = [m.duration_us for m in measurements]
+        rng = sub_rng(args.seed, "calibration")
+        measurements = []
+        for trial_id in range(args.trials):
+            session = run_session(channel, scenario, rng, rng)
+            if session.refusal:
+                raise TimecheckError(f"device refused session {trial_id}: {session.refusal}")
+            measurements.append(Measurement(trial_id, scenario.name,
+                                            max(1, session.timed.duration_us),
+                                            session.spec_digest, session.spoiled))
+    durations = [m.duration_us for m in measurements if not m.nmi]
+    spoiled = len(measurements) - len(durations)
+    if len(durations) < 2:
+        raise InsufficientSamples(f"calibration needs >= 2 trials free of interrupt spikes, "
+                                  f"got {len(durations)} of {len(measurements)}")
     profile = stats.calibrate(durations)
     max_lag = min(10, len(durations) - 1)
     whiteness = stats.serial_correlation(durations, max_lag)
@@ -169,6 +167,8 @@ def cmd_calibrate(args) -> int:
         fh.write("\n")
 
     flagged = ",".join(str(l) for l in whiteness.flagged_lags) or "none"
+    if spoiled:
+        print(f"left out {spoiled} of {len(measurements)} trials spoiled by interrupt spikes")
     print(f"calibrated {scenario.name}: n={profile.n} mean={profile.mean:.1f}us "
           f"std={profile.std:.1f}us")
     print(f"whiteness: {'PASS' if whiteness.white else 'FAIL'} "
@@ -176,20 +176,6 @@ def cmd_calibrate(args) -> int:
     print(f"wrote {profile_path}")
     print(f"wrote {csv_path}")
     return EXIT_OK
-
-
-def _challenge_once(args, scenario: Scenario, profile, attempt: int = 0):
-    master = args.seed
-    spec_rng = sub_rng(master, "challenge-spec", attempt)
-    spec = random_spec(scenario.prime, scenario.k, scenario.passes, spec_rng,
-                       scenario.region_id)
-    channel, endpoint = _connect(args, scenario, "sim", attempt)
-    if endpoint is None:  # the checkpoint is public: rebuild the device's checkpoint locally
-        endpoint = DeviceEndpoint(scenario, master_seed=0)
-    expected = endpoint.expected_result(spec)
-    timed = issue_challenge(channel, spec, rng=sub_rng(master, "session"))
-    verdict = verify_response(expected, timed, profile, method=args.detector)
-    return spec, timed, verdict
 
 
 def cmd_challenge(args) -> int:
@@ -202,20 +188,25 @@ def cmd_challenge(args) -> int:
             f"profile shape {shape} does not match scenario shape {want}; recalibrate")
 
     for attempt in range(8):
-        spec, timed, verdict = _challenge_once(args, scenario, profile, attempt)
+        channel, endpoint = _connect(args, scenario, "sim", attempt)
+        if endpoint is None:  # the checkpoint is public: rebuild the device's checkpoint locally
+            endpoint = DeviceEndpoint(scenario, master_seed=0)
+        session = run_session(channel, scenario, sub_rng(args.seed, "challenge-spec", attempt),
+                              sub_rng(args.seed, "session"), endpoint, profile, args.detector)
+        verdict = session.verdict
         if verdict.outcome != "RETRY":
             break
     out = {
         "outcome": verdict.outcome,
         "reason": verdict.reason,
-        "duration_us": timed.duration_us,
-        "accumulator": timed.response.accumulator,
+        "duration_us": session.timed.duration_us,
+        "accumulator": session.timed.response.accumulator,
         "detector": None if verdict.detector is None else {
             "method": verdict.detector.method,
             "score": verdict.detector.score,
             "flagged": verdict.detector.flagged,
         },
-        "spec_digest": spec.digest(),
+        "spec_digest": session.spec_digest,
     }
     print(json.dumps(out, indent=2))
     if verdict.outcome == "ACCEPT":
@@ -252,8 +243,9 @@ def _histogram_rows(batches, bins=24):
 
 
 def cmd_reproduce(args) -> int:
-    if args.trials < 2:
-        raise InsufficientSamples(f"reproduce needs --trials >= 2, got {args.trials}")
+    least = 3 if args.table == "fig13" else 2  # a fig13 leave-one-out profile holds trials - 1
+    if args.trials < least:
+        raise InsufficientSamples(f"{args.table} needs --trials >= {least}, got {args.trials}")
     if args.seeds < 1:
         raise TimecheckError(f"reproduce needs --seeds >= 1, got {args.seeds}")
     os.makedirs(args.out, exist_ok=True)

@@ -36,15 +36,8 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
   tables encrypt the block domain [0, 2^bits) into one uint32 table, and
   cycle walking gathers from it. The weight array (d uint64) and that
   table (2^bits < 2d uint32 for d > 2) are the only buffers growing with d.
-  The weights depend only on the public spec fields (d, x, perm_seed), so
-  the last two weight arrays built stay in a process-wide cache, read-only.
-  A verifier and a simulated device in one process (challenge --target
-  sim, LoopbackChannel sessions) evaluate each challenge twice, once for
-  expected_result and once in handle_challenge. When the device's words
-  equal the checkpoint's, the second evaluation is a lookup: multipass_m61
-  remembers its last two results with private copies of their words. When
-  they differ (tampered or unreplayed memory), it scans again and reuses
-  the first one's weights.
+  Each scan builds its weights and keeps none: a repeated challenge over
+  equal words is a lookup in multipass_m61's memo, not a scan.
 - Coefficients. The coefficient polynomial R shifted to the address
   variable b = idx + 1 is R(t*d + b) = sum_m c_m(t) b^m with
   c_m(t) = sum_(j>=m) r_j C(j, m) (t*d)^(j-m), computed in Python ints.
@@ -59,7 +52,6 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
   2^49), and the pass accumulators stay below 2^62 between Mersenne folds.
 """
 
-import functools
 import hashlib
 import math
 import operator
@@ -90,9 +82,9 @@ _LIMB16_SHIFTS = (0, 16, 32, 48) if sys.byteorder == "little" else (48, 32, 16, 
 _LIMB_SCALES = tuple(pow(2, (s + 21 * c) % 61, M61)
                      for s in _LIMB16_SHIFTS for c in range(3))
 # multipass_m61's remembered evaluations, least recently used first:
-# (spec, private copy of the words, result). Two entries, like the weight
-# cache: a verifier's expected_result and a simulated device's scan of the
-# same challenge. The lock lets serve_device's thread and a verifier share it.
+# (spec, private copy of the words, result). Two entries: a verifier's
+# expected_result and a simulated device's scan of the same challenge. The
+# lock lets serve_device's thread and a verifier share it.
 _MEMO_SIZE = 2
 _memo = []
 _memo_lock = threading.Lock()
@@ -236,7 +228,6 @@ def _geometric_m61(ratio: int, count: int) -> np.ndarray:
     return np.array(out, dtype=np.uint64)
 
 
-@functools.lru_cache(maxsize=2)
 def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     """The d-word array weight[pi[i]] = x^i mod M61, filled tile by tile.
 
@@ -244,15 +235,6 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     x^i = x^(h*2^s) * x^l is one product of two entries from tables of
     about sqrt(d) powers each. pi is indexed by rank, so the powers of about
     _TILE consecutive ranks are an outer product, scattered through pi.
-
-    Cached process-wide: the weights are a pure function of three public
-    challenge fields, so a cache hit returns exactly what a rebuild would.
-    The array is read-only (backed by immutable bytes, like a checkpoint's
-    words), so no caller can change another caller's weights. Two entries
-    serve the verifier's expected_result followed by a simulated device's
-    scan of the same challenge over memory that differs from the
-    checkpoint (equal memory is a multipass_m61 memo hit and needs no
-    weights), and bound the cache at 2 * 8d bytes.
     """
     pi = PermutationGenerator(d, perm_seed).indices()
     s = ((d - 1).bit_length() + 1) // 2
@@ -263,7 +245,7 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     for h in range(0, len(high), rows):
         i0, i1 = h << s, min(d, (h + rows) << s)
         weight[pi[i0:i1]] = m61_mul(high[h:h + rows, None], low[None, :]).ravel()[:i1 - i0]
-    return np.frombuffer(weight.tobytes(), dtype=np.uint64)
+    return weight
 
 
 def _difference_polys(r: tuple, d: int, count: int) -> list:
@@ -303,8 +285,7 @@ def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
 
     Working set: the scan's buffers are allocated once per call over a tile
     of _TILE words, so besides the permutation table only the weight array
-    grows with d. The weight cache and the memo each hold at most two
-    d-word arrays, 2 x 8d bytes apiece.
+    grows with d. The memo holds at most two d-word arrays, 2 x 8d bytes.
     """
     p = spec.params.p
     if p != M61:

@@ -24,6 +24,13 @@ self-reports time. Timing starts when the RESTORED acknowledgment arrives
 Transports: a loopback byte stream with injected jitter (frames really are
 serialized and incrementally re-parsed; with no jitter, durations are exact),
 and plain TCP.
+
+run_session is the verifier's one session path, for calibration and for
+challenge alike: a fresh spec, the expected result when judging, the timed
+exchange (issue_challenge), then the verdict (verify_response). It returns a
+Session record: spec digest, TimedResponse, and verdict (None when
+calibrating). A session an interrupt spike spoiled (STATUS_NMI_RETRY) is
+never judged on its time, only retried, and never enters a profile.
 """
 
 import itertools
@@ -38,8 +45,8 @@ from dataclasses import dataclass
 
 from .checkpoint import checkpoint_replay
 from .coeffs import RandomSeeds
-from .device import DeviceState, Measurement, Scenario, device_snapshot, price
-from .engine import ChallengeResult, ChallengeSpec, evaluate
+from .device import DeviceState, Scenario, device_snapshot, price
+from .engine import ChallengeResult, ChallengeSpec, evaluate, random_spec
 from .errors import ChannelTimeout, MalformedFrame, SessionMismatch, TimecheckError
 from .field import FieldParams
 from .seeding import derive_seed
@@ -517,10 +524,6 @@ class SessionVerdict:
     reason: str
     detector: object  # stats.Verdict for timing decisions, else None
 
-    @property
-    def accepted(self) -> bool:
-        return self.outcome == "ACCEPT"
-
 
 def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
                     method: str = "percentile") -> SessionVerdict:
@@ -546,13 +549,33 @@ def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
     return SessionVerdict("ACCEPT", "value and timing within baseline", verdict)
 
 
-def measurement_from_timed(timed: TimedResponse, trial_id: int, scenario: str,
-                           spec: ChallengeSpec) -> Measurement:
-    """A timed session as a Measurement; a refused session has no duration to record."""
-    if timed.response.status in _REFUSALS:
-        raise TimecheckError(f"device refused session {trial_id}: "
-                             f"{_REFUSALS[timed.response.status]}")
-    return Measurement(trial_id=trial_id, scenario=scenario,
-                       duration_us=max(1, timed.duration_us),
-                       spec_digest=spec.digest(),
-                       nmi=timed.response.status == STATUS_NMI_RETRY)
+@dataclass(frozen=True)
+class Session:
+    """One verifier session as recorded; verdict is None for a calibration session."""
+
+    spec_digest: str
+    timed: TimedResponse
+    verdict: SessionVerdict = None
+
+    @property
+    def refusal(self):
+        """Why the device refused the challenge, or None."""
+        return _REFUSALS.get(self.timed.response.status)
+
+    @property
+    def spoiled(self) -> bool:
+        """Whether an interrupt spike spoiled the measured duration."""
+        return self.timed.response.status == STATUS_NMI_RETRY
+
+
+def run_session(channel, scenario: Scenario, spec_rng: random.Random,
+                session_rng: random.Random, verifier: DeviceEndpoint = None,
+                profile=None, method: str = "percentile") -> Session:
+    """One session over channel, judged only when given a verifier endpoint. The
+    spec is drawn from spec_rng before the session id from session_rng."""
+    spec = random_spec(scenario.prime, scenario.k, scenario.passes, spec_rng,
+                       scenario.region_id)
+    expected = None if verifier is None else verifier.expected_result(spec)
+    timed = issue_challenge(channel, spec, rng=session_rng)
+    verdict = None if verifier is None else verify_response(expected, timed, profile, method)
+    return Session(spec.digest(), timed, verdict)

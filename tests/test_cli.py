@@ -15,7 +15,13 @@ import pytest
 
 from timecheck import cli, protocol, stats
 from timecheck.checkpoint import load_checkpoint
-from timecheck.cli import _scenario_from_args, aggregate_detection, build_parser, main
+from timecheck.cli import (
+    EXIT_REJECT,
+    _scenario_from_args,
+    aggregate_detection,
+    build_parser,
+    main,
+)
 from timecheck.device import (
     ATTACKS,
     builtin_scenario,
@@ -65,12 +71,17 @@ class TestCalibrate:
         assert "exceed the budget" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    def test_refused_session_is_not_recorded(self):
+    def test_refused_session_is_not_recorded(self, tmp_path, monkeypatch, capsys):
         sc = builtin_scenario("desk-small")
         other_region = DeviceEndpoint(dataclasses.replace(sc, region_id="dram"))
         channel = LoopbackChannel(other_region, jitter_us=0.0)
-        with pytest.raises(TimecheckError, match="refused session 0: region mismatch"):
-            cli._session_measurements(sc, channel, 3, 0)
+        session = protocol.run_session(channel, sc, random.Random(0), random.Random(0))
+        assert session.refusal == "region mismatch" and session.verdict is None
+        monkeypatch.setattr(cli, "_connect", lambda *args: (channel, other_region))
+        assert run(["calibrate", "--scenario", "desk-small", "--target", "loopback",
+                    "--trials", 3, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: device refused session 0: region mismatch\n"
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_outputs(self, tmp_path):
         for sub in ("a", "b"):
@@ -144,7 +155,7 @@ class TestChallenge:
         assert out == ""
         assert "a device refuses this challenge: k=4 and 34496000 scanned words" in err
 
-    def test_interrupt_storm_is_operational_error(self, tmp_path, calibrated):
+    def test_interrupt_storm_is_operational_error(self, tmp_path, calibrated, capsys):
         from dataclasses import replace
 
         from timecheck.device import builtin_scenario, save_scenario
@@ -153,9 +164,13 @@ class TestChallenge:
         stormy = replace(sc, noise=replace(sc.noise, nmi_prob=1.0, nmi_us=50_000.0))
         cfg = tmp_path / "storm.json"
         save_scenario(stormy, cfg)
+        capsys.readouterr()
         code = run(["challenge", "--profile", calibrated, "--config", cfg,
                     "--seed", 5, "--jitter", 0.4])
         assert code == 1
+        # the last of 8 attempts, each with its own spec, device and jitter streams
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+            "5eeddae32b535d434c8234976c536a598cf8139211c1521ecbc372ba7d54ac6c")
 
     @pytest.mark.parametrize("edit, needle", [
         (lambda doc: "not json", "JSONDecodeError"),
@@ -335,8 +350,16 @@ class TestReproduce:
         ("fig11", "--trials", 0),
         ("fig13", "--trials", 0),
         ("fig10", "--trials", 1),
+        ("fig11", "--trials", 1),
+        ("fig13", "--trials", 2),
     ])
-    def test_bad_counts_are_operational_errors(self, tmp_path, capsys, table, flag, value):
+    def test_bad_counts_are_operational_errors(self, tmp_path, monkeypatch, capsys,
+                                               table, flag, value):
+        # refused before anything is priced or any directory is made
+        def priced_trials(batches):
+            raise AssertionError("trials were priced")
+
+        monkeypatch.setattr(cli, "priced_trials", priced_trials)
         out = tmp_path / "out"
         assert run(["reproduce", table, flag, value, "--out", out]) == 1
         err = capsys.readouterr().err
@@ -544,6 +567,125 @@ def test_calibrate_pinned_bytes(tmp_path, scenario, trials, want):
     for name, digest in want.items():
         assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
+
+# sha256 of calibrate --target loopback's measurements and profile, each run
+# of sessions drawing its specs and session ids from one generator.
+LOOPBACK_CALIBRATE_SHA256 = [
+    (("--scenario", "desk-small", "--seed", "1"), {
+        "desk-small-measurements.csv": "2669ae69aa7b6327b02a9aea7658b2bad0b51ad366035a4cf709c2b4fa134296",
+        "desk-small-profile.json": "13cdca5260aa3b02f3dff62ff42a2c68e846c7024fc1e7108d95d3801c678a35",
+    }),
+    (("--scenario", "desk-small", "--seed", "6"), {
+        "desk-small-measurements.csv": "bb932621f189aff5c40e40a5d3c9d9e50371cbaede7a9c41d4331ed6ab44773e",
+        "desk-small-profile.json": "38b491f29c7f7df9448bd82ee9d07a5c45fefe00ed37894f4ac00aca87566b75",
+    }),
+    (("--scenario", "sram-baseline", "--passes", "3", "--trials", "20", "--seed", "2"), {
+        "sram-baseline-measurements.csv": "1d0bc21bdc5f25d60efbfbb436b53c7d6e9b2c5409ddb023b6e8ff76816ee793",
+        "sram-baseline-profile.json": "fd6859a34f837bf6a0bdc016b7f19e15eb123f6b9a6f27713d2062763975bb23",
+    }),
+]
+
+
+@pytest.mark.parametrize("args, want", LOOPBACK_CALIBRATE_SHA256)
+def test_loopback_calibrate_pinned_bytes(tmp_path, args, want):
+    assert run(["calibrate", "--target", "loopback", *args, "--out", tmp_path]) == 0
+    for name, digest in want.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+
+
+# (challenge arguments, exit code, sha256 of stdout) against the profile of the
+# calibrated fixture, over a simulated device.
+CHALLENGE_STDOUT_SHA256 = [
+    (("--attack", "none", "--seed", 2), 0,
+     "07905acf7088e85a4df3fbf9025973fb717189d19d094d14c7bbbf4ec4d46aa0"),
+    (("--attack", "dram", "--seed", 2), 2,
+     "10cc30a24ab96a056f6ae6a951e44121179bb1d0b2fbf956a8d1c7fed306ea9a"),
+    (("--attack", "iomem", "--seed", 2), 2,
+     "4090a79e9f47f757f958c68e5d6c26fbbcc1d4a2f2af302dc1db2812f37ed0bc"),
+    (("--attack", "mmc", "--seed", 2), 2,
+     "35364db601038d2ccd0f0e1f8db182ed4bd2ebffb4fc1ecbe94dffddcefbd301"),
+    (("--attack", "corrupt", "--seed", 2), 2,
+     "fac031c9911d59ee284b868a0f6e1dc70b3e5952d1a996587b95ccfc77ed2915"),
+    (("--attack", "none", "--seed", 5), 0,
+     "2ff0331ca00bbc188481421793c17ae7b765f5a231a3b2dc3338a28ab4c0d80c"),
+    (("--attack", "dram", "--seed", 5), 2,
+     "885280ed4b0380969346ea3a1071619a8569ac326743c7d43257618782991844"),
+    (("--attack", "iomem", "--seed", 5), 2,
+     "698d7fd5fa2519684d7b4241ac8b880c23a3ebf022906180e63551e3b01c7dec"),
+    (("--attack", "mmc", "--seed", 5), 2,
+     "f8838145ab1dd562e50a39f8fe4be6cccb8827c85d951a7cb96738c12253892f"),
+    (("--attack", "corrupt", "--seed", 5), 2,
+     "66b8b9e4927dc79ef19b986fa8012c3801f5f5c1b03f4746fa6a7ffd5c4d1a03"),
+]
+
+
+@pytest.mark.parametrize("args, code, want", CHALLENGE_STDOUT_SHA256)
+def test_challenge_pinned_stdout(calibrated, capsys, args, code, want):
+    capsys.readouterr()
+    assert run(["challenge", "--profile", calibrated, "--scenario", "desk-small", *args]) == code
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+def test_sram_challenge_pinned_stdout(tmp_path, capsys):
+    assert run(["calibrate", "--scenario", "sram-baseline", "--passes", 3, "--trials", 20,
+                "--seed", 3, "--out", tmp_path]) == 0
+    capsys.readouterr()
+    assert run(["challenge", "--profile", tmp_path / "sram-baseline-profile.json",
+                "--scenario", "sram-baseline", "--passes", 3, "--seed", 4]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "bd3be734d3da71c2235c8f390b3a589a0843dc94c80f61aff572d986d1e58ad7")
+
+
+def _interrupted_config(tmp_path, nmi_prob):
+    """desk-small with an nmi_prob chance of a 50 ms interrupt spike per session."""
+    sc = builtin_scenario("desk-small")
+    cfg = tmp_path / "interrupted.json"
+    save_scenario(dataclasses.replace(sc, noise=dataclasses.replace(
+        sc.noise, nmi_prob=nmi_prob, nmi_us=50_000.0)), cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("target", ["sim", "loopback"])
+def test_calibration_leaves_out_interrupt_spikes(tmp_path, capsys, target):
+    cfg = _interrupted_config(tmp_path, 0.2)
+    out = tmp_path / "out"
+    assert run(["calibrate", "--config", cfg, "--target", target, "--trials", 40,
+                "--seed", 3, "--out", out]) == 0
+    rows = [line.split(",") for line in
+            (out / "desk-small-measurements.csv").read_text().splitlines()[1:]]
+    assert [int(row[0]) for row in rows] == list(range(40))  # the CSV keeps every trial
+    durations = [int(row[2]) for row in rows]
+    clean = [d for d in durations if d < min(durations) + 25_000]
+    spiked = len(durations) - len(clean)
+    assert spiked > 0
+    doc = json.loads((out / "desk-small-profile.json").read_text())
+    assert doc["n"] == 40 - spiked
+    assert sorted(doc["samples_us"]) == sorted(clean)
+    assert (f"left out {spiked} of 40 trials spoiled by interrupt spikes\n"
+            in capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("detector", ["percentile", "zscore"])
+def test_interrupt_spikes_cannot_hide_an_attack(tmp_path, detector):
+    cfg = _interrupted_config(tmp_path, 0.2)
+    assert run(["calibrate", "--config", cfg, "--trials", 40, "--seed", 3,
+                "--out", tmp_path]) == 0
+    codes = [run(["challenge", "--config", cfg, "--attack", "dram", "--seed", seed,
+                  "--detector", detector, "--profile", tmp_path / "desk-small-profile.json"])
+             for seed in range(20)]
+    assert codes == [EXIT_REJECT] * 20
+
+
+@pytest.mark.parametrize("target", ["sim", "loopback"])
+def test_calibration_all_spiked_is_an_operational_error(tmp_path, capsys, target):
+    cfg = _interrupted_config(tmp_path, 1.0)
+    out = tmp_path / "out"
+    assert run(["calibrate", "--config", cfg, "--target", target, "--trials", 5,
+                "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: calibration needs >= 2 trials free of interrupt spikes, "
+                   "got 0 of 5\n")
+    assert not out.exists()
 
 def test_config_file_overrides_scenario(tmp_path, capsys):
     sc = builtin_scenario("desk-small")

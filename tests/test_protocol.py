@@ -843,11 +843,59 @@ def test_timed_response_ordering_enforced():
         TimedResponse(ResponseMessage(1, 2, STATUS_OK), t_start_us=10, t_end_us=9)
 
 
-def test_measurement_from_timed_session():
-    from timecheck.protocol import TimedResponse, measurement_from_timed
+def _loopback(sc, seed):
+    return LoopbackChannel(DeviceEndpoint(sc, master_seed=seed), jitter_seed=seed)
 
+
+def test_calibration_session_draws_spec_then_session_id():
+    # one generator as both streams: the spec's draws, then the session id's
     sc = desk_scenario()
-    spec = fresh_spec(scenario=sc)
-    timed = TimedResponse(ResponseMessage(1, 2, STATUS_NMI_RETRY), 100, 12488)
-    m = measurement_from_timed(timed, trial_id=3, scenario=sc.name, spec=spec)
-    assert m.duration_us == 12388 and m.nmi and m.spec_digest == spec.digest()
+    rng = random.Random(0xCA1)
+    session = protocol.run_session(_loopback(sc, 5), sc, rng, rng)
+    manual_rng = random.Random(0xCA1)
+    spec = fresh_spec(manual_rng, sc)
+    timed = issue_challenge(_loopback(sc, 5), spec, rng=manual_rng)
+    assert session.verdict is None and not session.spoiled and session.refusal is None
+    assert session.spec_digest == spec.digest()
+    got = session.timed
+    # the random low half of the session id; a process-wide counter fills the high half
+    assert got.response.session_id & 0xFFFFFFFF == timed.response.session_id & 0xFFFFFFFF
+    assert got.response.accumulator == timed.response.accumulator
+    assert (got.t_start_us, got.t_end_us) == (timed.t_start_us, timed.t_end_us)
+    assert rng.getstate() == manual_rng.getstate()
+
+
+def test_judged_session_calls_the_protocol_functions_once(monkeypatch):
+    # through the module globals, so wrappers around them see every session
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("issue_challenge", "verify_response"):
+        monkeypatch.setattr(protocol, name, counted(name, getattr(protocol, name)))
+    monkeypatch.setattr(DeviceEndpoint, "expected_result",
+                        counted("expected_result", DeviceEndpoint.expected_result))
+    sc = desk_scenario()
+    profile = stats.calibrate([12_000.0 + i for i in range(30)])
+    session = protocol.run_session(_loopback(sc, 6), sc, random.Random(1), random.Random(2),
+                                   DeviceEndpoint(sc), profile, "zscore")
+    assert calls == ["expected_result", "issue_challenge", "verify_response"]
+    assert session.verdict.detector.method == "zscore"
+
+
+def test_spoiled_session_is_retried_not_judged():
+    sc = desk_scenario()
+    spiky = replace(sc, noise=replace(sc.noise, nmi_prob=1.0, nmi_us=50_000.0))
+    profile = stats.calibrate([12_000.0 + i for i in range(30)])
+    calibration = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3),
+                                       random.Random(4))
+    judged = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3),
+                                  random.Random(4), DeviceEndpoint(sc), profile)
+    for session in (calibration, judged):
+        assert session.spoiled and session.timed.duration_us > 50_000
+    assert calibration.verdict is None
+    assert judged.verdict.outcome == "RETRY" and judged.verdict.detector is None

@@ -177,32 +177,14 @@ def test_tile_edges_match_streaming(d, passes):
 @given(d=st.integers(1, 5000), x=field_elements, perm_seed=st.integers(0, WORD_MAX))
 @example(d=1, x=0, perm_seed=0)
 @example(d=_TILE + 1, x=M61 - 1, perm_seed=WORD_MAX)
-def test_cached_weights_equal_reference(d, x, perm_seed):
+def test_weights_equal_reference(d, x, perm_seed):
     gen = PermutationGenerator(d, perm_seed)
     want = [0] * d
     for i in range(d):
         want[gen.get(i)] = pow(x, i, M61)
-    first = engine._weights_m61(d, x, perm_seed)
-    again = engine._weights_m61(d, x, perm_seed)  # a cache hit
-    assert first.dtype == np.uint64
-    assert first.tolist() == want
-    assert again.tolist() == want
-
-
-def test_cached_weights_are_read_only():
-    weight = engine._weights_m61(64, 3, 11)
-    with pytest.raises(ValueError):
-        weight[0] = 1
-    with pytest.raises(ValueError):
-        weight.flags.writeable = True
-
-
-def test_weight_cache_is_bounded():
-    for seed in range(50):
-        engine._weights_m61(100 + seed, 3, seed)
-    info = engine._weights_m61.cache_info()
-    assert info.maxsize == 2
-    assert info.currsize <= 2
+    weight = engine._weights_m61(d, x, perm_seed)
+    assert weight.dtype == np.uint64
+    assert weight.tolist() == want
 
 
 def test_loopback_session_builds_scan_order_once(monkeypatch):
