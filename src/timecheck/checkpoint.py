@@ -115,20 +115,19 @@ def checkpoint_replay(cp: Checkpoint, state):
     return state
 
 
-def save_checkpoint(cp: Checkpoint, path, sidecar: bool = True):
+def save_checkpoint(cp: Checkpoint, path):
     """Write the checkpoint in the binary format above (+ JSON sidecar)."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, cp.format_version, cp.word_count, cp.register_count))
         fh.write(cp.words.astype("<u8").tobytes())
-    if sidecar:
-        meta = {
-            "region_id": cp.region_id,
-            "created_at": cp.created_at,
-            "format_version": cp.format_version,
-        }
-        with open(str(path) + ".json", "w") as fh:
-            json.dump(meta, fh, indent=2)
-            fh.write("\n")
+    meta = {
+        "region_id": cp.region_id,
+        "created_at": cp.created_at,
+        "format_version": cp.format_version,
+    }
+    with open(str(path) + ".json", "w") as fh:
+        json.dump(meta, fh, indent=2)
+        fh.write("\n")
 
 
 def load_checkpoint(path) -> Checkpoint:

@@ -1,6 +1,7 @@
 """Operator entry point: calibrate baselines, run challenge sessions, reproduce reports.
 
-Exit codes: 0 = accept / success, 1 = operational error, 2 = attestation reject.
+Exit codes: 0 = accept / success, 1 = operational or usage error, 2 = attestation
+reject.
 Every command is deterministic under a fixed --seed (byte-identical outputs).
 """
 
@@ -37,7 +38,7 @@ from .device import (
     priced_trials,
     run_trials,
 )
-from .errors import InsufficientSamples, TimecheckError
+from .errors import DegenerateSeries, InsufficientSamples, TimecheckError
 from .protocol import (
     DeviceEndpoint,
     LoopbackChannel,
@@ -181,8 +182,7 @@ def cmd_calibrate(args) -> int:
 def cmd_challenge(args) -> int:
     scenario = _scenario_from_args(args)
     profile, shape = _read_profile(args.profile)
-    want = (scenario.region_id, scenario.timing_words, scenario.passes,
-            scenario.prime, scenario.k)
+    want = tuple(getattr(scenario, key) for key in _PROFILE_SHAPE)
     if shape != want:
         raise TimecheckError(
             f"profile shape {shape} does not match scenario shape {want}; recalibrate")
@@ -320,9 +320,11 @@ def _reproduce_full_table(args) -> int:
 # 49,000 values fit in one call.
 LOO_BATCH_VALUES = 1 << 16
 
+# The detectors fig13 compares, in its row order.
+FIG13_METHODS = ("percentile", "zscore", "modz")
 
-def aggregate_detection(attack_labels, n_seeds: int, trials: int, master_seed: int,
-                        methods=("percentile", "zscore", "modz")) -> dict:
+
+def aggregate_detection(attack_labels, n_seeds: int, trials: int, master_seed: int) -> dict:
     """Pooled FPR/FNR over n_seeds independent paired runs of each experiment,
     by attack label.
 
@@ -345,26 +347,31 @@ def aggregate_detection(attack_labels, n_seeds: int, trials: int, master_seed: i
     n_points = n_seeds * trials
     out = {}
     for attack_label, (base, atk) in zip(attack_labels, rows):
-        fp = dict.fromkeys(methods, 0)
-        fn = dict.fromkeys(methods, 0)
+        fp = dict.fromkeys(FIG13_METHODS, 0)
+        fn = dict.fromkeys(FIG13_METHODS, 0)
         for lo in range(0, n_seeds, batch):
             report = stats.confusion_report(base[lo:lo + batch], atk[lo:lo + batch],
-                                            methods=methods)
-            for m in methods:
+                                            methods=FIG13_METHODS)
+            for m in FIG13_METHODS:
                 fp[m] += report[m].false_positives
                 fn[m] += report[m].false_negatives
         out[attack_label] = {m: {"fpr": fp[m] / n_points, "fnr": fn[m] / n_points,
                                  "false_positives": fp[m], "false_negatives": fn[m],
                                  "baseline_points": n_points, "attack_points": n_points}
-                             for m in methods}
+                             for m in FIG13_METHODS}
     return out
 
 
 def _reproduce_detection_table(args) -> int:
     rows = []
-    aggs = aggregate_detection(("dram", "iomem"), args.seeds, args.trials, args.seed)
+    try:
+        aggs = aggregate_detection(("dram", "iomem"), args.seeds, args.trials, args.seed)
+    except DegenerateSeries as exc:
+        raise TimecheckError(f"fig13 needs more --trials: a leave-one-out baseline of "
+                             f"{args.trials - 1} points (--trials minus one) has zero "
+                             f"spread ({exc})") from exc
     for attack_label, agg in aggs.items():
-        for method in ("percentile", "zscore", "modz"):
+        for method in FIG13_METHODS:
             r = agg[method]
             rows.append([attack_label, method,
                          f"{100 * r['fpr']:.1f}", f"{100 * r['fnr']:.1f}",
@@ -482,7 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        if exc.code:  # a usage error: argparse's exit 2 would read as a REJECT
+            return EXIT_ERROR
+        raise
     try:
         return args.fn(args)
     except TimecheckError as exc:

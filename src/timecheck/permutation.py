@@ -13,12 +13,9 @@ lookup table per round: O(sqrt n) space per generator, built at construction.
 get and invert (the same tables in reverse round order) then cost O(1)
 expected time per index, and indices() builds all of pi in O(n) memory from
 the same tables. This is NOT a cryptographic PRP; it only has to make the
-next challenge address unguessable without the seed. The round count is
-configurable; 4 balanced rounds is the standard minimum for pseudorandom
-behavior on tiny domains.
+next challenge address unguessable without the seed. It runs 4 balanced
+rounds, the standard minimum for pseudorandom behavior on tiny domains.
 """
-
-import functools
 
 import numpy as np
 
@@ -39,7 +36,7 @@ _WALK_CAP = 64
 # Blocks per tile in indices(): its three 64 KB intp buffers stay in cache.
 _DOMAIN_TILE = 1 << 13
 
-DEFAULT_ROUNDS = 4
+ROUNDS = 4
 
 
 def _mix64_array(v: np.ndarray) -> None:
@@ -51,36 +48,28 @@ def _mix64_array(v: np.ndarray) -> None:
     v ^= v >> _SHIFT31
 
 
-@functools.lru_cache(maxsize=8)
-def _round_constants(rounds: int) -> np.ndarray:
-    """mix((r + 1) * golden) for r < rounds: the half of the key schedule free of the seed.
-
-    Cached per process and read-only (backed by immutable bytes), so every
-    generator of the same round count shares one array no caller can change.
-    """
-    constants = np.arange(1, rounds + 1, dtype=np.uint64) * _GOLDEN
-    _mix64_array(constants)
-    return np.frombuffer(constants.tobytes(), dtype=np.uint64)
+# mix((r + 1) * golden) for r < ROUNDS: the half of the key schedule free of
+# the seed, shared by every generator.
+_ROUND_CONSTANTS = np.arange(1, ROUNDS + 1, dtype=np.uint64) * _GOLDEN
+_mix64_array(_ROUND_CONSTANTS)
+_ROUND_CONSTANTS.flags.writeable = False
 
 
 class PermutationGenerator:
     """Deterministic bijection on [0, n) keyed by a 64-bit seed.
 
-    Output depends only on (n, seed, rounds). Instances are immutable after
+    Output depends only on (n, seed). Instances are immutable after
     construction; concurrent get/invert calls are safe.
     """
 
-    __slots__ = ("n", "seed", "bits", "rounds", "_tables", "_rows", "_lo_in", "_lo_out")
+    __slots__ = ("n", "seed", "bits", "_tables", "_rows", "_lo")
 
-    def __init__(self, n: int, seed: int, rounds: int = DEFAULT_ROUNDS):
+    def __init__(self, n: int, seed: int):
         if n < 1:
             raise DomainEmpty(f"permutation domain must be non-empty, got n={n}")
-        if rounds < 1:
-            raise ValueError("need at least one Feistel round")
         self.n = n
         self.seed = seed & _MASK64
         self.bits = max(2, (n - 1).bit_length())
-        self.rounds = rounds
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -88,32 +77,33 @@ class PermutationGenerator:
 
         The left half gets the extra bit when bits is odd and the halves swap
         every round, so round r masks to ceil(bits/2), floor(bits/2), ... bits.
-        _tables (intp) serves indices(); _rows, the same tables as lists,
-        serves the scalar path, which indexes lists far faster than arrays.
+        After an even number of rounds a block splits as it did going in, at
+        the right half's width _lo. _tables (intp) serves indices(); _rows,
+        the same tables as lists, serves the scalar path, which indexes lists
+        far faster than arrays.
         """
         hi, lo = self.bits - self.bits // 2, self.bits // 2
-        keys = _round_constants(self.rounds) ^ np.uint64(self.seed)
+        keys = _ROUND_CONSTANTS ^ np.uint64(self.seed)
         _mix64_array(keys)
         tables = np.bitwise_xor.outer(keys, np.arange(1 << hi, dtype=np.uint64))
         _mix64_array(tables)
-        widths = [(hi, lo)[r % 2] for r in range(self.rounds)]
+        widths = [(hi, lo)[r % 2] for r in range(ROUNDS)]
         tables &= np.array([(1 << w) - 1 for w in widths], dtype=np.uint64)[:, None]
         self._tables = tables.astype(np.intp)
         self._rows = self._tables.tolist()
-        # the right half's width in a block going in and in one coming out
-        self._lo_in, self._lo_out = lo, widths[-1]
+        self._lo = lo
 
     def _encrypt(self, block: int) -> int:
-        left, right = divmod(block, 1 << self._lo_in)
+        left, right = divmod(block, 1 << self._lo)
         for table in self._rows:
             left, right = right, left ^ table[right]
-        return (left << self._lo_out) | right
+        return (left << self._lo) | right
 
     def _decrypt(self, block: int) -> int:
-        left, right = divmod(block, 1 << self._lo_out)
+        left, right = divmod(block, 1 << self._lo)
         for table in reversed(self._rows):
             left, right = right ^ table[left], left
-        return (left << self._lo_in) | right
+        return (left << self._lo) | right
 
     def get(self, i: int) -> int:
         """The permuted index pi[i], with cycle walking to stay inside [0, n)."""
@@ -138,7 +128,7 @@ class PermutationGenerator:
         """
         if self.bits > 32:
             raise ValueError(f"a uint32 permutation table needs n <= 2^32, got n={self.n}")
-        half = 1 << self._lo_in
+        half = 1 << self._lo
         enc = np.empty(1 << self.bits, dtype=np.uint32)
         tile = min(enc.size, _DOMAIN_TILE)
         # a tile starts at a multiple of the power-of-two tile, so the halves
@@ -152,7 +142,7 @@ class PermutationGenerator:
                 table.take(right, out=mixed, mode="clip")  # every index is in range
                 np.bitwise_xor(left, mixed, out=left)
                 left, right = right, left
-            np.left_shift(left, self._lo_out, out=left)
+            np.left_shift(left, self._lo, out=left)
             np.bitwise_or(left, right, out=enc[start:start + tile], casting="unsafe")
         # pi is enc's first n entries, walked in place: a walk gathers only
         # from entries >= n, which it never writes

@@ -88,6 +88,9 @@ MAX_SCAN_WORDS = 1 << 25
 # Modeled time, in microseconds, from a challenge to the device's RESTORED
 # frame. The verifier's clock starts at that frame, so it never enters a duration.
 RESTORE_US = 500
+# Bytes per LoopbackChannel decoder feed: small and odd, so frame boundaries
+# fall mid-chunk.
+_CHUNK = 7
 
 log = logging.getLogger(__name__)
 
@@ -267,10 +270,8 @@ class DeviceEndpoint:
     is a lookup (engine.multipass_m61), so a simulated device in the
     verifier's process scans a replayed challenge once, not twice.
 
-    behavior selects a hostile stub for verifier tests:
-      honest         normal operation
-      stale_session  replays the previous session id in its response
-    A wrong value or extra time comes from the scenario's adversary instead.
+    The endpoint answers as the scenario's device: honestly, or with the
+    wrong value or extra time of the scenario's adversary.
 
     A challenge for another region, one over MAX_K or MAX_SCAN_WORDS, or one
     whose evaluation raises a TimecheckError (say a prime too small for the
@@ -278,19 +279,14 @@ class DeviceEndpoint:
     a refusal for any reason but the region is logged.
     """
 
-    def __init__(self, scenario: Scenario, master_seed: int = 0,
-                 behavior: str = "honest"):
-        if behavior not in ("honest", "stale_session"):
-            raise ValueError(f"unknown behavior {behavior!r}")
+    def __init__(self, scenario: Scenario, master_seed: int = 0):
         self.scenario = scenario
-        self.behavior = behavior
         self.master_seed = master_seed
         self.checkpoint = device_snapshot(scenario.image_seed, scenario.image_words,
                                           scenario.region_id, scenario.register_count)
         self.state = DeviceState(self.checkpoint.words, self.checkpoint.register_count,
                                  scenario.region_id)
         self._session_index = 0
-        self._last_session_id = 0
 
     def handle_challenge(self, msg: ChallengeMessage):
         """-> [(delay_us, reply_frame), ...] with simulated on-device delays."""
@@ -320,13 +316,8 @@ class DeviceEndpoint:
         if scenario.adversary.kind == "corrupt_result":
             accumulator = (accumulator + 1) % msg.spec.params.p
 
-        session_id = msg.session_id
-        if self.behavior == "stale_session" and self._last_session_id:
-            session_id = self._last_session_id
-        self._last_session_id = msg.session_id
-
         status = STATUS_NMI_RETRY if nmi else STATUS_OK
-        reply = ResponseMessage(session_id, accumulator, status)
+        reply = ResponseMessage(msg.session_id, accumulator, status)
         # delays leave the device at the timer's microsecond granularity
         return [(RESTORE_US, restored),
                 (max(0, int(round(duration))), encode_response(reply))]
@@ -346,17 +337,16 @@ class DeviceEndpoint:
 class LoopbackChannel:
     """Byte-stream transport: frames are serialized, chunked, and re-parsed.
 
-    Reply bytes travel through a single incremental decoder in small chunks,
+    Reply bytes travel through a single incremental decoder in _CHUNK-byte chunks,
     so framing bugs cannot hide; arrival stamps carry uniform +/-jitter, so a
     measured duration deviates from the device's true duration by at most
     2 * jitter_us. With jitter_us=0 a measured duration is the device's own.
     """
 
     def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 3.0,
-                 jitter_seed: int = 0, chunk: int = 7):
+                 jitter_seed: int = 0):
         self.endpoint = endpoint
         self.jitter_us = jitter_us
-        self.chunk = max(1, chunk)
         self._rng = random.Random(derive_seed(jitter_seed, "channel-jitter"))
         self._clock_us = 0.0
         self._decoder = FrameDecoder()
@@ -369,8 +359,8 @@ class LoopbackChannel:
         for delay_us, reply in self.endpoint.handle_challenge(msgs[0]):
             self._clock_us += delay_us
             arrival = self._clock_us + self._rng.uniform(-self.jitter_us, self.jitter_us)
-            for start in range(0, len(reply), self.chunk):
-                for decoded in self._decoder.feed(reply[start:start + self.chunk]):
+            for start in range(0, len(reply), _CHUNK):
+                for decoded in self._decoder.feed(reply[start:start + _CHUNK]):
                     out.append((int(round(arrival)), decoded))
         return out
 
@@ -406,21 +396,22 @@ class TcpChannel:
 
 
 def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 0,
-                 time_scale: float = 0.0, max_sessions: int = None):
+                 time_scale: float = 0.0):
     """Single-listener TCP server for one device endpoint.
 
     time_scale stretches simulated on-device delays into real sleeps
     (1.0 = real time, 0.0 = respond immediately). Returns (server_socket,
-    thread); close the socket to stop: the thread ends within ACCEPT_POLL_S,
-    or once the connection it serves ends. Sessions are strictly serialized. A
-    challenge the device cannot or will not evaluate is refused with
-    STATUS_REFUSED and logged, and its connection stays open. Any other error
-    while serving a connection is logged and closes only that connection; the
-    server keeps going. Such errors include bad framing, no bytes for
-    CONN_TIMEOUT_S between frames, a frame not complete CONN_TIMEOUT_S after
-    the read that brought its first byte (time spent serving the frames
-    before it on the connection does not count), and a read begun
-    CONN_BUDGET_S or more after the connection was accepted.
+    thread). The server takes connections until the socket is closed: the
+    thread then ends within ACCEPT_POLL_S, or once the connection it serves
+    ends. Sessions are strictly serialized. A challenge the device cannot or
+    will not evaluate is refused with STATUS_REFUSED and logged, and its
+    connection stays open. Any other error while serving a connection is
+    logged and closes only that connection; the server keeps going. Such
+    errors include bad framing, no bytes for CONN_TIMEOUT_S between frames, a
+    frame not complete CONN_TIMEOUT_S after the read that brought its first
+    byte (time spent serving the frames before it on the connection does not
+    count), and a read begun CONN_BUDGET_S or more after the connection was
+    accepted.
     """
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -430,8 +421,7 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     server.settimeout(ACCEPT_POLL_S)
 
     def run():
-        served = 0
-        while max_sessions is None or served < max_sessions:
+        while True:
             try:
                 conn, _ = server.accept()
             except socket.timeout:
@@ -463,7 +453,6 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
                                 if time_scale > 0:
                                     time.sleep(delay_us * time_scale / 1e6)
                                 conn.sendall(reply)
-                            served += 1
                         if not decoder.pending:
                             deadline = None
                         elif msgs or deadline is None:  # a new frame began in this read

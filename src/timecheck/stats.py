@@ -27,7 +27,6 @@ MEANAD_SCALE = 1.253314
 
 DEFAULT_Z_THRESHOLD = 2.0
 DEFAULT_MODIFIED_Z_THRESHOLD = 2.5
-DEFAULT_CHEBYSHEV_K = 31.6
 
 # Below this combined effective size the asymptotic two-sample KS p-value is
 # only indicative; the D statistic itself is always exact.
@@ -242,19 +241,11 @@ def _modified_z(profile, points):
     return m, abs(m) > DEFAULT_MODIFIED_Z_THRESHOLD, DEFAULT_MODIFIED_Z_THRESHOLD
 
 
-def _chebyshev(profile, points):
-    """Distribution-free bound: |dev| > k*sigma has probability <= 1/k^2."""
-    _require_spread(profile.std, "chebyshev bound needs nonzero baseline spread")
-    score = abs(points - profile.mean) / profile.std
-    return score, score > DEFAULT_CHEBYSHEV_K, DEFAULT_CHEBYSHEV_K
-
-
 # Every detector, by the name --detector and confusion_report take.
 DETECTORS = {
     "percentile": _percentile,
     "zscore": _zscore,
     "modz": _modified_z,
-    "chebyshev": _chebyshev,
 }
 
 
@@ -280,8 +271,7 @@ class ConfusionRow:
 
 
 def confusion_report(baseline_points, attack_points,
-                     methods=("percentile", "zscore", "modz"),
-                     profile: BaselineProfile = None) -> dict:
+                     methods=("percentile", "zscore", "modz")) -> dict:
     """Per-method FPR/FNR over labeled point sets, pooled over independent runs.
 
     Each point set is a sequence or array holding one run (1-D) or one run
@@ -289,10 +279,9 @@ def confusion_report(baseline_points, attack_points,
     row i. The counts are pooled over the rows, so a 2-D report equals the
     sum of its rows' 1-D reports.
 
-    When no explicit profile is given, each baseline point is classified
-    leave-one-out against the remaining points of its row (the tested point
-    never calibrates its own band); attack points are classified against
-    their row's full-baseline profile. An explicit profile judges every point.
+    Each baseline point is classified leave-one-out against the remaining
+    points of its row (the tested point never calibrates its own band);
+    attack points are classified against their row's full-baseline profile.
 
     Every profile comes from one _row_statistics call, which reduces each row
     with the arithmetic calibrate() uses for that row alone: one over the
@@ -307,12 +296,10 @@ def confusion_report(baseline_points, attack_points,
     if not baseline.size or not attack.size:
         raise InsufficientSamples("confusion report needs non-empty point sets")
     runs, n = baseline.shape
-    full = against = profile
-    if profile is None:
-        full = BaselineProfile((), n, *(column[:, np.newaxis]
-                                         for column in _row_statistics(baseline)))
-        against = BaselineProfile((), n - 1, *(column.reshape(runs, n) for column
-                                               in _row_statistics(_leave_one_out(baseline))))
+    full = BaselineProfile((), n, *(column[:, np.newaxis]
+                                     for column in _row_statistics(baseline)))
+    against = BaselineProfile((), n - 1, *(column.reshape(runs, n) for column
+                                           in _row_statistics(_leave_one_out(baseline))))
     rows = {}
     for method in methods:
         score = DETECTORS[method]

@@ -366,6 +366,15 @@ class TestReproduce:
         assert err.startswith("error: ") and flag in err
         assert not out.exists()
 
+    def test_degenerate_detection_baseline_names_trials(self, tmp_path, capsys):
+        # 3 trials leave 2-point leave-one-out baselines, and at this seed
+        # one has both points equal: no spread for the z-score to divide by
+        assert run(["reproduce", "fig13", "--seeds", 1, "--trials", 3, "--seed", 0,
+                    "--out", tmp_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: fig13 needs more --trials")
+        assert "2 points" in err and "zero spread" in err
+
 
 def _reference_durations(sc, trials, seed):
     return [int(round(price(sc, sc.passes,
@@ -411,17 +420,15 @@ class TestAggregateDetection:
     @pytest.mark.parametrize("attack_label", ["dram", "iomem"])
     def test_batches_equal_per_seed_loop(self, batches, attack_label):
         # 40 seeds x 50 x 49 leave-one-out values: batches of 26 and 14 seeds
-        methods = ("percentile", "zscore", "modz", "chebyshev")
-        got = aggregate_detection((attack_label,), 40, 50, 11, methods=methods)[attack_label]
+        got = aggregate_detection((attack_label,), 40, 50, 11)[attack_label]
         assert batches == [26, 14]
-        assert got == _per_seed_detection(attack_label, 40, 50, 11, methods)
+        assert got == _per_seed_detection(attack_label, 40, 50, 11, cli.FIG13_METHODS)
 
     def test_one_seed_per_batch_past_the_budget(self, batches, monkeypatch):
         monkeypatch.setattr(cli, "LOO_BATCH_VALUES", 100)
         got = aggregate_detection(("iomem",), 3, 12, 5)["iomem"]
         assert batches == [1, 1, 1]
-        assert got == _per_seed_detection("iomem", 3, 12, 5,
-                                          ("percentile", "zscore", "modz"))
+        assert got == _per_seed_detection("iomem", 3, 12, 5, cli.FIG13_METHODS)
 
 
 class TestScenarioFromArgs:
@@ -475,15 +482,29 @@ def test_repeated_main_calls_keep_dispatching(tmp_path, calibrated, capsys):
     capsys.readouterr()
     assert run(challenge) == 0
     first = capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:  # argparse exits on an unknown scenario
-        run(["challenge", "--profile", calibrated, "--scenario", "no-such-scenario"])
-    assert exc.value.code == 2
+    # argparse rejects an unknown scenario: a usage error, not a REJECT
+    assert run(["challenge", "--profile", calibrated, "--scenario", "no-such-scenario"]) == 1
     capsys.readouterr()
     assert run(["checkpoint", "--make", tmp_path / "x.ck", "--words", 4]) == 0
     assert run(["challenge", *challenge[1:], "--attack", "corrupt"]) == 2
     capsys.readouterr()
     assert run(challenge) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("argv", [["challenge", "--profile", "x", "--detector", "bogus"],
+                                  ["calibrate", "--trials", "abc"], []])
+def test_usage_errors_exit_1(argv, capsys):
+    # argparse alone would exit 2, the code of an attestation REJECT
+    assert run(argv) == 1
+    assert "usage: timecheck" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["challenge", "--help"])
+    assert exc.value.code == 0
+    assert "--detector" in capsys.readouterr().out
 
 
 class TestCheckpointCommand:

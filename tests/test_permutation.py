@@ -12,8 +12,8 @@ from timecheck.errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
 from timecheck.permutation import _WALK_CAP, IdentityPermutation, PermutationGenerator
 
 
-def assert_bijective(n, seed, rounds=4):
-    g = PermutationGenerator(n, seed, rounds)
+def assert_bijective(n, seed):
+    g = PermutationGenerator(n, seed)
     seen = set()
     for i in range(n):
         j = g.get(i)
@@ -81,13 +81,6 @@ def test_seed_changes_output():
     assert [a.get(i) for i in range(256)] != [b.get(i) for i in range(256)]
 
 
-def test_round_count_configurable():
-    a = PermutationGenerator(512, 7, rounds=4)
-    b = PermutationGenerator(512, 7, rounds=6)
-    assert_bijective(512, 7, rounds=6)
-    assert [a.get(i) for i in range(64)] != [b.get(i) for i in range(64)]
-
-
 def test_odd_block_width():
     # n=5..8 uses b=3: unbalanced halves must still be invertible
     for n in (5, 6, 7, 8):
@@ -125,10 +118,9 @@ def test_module_level_wrappers():
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 1 << 14), seed=st.integers(0, (1 << 64) - 1), rounds=st.integers(1, 6),
-       data=st.data())
-def test_permutation_properties(n, seed, rounds, data):
-    g = PermutationGenerator(n, seed, rounds)
+@given(n=st.integers(1, 1 << 14), seed=st.integers(0, (1 << 64) - 1), data=st.data())
+def test_permutation_properties(n, seed, data):
+    g = PermutationGenerator(n, seed)
     pi = g.indices()
     assert sorted(pi.tolist()) == list(range(n))
     ranks = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=50))
@@ -206,19 +198,16 @@ def test_long_walks_match_scalar():
 PIN_SEED = 0x5EED_F00D
 
 
-@pytest.mark.parametrize("n, rounds, digest", [
-    (1, 4, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
-    (5, 4, "1751d3cd7c09b4b0189b16e756420ca85c5033c2d4522f3326795a12d255bd8f"),
-    (1000, 4, "81490892af3a2f02e360ea5ce22d0efe577a19c3e964383909313fca1b7034b6"),
-    (2048, 4, "6c9679db2b93c64c568914cffe0ec678ff56e906333478ca5dc5cf8710525904"),
-    (24640, 4, "aee8f89dfb339c0bd83f374e41728f829db2f555052b6895651bd4a2cf5fdc3b"),
-    (65536, 4, "735e1091daf34e5e109566ca63d65d676d31ccfdb599c133c70174f62e821997"),
-    (4097, 1, "e693542eb016de76763b73e8cafaeba4ef672f3a32e8cd82fd88c68e8f36d8ca"),
-    (4097, 3, "821004c1b5c7b2c7cae959d6c77133aab85b50a8e1a1a5285f47b980150bdc81"),
-    (4097, 5, "322d974f5ec36850210fdfaf3fb8f5547e9772bb801b10677377c66ace38898e"),
+@pytest.mark.parametrize("n, digest", [
+    (1, "df3f619804a92fdb4057192dc43dd748ea778adc52bc498ce80524c014b81119"),
+    (5, "1751d3cd7c09b4b0189b16e756420ca85c5033c2d4522f3326795a12d255bd8f"),
+    (1000, "81490892af3a2f02e360ea5ce22d0efe577a19c3e964383909313fca1b7034b6"),
+    (2048, "6c9679db2b93c64c568914cffe0ec678ff56e906333478ca5dc5cf8710525904"),
+    (24640, "aee8f89dfb339c0bd83f374e41728f829db2f555052b6895651bd4a2cf5fdc3b"),
+    (65536, "735e1091daf34e5e109566ca63d65d676d31ccfdb599c133c70174f62e821997"),
 ])
-def test_indices_pinned(n, rounds, digest):
-    pi = PermutationGenerator(n, PIN_SEED, rounds).indices()
+def test_indices_pinned(n, digest):
+    pi = PermutationGenerator(n, PIN_SEED).indices()
     assert hashlib.sha256(pi.astype("<u4").tobytes()).hexdigest() == digest
 
 

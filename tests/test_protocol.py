@@ -336,8 +336,22 @@ class TestHostileStubs:
         return verify_response(honest.expected_result(spec), timed, self.profile)
 
     def test_stale_session_replay_detected(self):
-        ep = DeviceEndpoint(self.sc, master_seed=15, behavior="stale_session")
-        chan = LoopbackChannel(ep, jitter_us=0.4, jitter_seed=16)
+        class StaleChannel:
+            """An honest device whose responses carry the previous session's id."""
+
+            def __init__(self, endpoint):
+                self.inner = LoopbackChannel(endpoint, jitter_us=0.4, jitter_seed=16)
+                self.last_id = None
+
+            def request(self, challenge_frame):
+                session_id = FrameDecoder().feed(challenge_frame)[0].session_id
+                stale = session_id if self.last_id is None else self.last_id
+                self.last_id = session_id
+                return [(t, replace(reply, session_id=stale)
+                         if isinstance(reply, ResponseMessage) else reply)
+                        for t, reply in self.inner.request(challenge_frame)]
+
+        chan = StaleChannel(DeviceEndpoint(self.sc, master_seed=15))
         first = fresh_spec(self.rng, self.sc)
         issue_challenge(chan, first, rng=self.rng)  # primes the stale id
         with pytest.raises(SessionMismatch):

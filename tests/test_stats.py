@@ -14,7 +14,6 @@ from scipy import stats as scipy_stats
 
 from timecheck.errors import DegenerateSeries, InsufficientSamples
 from timecheck.stats import (
-    DEFAULT_CHEBYSHEV_K,
     DEFAULT_MODIFIED_Z_THRESHOLD,
     DEFAULT_Z_THRESHOLD,
     DETECTORS,
@@ -285,8 +284,7 @@ class TestDetectors:
     def test_verdict_reports_its_threshold(self, profile):
         band = (profile.p2_5, profile.p97_5)
         for method, threshold in (("percentile", band), ("zscore", DEFAULT_Z_THRESHOLD),
-                                  ("modz", DEFAULT_MODIFIED_Z_THRESHOLD),
-                                  ("chebyshev", DEFAULT_CHEBYSHEV_K)):
+                                  ("modz", DEFAULT_MODIFIED_Z_THRESHOLD)):
             assert detect(method, profile, profile.mean).threshold == threshold
         assert detect("zscore", profile, profile.mean + 2.5 * profile.std).flagged
         assert not detect("zscore", profile, profile.mean + 1.5 * profile.std).flagged
@@ -304,12 +302,6 @@ class TestDetectors:
         assert not detect("modz", p, 7).flagged
         assert detect("modz", p, 8.5).flagged
 
-    def test_chebyshev(self, profile):
-        assert not detect("chebyshev", profile, profile.mean + profile.std).flagged
-        far = profile.mean + 215 * profile.std
-        assert detect("chebyshev", profile, far).flagged
-        assert 1 / 31.6 ** 2 < 0.0011  # bound claimed by the default k
-
     def test_translation_consistency(self):
         rng = random.Random(10)
         xs = [rng.gauss(0.0, 3.0) for _ in range(100)]
@@ -318,7 +310,7 @@ class TestDetectors:
         p0 = calibrate(xs)
         p1 = calibrate([x + shift for x in xs])
         for pt in points:
-            for method in ("percentile", "zscore", "modz", "chebyshev"):
+            for method in ("percentile", "zscore", "modz"):
                 assert (detect(method, p0, pt).flagged
                         == detect(method, p1, pt + shift).flagged)
 
@@ -398,14 +390,6 @@ class TestConfusionReport:
         pool = [rng.gauss(0, 1) for _ in range(100)]
         rows = confusion_report(pool[:50], pool[50:], methods=("zscore",))
         assert rows["zscore"].fnr > 0.9
-
-    def test_explicit_profile_disables_loo(self):
-        base = [float(i) for i in range(50)]
-        profile = calibrate(base)
-        rows = confusion_report(base, [1000.0], methods=("percentile",), profile=profile)
-        # self-inclusive: only points strictly outside the band flag
-        flagged = sum(detect("percentile", profile, v).flagged for v in base)
-        assert rows["percentile"].false_positives == flagged
 
     def test_empty_sets_rejected(self):
         with pytest.raises(InsufficientSamples):
