@@ -493,6 +493,7 @@ def test_repeated_main_calls_keep_dispatching(tmp_path, calibrated, capsys):
 
 
 @pytest.mark.parametrize("argv", [["challenge", "--profile", "x", "--detector", "bogus"],
+                                  ["challenge", "--profile", "x", "--detector", "chebyshev"],
                                   ["calibrate", "--trials", "abc"], []])
 def test_usage_errors_exit_1(argv, capsys):
     # argparse alone would exit 2, the code of an attestation REJECT
@@ -505,6 +506,13 @@ def test_help_exits_0(capsys):
         run(["challenge", "--help"])
     assert exc.value.code == 0
     assert "--detector" in capsys.readouterr().out
+
+
+def test_top_level_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["--help"])
+    assert exc.value.code == 0
+    assert "challenge" in capsys.readouterr().out
 
 
 class TestCheckpointCommand:
