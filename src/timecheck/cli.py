@@ -54,6 +54,11 @@ EXIT_ERROR = 1
 EXIT_REJECT = 2
 
 
+def _check_finite_nonnegative(flag: str, value: float):
+    if not 0 <= value < math.inf:
+        raise TimecheckError(f"{flag} must be a finite number >= 0, got {value}")
+
+
 def _scenario_from_args(args) -> Scenario:
     scenario = load_scenario(args.config) if args.config else builtin_scenario(args.scenario)
     if args.passes is not None:
@@ -133,6 +138,7 @@ def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
 
 
 def cmd_calibrate(args) -> int:
+    _check_finite_nonnegative("--jitter", args.jitter)
     scenario = _scenario_from_args(args)
     if args.trials < 2:
         raise InsufficientSamples("calibration needs --trials >= 2")
@@ -180,6 +186,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_challenge(args) -> int:
+    _check_finite_nonnegative("--jitter", args.jitter)
     scenario = _scenario_from_args(args)
     profile, shape = _read_profile(args.profile)
     want = tuple(getattr(scenario, key) for key in _PROFILE_SHAPE)
@@ -383,6 +390,7 @@ def _reproduce_detection_table(args) -> int:
 
 
 def cmd_serve(args) -> int:
+    _check_finite_nonnegative("--time-scale", args.time_scale)
     scenario = _scenario_from_args(args)
     endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device"))
     server, thread = serve_device(endpoint, args.host, args.port,

@@ -40,7 +40,7 @@ from .checkpoint import DEFAULT_REGISTER_COUNT, Checkpoint, checkpoint_record
 from .engine import random_spec
 from .errors import TimecheckError, UnknownTier
 from .field import is_prime
-from .seeding import derive_seed, derive_seeds, random_words, replay_streams, sub_rng
+from .seeding import STREAM_WORDS, derive_seed, derive_seeds, first_words, random_words, sub_rng
 
 # --- default calibration ---------------------------------------------------
 # 192 KB of 8-byte words plus a 64-word register file, scanned 500 times in
@@ -194,6 +194,59 @@ class NoiseModel:
             v += self.nmi_us
         return v, nmi
 
+    def sample_words(self, words, trial_ids):
+        """(noise_us, nmi, drawn) arrays: row i is sample(rng, trial_ids[i]) for
+        the fresh stream rng whose first getrandbits(32) draws are words[i].
+
+        words is a uint32 matrix, as seeding.first_words returns. Where drawn
+        is False the row's draws run past its words, and its noise_us and nmi
+        mean nothing: the caller samples it from the real stream.
+
+        The result is exact: sample draws only through getrandbits(k <= 32) and
+        random(), which CPython's C code builds from 32-bit words as this does.
+        getrandbits(k) is a word's top k bits, randrange(n) the first such draw
+        below n for k = n.bit_length(), and random() of words a, b is
+        ((a >> 5) * 2^26 + (b >> 6)) / 2^53. uniform(a, b) is a + (b - a) *
+        random(), and a fresh stream's gauss(0.0, sigma) is 0.0 +
+        cos(random() * 2pi) * sqrt(-2.0 * log(1.0 - random())) * sigma. The
+        +, * and sqrt are IEEE-exact in numpy as in CPython; cos and log come
+        from math, value by value, since numpy's may differ in the last bit.
+        """
+        n, width = words.shape
+        at = np.arange(n)
+        drawn = np.ones(n, bool)
+
+        def uniforms(col):  # random() drawn from words col and col + 1 of each row
+            return ((words[at, col] >> 5) * 67108864.0 + (words[at, col + 1] >> 6)) * (
+                1.0 / 9007199254740992.0)
+
+        if self.kind == "gaussian":
+            cos = np.array([math.cos(x) for x in (uniforms(0) * math.tau).tolist()])
+            log = np.array([math.log(u) for u in (1.0 - uniforms(2)).tolist()])
+            v = 0.0 + cos * np.sqrt(-2.0 * log) * self.sigma
+            used = 4
+        elif self.kind == "uniform":
+            v = -self.width + (self.width - -self.width) * uniforms(0)
+            used = 2
+        else:
+            size = len(self.values)
+            draws = words >> np.uint32(32 - size.bit_length())
+            below = draws < size
+            first = below.argmax(axis=1)
+            drawn = below[at, first]
+            v = np.array(self.values, float)[np.where(drawn, draws[at, first], 0)]
+            used = first + 1
+        if self.drift == "linear":
+            v = v + self.drift_us_per_trial * trial_ids
+        elif self.drift == "step":
+            v = np.where(trial_ids >= self.drift_step_at, v + self.drift_step_us, v)
+        nmi = np.zeros(n, bool)
+        if self.nmi_prob > 0.0:
+            drawn &= used + 2 <= width
+            nmi = uniforms(np.minimum(used, width - 2)) < self.nmi_prob
+            v = np.where(nmi, v + self.nmi_us, v)
+        return v, nmi, drawn
+
 
 @dataclass(frozen=True)
 class Measurement:
@@ -308,6 +361,12 @@ class Scenario:
         return passes * self.timing_words * (self.scan_us_per_word + self.compute_us_per_word)
 
 
+def _nominal_us(scenario: Scenario, passes: int) -> float:
+    """Base cost + adversary delay of one challenge: its duration before noise."""
+    return (scenario.base_cost_us(passes)
+            + adversary_delay_us(scenario.adversary, scenario.tiers, passes))
+
+
 def price(scenario: Scenario, passes: int, rng: random.Random, trial_id: int = 0):
     """(duration_us, nmi) of one challenge: base cost + adversary delay + noise.
 
@@ -315,9 +374,7 @@ def price(scenario: Scenario, passes: int, rng: random.Random, trial_id: int = 0
     One noise draw comes from rng, and trial_id drives the noise drift.
     """
     noise_us, nmi = scenario.noise.sample(rng, trial_id)
-    return (scenario.base_cost_us(passes)
-            + adversary_delay_us(scenario.adversary, scenario.tiers, passes)
-            + noise_us), nmi
+    return _nominal_us(scenario, passes) + noise_us, nmi
 
 
 def priced_trials(batches):
@@ -325,34 +382,41 @@ def priced_trials(batches):
     batch, at the scenario's passes: an iterator of one list per batch, in
     trial order.
 
-    The timing model is content-independent, so only each trial's noise
-    stream, seeded from its trial id, sets its duration: no challenge is
-    drawn and no polynomial is evaluated. Trial i of a batch draws from
-    random.Random(derive_seed(master_seed, f"{scenario.name}/noise", i)).
-    The streams of all batches come from one seeding.replay_streams call,
-    which seeds seeding.NUMPY_SEEDING_MIN or more streams in one numpy pass,
-    so a caller with many small batches passes them together. Each batch is
-    priced when it is read, so a caller that stores durations as it reads
-    holds one batch's results at a time.
+    The timing model is content-independent, so no challenge is drawn and no
+    polynomial is evaluated. Trial i of a batch gets the rounded duration and
+    the nmi of price(scenario, scenario.passes, rng, i) on the fresh stream
+    rng = random.Random(derive_seed(master_seed, f"{scenario.name}/noise", i)).
+    One seeding.first_words call gives every stream's first STREAM_WORDS words
+    (in one numpy pass from NUMPY_SEEDING_MIN streams on), so a caller with
+    many small batches passes them together, and one NoiseModel.sample_words
+    call prices the trials of each scenario object from them. A trial whose
+    draws run past its words is priced through price on its real stream.
     """
     batches = list(batches)
-    if any(n_trials < 1 for _, n_trials, _ in batches):
+    counts = [n_trials for _, n_trials, _ in batches]
+    if any(n_trials < 1 for n_trials in counts):
         raise ValueError("need at least one trial")
     seeds = np.fromiter(
         itertools.chain.from_iterable(derive_seeds(master_seed, f"{sc.name}/noise", n)
                                       for sc, n, master_seed in batches),
-        np.uint64, sum(n for _, n, _ in batches))
-    streams = replay_streams(seeds)
-
-    def priced():
-        for scenario, n_trials, _ in batches:
-            rows = []
-            for trial_id, rng in zip(range(n_trials), streams):
-                duration, nmi = price(scenario, scenario.passes, rng, trial_id)
-                rows.append((int(round(duration)), nmi))
-            yield rows
-
-    return priced()
+        np.uint64, sum(counts))
+    words = first_words(seeds, STREAM_WORDS)
+    starts = np.cumsum([0, *counts])
+    trial_ids = np.arange(seeds.size) - np.repeat(starts[:-1], counts)
+    groups = {}  # each distinct scenario object: (scenario, its batches' rows)
+    for (scenario, _, _), lo, hi in zip(batches, starts[:-1], starts[1:]):
+        groups.setdefault(id(scenario), (scenario, []))[1].append(np.arange(lo, hi))
+    durations, nmi = np.empty(seeds.size), np.empty(seeds.size, bool)
+    for scenario, spans in groups.values():
+        rows = np.concatenate(spans)
+        noise, nmi[rows], drawn = scenario.noise.sample_words(words[rows], trial_ids[rows])
+        durations[rows] = _nominal_us(scenario, scenario.passes) + noise
+        for row in rows[~drawn].tolist():
+            durations[row], nmi[row] = price(scenario, scenario.passes,
+                                             random.Random(int(seeds[row])),
+                                             int(trial_ids[row]))
+    return (list(zip(map(int, np.rint(durations[lo:hi]).tolist()), nmi[lo:hi].tolist()))
+            for lo, hi in itertools.pairwise(starts.tolist()))
 
 
 def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:

@@ -35,6 +35,7 @@ never judged on its time, only retried, and never enters a profile.
 
 import itertools
 import logging
+import math
 import random
 import socket
 import struct
@@ -345,6 +346,8 @@ class LoopbackChannel:
 
     def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 3.0,
                  jitter_seed: int = 0):
+        if not 0 <= jitter_us < math.inf:
+            raise ValueError(f"jitter_us must be a finite number >= 0, got {jitter_us}")
         self.endpoint = endpoint
         self.jitter_us = jitter_us
         self._rng = random.Random(derive_seed(jitter_seed, "channel-jitter"))
@@ -413,6 +416,8 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     count), and a read begun CONN_BUDGET_S or more after the connection was
     accepted.
     """
+    if not 0 <= time_scale < math.inf:  # time.sleep(inf) raises, nan would never sleep
+        raise ValueError(f"time_scale must be a finite number >= 0, got {time_scale}")
     server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     server.bind((host, port))

@@ -1,4 +1,4 @@
-"""Deterministic seed derivation, and per-seed random streams seeded in batches.
+"""Deterministic seed derivation, and the first words of many streams at once.
 
 All randomness in a run flows from one master seed through named sub-seeds,
 so any report can be regenerated byte-for-byte. Derivation hashes
@@ -7,9 +7,10 @@ seeds independent of scheduling order.
 
 A priced trial draws its noise from its own stream, random.Random(seed) for
 the trial's 64-bit seed, and seeding a Mersenne Twister costs more than the
-rest of the trial. replay_streams gives a batch of such streams at once: it
-computes the first STREAM_WORDS outputs of every stream with first_words and
-hands each to a ReplayRandom. The result is exact, not an approximation:
+rest of the trial. first_words gives the first outputs of a batch of such
+streams at once, and device.NoiseModel.sample_words turns those words into
+noise draws (its docstring gives the word-to-draw mapping). The words are
+exact, not an approximation:
 
 - CPython seeds random.Random(n), for an int n >= 0, with MT19937's
   init_by_array (Matsumoto & Nishimura, "Mersenne Twister", ACM TOMACS 8(1),
@@ -27,18 +28,8 @@ hands each to a ReplayRandom. The result is exact, not an approximation:
   NUMPY_SEEDING_MIN seeds, the fixed cost of the ~7,500 numpy calls this
   takes exceeds seeding each stream with CPython itself, so first_words does
   that.
-- ReplayRandom replays those words through the only two methods that draw
-  them, random() and getrandbits(k <= 32), composed as CPython's C code
-  composes them: random() takes two words, (a >> 5, b >> 6), and
-  getrandbits(k) the top k bits of one. gauss, uniform and randrange are
-  inherited and call those two. A draw past the replayed words seeds the real
-  generator and skips the words already drawn, so a stream continues exactly.
-
-Only random() and getrandbits() are replayed; the tests compare both, and
-every NoiseModel draw, with random.Random on the running interpreter.
 """
 
-import _random
 import functools
 import hashlib
 import random
@@ -81,17 +72,14 @@ def random_words(seed: int, count: int) -> list:
 _N, _M = 624, 397  # state words; offset of the word each twist mixes in
 _U32 = np.uint32
 
-# Words a replayed stream starts with: a gaussian draw and an NMI draw take 6,
-# a uniform draw and an NMI draw 4, an empirical draw and an NMI draw usually 3.
+# Words of each priced stream: a gaussian draw and an NMI draw take 6, a
+# uniform draw and an NMI draw 4, an empirical draw and an NMI draw usually 3.
 STREAM_WORDS = 8
 
 # Batch size from which first_words seeds with numpy. The numpy pass costs a
 # fixed ~10 ms and CPython ~8 us a seed, so they cross near 1,300 seeds
 # (2-vCPU Xeon host, medians of interleaved runs: BENCH_batched_seeding.json).
 NUMPY_SEEDING_MIN = 1300
-
-# Seeds whose streams replay_streams turns into Python ints at a time.
-_SLICE = 256
 
 
 @functools.cache
@@ -202,68 +190,3 @@ def first_words(seeds, count: int) -> np.ndarray:
         w ^= w >> _U32(18)
         out[:, k] = w
     return out
-
-
-class ReplayRandom(random.Random):
-    """random.Random(seed), given the first words its getrandbits(32) would draw.
-
-    Each of random() and getrandbits(k <= 32) draws from words while they
-    last; any other draw, or one past them, goes on in the real generator,
-    seeded and advanced past the words drawn so far.
-    """
-
-    def __new__(cls, seed: int, words):
-        # Python 3.10's _random.Random.__new__ takes at most one argument and
-        # seeds with it; later versions ignore it.
-        return super().__new__(cls, 0)
-
-    def __init__(self, seed: int, words):
-        # random.Random.__init__ would seed the generator, which is the cost
-        # replaying saves; the C state is seeded for real only by _resume.
-        self.restart(seed, words)
-
-    def restart(self, seed: int, words):
-        """Start over as random.Random(seed), with words its first draws."""
-        self._seed, self._words, self._pos, self._end = seed, words, 0, len(words)
-        self.gauss_next = None
-
-    def _resume(self):
-        if self._seed is not None:
-            _random.Random.seed(self, self._seed)
-            if self._pos:
-                _random.Random.getrandbits(self, 32 * self._pos)
-            # gauss_next stays: a gaussian drawn before may still be pending
-            self._seed, self._words, self._pos, self._end = None, (), 0, 0
-
-    def random(self):
-        pos = self._pos
-        if pos + 1 < self._end:
-            self._pos = pos + 2
-            words = self._words
-            return ((words[pos] >> 5) * 67108864.0 + (words[pos + 1] >> 6)) * (
-                1.0 / 9007199254740992.0)
-        self._resume()
-        return super().random()
-
-    def getrandbits(self, k):
-        pos = self._pos
-        if pos < self._end and 0 < k <= 32:
-            self._pos = pos + 1
-            return self._words[pos] >> (32 - k)
-        self._resume()
-        return super().getrandbits(k)
-
-
-def replay_streams(seeds):
-    """random.Random(seed) for each of seeds (a uint64 array), in order, as one
-    ReplayRandom restarted for each seed: draw from each before taking the next.
-
-    The words come from one first_words call, turned into Python ints _SLICE
-    seeds at a time.
-    """
-    words = first_words(seeds, STREAM_WORDS)
-    rng = ReplayRandom(None, ())
-    for lo in range(0, len(seeds), _SLICE):
-        for seed, row in zip(seeds[lo:lo + _SLICE].tolist(), words[lo:lo + _SLICE].tolist()):
-            rng.restart(seed, row)
-            yield rng

@@ -327,6 +327,15 @@ class TestReproduce:
             "fig11_hist.csv": "82ae26898f2765b49e93194791a534508b59728adb576a86bb6b8ab66190eb26",
             "fig11_summary.csv": "fb731cf3f7fde08971bbfe8095401637fd8893628f40dfff96ecbeef45afed27",
         }),
+        # taken before trials were priced as arrays: fig10's 6,000 gaussian
+        # trials are seeded with numpy, and so are fig13's 32,000
+        (('fig10', '--seed', '3', '--trials', '2000'), {
+            "fig10_hist.csv": "759c5e20fcbc6267b90253cd0266b00a70fea3dc10f58d133b9c16a25fef9373",
+            "fig10_summary.csv": "8d63a52ae42bc956ce1ba03871e78c273b75ac0b60b4202a3dbdc915417cb26a",
+        }),
+        (('fig13', '--seed', '3', '--seeds', '40', '--trials', '200'), {
+            "fig13_detection.csv": "8ec19c4e303ac8845a1e469354307b76bcff2b7ee2b33494e71ae14fb412214a",
+        }),
     ]
 
     @pytest.mark.parametrize("args, want", MORE_SHA256)
@@ -764,6 +773,34 @@ def test_passes_below_one_is_an_operational_error(tmp_path, monkeypatch, capsys,
     assert err == f"error: --passes must be >= 1, got {passes}\n"
     assert list(tmp_path.iterdir()) == []
 
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate", "--target", "loopback", "--out", "out"],
+    ["calibrate", "--target", "sim", "--out", "out"],
+    ["challenge", "--profile", "profile.json"],
+])
+@pytest.mark.parametrize("jitter", ["nan", "inf", "-50"])
+def test_bad_jitter_is_an_operational_error(tmp_path, monkeypatch, capsys, argv, jitter):
+    # nan and inf used to end in a traceback, and -50 was taken as given
+    monkeypatch.chdir(tmp_path)
+    assert run([*argv, "--scenario", "desk-small", "--jitter", jitter]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --jitter must be a finite number >= 0, got {float(jitter)}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scale", ["inf", "nan", "-1"])
+def test_bad_time_scale_is_refused_before_serving(monkeypatch, capsys, scale):
+    # inf used to drop every session, and nan and -1 to mean 0
+
+    def serve_device(*args, **kwargs):
+        raise AssertionError("serve started with a bad --time-scale")
+
+    monkeypatch.setattr(cli, "serve_device", serve_device)
+    assert run(["serve", "--scenario", "desk-small", "--port", 0, "--time-scale", scale]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --time-scale must be a finite number >= 0, got {float(scale)}\n"
 
 # Runs in a fresh interpreter: a challenge and one served TCP session, then the
 # names of the loaded scipy modules, then a Ljung-Box p-value.

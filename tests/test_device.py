@@ -5,6 +5,7 @@ import json
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,7 +39,13 @@ from timecheck.device import (
 from timecheck.engine import multipass, random_spec
 from timecheck.errors import TimecheckError, UnknownTier
 from timecheck.protocol import ChallengeMessage, DeviceEndpoint, FrameDecoder
-from timecheck.seeding import NUMPY_SEEDING_MIN, derive_seed
+from timecheck.seeding import (
+    NUMPY_SEEDING_MIN,
+    STREAM_WORDS,
+    derive_seed,
+    derive_seeds,
+    first_words,
+)
 
 # sha256 of json.dumps(scenario_to_json(builtin_scenario(name)), indent=2)
 BUILTIN_JSON_SHA256 = {
@@ -243,6 +250,62 @@ class TestRunTrials:
             assert list(priced_trials([(sc, n, master)])) == [rows], sc.name
             want.append(rows)
         assert list(priced_trials([(sc, n, master) for sc in self.PRICED_SCENARIOS])) == want
+
+    # every kind of noise model, with and without drift and interrupt spikes
+    NOISE_MODELS = [
+        NoiseModel("gaussian", sigma=185.0),
+        NoiseModel("gaussian", sigma=150.0, drift="linear", drift_us_per_trial=3.25,
+                   nmi_prob=0.25),
+        NoiseModel("uniform", width=320.0),
+        NoiseModel("uniform", width=90.0, drift="step", drift_step_at=2, drift_step_us=400.0,
+                   nmi_prob=0.5),
+        NoiseModel("empirical", values=(-200.0, -100.0, 0.0, 100.0, 200.0)),
+        # 129 values: randrange rejects almost half its 8-bit draws
+        NoiseModel("empirical", values=tuple(float(v) for v in range(129)), drift="linear",
+                   drift_us_per_trial=-2.0, nmi_prob=0.9, nmi_us=7.0),
+        NoiseModel("empirical", values=(5.0,), drift="step", drift_step_at=1, drift_step_us=3.0,
+                   nmi_prob=1.0),
+    ]
+
+    @staticmethod
+    def fresh_stream_rows(sc, n, master):
+        """Each trial priced by price on its own random.Random stream."""
+        rows = []
+        for i in range(n):
+            rng = random.Random(derive_seed(master, f"{sc.name}/noise", i))
+            duration, nmi = price(sc, sc.passes, rng, i)
+            rows.append((int(round(duration)), nmi))
+        return rows
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(-2**63, 2**64), st.integers(1, 40), st.booleans())
+    def test_priced_trials_sample_every_noise_model_like_random(self, master, n, cross):
+        # with cross, the call prices enough trials to be seeded with numpy
+        scenarios = [replace(builtin_scenario("sram-dram"), name=f"noise-{i}", noise=noise)
+                     for i, noise in enumerate(self.NOISE_MODELS)]
+        if cross:
+            n += NUMPY_SEEDING_MIN // len(scenarios)
+        got = list(priced_trials([(sc, n, master) for sc in scenarios]))
+        assert got == [self.fresh_stream_rows(sc, n, master) for sc in scenarios]
+
+    @pytest.mark.parametrize("noise, n, master, words_read, past", [
+        # 129 values: 8-bit draws; a trial whose first 6 are all rejected
+        # leaves fewer than the 2 words its NMI draw takes
+        (NOISE_MODELS[5], 200, 1, 6, 2),
+        (NOISE_MODELS[5], NUMPY_SEEDING_MIN, 1, 6, 19),
+        # 5 values: 3-bit draws; a trial rejects all 8 words with p = (3/8)^8
+        (NOISE_MODELS[4], NUMPY_SEEDING_MIN, 1, 8, 2),
+    ])
+    def test_trials_past_their_words_are_priced_on_the_real_stream(self, noise, n, master,
+                                                                  words_read, past):
+        sc = replace(builtin_scenario("sram-dram"), name="past-words", noise=noise)
+        words = first_words(list(derive_seeds(master, f"{sc.name}/noise", n)), STREAM_WORDS)
+        bits = len(noise.values).bit_length()
+        rejected = (words[:, :words_read] >> (32 - bits)) >= len(noise.values)
+        assert int(rejected.all(axis=1).sum()) == past
+        _, _, drawn = noise.sample_words(words, np.arange(n))
+        assert (~drawn == rejected.all(axis=1)).all()
+        assert list(priced_trials([(sc, n, master)])) == [self.fresh_stream_rows(sc, n, master)]
 
     def test_baseline_mean_matches_calibration(self):
         sc = builtin_scenario("sram-baseline")

@@ -258,6 +258,12 @@ class TestChannels:
         timed = issue_challenge(chan, spec, rng=rng)
         assert timed.duration_us % 100 == 88
 
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0])
+    def test_jitter_must_be_finite_and_nonnegative(self, jitter):
+        ep = DeviceEndpoint(desk_scenario(), master_seed=8)
+        with pytest.raises(ValueError, match="jitter_us must be a finite number >= 0"):
+            LoopbackChannel(ep, jitter_us=jitter)
+
     def test_region_mismatch_status(self):
         sc = desk_scenario()
         ep = DeviceEndpoint(sc, master_seed=10)
@@ -722,6 +728,15 @@ class TestTcpTransport:
         server.close()
         thread.join(timeout=2.0)
         assert not thread.is_alive()
+
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan"), -0.5])
+    def test_time_scale_must_be_finite_and_nonnegative(self, scale):
+        # refused before a server thread starts: inf used to drop every session
+        ep = DeviceEndpoint(desk_scenario(), master_seed=32)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError, match="time_scale must be a finite number >= 0"):
+            serve_device(ep, port=0, time_scale=scale)
+        assert set(threading.enumerate()) <= before
 
     def test_unreachable_target(self):
         with socket.socket() as probe:
