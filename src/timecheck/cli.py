@@ -26,15 +26,14 @@ from .checkpoint import (
 )
 from .device import (
     ATTACKS,
+    SCENARIOS,
     Measurement,
     Scenario,
     attack_scenario,
     builtin_scenario,
     full_memory_scenario,
-    list_scenarios,
     load_scenario,
     make_device_state,
-    measurements_to_csv,
     priced_trials,
     run_trials,
 )
@@ -168,7 +167,6 @@ def cmd_calibrate(args) -> int:
     os.makedirs(out, exist_ok=True)
     csv_path = os.path.join(out, f"{scenario.name}-measurements.csv")
     profile_path = os.path.join(out, f"{scenario.name}-profile.json")
-    measurements_to_csv(measurements, csv_path)
     with open(profile_path, "w") as fh:
         json.dump(_profile_doc(profile, scenario, whiteness, args.seed), fh, indent=2)
         fh.write("\n")
@@ -181,7 +179,8 @@ def cmd_calibrate(args) -> int:
     print(f"whiteness: {'PASS' if whiteness.white else 'FAIL'} "
           f"(Ljung-Box p={whiteness.q_pvalue:.4f}, lags outside band: {flagged})")
     print(f"wrote {profile_path}")
-    print(f"wrote {csv_path}")
+    _write_csv(csv_path, ["trial_id", "scenario", "duration_us", "spec_digest"],
+               [[m.trial_id, m.scenario, m.duration_us, m.spec_digest] for m in measurements])
     return EXIT_OK
 
 
@@ -439,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
-        p.add_argument("--scenario", choices=list_scenarios(), default="sram-baseline")
+        p.add_argument("--scenario", choices=tuple(SCENARIOS), default="sram-baseline")
         p.add_argument("--config", help="scenario JSON file (overrides --scenario)")
         p.add_argument("--passes", type=int, default=None,
                        help="override pass count (default from scenario)")

@@ -437,17 +437,6 @@ def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
     return out
 
 
-def measurements_to_csv(measurements, path):
-    """CSV export: trial_id, scenario, duration_us, spec_digest."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["trial_id", "scenario", "duration_us", "spec_digest"])
-        for m in measurements:
-            w.writerow([m.trial_id, m.scenario, m.duration_us, m.spec_digest])
-
-
 # --- built-in scenarios -----------------------------------------------------
 
 def _quantized(frame_us: float, spread: int):
@@ -503,14 +492,10 @@ SCENARIOS = {
 
 
 def builtin_scenario(name: str) -> Scenario:
-    """The named experiment preset; see list_scenarios()."""
+    """The named experiment preset; SCENARIOS names them all."""
     if name not in SCENARIOS:
         raise ValueError(f"unknown scenario {name!r}; known: {', '.join(SCENARIOS)}")
     return SCENARIOS[name](name)
-
-
-def list_scenarios() -> tuple:
-    return tuple(SCENARIOS)
 
 
 def desk_scenario() -> Scenario:

@@ -137,8 +137,8 @@ def random_spec(p: int, k: int, passes: int, rng: random.Random,
                          passes=passes, region_id=region_id)
 
 
-def _check_shape(image: MemoryImage, spec: ChallengeSpec, perm) -> int:
-    d = image.word_count
+def _check_shape(words, spec: ChallengeSpec, perm=None) -> int:
+    d = len(words)
     if spec.passes * d > spec.params.p - 1:
         raise SpecOutOfField(
             f"passes*word_count = {spec.passes * d} exceeds p-1 = {spec.params.p - 1}"
@@ -151,14 +151,14 @@ def _check_shape(image: MemoryImage, spec: ChallengeSpec, perm) -> int:
 
 
 def multipass(image: MemoryImage, spec: ChallengeSpec, perm=None) -> ChallengeResult:
-    """Streaming multi-pass Horner evaluation (the production path).
+    """Streaming multi-pass Horner evaluation, the constant-working-set device reference.
 
     perm is injectable for tests; by default the keyed generator for
     spec.perm_seed is built over [0, d). Raises SpecOutOfField when the
     coefficient indices would leave the field, PermutationDomainMismatch
     when an injected permutation has the wrong domain.
     """
-    d = _check_shape(image, spec, perm)
+    d = _check_shape(image.words, spec, perm)
     if perm is None:
         perm = PermutationGenerator(d, spec.perm_seed)
     # Hot loop: bind everything to locals. Everything held here is O(k):
@@ -190,7 +190,7 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
     term[j] * x^(N-1-j) with the builtin pow. Slow and memory-hungry by design;
     capped at 2^16 words.
     """
-    d = _check_shape(image, spec, perm)
+    d = _check_shape(image.words, spec, perm)
     if d > 1 << 16:
         raise ValueError("naive oracle capped at 2^16 words")
     if perm is None:
@@ -290,9 +290,7 @@ def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
     p = spec.params.p
     if p != M61:
         raise ValueError(f"vectorized evaluator needs p = M61, got p = {p}")
-    d = len(words)
-    if spec.passes * d > p - 1:
-        raise SpecOutOfField(f"passes*word_count = {spec.passes * d} exceeds p-1 = {p - 1}")
+    d = _check_shape(words, spec)
     if d >= 1 << 32:
         raise ValueError(f"vectorized evaluator needs fewer than 2^32 words, got {d}")
     with _memo_lock:

@@ -70,11 +70,6 @@ class FieldParams:
             raise ValueError(f"evaluation point {self.x} outside [0, {self.p})")
 
 
-def horner_step(acc: int, x: int, term: int, p: int) -> int:
-    """One Horner accumulation step: (acc * x + term) mod p."""
-    return (acc * x + term) % p
-
-
 # --- vectorized arithmetic mod M61 on uint64 arrays ---------------------------
 # 2^61 = 1 (mod M61), so a value splits into its low 61 bits plus the bits
 # above them. numpy uint64 arithmetic wraps mod 2^64; every intermediate below

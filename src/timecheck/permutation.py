@@ -171,19 +171,3 @@ class PermutationGenerator:
         raise CycleWalkExceeded(
             f"no in-domain value after {_WALK_CAP} decryptions (n={self.n})"
         )
-
-
-class IdentityPermutation:
-    """Trivial pi[i] = i provider, for plugging into tests and oracles."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise DomainEmpty(f"permutation domain must be non-empty, got n={n}")
-        self.n = n
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise RankOutOfRange(f"rank {i} outside [0, {self.n})")
-        return i

@@ -476,16 +476,14 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
 
 # --- verifier-side operations ----------------------------------------------------
 
-def issue_challenge(channel, spec: ChallengeSpec, session_id: int = None,
-                    rng: random.Random = None) -> TimedResponse:
+def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedResponse:
     """Send one challenge, return the externally timed response.
 
     t_start is stamped when the device's RESTORED acknowledgment arrives (so
     checkpoint restore cost is excluded) and t_end at the first byte of the
-    response frame.
+    response frame. The session id is drawn from rng (new_session_id).
     """
-    if session_id is None:
-        session_id = new_session_id(rng if rng is not None else random.Random())
+    session_id = new_session_id(rng)
     msg = ChallengeMessage(session_id, spec)
     replies = channel.request(encode_challenge(msg))
     if not replies:

@@ -24,8 +24,8 @@ from timecheck.cli import (
 )
 from timecheck.device import (
     ATTACKS,
+    SCENARIOS,
     builtin_scenario,
-    list_scenarios,
     load_scenario,
     price,
     save_scenario,
@@ -56,6 +56,9 @@ class TestCalibrate:
         csv_lines = (tmp_path / "desk-small-measurements.csv").read_text().splitlines()
         assert csv_lines[0] == "trial_id,scenario,duration_us,spec_digest"
         assert len(csv_lines) == 41
+        first = csv_lines[1].split(",")
+        assert first[0] == "0" and first[1] == "desk-small"
+        assert int(first[2]) > 0 and len(first[3]) == 32
 
     def test_single_trial_errors(self, tmp_path):
         assert run(["calibrate", "--scenario", "desk-small", "--trials", 1,
@@ -469,7 +472,7 @@ def _options(command):
 @pytest.mark.parametrize("command", ["calibrate", "challenge", "serve"])
 def test_choices_come_from_the_registries(command):
     options = _options(command)
-    assert tuple(options["--scenario"].choices) == list_scenarios()
+    assert tuple(options["--scenario"].choices) == tuple(SCENARIOS)
     assert "--region" not in options
     if command != "calibrate":
         assert tuple(options["--attack"].choices) == tuple(ATTACKS)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from timecheck.checkpoint import MemoryImage
 from timecheck.device import (
     ATTACKS,
+    SCENARIOS,
     SRAM_SCAN_WORDS,
     AdversaryConfig,
     NoiseModel,
@@ -24,10 +25,8 @@ from timecheck.device import (
     default_tiers,
     desk_scenario,
     full_memory_scenario,
-    list_scenarios,
     load_scenario,
     make_device_state,
-    measurements_to_csv,
     price,
     priced_trials,
     run_trials,
@@ -223,7 +222,7 @@ class TestRunTrials:
 
     # every builtin, plus gaussian and uniform noise with drift and interrupt
     # spikes: a gaussian draw caches a second normal that a new stream must discard
-    PRICED_SCENARIOS = [builtin_scenario(name) for name in list_scenarios()] + [
+    PRICED_SCENARIOS = [builtin_scenario(name) for name in SCENARIOS] + [
         replace(builtin_scenario("sram-dram"), name="gauss-drift-nmi",
                 noise=NoiseModel("gaussian", sigma=150.0, drift="linear",
                                  drift_us_per_trial=3.25, nmi_prob=0.25)),
@@ -399,14 +398,14 @@ class TestScenarios:
         assert sc.passes == 500 and sc.region_id == "sram"
         assert scenario_to_json(sc)["prime"] == (1 << 61) - 1
 
-    @pytest.mark.parametrize("name", list_scenarios())
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_builtin_json_bytes_pinned(self, name):
         # key order and number formatting are part of the file format
         text = json.dumps(scenario_to_json(builtin_scenario(name)), indent=2)
         assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_JSON_SHA256[name]
         assert scenario_from_json(json.loads(text)) == builtin_scenario(name)
 
-    @pytest.mark.parametrize("name", list_scenarios())
+    @pytest.mark.parametrize("name", SCENARIOS)
     def test_attack_json_bytes_pinned(self, name):
         text = "".join(json.dumps(scenario_to_json(attack_scenario(builtin_scenario(name),
                                                                    kind)), indent=2)
@@ -415,8 +414,8 @@ class TestScenarios:
 
     def test_registries(self):
         assert set(ATTACKS) == set(ATTACK_KINDS)
-        assert set(list_scenarios()) == set(BUILTIN_JSON_SHA256)
-        for name in list_scenarios():
+        assert set(SCENARIOS) == set(BUILTIN_JSON_SHA256)
+        for name in SCENARIOS:
             assert builtin_scenario(name).name == name
 
     @pytest.mark.parametrize("doc, message", [
@@ -479,19 +478,6 @@ class TestScenarios:
         sc = desk_scenario()
         assert sc.timing_words == 2048
         assert sc.base_cost_us(sc.passes) == pytest.approx(12288.0)
-
-
-class TestCsvExport:
-    def test_column_contract(self, tmp_path):
-        ms = run_trials(builtin_scenario("sram-baseline"), 3, 0)
-        path = tmp_path / "m.csv"
-        measurements_to_csv(ms, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "trial_id,scenario,duration_us,spec_digest"
-        assert len(lines) == 4
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "sram-baseline"
-        assert int(first[2]) > 0 and len(first[3]) == 32
 
 
 def test_noise_model_validation():

@@ -16,8 +16,8 @@ from timecheck.engine import (
     random_spec,
 )
 from timecheck.errors import PermutationDomainMismatch, SpecOutOfField
-from timecheck.field import M61, FieldParams, horner_step
-from timecheck.permutation import IdentityPermutation
+from timecheck.field import M61, FieldParams
+from timecheck.permutation import PermutationGenerator
 
 from collision import collision_probe
 
@@ -46,11 +46,13 @@ class TestMultipass:
         expected = (41 ^ coefficient_at(spec.seeds, 0)) % 13
         assert multipass(img, spec).accumulator == expected
 
-    def test_two_word_identity_permutation(self):
-        spec = spec_for(13, 3, [0])
-        res = multipass(MemoryImage([5, 9]), spec, IdentityPermutation(2))
-        # scan order v[1], v[0] with zero mask: 9*3 + 5 = 32 = 6 mod 13
-        assert res.accumulator == 6
+    def test_two_word_permuted_scan(self):
+        spec = spec_for(13, 3, [0], perm_seed=1)
+        g = PermutationGenerator(2, 1)
+        assert [g.get(0), g.get(1)] == [1, 0]
+        res = multipass(MemoryImage([5, 9]), spec)
+        # scan order v[pi[1]] = v[0], v[pi[0]] = v[1] with zero mask: 5*3 + 9 = 24 = 11 mod 13
+        assert res.accumulator == 11
         assert res.words_scanned == 2
 
     def test_zero_mask_reduces_to_permuted_horner(self):
@@ -60,11 +62,10 @@ class TestMultipass:
         words = [rng.getrandbits(64) for _ in range(d)]
         spec = spec_for(p, x, [0], perm_seed=4)
         res = multipass(MemoryImage(words), spec)
-        from timecheck.permutation import PermutationGenerator
         g = PermutationGenerator(d, 4)
         acc = 0
         for i in range(d - 1, -1, -1):
-            acc = horner_step(acc, x, words[g.get(i)] % p, p)
+            acc = (acc * x + words[g.get(i)] % p) % p
         assert res.accumulator == acc
 
     def test_x_zero_keeps_last_term_only(self):
@@ -72,7 +73,6 @@ class TestMultipass:
         words = [rng.getrandbits(64) for _ in range(8)]
         spec = spec_for(M61, 0, [3, 1], perm_seed=2)
         res = multipass(MemoryImage(words), spec)
-        from timecheck.permutation import PermutationGenerator
         g = PermutationGenerator(8, 2)
         last_idx = g.get(0)  # rank 0 is scanned last
         s = coefficient_at(spec.seeds, last_idx)
@@ -86,20 +86,23 @@ class TestMultipass:
     def test_permutation_domain_mismatch(self):
         spec = spec_for(13, 3, [1])
         with pytest.raises(PermutationDomainMismatch):
-            multipass(MemoryImage([1, 2, 3]), spec, IdentityPermutation(4))
+            multipass(MemoryImage([1, 2, 3]), spec, PermutationGenerator(4, 1))
 
     def test_same_permutation_every_pass(self):
-        # P passes with identity permutation == Horner over P repetitions
+        # P passes == Horner over P repetitions of one scan order
         rng = random.Random(10)
         d, passes, p, x = 5, 3, M61, 12345
         words = [rng.getrandbits(64) for _ in range(d)]
-        spec = spec_for(p, x, [7, 11], passes=passes)
-        res = multipass(MemoryImage(words), spec, IdentityPermutation(d))
+        spec = spec_for(p, x, [7, 11], passes=passes, perm_seed=2)
+        res = multipass(MemoryImage(words), spec)
+        g = PermutationGenerator(d, 2)
+        order = [g.get(i) for i in range(d - 1, -1, -1)]
+        assert order != sorted(order, reverse=True)
         acc = 0
         for pass_no in range(passes):
-            for i in range(d - 1, -1, -1):
-                s = coefficient_at(spec.seeds, pass_no * d + i)
-                acc = horner_step(acc, x, (words[i] ^ s) % p, p)
+            for idx in order:
+                s = coefficient_at(spec.seeds, pass_no * d + idx)
+                acc = (acc * x + (words[idx] ^ s) % p) % p
         assert res.accumulator == acc
 
     def test_digest_stable_and_distinct(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from timecheck.engine import _geometric_m61
-from timecheck.field import M61, FieldParams, horner_step, is_prime, m61_add, m61_mul
+from timecheck.field import M61, FieldParams, is_prime, m61_add, m61_mul
 
 SMALL_PRIMES = (7, 13, 17, 1000003)
 
@@ -48,13 +48,13 @@ class TestFieldParams:
 
 
 def mul(a, b, p):
-    """a * b mod p through the surviving scalar API: one Horner step, zero term."""
-    return horner_step(a, b, 0, p)
+    """a * b mod p as the engines' inline Horner step (acc * x + t) % p, zero term."""
+    return (a * b + 0) % p
 
 
 def add(a, b, p):
-    """a + b mod p through one Horner step at x = 1."""
-    return horner_step(a, 1, b, p)
+    """a + b mod p as one inline Horner step at x = 1."""
+    return (a * 1 + b) % p
 
 
 class TestMulMod:
@@ -128,36 +128,3 @@ class TestPowMod:
             e1 = rng.randrange(1000)
             e2 = rng.randrange(1000)
             assert powers[e1 + e2] == powers[e1] * powers[e2] % M61
-
-
-class TestHornerStep:
-    def test_small(self):
-        assert horner_step(2, 3, 4, 7) == 3
-
-    def test_first_step_passes_term_through(self):
-        rng = random.Random(5)
-        for _ in range(50):
-            x = rng.randrange(M61)
-            t = rng.randrange(M61)
-            assert horner_step(0, x, t, M61) == t
-
-    def test_zero_point_collapses_history(self):
-        rng = random.Random(6)
-        for _ in range(50):
-            acc = rng.randrange(M61)
-            t = rng.randrange(M61)
-            assert horner_step(acc, 0, t, M61) == t
-
-    @pytest.mark.parametrize("p", [13, 1000003, M61])
-    def test_sequence_equals_power_sum(self, p):
-        # Folding terms with Horner must equal sum(term_j * x^(n-1-j))
-        rng = random.Random(7)
-        for _ in range(200):
-            n = rng.randint(1, 32)
-            x = rng.randrange(p)
-            terms = [rng.randrange(p) for _ in range(n)]
-            acc = 0
-            for t in terms:
-                acc = horner_step(acc, x, t, p)
-            direct = sum(t * pow(x, n - 1 - j, p) for j, t in enumerate(terms)) % p
-            assert acc == direct

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timecheck.errors import CycleWalkExceeded, DomainEmpty, RankOutOfRange
-from timecheck.permutation import _WALK_CAP, IdentityPermutation, PermutationGenerator
+from timecheck.permutation import _WALK_CAP, PermutationGenerator
 
 
 def assert_bijective(n, seed):
@@ -32,8 +32,6 @@ def test_singleton_domain():
 def test_empty_domain_rejected():
     with pytest.raises(DomainEmpty):
         PermutationGenerator(0, 1)
-    with pytest.raises(DomainEmpty):
-        IdentityPermutation(0)
 
 
 def test_rank_bounds():
@@ -103,13 +101,6 @@ def test_first_output_roughly_uniform_over_seeds():
     chi2 = sum((c - expected) ** 2 / expected for c in counts)
     p = float(special.chdtrc(n - 1, chi2))
     assert p > 0.01, f"chi2={chi2:.1f} p={p:.5f}"
-
-
-def test_identity_provider():
-    g = IdentityPermutation(16)
-    assert [g.get(i) for i in range(16)] == list(range(16))
-    with pytest.raises(RankOutOfRange):
-        g.get(16)
 
 
 def test_module_level_wrappers():

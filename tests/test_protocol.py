@@ -284,15 +284,15 @@ class TestChannels:
 
         for status in (STATUS_REGION_MISMATCH, STATUS_REFUSED):
             with pytest.raises(SessionMismatch):
-                issue_challenge(ReplayChannel(status), fresh_spec(), session_id=0x600D)
+                issue_challenge(ReplayChannel(status), fresh_spec(), rng=random.Random(5))
 
     def test_refusal_is_a_reject_verdict(self):
         sc = desk_scenario()
         chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=30), jitter_us=0.0)
         hostile = ChallengeSpec(seeds=RandomSeeds((1, 2), FieldParams(13, 5)),
                                 perm_seed=1, passes=1, region_id=sc.region_id)
-        timed = issue_challenge(chan, hostile, session_id=0x600D)
-        assert timed.response == ResponseMessage(0x600D, 0, STATUS_REFUSED)
+        timed = issue_challenge(chan, hostile, rng=random.Random(5))
+        assert timed.response.status == STATUS_REFUSED and timed.response.accumulator == 0
         assert timed.duration_us == 0
         verdict = verify_response(None, timed, profile=None)
         assert verdict.outcome == "REJECT"
