@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timecheck.checkpoint import MemoryImage
+from timecheck.cli import main
 from timecheck.device import (
     ATTACKS,
     SCENARIOS,
@@ -478,6 +479,21 @@ class TestScenarios:
         sc = desk_scenario()
         assert sc.timing_words == 2048
         assert sc.base_cost_us(sc.passes) == pytest.approx(12288.0)
+
+
+class TestCsvExport:
+    def test_column_contract(self, tmp_path):
+        # calibrate's CSV holds exactly run_trials' measurements, one row each
+        assert main(["calibrate", "--scenario", "sram-baseline", "--trials", "3",
+                     "--seed", "0", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "sram-baseline-measurements.csv").read_text().strip().splitlines()
+        assert lines[0] == "trial_id,scenario,duration_us,spec_digest"
+        ms = run_trials(builtin_scenario("sram-baseline"), 3, 0)
+        assert lines[1:] == [f"{m.trial_id},{m.scenario},{m.duration_us},{m.spec_digest}"
+                             for m in ms]
+        first = lines[1].split(",")
+        assert first[0] == "0" and first[1] == "sram-baseline"
+        assert int(first[2]) > 0 and len(first[3]) == 32
 
 
 def test_noise_model_validation():

@@ -46,6 +46,15 @@ class TestMultipass:
         expected = (41 ^ coefficient_at(spec.seeds, 0)) % 13
         assert multipass(img, spec).accumulator == expected
 
+    def test_two_word_identity_permutation(self):
+        spec = spec_for(13, 3, [0])
+        g = PermutationGenerator(2, 0)
+        assert [g.get(0), g.get(1)] == [0, 1]
+        res = multipass(MemoryImage([5, 9]), spec)
+        # scan order v[1], v[0] with zero mask: 9*3 + 5 = 32 = 6 mod 13
+        assert res.accumulator == 6
+        assert res.words_scanned == 2
+
     def test_two_word_permuted_scan(self):
         spec = spec_for(13, 3, [0], perm_seed=1)
         g = PermutationGenerator(2, 1)

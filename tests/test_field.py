@@ -5,8 +5,17 @@ import random
 import numpy as np
 import pytest
 
-from timecheck.engine import _geometric_m61
+from timecheck.checkpoint import MemoryImage
+from timecheck.coeffs import RandomSeeds
+from timecheck.engine import (
+    ChallengeSpec,
+    _geometric_m61,
+    multipass,
+    multipass_m61,
+    multipass_naive,
+)
 from timecheck.field import M61, FieldParams, is_prime, m61_add, m61_mul
+from timecheck.permutation import PermutationGenerator
 
 SMALL_PRIMES = (7, 13, 17, 1000003)
 
@@ -128,3 +137,53 @@ class TestPowMod:
             e1 = rng.randrange(1000)
             e2 = rng.randrange(1000)
             assert powers[e1 + e2] == powers[e1] * powers[e2] % M61
+
+
+def fold(words, p, x, perm_seed=0):
+    """Accumulators of every engine that can take (p, x) over words with a zero mask."""
+    spec = ChallengeSpec(seeds=RandomSeeds((0,), FieldParams(p, x)), perm_seed=perm_seed,
+                         passes=1)
+    accs = {multipass(MemoryImage(words), spec).accumulator,
+            multipass_naive(MemoryImage(words), spec).accumulator}
+    if p == M61:
+        accs.add(multipass_m61(np.array(words, dtype=np.uint64), spec).accumulator)
+    assert len(accs) == 1, accs
+    return accs.pop()
+
+
+class TestHornerStep:
+    # the engines' Horner step (acc * x + term) mod p, seen through a
+    # zero-mask single pass where each term is a scanned word mod p
+
+    def test_small(self):
+        # perm seed 0 over two words is the identity: v[1] = 2 is folded first, then v[0] = 4
+        assert fold([4, 2], 7, 3) == 3
+
+    def test_first_step_passes_term_through(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            x = rng.randrange(M61)
+            t = rng.randrange(M61)
+            assert fold([t], M61, x) == t
+
+    def test_zero_point_collapses_history(self):
+        rng = random.Random(6)
+        for _ in range(50):
+            words = [rng.randrange(M61) for _ in range(rng.randint(1, 8))]
+            seed = rng.getrandbits(32)
+            last = words[PermutationGenerator(len(words), seed).get(0)]  # rank 0 is scanned last
+            assert fold(words, M61, 0, seed) == last
+
+    @pytest.mark.parametrize("p", [13, 1000003, M61])
+    def test_sequence_equals_power_sum(self, p):
+        # Folding terms with Horner must equal sum(term_j * x^(n-1-j))
+        rng = random.Random(7)
+        for _ in range(200):
+            n = rng.randint(1, min(32, p - 1))
+            x = rng.randrange(p)
+            words = [rng.getrandbits(64) for _ in range(n)]
+            seed = rng.getrandbits(32)
+            g = PermutationGenerator(n, seed)
+            terms = [words[g.get(i)] % p for i in range(n - 1, -1, -1)]
+            direct = sum(t * pow(x, n - 1 - j, p) for j, t in enumerate(terms)) % p
+            assert fold(words, p, x, seed) == direct

@@ -286,6 +286,21 @@ class TestChannels:
             with pytest.raises(SessionMismatch):
                 issue_challenge(ReplayChannel(status), fresh_spec(), rng=random.Random(5))
 
+    def test_session_id_comes_from_the_seeded_rng(self):
+        # no unseeded fallback: rng is required, and it alone draws the random
+        # low half of the id; the high half is the process-wide counter
+        sc = desk_scenario()
+        spec = fresh_spec(random.Random(1), sc)
+        with pytest.raises(TypeError):
+            issue_challenge(LoopbackChannel(DeviceEndpoint(sc, master_seed=31)), spec)
+        responses = [issue_challenge(LoopbackChannel(DeviceEndpoint(sc, master_seed=31),
+                                                     jitter_us=0.0),
+                                     spec, rng=random.Random(5)).response for _ in range(2)]
+        low = random.Random(5).getrandbits(32)
+        assert [r.session_id & 0xFFFFFFFF for r in responses] == [low, low]
+        assert responses[0].session_id != responses[1].session_id
+        assert responses[0].accumulator == responses[1].accumulator
+
     def test_refusal_is_a_reject_verdict(self):
         sc = desk_scenario()
         chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=30), jitter_us=0.0)
