@@ -193,12 +193,13 @@ def cmd_challenge(args) -> int:
         raise TimecheckError(
             f"profile shape {shape} does not match scenario shape {want}; recalibrate")
 
+    session_rng = sub_rng(args.seed, "session")  # one stream: each attempt a fresh session id
     for attempt in range(8):
         channel, endpoint = _connect(args, scenario, "sim", attempt)
         if endpoint is None:  # the checkpoint is public: rebuild the device's checkpoint locally
             endpoint = DeviceEndpoint(scenario, master_seed=0)
         session = run_session(channel, scenario, sub_rng(args.seed, "challenge-spec", attempt),
-                              sub_rng(args.seed, "session"), endpoint, profile, args.detector)
+                              session_rng, endpoint, profile, args.detector)
         verdict = session.verdict
         if verdict.outcome != "RETRY":
             break

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import re
+import signal
 import struct
 import subprocess
 import sys
@@ -30,6 +31,7 @@ from timecheck.device import (
     price,
     save_scenario,
 )
+from timecheck.engine import random_spec
 from timecheck.errors import TimecheckError
 from timecheck.protocol import DeviceEndpoint, LoopbackChannel
 from timecheck.seeding import derive_seed
@@ -585,10 +587,12 @@ class TestCheckpointCommand:
 
 # sha256 of calibrate's measurements and profile at --seed 4, taken before the
 # noise streams were seeded in batches: 1,500 trials are seeded with numpy.
+# The profile digests here and below were re-taken when the Ljung-Box p-value
+# moved to stats._chi2_sf; only the last digits of whiteness.q_pvalue moved.
 CALIBRATE_SHA256 = [
         ("sram-baseline", 50, {
             "sram-baseline-measurements.csv": "a1ff236c39893100f2e7649a41462d83f8189ddbfdc5232d53480207b43f5d00",
-            "sram-baseline-profile.json": "1889cb59eb6ed492705bb8169a87015e8d20ca894de4ebfbf9fd2c909c413743",
+            "sram-baseline-profile.json": "5deec77c5111799a09c1a73d238a65c3a2ccaa9e8436a69dda9c466c4e0f99aa",
         }),
         ("sram-baseline", 1500, {
             "sram-baseline-measurements.csv": "1a508575a7558c6d0676a19941ce735adec091ff592cf7d3364fd5e02d1b53c3",
@@ -614,15 +618,15 @@ def test_calibrate_pinned_bytes(tmp_path, scenario, trials, want):
 LOOPBACK_CALIBRATE_SHA256 = [
     (("--scenario", "desk-small", "--seed", "1"), {
         "desk-small-measurements.csv": "2669ae69aa7b6327b02a9aea7658b2bad0b51ad366035a4cf709c2b4fa134296",
-        "desk-small-profile.json": "13cdca5260aa3b02f3dff62ff42a2c68e846c7024fc1e7108d95d3801c678a35",
+        "desk-small-profile.json": "f35120669181268b2a96209012c490640b38759789410b32de376cf53b0b80fd",
     }),
     (("--scenario", "desk-small", "--seed", "6"), {
         "desk-small-measurements.csv": "bb932621f189aff5c40e40a5d3c9d9e50371cbaede7a9c41d4331ed6ab44773e",
-        "desk-small-profile.json": "38b491f29c7f7df9448bd82ee9d07a5c45fefe00ed37894f4ac00aca87566b75",
+        "desk-small-profile.json": "8b4a947701f080f4e987f318d463be40ec79fd70bd29a9844a82a472b99ddb6c",
     }),
     (("--scenario", "sram-baseline", "--passes", "3", "--trials", "20", "--seed", "2"), {
         "sram-baseline-measurements.csv": "1d0bc21bdc5f25d60efbfbb436b53c7d6e9b2c5409ddb023b6e8ff76816ee793",
-        "sram-baseline-profile.json": "fd6859a34f837bf6a0bdc016b7f19e15eb123f6b9a6f27713d2062763975bb23",
+        "sram-baseline-profile.json": "224a02f7dff577ea71995f8dd5e177605ce748e59d20fb12f903ac088b0234a5",
     }),
 ]
 
@@ -728,6 +732,22 @@ def test_calibration_all_spiked_is_an_operational_error(tmp_path, capsys, target
                    "got 0 of 5\n")
     assert not out.exists()
 
+
+def test_interrupt_storm_attempts_send_fresh_session_ids(tmp_path, calibrated, monkeypatch):
+    received = []
+    handle = DeviceEndpoint.handle_challenge
+
+    def recording(self, msg):
+        received.append(msg.session_id)
+        return handle(self, msg)
+
+    monkeypatch.setattr(DeviceEndpoint, "handle_challenge", recording)
+    assert run(["challenge", "--profile", calibrated, "--config",
+                _interrupted_config(tmp_path, 1.0), "--seed", 5]) == 1
+    assert len(received) == 8
+    assert len({session_id & 0xFFFFFFFF for session_id in received}) == 8
+
+
 def test_config_file_overrides_scenario(tmp_path, capsys):
     sc = builtin_scenario("desk-small")
     cfg = tmp_path / "tweaked.json"
@@ -805,47 +825,65 @@ def test_bad_time_scale_is_refused_before_serving(monkeypatch, capsys, scale):
     err = capsys.readouterr().err
     assert err == f"error: --time-scale must be a finite number >= 0, got {float(scale)}\n"
 
-# Runs in a fresh interpreter: a challenge and one served TCP session, then the
-# names of the loaded scipy modules, then a Ljung-Box p-value.
-_NO_SCIPY_SCRIPT = """
-import json, sys
-from timecheck import cli, stats
-from timecheck.device import desk_scenario
-from timecheck.engine import random_spec
-from timecheck.protocol import DeviceEndpoint, TcpChannel, issue_challenge, serve_device
-from timecheck.seeding import sub_rng
-
-profile, samples = sys.argv[1], json.loads(sys.argv[2])
-code = cli.main(["challenge", "--scenario", "desk-small", "--target", "sim",
-                 "--profile", profile, "--seed", "5", "--jitter", "0.4"])
-sc = desk_scenario()
-endpoint = DeviceEndpoint(sc, master_seed=25)
-server, thread = serve_device(endpoint, port=0, time_scale=0.0)
-rng = sub_rng(5, "t")
-spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
-timed = issue_challenge(TcpChannel(*server.getsockname(), timeout_s=5.0), spec, rng=rng)
-server.close()
-thread.join(timeout=2.0)
-served = timed.response.accumulator == endpoint.expected_result(spec).accumulator
-loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-q = stats.serial_correlation(samples, 5)
-print(json.dumps({"code": code, "served": served, "scipy": loaded,
-                  "q": [q.q_stat, q.q_pvalue]}))
-"""
+# Run in a fresh interpreter, in which any import of scipy fails.
+_BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None; "
+_CLI = "from timecheck.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def test_challenge_and_serve_never_load_scipy(calibrated):
-    # scipy only computes p-values; importing it takes about half of start-up
-    samples = [float((37 * i) % 11) for i in range(40)]
+def _no_scipy_cli(*argv):
+    return [sys.executable, "-c", _BLOCK_SCIPY + _CLI, *map(str, argv)]
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_no_command_needs_scipy(tmp_path):
+    # the p-values come from the standard library: scipy is only a test oracle
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONUNBUFFERED="1", PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, str(calibrated),
-                           json.dumps(samples)],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    got = json.loads(proc.stdout.splitlines()[-1])
-    assert got["code"] == 0 and got["served"]
-    assert got["scipy"] == []
-    want = stats.serial_correlation(samples, 5)
-    assert got["q"] == [want.q_stat, want.q_pvalue]
+
+    def check(code, *argv):
+        proc = subprocess.run(_no_scipy_cli(*argv), capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == code, (argv, proc.stderr)
+        return proc.stdout
+
+    blocked = subprocess.run([sys.executable, "-c", _BLOCK_SCIPY + "import scipy"],
+                             capture_output=True, text=True, env=env, timeout=60)
+    assert blocked.returncode == 1 and "ModuleNotFoundError" in blocked.stderr
+
+    check(0, "calibrate", "--target", "sim", "--scenario", "desk-small", "--trials", 40,
+          "--seed", 3, "--out", tmp_path / "sim")
+    args, code, want = CHALLENGE_STDOUT_SHA256[0]
+    out = check(code, "challenge", "--profile", tmp_path / "sim" / "desk-small-profile.json",
+                "--scenario", "desk-small", *args)
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+    args, want = LOOPBACK_CALIBRATE_SHA256[0]
+    check(0, "calibrate", "--target", "loopback", *args, "--out", tmp_path / "loopback")
+    for name, digest in want.items():
+        assert _sha256(tmp_path / "loopback" / name) == digest, name
+
+    for table in ("fig10", "fig11", "fig13"):
+        check(0, "reproduce", table, "--seed", 0, "--out", tmp_path / "reports")
+    for name, digest in TestReproduce.SUMMARY_SHA256[0].items():
+        assert _sha256(tmp_path / "reports" / name) == digest, name
+    assert (_sha256(tmp_path / "reports" / "fig13_detection.csv")
+            == TestReproduce.FIG13_SHA256[0])
+
+    server = subprocess.Popen(_no_scipy_cli("serve", "--scenario", "desk-small", "--port", 0),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    try:
+        host, port = re.fullmatch(r"device desk-small listening on tcp://(.+):(\d+)\n",
+                                  server.stdout.readline()).groups()
+        sc = builtin_scenario("desk-small")
+        rng = random.Random(5)
+        spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
+        timed = protocol.issue_challenge(protocol.TcpChannel(host, int(port), timeout_s=5.0),
+                                         spec, rng=rng)
+        assert timed.response.accumulator == DeviceEndpoint(sc).expected_result(spec).accumulator
+    finally:
+        server.send_signal(signal.SIGINT)  # serve's only way out
+        _, err = server.communicate(timeout=30)
+    assert server.returncode == 0, err

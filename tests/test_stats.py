@@ -19,7 +19,9 @@ from timecheck.stats import (
     DETECTORS,
     BaselineProfile,
     ConfusionRow,
+    _chi2_sf,
     _row_statistics,
+    _t_two_sided,
     calibrate,
     confusion_report,
     detect,
@@ -218,6 +220,43 @@ class TestTTest:
             t_test([5.0, 5.0, 5.0], [5.0, 5.0])
         with pytest.raises(InsufficientSamples):
             t_test([1.0], [1.0, 2.0])
+
+
+class TestTails:
+    """The standard-library tails against scipy.special, kept as a test-only oracle,
+    wherever scipy's value is at least 1e-300."""
+
+    def test_chi2_tail_matches_scipy(self):
+        qs = np.concatenate([np.linspace(0.0, 200.0, 4001), np.geomspace(1e-9, 200.0, 500)])
+        for k in range(1, 11):
+            ref = special.chdtrc(k, qs)
+            got = np.array([_chi2_sf(k, q) for q in qs.tolist()])
+            keep = ref >= 1e-300
+            assert np.max(np.abs(got[keep] - ref[keep]) / ref[keep]) <= 1e-12, k
+
+    @pytest.mark.parametrize("k, q", [(1000, 1450.0), (2001, 2000.0), (3000, 3000.0),
+                                      (3001, 3600.0)])
+    def test_chi2_tail_of_many_lags_past_exp_underflow(self, k, q):
+        # e^(-q/2) underflows here, but the tail of a white series over k lags does not
+        ref = float(special.chdtrc(k, q))
+        assert _chi2_sf(k, q) == pytest.approx(ref, rel=1e-12)
+
+    def test_t_tail_matches_scipy_up_to_the_underflow_edge(self):
+        dfs = np.concatenate([np.arange(1.0, 31.0), np.geomspace(1.0, 3000.0, 40),
+                              np.random.default_rng(9).uniform(1.0, 3000.0, 20)])
+        probe = np.geomspace(1e-3, 1e154, 20_000)  # t * t stays finite
+        for df in dfs.tolist():
+            edge = probe[2.0 * special.stdtr(df, -probe) >= 1e-300][-1]  # the last probe kept
+            ts = np.concatenate([np.linspace(0.0, 3.0, 61), np.geomspace(1e-6, edge, 300)])
+            ref = 2.0 * special.stdtr(df, -ts)
+            got = np.array([_t_two_sided(df, t) for t in ts.tolist()])
+            assert np.max(np.abs(got - ref) / ref) <= 1e-10, df
+
+    def test_t_tail_at_zero_is_one_and_even_in_t(self):
+        for df in (1.0, 2.5, 37.0, 2999.0):
+            assert _t_two_sided(df, 0.0) == 1.0
+            for t in (1e-9, 0.3, 1.7, 4.0, 60.0):
+                assert _t_two_sided(df, t) == _t_two_sided(df, -t)
 
 
 class TestKsTest:
