@@ -31,7 +31,6 @@ from .device import (
     Scenario,
     attack_scenario,
     builtin_scenario,
-    full_memory_scenario,
     load_scenario,
     make_device_state,
     priced_trials,
@@ -256,88 +255,59 @@ def cmd_reproduce(args) -> int:
     if args.seeds < 1:
         raise TimecheckError(f"reproduce needs --seeds >= 1, got {args.seeds}")
     os.makedirs(args.out, exist_ok=True)
-    if args.table == "fig10":
-        return _reproduce_sram_table(args)
-    if args.table == "fig11":
-        return _reproduce_full_table(args)
     if args.table == "fig13":
         return _reproduce_detection_table(args)
-    raise TimecheckError(f"unknown table {args.table!r} (fig10|fig11|fig13)")
+    return _reproduce_summary_table(args)
 
 
-def _durations(batches) -> list:
-    """The priced trial durations of each (scenario, trials, master_seed) batch;
-    the reports read nothing else."""
-    return [[duration for duration, _ in rows] for rows in priced_trials(batches)]
+# The scenarios of each timing summary table, baseline first.
+SUMMARY_TABLES = {
+    "fig10": ("sram-baseline", "sram-dram", "sram-iomem"),
+    "fig11": ("full-baseline", "full-mmc"),
+}
 
 
-def _reproduce_sram_table(args) -> int:
-    names = ("sram-baseline", "sram-dram", "sram-iomem")
-    batches = dict(zip(names, _durations(
-        [(builtin_scenario(name), args.trials, args.seed) for name in names])))
-    base = batches["sram-baseline"]
+def _reproduce_summary_table(args) -> int:
+    """fig10 or fig11: each scenario's timing summary against the baseline, and
+    the histograms. Only fig11 has the column of each mean's shift in
+    baseline sigmas."""
+    names = SUMMARY_TABLES[args.table]
+    priced = priced_trials([(builtin_scenario(name), args.trials, args.seed) for name in names])
+    batches = {name: [duration for duration, _ in rows] for name, rows in zip(names, priced)}
+    base = batches[names[0]]
+    header = ["scenario", "n", "mean_us", "std_us", "t_pvalue", "ks_pvalue"]
+    if args.table == "fig11":
+        header.append("shift_in_baseline_sigmas")
     rows = []
-    for name in names:
-        d = batches[name]
-        mean = sum(d) / len(d)
-        std = stats.calibrate(d).std
-        if name == "sram-baseline":
-            t_p = ks_p = ""
+    for name, d in batches.items():
+        mean, std = sum(d) / len(d), stats.calibrate(d).std
+        row = [name, len(d), f"{mean:.1f}", f"{std:.1f}", "", "", ""]
+        if d is base:
+            base_mean, base_std = mean, std
         else:
             _, t_p = stats.t_test(base, d)
             _, ks_p = stats.ks_test(base, d)
-            t_p, ks_p = f"{t_p:.6e}", f"{ks_p:.6e}"
-        rows.append([name, len(d), f"{mean:.1f}", f"{std:.1f}", t_p, ks_p])
-    _write_csv(os.path.join(args.out, "fig10_summary.csv"),
-               ["scenario", "n", "mean_us", "std_us", "t_pvalue", "ks_pvalue"], rows)
-    _write_csv(os.path.join(args.out, "fig10_hist.csv"),
+            row[4:] = [f"{t_p:.6e}", f"{ks_p:.6e}", f"{(mean - base_mean) / base_std:.1f}"]
+        rows.append(row[:len(header)])
+    _write_csv(os.path.join(args.out, f"{args.table}_summary.csv"), header, rows)
+    _write_csv(os.path.join(args.out, f"{args.table}_hist.csv"),
                ["scenario", "bin_lo_us", "bin_hi_us", "count"],
                _histogram_rows(batches))
     return EXIT_OK
 
-
-def _reproduce_full_table(args) -> int:
-    scenarios = [full_memory_scenario(attack=attack) for attack in (False, True)]
-    durations = _durations([(sc, args.trials, args.seed) for sc in scenarios])
-    batches = {sc.name: d for sc, d in zip(scenarios, durations)}
-    base = batches["full-baseline"]
-    attack = batches["full-mmc"]
-    base_prof = stats.calibrate(base)
-    _, t_p = stats.t_test(base, attack)
-    _, ks_p = stats.ks_test(base, attack)
-    shift_sigma = (sum(attack) / len(attack) - base_prof.mean) / base_prof.std
-    rows = [
-        ["full-baseline", len(base), f"{base_prof.mean:.1f}", f"{base_prof.std:.1f}", "", "", ""],
-        ["full-mmc", len(attack), f"{sum(attack) / len(attack):.1f}",
-         f"{stats.calibrate(attack).std:.1f}", f"{t_p:.6e}", f"{ks_p:.6e}",
-         f"{shift_sigma:.1f}"],
-    ]
-    _write_csv(os.path.join(args.out, "fig11_summary.csv"),
-               ["scenario", "n", "mean_us", "std_us", "t_pvalue", "ks_pvalue",
-                "shift_in_baseline_sigmas"], rows)
-    _write_csv(os.path.join(args.out, "fig11_hist.csv"),
-               ["scenario", "bin_lo_us", "bin_hi_us", "count"],
-               _histogram_rows(batches))
-    return EXIT_OK
-
-
-# Leave-one-out values one confusion_report call classifies at most, unless a
-# single seed alone holds more: it bounds the stacked leave-one-out matrix
-# (and each of its temporaries) at 512 KB. The default 20 seeds x 50 x 49 =
-# 49,000 values fit in one call.
-LOO_BATCH_VALUES = 1 << 16
 
 # The detectors fig13 compares, in its row order.
 FIG13_METHODS = ("percentile", "zscore", "modz")
 
 
 def aggregate_detection(attack_labels, n_seeds: int, trials: int, master_seed: int) -> dict:
-    """Pooled FPR/FNR over n_seeds independent paired runs of each experiment,
-    by attack label.
+    """{attack label: {method: ConfusionRow}}, pooled over n_seeds independent
+    paired runs of each experiment.
 
     Every run of every experiment is priced first, in one priced_trials call
-    (one baseline and one attack row per seed); each experiment's rows are
-    then classified in batches of as many seeds as fit in LOO_BATCH_VALUES.
+    (one baseline and one attack row per seed); each experiment's runs then
+    go to one stats.confusion_report call, which bounds its own
+    leave-one-out matrix.
     """
     batches = []
     for attack_label in attack_labels:
@@ -350,23 +320,8 @@ def aggregate_detection(attack_labels, n_seeds: int, trials: int, master_seed: i
     for row, priced in zip(rows, priced_trials(batches)):
         row[:] = [duration for duration, _ in priced]
     rows = rows.reshape(len(attack_labels), 2, n_seeds, trials)
-    batch = max(1, LOO_BATCH_VALUES // (trials * (trials - 1)))
-    n_points = n_seeds * trials
-    out = {}
-    for attack_label, (base, atk) in zip(attack_labels, rows):
-        fp = dict.fromkeys(FIG13_METHODS, 0)
-        fn = dict.fromkeys(FIG13_METHODS, 0)
-        for lo in range(0, n_seeds, batch):
-            report = stats.confusion_report(base[lo:lo + batch], atk[lo:lo + batch],
-                                            methods=FIG13_METHODS)
-            for m in FIG13_METHODS:
-                fp[m] += report[m].false_positives
-                fn[m] += report[m].false_negatives
-        out[attack_label] = {m: {"fpr": fp[m] / n_points, "fnr": fn[m] / n_points,
-                                 "false_positives": fp[m], "false_negatives": fn[m],
-                                 "baseline_points": n_points, "attack_points": n_points}
-                             for m in FIG13_METHODS}
-    return out
+    return {attack_label: stats.confusion_report(base, atk, methods=FIG13_METHODS)
+            for attack_label, (base, atk) in zip(attack_labels, rows)}
 
 
 def _reproduce_detection_table(args) -> int:
@@ -381,8 +336,8 @@ def _reproduce_detection_table(args) -> int:
         for method in FIG13_METHODS:
             r = agg[method]
             rows.append([attack_label, method,
-                         f"{100 * r['fpr']:.1f}", f"{100 * r['fnr']:.1f}",
-                         r["baseline_points"], r["attack_points"]])
+                         f"{100 * r.fpr:.1f}", f"{100 * r.fnr:.1f}",
+                         r.baseline_count, r.attack_count])
     _write_csv(os.path.join(args.out, "fig13_detection.csv"),
                ["attack", "method", "fpr_pct", "fnr_pct",
                 "baseline_points", "attack_points"], rows)

@@ -121,11 +121,10 @@ class ChallengeSpec:
 
 @dataclass(frozen=True)
 class ChallengeResult:
-    """Final accumulator plus audit metadata."""
+    """Final accumulator plus the number of words it scanned."""
 
     accumulator: int
     words_scanned: int
-    spec_digest: str
 
 
 def random_spec(p: int, k: int, passes: int, rng: random.Random,
@@ -179,7 +178,7 @@ def multipass(image: MemoryImage, spec: ChallengeSpec, perm=None) -> ChallengeRe
             for j in kr:
                 s = (s * base + r[j]) % p
             result = (result * x + ((words[idx] ^ s) % p)) % p
-    return ChallengeResult(result, spec.passes * d, spec.digest())
+    return ChallengeResult(result, spec.passes * d)
 
 
 def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> ChallengeResult:
@@ -217,7 +216,7 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
     total = 0
     for j, term in enumerate(terms):
         total = (total + term * pow(x, n - 1 - j, p)) % p
-    return ChallengeResult(total, n, spec.digest())
+    return ChallengeResult(total, n)
 
 
 def _geometric_m61(ratio: int, count: int) -> np.ndarray:
@@ -383,7 +382,7 @@ def _scan_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
     result = 0
     for row in sums.reshape(passes, 12):  # row by row: no P x 12 list of ints
         result = (result * x_d + sum(map(operator.mul, row.tolist(), _LIMB_SCALES))) % p
-    return ChallengeResult(result, passes * d, spec.digest())
+    return ChallengeResult(result, passes * d)
 
 
 def evaluate(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:

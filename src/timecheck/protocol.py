@@ -106,12 +106,7 @@ def budget_refusal(k: int, scanned: int):
 @dataclass(frozen=True)
 class ChallengeMessage:
     session_id: int
-    spec: ChallengeSpec
-
-    def __post_init__(self):
-        p = self.spec.params.p
-        if not all(0 <= r < p for r in self.spec.seeds.r):
-            raise ValueError("seed values outside the field")
+    spec: ChallengeSpec  # RandomSeeds checks that every seed lies in the field
 
 
 @dataclass(frozen=True)

@@ -156,24 +156,70 @@ def _t_two_sided(df: float, t: float) -> float:
     """2 P(T > |t|) for T Student t with df > 0 degrees of freedom.
 
     That is the regularized incomplete beta I_x(df/2, 1/2) at
-    x = df / (df + t^2). Its prefactor x^a (1-x)^b / B(a, b) is taken in log
-    space; the continued fraction (Numerical Recipes 6.4, modified Lentz)
-    converges fast for x below (a+1)/(a+b+2), and above it the symmetry
-    I_x(a, b) = 1 - I_{1-x}(b, a) is used instead. The relative error stays
-    below 1e-11 up to df = 3000; the log-gamma difference loses more beyond.
+    x = df / (df + t^2). From df = 100 on, with x >= 1/e, it comes from the
+    series of _beta_large_a. Otherwise its prefactor x^a (1-x)^b / B(a, b) is
+    taken in log space; the continued fraction (Numerical Recipes 6.4,
+    modified Lentz) converges fast for x below (a+1)/(a+b+2), and above it
+    the symmetry I_x(a, b) = 1 - I_{1-x}(b, a) is used instead. The relative
+    error stays below 1e-11 up to df = 1e8.
     """
     t2 = t * t
     if t2 == 0.0:
         return 1.0
     a, b = 0.5 * df, 0.5
+    w = math.log1p(t2 / df)  # -log x, without the rounding of x
+    if a >= 50.0 and w <= 1.0:
+        return _beta_large_a(a, w)
     x, y = df / (df + t2), t2 / (df + t2)  # y is 1 - x without the cancellation
     if x == 0.0:
         return 0.0
     front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-                     - a * math.log1p(t2 / df) + b * math.log(y))
+                     - a * w + b * math.log(y))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_cf(a, b, x) / a
     return 1.0 - front * _beta_cf(b, a, y) / b
+
+
+def _sinhc_power_coefficients(power: float, count: int) -> tuple:
+    """c_0 .. c_(count-1) of (sinh(z) / z)^power = sum c_n z^(2n)."""
+    c = [1.0]
+    for n in range(1, count):
+        c.append(sum(((power + 1.0) * m - n) * c[n - m] / math.factorial(2 * m + 1)
+                     for m in range(1, n + 1)) / n)
+    return tuple(c)
+
+
+_SINHC_COEFFICIENTS = _sinhc_power_coefficients(-0.5, 16)
+
+
+def _beta_large_a(a: float, w: float) -> float:
+    """I_x(a, 1/2) at x = e^-w, for a >= 50 and 0 < w <= 1.
+
+    There the continued fraction's partial denominators are differences of
+    numbers near 1, and log Gamma(a + 1/2) - log Gamma(a) is a difference of
+    two numbers near a log a: both lose digits as a grows. DiDonato &
+    Morris's BGRAT expansion (ACM TOMS 18, 1992, eq. 9) subtracts neither.
+    With T = a - 1/4, B(a, 1/2) I_x(a, 1/2) is the integral over v > w of
+    e^(-T v) v^(-1/2) (sinh(v/2) / (v/2))^(-1/2) dv. The last factor's
+    series in (v/2)^2 makes it a sum of upper incomplete gammas
+    Gamma(1/2 + 2n, T w) / (2T)^(2n), each from the one before, starting at
+    sqrt(pi) erfc(sqrt(T w)); a dozen terms reach double precision. The
+    log-gamma difference comes from its asymptotic series in 1/a, whose
+    first omitted term is below 1e-18.
+    """
+    big_t = a - 0.25
+    u, scale = big_t * w, 4.0 * big_t * big_t
+    gamma = math.sqrt(math.pi) * math.erfc(math.sqrt(u))  # Gamma(s, u) / scale^n
+    edge = math.sqrt(u) * math.exp(-u)                      # u^s e^-u / scale^n
+    total, s = gamma, 0.5
+    for c in _SINHC_COEFFICIENTS[1:]:
+        gamma = (s * (s + 1.0) * gamma + (u + s + 1.0) * edge) / scale
+        edge *= u * u / scale
+        s += 2.0
+        total += c * gamma
+    log_ratio = (0.5 * math.log(a) - 1.0 / (8.0 * a) + 1.0 / (192.0 * a ** 3)
+                 - 1.0 / (640.0 * a ** 5) + 17.0 / (14336.0 * a ** 7))
+    return math.exp(log_ratio) / math.sqrt(math.pi * big_t) * total
 
 
 def _beta_cf(a: float, b: float, x: float) -> float:
@@ -335,6 +381,13 @@ class ConfusionRow:
     attack_count: int
 
 
+# Leave-one-out values confusion_report classifies in one pass at most,
+# unless a single run alone holds more: it bounds the stacked leave-one-out
+# matrix (and each of its temporaries) at 512 KB. 20 runs x 50 x 49 =
+# 49,000 values fit in one pass.
+LOO_BATCH_VALUES = 1 << 16
+
+
 def confusion_report(baseline_points, attack_points,
                      methods=("percentile", "zscore", "modz")) -> dict:
     """Per-method FPR/FNR over labeled point sets, pooled over independent runs.
@@ -348,11 +401,13 @@ def confusion_report(baseline_points, attack_points,
     points of its row (the tested point never calibrates its own band);
     attack points are classified against their row's full-baseline profile.
 
-    Every profile comes from one _row_statistics call, which reduces each row
-    with the arithmetic calibrate() uses for that row alone: one over the
-    S x n baseline rows, and one over the stacked (S*n) x (n-1) leave-one-out
-    matrix. Their columns, shaped to broadcast against the points, form the
-    profiles every method scores all points against in one array expression.
+    The runs are classified in batches of as many as fit in LOO_BATCH_VALUES
+    leave-one-out values (at least one). Every profile of a batch comes from
+    one _row_statistics call, which reduces each row with the arithmetic
+    calibrate() uses for that row alone: one over the batch's baseline rows,
+    and one over their stacked leave-one-out matrix. Their columns, shaped
+    to broadcast against the points, form the profiles every method scores
+    the batch's points against in one array expression.
     """
     baseline = np.atleast_2d(np.asarray(baseline_points, dtype=float))
     attack = np.atleast_2d(np.asarray(attack_points, dtype=float))
@@ -361,22 +416,28 @@ def confusion_report(baseline_points, attack_points,
     if not baseline.size or not attack.size:
         raise InsufficientSamples("confusion report needs non-empty point sets")
     runs, n = baseline.shape
-    full = BaselineProfile((), n, *(column[:, np.newaxis]
-                                     for column in _row_statistics(baseline)))
-    against = BaselineProfile((), n - 1, *(column.reshape(runs, n) for column
-                                           in _row_statistics(_leave_one_out(baseline))))
+    batch = max(1, LOO_BATCH_VALUES // max(1, n * (n - 1)))
+    fp = dict.fromkeys(methods, 0)
+    misses = dict.fromkeys(methods, 0)
+    for lo in range(0, runs, batch):
+        base, atk = baseline[lo:lo + batch], attack[lo:lo + batch]
+        full = BaselineProfile((), n, *(column[:, np.newaxis]
+                                         for column in _row_statistics(base)))
+        against = BaselineProfile((), n - 1, *(column.reshape(len(base), n) for column
+                                               in _row_statistics(_leave_one_out(base))))
+        for method in methods:
+            score = DETECTORS[method]
+            fp[method] += int(np.count_nonzero(score(against, base)[1]))
+            misses[method] += int(np.count_nonzero(~score(full, atk)[1]))
     rows = {}
     for method in methods:
-        score = DETECTORS[method]
-        fp = int(np.count_nonzero(score(against, baseline)[1]))
-        misses = int(np.count_nonzero(~score(full, attack)[1]))
         rows[method] = ConfusionRow(
             method=method,
-            fpr=fp / baseline.size,
-            fnr=misses / attack.size,
-            false_positives=fp,
+            fpr=fp[method] / baseline.size,
+            fnr=misses[method] / attack.size,
+            false_positives=fp[method],
             baseline_count=baseline.size,
-            false_negatives=misses,
+            false_negatives=misses[method],
             attack_count=attack.size,
         )
     return rows

@@ -143,11 +143,11 @@ def test_c06_detector_metrics_reproduction():
     for attack, modz_fpr_target in (("dram", 0.0), ("iomem", 0.09)):
         agg = aggs[attack]
         for method in ("percentile", "zscore"):
-            assert abs(agg[method]["fpr"] - 0.0) <= tol, (attack, method, agg[method])
-            assert abs(agg[method]["fnr"] - 0.0) <= tol, (attack, method, agg[method])
-        assert abs(agg["modz"]["fnr"] - 0.0) <= tol, (attack, agg["modz"])
-        assert abs(agg["modz"]["fpr"] - modz_fpr_target) <= tol, (attack, agg["modz"])
-        detail = {m: f"{100 * agg[m]['fpr']:.1f}/{100 * agg[m]['fnr']:.1f}"
+            assert abs(agg[method].fpr - 0.0) <= tol, (attack, method, agg[method])
+            assert abs(agg[method].fnr - 0.0) <= tol, (attack, method, agg[method])
+        assert abs(agg["modz"].fnr - 0.0) <= tol, (attack, agg["modz"])
+        assert abs(agg["modz"].fpr - modz_fpr_target) <= tol, (attack, agg["modz"])
+        detail = {m: f"{100 * agg[m].fpr:.1f}/{100 * agg[m].fnr:.1f}"
                   for m in ("percentile", "zscore", "modz")}
         print(f"       {attack}: FPR/FNR pct per method {detail}")
     report(6, "detector table reproduced within 5 points on every cell, 20 seeds")
@@ -172,7 +172,7 @@ def test_paper_tables_over_master_seeds():
         for attack, agg in aggs.items():
             for method in ("percentile", "zscore", "modz"):
                 for rate in ("fpr", "fnr"):
-                    cells[attack, method, rate].append(agg[method][rate])
+                    cells[attack, method, rate].append(getattr(agg[method], rate))
     for cell, values in cells.items():
         median, p95 = np.median(values), np.percentile(values, 95)
         print(f"       fig13 {'/'.join(cell)}: median {100 * median:.1f} "

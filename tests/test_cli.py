@@ -411,24 +411,23 @@ def _per_seed_detection(attack_label, n_seeds, trials, master_seed, methods):
             fp[m] += rows[m].false_positives
             fn[m] += rows[m].false_negatives
     points = n_seeds * trials
-    return {m: {"fpr": fp[m] / points, "fnr": fn[m] / points,
-                "false_positives": fp[m], "false_negatives": fn[m],
-                "baseline_points": points, "attack_points": points}
+    return {m: stats.ConfusionRow(m, fp[m] / points, fn[m] / points,
+                                  fp[m], points, fn[m], points)
             for m in methods}
 
 
 class TestAggregateDetection:
     @pytest.fixture
     def batches(self, monkeypatch):
-        """The number of seeds in each confusion_report call, in call order."""
+        """The number of seeds in each leave-one-out matrix, in call order."""
         sizes = []
-        report = stats.confusion_report
+        leave_one_out = stats._leave_one_out
 
-        def counting_report(base, atk, **kwargs):
-            sizes.append(len(base))
-            return report(base, atk, **kwargs)
+        def counting_leave_one_out(rows):
+            sizes.append(len(rows))
+            return leave_one_out(rows)
 
-        monkeypatch.setattr(stats, "confusion_report", counting_report)
+        monkeypatch.setattr(stats, "_leave_one_out", counting_leave_one_out)
         return sizes
 
     @pytest.mark.parametrize("attack_label", ["dram", "iomem"])
@@ -439,7 +438,7 @@ class TestAggregateDetection:
         assert got == _per_seed_detection(attack_label, 40, 50, 11, cli.FIG13_METHODS)
 
     def test_one_seed_per_batch_past_the_budget(self, batches, monkeypatch):
-        monkeypatch.setattr(cli, "LOO_BATCH_VALUES", 100)
+        monkeypatch.setattr(stats, "LOO_BATCH_VALUES", 100)
         got = aggregate_detection(("iomem",), 3, 12, 5)["iomem"]
         assert batches == [1, 1, 1]
         assert got == _per_seed_detection("iomem", 3, 12, 5, cli.FIG13_METHODS)

@@ -139,6 +139,16 @@ class TestFraming:
         with pytest.raises(MalformedFrame):
             decode_body(body)
 
+    def test_out_of_field_seed(self):
+        with pytest.raises(ValueError, match="outside"):
+            RandomSeeds((13, 2), FieldParams(13, 5))
+        spec = ChallengeSpec(seeds=RandomSeeds((1, 2), FieldParams(13, 5)),
+                             perm_seed=1, passes=1)
+        body = bytearray(encode_challenge(ChallengeMessage(7, spec))[8:-4])
+        body[11:19] = (13).to_bytes(8, "little")  # r_0 = p: type, session id, k come first
+        with pytest.raises(MalformedFrame, match="outside"):
+            decode_body(bytes(body))
+
 
 PRIMES = (2, 13, 65537, M61, (1 << 64) - 59)
 u64 = st.integers(0, (1 << 64) - 1)

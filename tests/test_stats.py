@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import special
 from scipy import stats as scipy_stats
 
+from timecheck import stats
 from timecheck.errors import DegenerateSeries, InsufficientSamples
 from timecheck.stats import (
     DEFAULT_MODIFIED_Z_THRESHOLD,
@@ -242,15 +243,19 @@ class TestTails:
         assert _chi2_sf(k, q) == pytest.approx(ref, rel=1e-12)
 
     def test_t_tail_matches_scipy_up_to_the_underflow_edge(self):
-        dfs = np.concatenate([np.arange(1.0, 31.0), np.geomspace(1.0, 3000.0, 40),
-                              np.random.default_rng(9).uniform(1.0, 3000.0, 20)])
+        # 1e-11 from 30 df on; below, 1e-10 covers scipy's own error: at df = 1,
+        # t = 1e-6 scipy is 2.8e-11 off the exact 1 - (2/pi) atan(t)
+        dfs = np.concatenate([np.arange(1.0, 31.0), np.geomspace(1.0, 1e8, 60),
+                              np.random.default_rng(9).uniform(1.0, 3000.0, 20),
+                              np.random.default_rng(10).uniform(3000.0, 1e8, 20)])
         probe = np.geomspace(1e-3, 1e154, 20_000)  # t * t stays finite
         for df in dfs.tolist():
             edge = probe[2.0 * special.stdtr(df, -probe) >= 1e-300][-1]  # the last probe kept
             ts = np.concatenate([np.linspace(0.0, 3.0, 61), np.geomspace(1e-6, edge, 300)])
             ref = 2.0 * special.stdtr(df, -ts)
             got = np.array([_t_two_sided(df, t) for t in ts.tolist()])
-            assert np.max(np.abs(got - ref) / ref) <= 1e-10, df
+            bound = 1e-11 if df >= 30.0 else 1e-10
+            assert np.max(np.abs(got - ref) / ref) <= bound, df
 
     def test_t_tail_at_zero_is_one_and_even_in_t(self):
         for df in (1.0, 2.5, 37.0, 2999.0):
@@ -409,6 +414,47 @@ class TestConfusionReport:
         attack = [[130.0]] * 3
         with pytest.raises(DegenerateSeries, match="z-score needs nonzero baseline spread"):
             confusion_report(base, attack, methods=("percentile", "zscore"))
+
+    @pytest.fixture
+    def loo_batches(self, monkeypatch):
+        """The number of runs in each leave-one-out matrix, in call order."""
+        sizes = []
+        leave_one_out = stats._leave_one_out
+
+        def counting_leave_one_out(rows):
+            sizes.append(len(rows))
+            return leave_one_out(rows)
+
+        monkeypatch.setattr(stats, "_leave_one_out", counting_leave_one_out)
+        return sizes
+
+    @pytest.mark.parametrize("runs_per_batch, want_batches",
+                             [(1, [1] * 8), (3, [3, 3, 2]), (8, [8])])
+    def test_batches_pool_their_one_row_reports(self, monkeypatch, loo_batches,
+                                                runs_per_batch, want_batches):
+        # 8 runs of 20 baseline points: batches of one run, of a few, and of all
+        rng = random.Random(16)
+        base = np.array([[rng.gauss(100.0, 5.0) for _ in range(20)] for _ in range(8)])
+        attack = np.array([[rng.gauss(112.0, 5.0) for _ in range(6)] for _ in range(8)])
+        per_row = [confusion_report(b, a, methods=ALL_METHODS) for b, a in zip(base, attack)]
+        monkeypatch.setattr(stats, "LOO_BATCH_VALUES", runs_per_batch * 20 * 19)
+        del loo_batches[:]
+        got = confusion_report(base, attack, methods=ALL_METHODS)
+        assert loo_batches == want_batches
+        for method in ALL_METHODS:
+            fp = sum(r[method].false_positives for r in per_row)
+            misses = sum(r[method].false_negatives for r in per_row)
+            assert got[method] == ConfusionRow(method, fp / 160, misses / 48, fp, 160, misses, 48)
+
+    @pytest.mark.parametrize("runs_per_batch", [1, 3, 8])
+    @pytest.mark.parametrize("bad_run", [0, 4, 7])
+    def test_degenerate_run_raises_from_any_batch(self, monkeypatch, runs_per_batch, bad_run):
+        rng = random.Random(17)
+        base = [[rng.gauss(100.0, 5.0) for _ in range(20)] for _ in range(8)]
+        base[bad_run] = [100.0] * 19 + [104.0]  # leaving out 104 leaves a constant row
+        monkeypatch.setattr(stats, "LOO_BATCH_VALUES", runs_per_batch * 20 * 19)
+        with pytest.raises(DegenerateSeries, match="z-score needs nonzero baseline spread"):
+            confusion_report(base, [[130.0]] * 8, methods=("percentile", "zscore"))
 
     def test_row_counts_must_match(self):
         with pytest.raises(ValueError):
