@@ -50,6 +50,7 @@ from .seeding import derive_seed, sub_rng
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 2
+MAX_PORT = 65535
 
 
 def _check_finite_nonnegative(flag: str, value: float):
@@ -125,8 +126,10 @@ def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
     """
     if args.target.startswith("tcp://"):
         host, _, port = args.target[len("tcp://"):].partition(":")
-        if not port.isdigit():
-            raise TimecheckError(f"target {args.target!r} is not tcp://host:port")
+        # ASCII digits only (isdigit takes "²"); the socket layer wraps ports mod 2^16
+        if not (port.isascii() and port.isdigit() and 1 <= int(port) <= MAX_PORT):
+            raise TimecheckError(f"target {args.target!r} is not tcp://host:port "
+                                 f"with a port in 1-{MAX_PORT}")
         return TcpChannel(host, int(port)), None
     if args.target != simulated:
         raise TimecheckError(f"unknown target {args.target!r}")
@@ -346,6 +349,9 @@ def _reproduce_detection_table(args) -> int:
 
 def cmd_serve(args) -> int:
     _check_finite_nonnegative("--time-scale", args.time_scale)
+    if not 0 <= args.port <= MAX_PORT:
+        raise TimecheckError(f"--port must be in 0-{MAX_PORT} (0: any free port), "
+                             f"got {args.port}")
     scenario = _scenario_from_args(args)
     endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device"))
     server, thread = serve_device(endpoint, args.host, args.port,

@@ -424,6 +424,8 @@ def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
 
     Each Measurement records its spec's digest for the audit trail; the
     honest accumulator path is exercised by DeviceEndpoint.handle_challenge.
+    A priced duration at or below 0 (wide noise) reads as the timer's
+    1 us floor, as in calibrate's loopback path.
     """
     out = []
     [priced] = priced_trials([(scenario, n_trials, master_seed)])
@@ -432,7 +434,7 @@ def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
         spec = random_spec(scenario.prime, scenario.k, scenario.passes, spec_rng,
                            scenario.region_id)
         out.append(Measurement(trial_id=trial_id, scenario=scenario.name,
-                               duration_us=duration, spec_digest=spec.digest(),
+                               duration_us=max(1, duration), spec_digest=spec.digest(),
                                nmi=nmi))
     return out
 

@@ -22,11 +22,11 @@ one coefficient at a time and the permutation's O(sqrt d) round tables
 never materializes a coefficient array or a permuted copy of the image; that
 working set is the security argument, and tests assert it structurally.
 
-The verifier and the simulated device do not run the streaming loop for
-p = M61: both go through evaluate(), which hands M61 challenges to the
-vectorized multipass_m61 and every other prime to multipass. multipass_m61
-is exactly equal to multipass; the streaming multipass stays the
-constant-working-set reference for what a real device computes.
+The verifier and the simulated device both go through evaluate(), which
+remembers its last two results for every prime and hands a scan at
+p = M61 to the vectorized multipass_m61, at any other prime to multipass.
+multipass_m61 is exactly equal to multipass; the streaming multipass stays
+the constant-working-set reference for what a real device computes.
 
 multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
 
@@ -37,7 +37,7 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
   cycle walking gathers from it. The weight array (d uint64) and that
   table (2^bits < 2d uint32 for d > 2) are the only buffers growing with d.
   Each scan builds its weights and keeps none: a repeated challenge over
-  equal words is a lookup in multipass_m61's memo, not a scan.
+  equal words is a lookup in evaluate's memo, not a scan.
 - Coefficients. The coefficient polynomial R shifted to the address
   variable b = idx + 1 is R(t*d + b) = sum_m c_m(t) b^m with
   c_m(t) = sum_(j>=m) r_j C(j, m) (t*d)^(j-m), computed in Python ints.
@@ -81,7 +81,7 @@ _SHIFT42 = np.uint64(42)
 _LIMB16_SHIFTS = (0, 16, 32, 48) if sys.byteorder == "little" else (48, 32, 16, 0)
 _LIMB_SCALES = tuple(pow(2, (s + 21 * c) % 61, M61)
                      for s in _LIMB16_SHIFTS for c in range(3))
-# multipass_m61's remembered evaluations, least recently used first:
+# evaluate's remembered evaluations, least recently used first:
 # (spec, private copy of the words, result). Two entries: a verifier's
 # expected_result and a simulated device's scan of the same challenge. The
 # lock lets serve_device's thread and a verifier share it.
@@ -271,46 +271,12 @@ def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
     Within a pass the Horner chain over pi[d-1], ..., pi[0] gives the word
     at address pi[i] the weight x^i, so a pass is a dot product of the
     masked terms with one d-word weight array (_weights_m61); passes chain
-    in Python ints by x^d (_scan_m61).
-
-    The result is a pure function of the spec and the word values, so the
-    last _MEMO_SIZE evaluations are remembered process-wide, each with a
-    private copy of its words: a call whose spec is equal and whose words
-    are equal element by element returns the remembered result without
-    scanning. Any other call scans, tampered or unreplayed memory included.
-    A verifier and a simulated device in one process (challenge --target
-    sim, LoopbackChannel sessions) thus scan each challenge once; a device
-    behind TCP scans in its own process.
-
-    Working set: the scan's buffers are allocated once per call over a tile
-    of _TILE words, so besides the permutation table only the weight array
-    grows with d. The memo holds at most two d-word arrays, 2 x 8d bytes.
-    """
-    p = spec.params.p
-    if p != M61:
-        raise ValueError(f"vectorized evaluator needs p = M61, got p = {p}")
-    d = _check_shape(words, spec)
-    if d >= 1 << 32:
-        raise ValueError(f"vectorized evaluator needs fewer than 2^32 words, got {d}")
-    with _memo_lock:
-        for i, (seen_spec, seen_words, result) in enumerate(_memo):
-            if seen_spec == spec and np.array_equal(seen_words, words):
-                _memo.append(_memo.pop(i))
-                return result
-    result = _scan_m61(words, spec)
-    entry = (spec, np.array(words, dtype=np.uint64), result)  # copied: callers may mutate
-    with _memo_lock:
-        _memo.append(entry)
-        del _memo[:-_MEMO_SIZE]
-    return result
-
-
-def _scan_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
-    """The tiled scan behind multipass_m61, whose checks it assumes.
+    in Python ints by x^d. Every call scans and keeps nothing: remembering
+    results is evaluate's job.
 
     The work runs over address tiles of _TILE words, and every array
-    operation of a tile writes into buffers allocated once per call, so no
-    temporary other than the weight array grows with d.
+    operation of a tile writes into buffers allocated once per call, so
+    besides the permutation table only the weight array grows with d.
 
     Per tile of n words, with every bound that keeps uint64 exact:
 
@@ -335,7 +301,11 @@ def _scan_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
       2^(16a + 21c) mod p.
     """
     p = spec.params.p
-    d = len(words)
+    if p != M61:
+        raise ValueError(f"vectorized evaluator needs p = M61, got p = {p}")
+    d = _check_shape(words, spec)
+    if d >= 1 << 32:
+        raise ValueError(f"vectorized evaluator needs fewer than 2^32 words, got {d}")
     passes = spec.passes
     x = spec.params.x
     weight = _weights_m61(d, x, spec.perm_seed)
@@ -389,8 +359,27 @@ def evaluate(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
     """The challenge result over a uint64 word array, by the fastest exact path.
 
     p = M61 goes to multipass_m61; any other prime to the streaming multipass.
+    The result is a pure function of the spec and the word values, so the
+    last _MEMO_SIZE evaluations are remembered process-wide, each with a
+    private copy of its words: a call whose spec is equal and whose words
+    are equal element by element returns the remembered result without
+    scanning, for any prime. Any other call scans, tampered or unreplayed
+    memory included. A verifier and a simulated device in one process
+    (challenge --target sim, LoopbackChannel sessions) thus scan each
+    challenge once; a device behind TCP scans in its own process. The memo
+    holds at most two d-word arrays, 2 x 8d bytes.
     """
+    with _memo_lock:
+        for i, (seen_spec, seen_words, result) in enumerate(_memo):
+            if seen_spec == spec and np.array_equal(seen_words, words):
+                _memo.append(_memo.pop(i))
+                return result
     if spec.params.p == M61:
-        return multipass_m61(words, spec)
-    return multipass(MemoryImage(words.tolist()), spec)
-
+        result = multipass_m61(words, spec)
+    else:
+        result = multipass(MemoryImage(words.tolist()), spec)
+    entry = (spec, np.array(words, dtype=np.uint64), result)  # copied: callers may mutate
+    with _memo_lock:
+        _memo.append(entry)
+        del _memo[:-_MEMO_SIZE]
+    return result

@@ -261,9 +261,9 @@ class DeviceEndpoint:
     Every endpoint of the same seeded image shares one read-only Checkpoint;
     each keeps its own writable state, which every session restores from the
     checkpoint with one copy and then scans. The verifier's expected_result
-    scans the checkpoint itself. For p = M61 an evaluation over words equal
-    to one of the last two evaluated in this process, under an equal spec,
-    is a lookup (engine.multipass_m61), so a simulated device in the
+    scans the checkpoint itself. For every prime an evaluation over words
+    equal to one of the last two evaluated in this process, under an equal
+    spec, is a lookup (engine.evaluate), so a simulated device in the
     verifier's process scans a replayed challenge once, not twice.
 
     The endpoint answers as the scenario's device: honestly, or with the
@@ -336,7 +336,10 @@ class LoopbackChannel:
     Reply bytes travel through a single incremental decoder in _CHUNK-byte chunks,
     so framing bugs cannot hide; arrival stamps carry uniform +/-jitter, so a
     measured duration deviates from the device's true duration by at most
-    2 * jitter_us. With jitter_us=0 a measured duration is the device's own.
+    2 * jitter_us. A byte stream delivers frames in order, so the stamps
+    never decrease: a RESPONSE sent at once never reads earlier than the
+    RESTORED before it. With jitter_us=0 a measured duration is the
+    device's own.
     """
 
     def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 3.0,
@@ -347,6 +350,7 @@ class LoopbackChannel:
         self.jitter_us = jitter_us
         self._rng = random.Random(derive_seed(jitter_seed, "channel-jitter"))
         self._clock_us = 0.0
+        self._arrival_us = -math.inf
         self._decoder = FrameDecoder()
 
     def request(self, challenge_frame: bytes):
@@ -356,10 +360,11 @@ class LoopbackChannel:
         out = []
         for delay_us, reply in self.endpoint.handle_challenge(msgs[0]):
             self._clock_us += delay_us
-            arrival = self._clock_us + self._rng.uniform(-self.jitter_us, self.jitter_us)
+            jittered = self._clock_us + self._rng.uniform(-self.jitter_us, self.jitter_us)
+            self._arrival_us = max(self._arrival_us, jittered)
             for start in range(0, len(reply), _CHUNK):
                 for decoded in self._decoder.feed(reply[start:start + _CHUNK]):
-                    out.append((int(round(arrival)), decoded))
+                    out.append((int(round(self._arrival_us)), decoded))
         return out
 
 

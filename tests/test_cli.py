@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from timecheck import cli, protocol, stats
+from timecheck import cli, engine, protocol, stats
 from timecheck.checkpoint import load_checkpoint
 from timecheck.cli import (
     EXIT_REJECT,
@@ -26,12 +26,13 @@ from timecheck.cli import (
 from timecheck.device import (
     ATTACKS,
     SCENARIOS,
+    NoiseModel,
     builtin_scenario,
     load_scenario,
     price,
     save_scenario,
 )
-from timecheck.engine import random_spec
+from timecheck.engine import multipass, random_spec
 from timecheck.errors import TimecheckError
 from timecheck.protocol import DeviceEndpoint, LoopbackChannel
 from timecheck.seeding import derive_seed
@@ -125,9 +126,18 @@ class TestChallenge:
         assert code == 1
 
     @pytest.mark.parametrize("command", ["calibrate", "challenge"])
-    @pytest.mark.parametrize("target", ["tcp://127.0.0.1", "tcp://127.0.0.1:x", "udp://h:1"])
+    @pytest.mark.parametrize("target", [
+        "tcp://127.0.0.1", "tcp://127.0.0.1:x", "udp://h:1",
+        # the socket layer would connect to 123797 mod 2^16 = 58261, another device
+        "tcp://127.0.0.1:123797", "tcp://127.0.0.1:65536", "tcp://127.0.0.1:0",
+        "tcp://127.0.0.1:\u00b2",  # isdigit, but int() refuses it
+    ])
     def test_malformed_target_is_an_operational_error(self, tmp_path, calibrated, capsys,
-                                                      command, target):
+                                                      monkeypatch, command, target):
+        def create_connection(*args, **kwargs):
+            raise AssertionError(f"connected for target {target!r}")
+
+        monkeypatch.setattr(protocol.socket, "create_connection", create_connection)
         extra = {"calibrate": ["--out", tmp_path / "out"],
                  "challenge": ["--profile", calibrated]}[command]
         assert run([command, "--scenario", "desk-small", "--target", target, *extra]) == 1
@@ -823,6 +833,64 @@ def test_bad_time_scale_is_refused_before_serving(monkeypatch, capsys, scale):
     assert run(["serve", "--scenario", "desk-small", "--port", 0, "--time-scale", scale]) == 1
     err = capsys.readouterr().err
     assert err == f"error: --time-scale must be a finite number >= 0, got {float(scale)}\n"
+
+
+@pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+def test_bad_port_is_refused_before_serving(monkeypatch, capsys, port):
+    # 70000 and -1 used to end in an OverflowError traceback from bind
+
+    def serve_device(*args, **kwargs):
+        raise AssertionError("serve started with a bad --port")
+
+    monkeypatch.setattr(cli, "serve_device", serve_device)
+    assert run(["serve", "--scenario", "desk-small", "--port", port]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: --port must be in 0-65535 (0: any free port), got {port}\n"
+
+
+def test_non_positive_priced_durations_are_not_a_traceback(tmp_path, capsys):
+    # gaussian noise this wide prices about a quarter of desk-small's trials
+    # at or below 0 us: the sim target used to raise in Measurement, and the
+    # loopback target and challenge to stamp a RESPONSE before its RESTORED
+    cfg = tmp_path / "wide.json"
+    save_scenario(dataclasses.replace(builtin_scenario("desk-small"),
+                                      noise=NoiseModel("gaussian", sigma=20000.0)), cfg)
+    for target in ("sim", "loopback"):
+        assert run(["calibrate", "--config", cfg, "--trials", 20, "--target", target,
+                    "--out", tmp_path / target]) == 0
+        rows = (tmp_path / target / "desk-small-measurements.csv").read_text().splitlines()
+        assert min(int(row.split(",")[2]) for row in rows[1:]) == 1
+    profile = tmp_path / "sim" / "desk-small-profile.json"
+    capsys.readouterr()
+    assert run(["challenge", "--config", cfg, "--profile", profile, "--seed", 0]) == 0
+    assert json.loads(capsys.readouterr().out)["outcome"] == "ACCEPT"
+    assert run(["challenge", "--config", cfg, "--profile", profile, "--seed", 1]) == 2
+    fast = json.loads(capsys.readouterr().out)  # answered at once: too fast for the profile
+    assert fast["duration_us"] == 0 and fast["reason"] == "timing outlier (percentile)"
+
+
+def test_challenge_at_another_prime_scans_once(tmp_path, monkeypatch, capsys):
+    # the verifier's expected value and the replayed simulated device's scan
+    # are one streaming evaluation; a corrupt device's answer is still judged
+    cfg = tmp_path / "p64.json"
+    save_scenario(dataclasses.replace(builtin_scenario("desk-small"), prime=(1 << 64) - 59), cfg)
+    assert run(["calibrate", "--config", cfg, "--trials", 20, "--out", tmp_path]) == 0
+    engine._memo.clear()  # an earlier test may have evaluated this challenge
+    scans = []
+
+    def counted(image, spec, perm=None):
+        scans.append(spec)
+        return multipass(image, spec, perm)
+
+    monkeypatch.setattr(engine, "multipass", counted)
+    profile = tmp_path / "desk-small-profile.json"
+    assert run(["challenge", "--config", cfg, "--profile", profile, "--seed", 2]) == 0
+    assert len(scans) == 1
+    assert run(["challenge", "--config", cfg, "--profile", profile, "--seed", 2,
+                "--attack", "corrupt"]) == 2
+    assert len(scans) == 1  # the same challenge over the same checkpoint: remembered
+    assert "accumulator mismatch" in capsys.readouterr().out
+
 
 # Run in a fresh interpreter, in which any import of scipy fails.
 _BLOCK_SCIPY = "import sys; sys.modules['scipy'] = None; "

@@ -208,6 +208,15 @@ class TestRunTrials:
         ms = run_trials(builtin_scenario("sram-baseline"), 1, 0)
         assert len(ms) == 1 and ms[0].duration_us > 0
 
+    def test_non_positive_priced_durations_read_one_microsecond(self):
+        # noise this wide prices about a quarter of desk-small's trials at or
+        # below 0 us, which Measurement used to refuse with a ValueError
+        wide = replace(desk_scenario(), noise=NoiseModel("gaussian", sigma=20000.0))
+        [priced] = priced_trials([(wide, 40, 5)])
+        ms = run_trials(wide, 40, 5)
+        assert min(duration for duration, _ in priced) <= 0
+        assert [m.duration_us for m in ms] == [max(1, duration) for duration, _ in priced]
+
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):
             run_trials(builtin_scenario("sram-baseline"), 0, 0)

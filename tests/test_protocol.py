@@ -268,6 +268,26 @@ class TestChannels:
         timed = issue_challenge(chan, spec, rng=rng)
         assert timed.duration_us % 100 == 88
 
+    def test_loopback_stamps_never_decrease(self):
+        # a device that answers at once (a priced delay clamped to 0): jitter
+        # used to stamp its RESPONSE before the RESTORED ahead of it
+        class InstantDevice:
+            def handle_challenge(self, msg):
+                return [(500, encode_restored(RestoredMessage(msg.session_id))),
+                        (0, encode_response(ResponseMessage(msg.session_id, 0, STATUS_OK)))]
+
+        jitter = 3.0
+        chan = LoopbackChannel(InstantDevice(), jitter_us=jitter, jitter_seed=4)
+        rng = sub_rng(4, "t")
+        stamps, durations = [], []
+        for session_id in range(100):
+            spec = fresh_spec(rng)
+            frame = encode_challenge(ChallengeMessage(session_id, spec))
+            stamps += [t for t, _ in chan.request(frame)]
+            durations.append(issue_challenge(chan, spec, rng=rng).duration_us)
+        assert stamps == sorted(stamps)
+        assert min(durations) == 0 and max(durations) <= 2 * jitter
+
     @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0])
     def test_jitter_must_be_finite_and_nonnegative(self, jitter):
         ep = DeviceEndpoint(desk_scenario(), master_seed=8)
@@ -882,12 +902,22 @@ class TestSharedSnapshot:
 
         monkeypatch.setattr(engine, "multipass", spy)
         monkeypatch.setattr(engine, "multipass_m61", vectorized)
+        engine._memo.clear()  # an earlier test may have evaluated this challenge
         spec = fresh_spec(sub_rng(10, "t"), sc)
         expected = ep.expected_result(spec)
         _, reply = ep.handle_challenge(ChallengeMessage(1, spec))[1]
-        assert calls == [spec, spec]
+        assert calls == [spec]  # the replayed device's scan is the verifier's
         assert FrameDecoder().feed(reply)[0].accumulator == expected.accumulator
         assert expected == multipass(MemoryImage(scan_words(ep.checkpoint)), spec)
+
+        # a device that skips the replay scans its tampered state afresh
+        monkeypatch.setattr(protocol, "checkpoint_replay", lambda cp, state: state)
+        ep.state.words[7] ^= 1 << 63
+        _, reply = ep.handle_challenge(ChallengeMessage(2, spec))[1]
+        assert calls == [spec, spec]
+        tampered = MemoryImage(ep.state.words.tolist())
+        assert FrameDecoder().feed(reply)[0].accumulator == multipass(tampered, spec).accumulator
+        assert multipass(tampered, spec) != expected
 
 
 def test_timed_response_ordering_enforced():

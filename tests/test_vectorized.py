@@ -1,5 +1,6 @@
 """Tests for the vectorized M61 evaluator, the array permutation and the dispatch."""
 
+import contextlib
 import random
 import sys
 import threading
@@ -40,27 +41,34 @@ from timecheck.protocol import (
 
 WORD_MAX = (1 << 64) - 1
 PRIMES = (13, 1009, M61)
+P64 = (1 << 64) - 59  # the largest 64-bit prime, evaluated by the streaming multipass
+MEMO_PRIMES = (M61, P64)
 
-field_elements = st.one_of(st.sampled_from((0, 1, M61 - 1)), st.integers(0, M61 - 1))
+
+def elements(p):
+    return st.one_of(st.sampled_from((0, 1, p - 1)), st.integers(0, p - 1))
+
+
+field_elements = elements(M61)
 words64 = st.one_of(st.just(WORD_MAX), st.just(0), st.integers(0, WORD_MAX))
 
 
 @st.composite
-def m61_instances(draw):
+def instances(draw, p=M61):
     # P > k, P = k and P < k all occur: the pass differences start from
     # min(k, P) Horner evaluations
     d = draw(st.integers(1, 400))
     passes = draw(st.integers(1, 12))
     k = draw(st.integers(1, 6))
-    seeds = tuple(draw(st.lists(field_elements, min_size=k, max_size=k)))
-    spec = ChallengeSpec(seeds=RandomSeeds(seeds, FieldParams(M61, draw(field_elements))),
+    seeds = tuple(draw(st.lists(elements(p), min_size=k, max_size=k)))
+    spec = ChallengeSpec(seeds=RandomSeeds(seeds, FieldParams(p, draw(elements(p)))),
                          perm_seed=draw(st.integers(0, WORD_MAX)), passes=passes)
     words = draw(st.lists(words64, min_size=d, max_size=d))
     return words, spec
 
 
 @settings(max_examples=100, deadline=None)
-@given(m61_instances())
+@given(instances())
 def test_vectorized_equals_naive(instance):
     words, spec = instance
     got = multipass_m61(np.array(words, dtype=np.uint64), spec)
@@ -283,26 +291,30 @@ def test_endpoints_match_naive_for_every_prime(p):
 
 # --- the evaluation memo ---------------------------------------------------------
 
+@contextlib.contextmanager
 def _counting_scans():
-    """Patch that counts multipass_m61's scans (a memo hit does not scan)."""
-    return mock.patch.object(engine, "_scan_m61", wraps=engine._scan_m61)
+    """Counts evaluate's scans by either kernel (a memo hit does not scan)."""
+    with mock.patch.object(engine, "multipass_m61", wraps=engine.multipass_m61) as m61, \
+            mock.patch.object(engine, "multipass", wraps=engine.multipass) as streaming:
+        yield lambda: m61.call_count + streaming.call_count
 
 
 def _changed(words, spec, data):
     """(words, spec) with one bit of one word, or one spec field, changed."""
     what = data.draw(st.sampled_from(("word", "r", "x", "perm_seed", "passes", "region_id")))
     seeds, params = spec.seeds, spec.params
+    p = params.p
     if what == "word":
         i = data.draw(st.integers(0, len(words) - 1))
         words = words[:i] + [words[i] ^ (1 << data.draw(st.integers(0, 63)))] + words[i + 1:]
     elif what == "r":
         r = list(seeds.r)
         j = data.draw(st.integers(0, len(r) - 1))
-        r[j] = (r[j] + data.draw(st.integers(1, M61 - 1))) % M61
+        r[j] = (r[j] + data.draw(st.integers(1, p - 1))) % p
         spec = replace(spec, seeds=RandomSeeds(tuple(r), params))
     elif what == "x":
-        x = (params.x + data.draw(st.integers(1, M61 - 1))) % M61
-        spec = replace(spec, seeds=RandomSeeds(seeds.r, FieldParams(M61, x)))
+        x = (params.x + data.draw(st.integers(1, p - 1))) % p
+        spec = replace(spec, seeds=RandomSeeds(seeds.r, FieldParams(p, x)))
     elif what == "perm_seed":
         spec = replace(spec, perm_seed=spec.perm_seed ^ (1 << data.draw(st.integers(0, 63))))
     elif what == "passes":
@@ -314,33 +326,34 @@ def _changed(words, spec, data):
 
 
 @settings(max_examples=50, deadline=None)
-@given(m61_instances())
+@given(st.sampled_from(MEMO_PRIMES).flatmap(instances))
 def test_memo_hit_equals_a_fresh_scan_and_streaming(instance):
     words, spec = instance
-    first = multipass_m61(np.array(words, dtype=np.uint64), spec)
-    with _counting_scans() as scan:
-        hit = multipass_m61(np.array(words, dtype=np.uint64), spec)  # equal words, new array
-    assert scan.call_count == 0
+    first = evaluate(np.array(words, dtype=np.uint64), spec)
+    with _counting_scans() as scans:
+        hit = evaluate(np.array(words, dtype=np.uint64), spec)  # equal words, new array
+    assert scans() == 0
     assert hit == first
-    assert hit == engine._scan_m61(np.array(words, dtype=np.uint64), spec)
+    if spec.params.p == M61:
+        assert hit == multipass_m61(np.array(words, dtype=np.uint64), spec)
     assert hit == multipass(MemoryImage(words), spec)
 
 
 @settings(max_examples=100, deadline=None)
-@given(m61_instances(), st.data())
+@given(st.sampled_from(MEMO_PRIMES).flatmap(instances), st.data())
 def test_memo_misses_on_any_changed_bit_or_field(instance, data):
     words, spec = instance
     engine._memo.clear()  # a previous example's entry may equal the changed one
-    multipass_m61(np.array(words, dtype=np.uint64), spec)
+    evaluate(np.array(words, dtype=np.uint64), spec)
     words, spec = _changed(words, spec, data)
-    with _counting_scans() as scan:
-        got = multipass_m61(np.array(words, dtype=np.uint64), spec)
-    assert scan.call_count == 1
+    with _counting_scans() as scans:
+        got = evaluate(np.array(words, dtype=np.uint64), spec)
+    assert scans() == 1
     assert got == multipass_naive(MemoryImage(words), spec)
 
 
 @settings(max_examples=50, deadline=None)
-@given(m61_instances(), st.data())
+@given(instances(), st.data())
 def test_caller_mutation_cannot_change_a_later_result(instance, data):
     words, spec = instance
     i = data.draw(st.integers(0, len(words) - 1))
@@ -348,11 +361,11 @@ def test_caller_mutation_cannot_change_a_later_result(instance, data):
     base = np.array(words, dtype=np.uint64)
     view = base.view()
     view.flags.writeable = False  # read-only, yet its writable base can change
-    first = multipass_m61(view, spec)
+    first = evaluate(view, spec)
     base[i] ^= flip
-    assert multipass_m61(view, spec) == multipass_naive(MemoryImage(view.tolist()), spec)
+    assert evaluate(view, spec) == multipass_naive(MemoryImage(view.tolist()), spec)
     base[i] ^= flip
-    assert multipass_m61(view, spec) == first
+    assert evaluate(view, spec) == first
     assert first == multipass_naive(MemoryImage(words), spec)
 
 
@@ -361,26 +374,25 @@ def test_memo_holds_the_last_two_evaluations():
     calls = [(np.array([rng.getrandbits(64) for _ in range(8)], dtype=np.uint64),
               random_spec(M61, 2, 1, rng)) for _ in range(5)]
     for words, spec in calls:
-        multipass_m61(words, spec)
+        evaluate(words, spec)
         assert len(engine._memo) <= 2
-    with _counting_scans() as scan:
+    with _counting_scans() as scans:
         for words, spec in calls[-2:]:
-            multipass_m61(words, spec)
-        assert scan.call_count == 0
-        multipass_m61(*calls[-3])
-        assert scan.call_count == 1
+            evaluate(words, spec)
+        assert scans() == 0
+        evaluate(*calls[-3])
+        assert scans() == 1
     assert len(engine._memo) == 2
 
 
 def test_loopback_session_after_expected_result_scans_once(monkeypatch):
     scans = []
-    scan = engine._scan_m61
 
     def counted(words, spec):
         scans.append(spec)
-        return scan(words, spec)
+        return multipass_m61(words, spec)
 
-    monkeypatch.setattr(engine, "_scan_m61", counted)
+    monkeypatch.setattr(engine, "multipass_m61", counted)
     sc = desk_scenario()
     verifier = DeviceEndpoint(sc, master_seed=1)
     honest = LoopbackChannel(DeviceEndpoint(sc, master_seed=2))
@@ -412,7 +424,7 @@ def test_concurrent_evaluation_with_a_served_device_stays_exact():
             words = np.array(image.words, dtype=np.uint64)
             words[rng.randrange(words.size)] ^= np.uint64(rng.getrandbits(64) | 1)
             for w in (words, device.checkpoint.words, words):
-                if multipass_m61(w, spec) != multipass_naive(MemoryImage(w.tolist()), spec):
+                if evaluate(w, spec) != multipass_naive(MemoryImage(w.tolist()), spec):
                     wrong.append(spec)
             sizes.append(len(engine._memo))
 
