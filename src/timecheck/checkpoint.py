@@ -14,14 +14,13 @@ Checkpoint file format (little-endian, versioned, bit-exact):
     20      8*d   image words (u64 each)
     ...     8*R   register words (u64 each)
 
-Metadata that does not affect replay (region label, creation time) goes to
-an optional JSON sidecar next to the binary file.
+Metadata that does not affect replay (the region label) goes to an
+optional JSON sidecar next to the binary file.
 """
 
 import json
 import math
 import struct
-import time
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -82,7 +81,6 @@ class Checkpoint:
     words: np.ndarray
     register_count: int
     region_id: str = "sram"
-    created_at: float = 0.0
     format_version: int = FORMAT_VERSION
 
     @property
@@ -99,8 +97,7 @@ def checkpoint_record(state) -> Checkpoint:
     """
     if not getattr(state, "quiesced", False):
         raise NotQuiesced("device has active interference sources; quiesce before recording")
-    return Checkpoint(_frozen(state.words), state.register_count, state.region_id,
-                      created_at=time.time())
+    return Checkpoint(_frozen(state.words), state.register_count, state.region_id)
 
 
 def checkpoint_replay(cp: Checkpoint, state):
@@ -122,7 +119,6 @@ def save_checkpoint(cp: Checkpoint, path):
         fh.write(cp.words.astype("<u8").tobytes())
     meta = {
         "region_id": cp.region_id,
-        "created_at": cp.created_at,
         "format_version": cp.format_version,
     }
     with open(str(path) + ".json", "w") as fh:
@@ -161,15 +157,12 @@ def load_checkpoint(path) -> Checkpoint:
     if not isinstance(meta, dict):
         raise TimecheckError(f"{sidecar}: expected a JSON object")
     region_id = meta.get("region_id", "sram")
-    created_at = meta.get("created_at", 0.0)
     if not isinstance(region_id, str):
         raise TimecheckError(f"{sidecar}: region_id must be a string, got {region_id!r}")
-    if isinstance(created_at, bool) or not isinstance(created_at, (int, float)):
-        raise TimecheckError(f"{sidecar}: created_at must be a number, got {created_at!r}")
     if meta.get("format_version", version) != version:
         raise VersionMismatch(f"{sidecar}: format_version {meta['format_version']!r} "
                               f"does not match the file's {version}")
-    return Checkpoint(words, reg_count, region_id, created_at, version)
+    return Checkpoint(words, reg_count, region_id, version)
 
 
 def scan_words(cp: Checkpoint) -> list:
@@ -185,7 +178,6 @@ def scan_words(cp: Checkpoint) -> list:
 class EntropyReport:
     """Per-block byte entropy summary for a memory image."""
 
-    block_bytes: int
     threshold: float
     block_entropies: list = field(default_factory=list)
 
@@ -210,7 +202,7 @@ def entropy_report(words, block_bytes: int = 4096, threshold: float = 4.0) -> En
     if block_bytes < 1:
         raise ValueError("block size must be positive")
     data = np.asarray(words, dtype=np.uint64).astype("<u8").tobytes()
-    report = EntropyReport(block_bytes=block_bytes, threshold=threshold)
+    report = EntropyReport(threshold=threshold)
     for start in range(0, len(data), block_bytes):
         block = data[start:start + block_bytes]
         counts = Counter(block)

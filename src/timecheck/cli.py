@@ -122,7 +122,7 @@ def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
     """(channel, endpoint) to the device that --target names.
 
     tcp://host:port is a TcpChannel, with endpoint None. The value simulated
-    names a DeviceEndpoint behind a LoopbackChannel, seeded for the attempt.
+    names a DeviceEndpoint seeded for the attempt, behind a LoopbackChannel.
     """
     if args.target.startswith("tcp://"):
         host, _, port = args.target[len("tcp://"):].partition(":")
@@ -134,12 +134,10 @@ def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
     if args.target != simulated:
         raise TimecheckError(f"unknown target {args.target!r}")
     endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device", attempt))
-    return LoopbackChannel(endpoint, jitter_us=args.jitter,
-                           jitter_seed=derive_seed(args.seed, "jitter", attempt)), endpoint
+    return LoopbackChannel(endpoint), endpoint
 
 
 def cmd_calibrate(args) -> int:
-    _check_finite_nonnegative("--jitter", args.jitter)
     scenario = _scenario_from_args(args)
     if args.trials < 2:
         raise InsufficientSamples("calibration needs --trials >= 2")
@@ -187,7 +185,6 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_challenge(args) -> int:
-    _check_finite_nonnegative("--jitter", args.jitter)
     scenario = _scenario_from_args(args)
     profile, shape = _read_profile(args.profile)
     want = tuple(getattr(scenario, key) for key in _PROFILE_SHAPE)
@@ -372,7 +369,7 @@ def cmd_checkpoint(args) -> int:
         if args.registers < 0:
             raise TimecheckError(f"--registers must be >= 0, got {args.registers}")
         state = make_device_state(args.seed, args.words, args.region, args.registers)
-        cp = dataclasses.replace(checkpoint_record(state), created_at=0.0)
+        cp = checkpoint_record(state)
         save_checkpoint(cp, args.make)
         print(f"wrote {args.make} ({cp.word_count} words, {cp.register_count} registers)")
         return EXIT_OK
@@ -411,8 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".")
     p.add_argument("--target", default="sim",
                    help="sim (timing model), loopback (full protocol), or tcp://host:port")
-    p.add_argument("--jitter", type=float, default=3.0,
-                   help="loopback channel jitter in us")
     p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("challenge", help="one attested challenge session")
@@ -421,8 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="sim", help="sim or tcp://host:port")
     p.add_argument("--detector", choices=tuple(stats.DETECTORS), default="percentile")
     p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
-    p.add_argument("--jitter", type=float, default=3.0,
-                   help="loopback channel jitter in us")
     p.set_defaults(fn=cmd_challenge)
 
     p = sub.add_parser("reproduce", help="regenerate the evaluation tables as CSV")

@@ -109,6 +109,15 @@ def validate_tiers(tiers: dict):
     return tiers
 
 
+def _check_types(obj, want: type, names):
+    """Raise ValueError unless each named field of obj is a want (a bool is no int)."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, want):
+            raise ValueError(f"{name} must be {'an int' if want is int else 'a str'}, "
+                             f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class AdversaryConfig:
     """What the injected adversary does each challenge."""
@@ -119,6 +128,7 @@ class AdversaryConfig:
     payload_bytes: int = MMC_PAYLOAD_BYTES
 
     def __post_init__(self):
+        _check_types(self, int, ("words_per_pass", "trigger_index", "payload_bytes"))
         if self.kind not in ("none", "mmc_io", "corrupt_result", *SWAP_TIERS):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.kind in SWAP_TIERS and self.words_per_pass < 1:
@@ -342,9 +352,13 @@ class Scenario:
 
     def __post_init__(self):
         validate_tiers(self.tiers)
+        _check_types(self, str, ("name", "region_id"))
+        _check_types(self, int, ("image_words", "register_count", "passes", "prime", "k",
+                                 "trials", "image_seed"))
         if self.timing_words is None:
             object.__setattr__(self, "timing_words",
                                self.image_words + self.register_count)
+        _check_types(self, int, ("timing_words",))
         if self.scan_us_per_word is None:
             object.__setattr__(self, "scan_us_per_word",
                                self.tiers["sram"].per_word_cost)

@@ -21,9 +21,9 @@ Timestamps are taken by the verifier side only; the device never
 self-reports time. Timing starts when the RESTORED acknowledgment arrives
 (checkpoint restore cost is excluded) and stops at the first response byte.
 
-Transports: a loopback byte stream with injected jitter (frames really are
-serialized and incrementally re-parsed; with no jitter, durations are exact),
-and plain TCP.
+Transports: a loopback byte stream (frames really are serialized and
+incrementally re-parsed; by default it adds no jitter, so a duration is
+exactly the device's priced one), and plain TCP.
 
 run_session is the verifier's one session path, for calibration and for
 challenge alike: a fresh spec, the expected result when judging, the timed
@@ -334,15 +334,15 @@ class LoopbackChannel:
     """Byte-stream transport: frames are serialized, chunked, and re-parsed.
 
     Reply bytes travel through a single incremental decoder in _CHUNK-byte chunks,
-    so framing bugs cannot hide; arrival stamps carry uniform +/-jitter, so a
-    measured duration deviates from the device's true duration by at most
-    2 * jitter_us. A byte stream delivers frames in order, so the stamps
-    never decrease: a RESPONSE sent at once never reads earlier than the
-    RESTORED before it. With jitter_us=0 a measured duration is the
-    device's own.
+    so framing bugs cannot hide. With the default jitter_us=0 a measured
+    duration is the device's own: the scenario's NoiseModel is its only
+    noise. Otherwise arrival stamps carry uniform +/-jitter_us, at most
+    2 * jitter_us off the device's duration. A byte stream delivers frames
+    in order, so the stamps never decrease: a RESPONSE sent at once never
+    reads earlier than the RESTORED before it.
     """
 
-    def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 3.0,
+    def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 0.0,
                  jitter_seed: int = 0):
         if not 0 <= jitter_us < math.inf:
             raise ValueError(f"jitter_us must be a finite number >= 0, got {jitter_us}")

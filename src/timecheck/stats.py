@@ -29,10 +29,6 @@ MEANAD_SCALE = 1.253314
 DEFAULT_Z_THRESHOLD = 2.0
 DEFAULT_MODIFIED_Z_THRESHOLD = 2.5
 
-# Below this combined effective size the asymptotic two-sample KS p-value is
-# only indicative; the D statistic itself is always exact.
-KS_ASYMPTOTIC_MIN_N = 35
-
 
 @dataclass(frozen=True)
 class BaselineProfile:
@@ -82,7 +78,6 @@ def _row_statistics(arr: np.ndarray) -> tuple:
 class SerialCorrelation:
     """Per-lag autocorrelations with a pointwise band and a whiteness verdict."""
 
-    lags: tuple
     autocorr: tuple
     band: float              # pointwise 95% band: 1.96/sqrt(n)
     flagged_lags: tuple      # lags whose |r| exceeds the band
@@ -116,7 +111,6 @@ def serial_correlation(samples, max_lag: int) -> SerialCorrelation:
                           for lag, r in zip(range(1, max_lag + 1), rs))
     q_pvalue = _chi2_sf(max_lag, q)
     return SerialCorrelation(
-        lags=tuple(range(1, max_lag + 1)),
         autocorr=tuple(rs),
         band=band,
         flagged_lags=flagged,
@@ -293,7 +287,7 @@ def ks_test(a, b):
 
     D is the exact max ECDF distance (tie-safe); the p-value uses the
     asymptotic Kolmogorov distribution, which is only indicative when the
-    combined effective sample size falls below KS_ASYMPTOTIC_MIN_N.
+    combined effective sample size n*m/(n+m) falls below 35.
     """
     xa = np.sort(np.asarray(list(a), dtype=float))
     xb = np.sort(np.asarray(list(b), dtype=float))

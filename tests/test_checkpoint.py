@@ -1,5 +1,6 @@
 """Tests for checkpoint record/replay, serialization, and entropy."""
 
+import json
 import random
 import struct
 import tempfile
@@ -113,6 +114,17 @@ class TestSerialization:
         assert back.register_count == cp.register_count
         assert back.format_version == cp.format_version
         assert back.region_id == cp.region_id
+
+    def test_sidecar_holds_no_creation_time(self, tmp_path, state):
+        path = tmp_path / "dev.ck"
+        save_checkpoint(checkpoint_record(state), path)
+        sidecar = Path(f"{path}.json")
+        assert json.loads(sidecar.read_text()) == {"region_id": "sram", "format_version": 1}
+        # a sidecar written before the key was dropped still loads
+        for stamp in (1_700_000_000.5, "yesterday"):
+            sidecar.write_text(json.dumps({"region_id": "dram", "created_at": stamp,
+                                           "format_version": 1}))
+            assert load_checkpoint(path).region_id == "dram"
 
     def test_sram_sized_image_round_trips(self, tmp_path):
         st = make_device_state(image_seed=2, image_words=24576)
