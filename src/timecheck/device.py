@@ -79,6 +79,7 @@ class TierModel:
     per_op_fixed_cost: float = 0.0  # us per swap transaction
 
     def __post_init__(self):
+        _check_types(self, float, ("per_word_cost", "per_op_fixed_cost"), f"tier {self.name}: ")
         if self.per_word_cost < 0 or self.per_op_fixed_cost < 0:
             raise ValueError(f"tier {self.name}: costs must be non-negative")
 
@@ -109,13 +110,18 @@ def validate_tiers(tiers: dict):
     return tiers
 
 
-def _check_types(obj, want: type, names):
-    """Raise ValueError unless each named field of obj is a want (a bool is no int)."""
+def _check_types(obj, want: type, names, where: str = ""):
+    """Raise ValueError unless each named field of obj is a want.
+
+    A bool is no int and no float; an int is a float. where prefixes the
+    field name in the message.
+    """
+    accepted = (int, float) if want is float else want
     for name in names:
         value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, want):
-            raise ValueError(f"{name} must be {'an int' if want is int else 'a str'}, "
-                             f"got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            kind = {int: "an int", str: "a str", float: "a number"}[want]
+            raise ValueError(f"{where}{name} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -173,6 +179,10 @@ class NoiseModel:
             raise ValueError("empirical noise needs sample values")
         if self.drift not in ("none", "linear", "step"):
             raise ValueError(f"unknown drift kind {self.drift!r}")
+        _check_types(self, float, ("sigma", "width", "drift_us_per_trial", "drift_step_us",
+                                   "nmi_prob", "nmi_us"), "noise ")
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in self.values):
+            raise ValueError(f"noise values must be numbers, got {list(self.values)}")
         for name in ("sigma", "width", "drift_us_per_trial", "drift_step_at",
                      "drift_step_us", "nmi_prob", "nmi_us"):
             if not math.isfinite(getattr(self, name)):
@@ -362,6 +372,7 @@ class Scenario:
         if self.scan_us_per_word is None:
             object.__setattr__(self, "scan_us_per_word",
                                self.tiers["sram"].per_word_cost)
+        _check_types(self, float, ("scan_us_per_word", "compute_us_per_word"))
         for name in ("passes", "k", "image_words", "timing_words"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -38,14 +38,16 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
   table (2^bits < 2d uint32 for d > 2) are the only buffers growing with d.
   Each scan builds its weights and keeps none: a repeated challenge over
   equal words is a lookup in evaluate's memo, not a scan.
-- Coefficients. The coefficient polynomial R shifted to the address
-  variable b = idx + 1 is R(t*d + b) = sum_m c_m(t) b^m with
-  c_m(t) = sum_(j>=m) r_j C(j, m) (t*d)^(j-m), computed in Python ints.
-  In b <= d < 2^32 a Horner step needs two 32 x 32-bit multiplies (sums
-  below 2^63; field.m61_muladd_small). Only the first min(k, P) forward
-  differences over the pass index are evaluated that way, once per tile;
-  each later pass advances them with min(k, P)-1 modular additions (sums
-  below 2^62).
+- Coefficients. The coefficient of address b - 1 in pass t is
+  R(t*d + b), a polynomial of degree k-1 in both directions: over passes
+  (step d) and over tiles (step T, the tile width). Its forward
+  differences in the two directions have Python-int coefficients
+  (_difference_polys): min(k, P) over passes, and over tiles as many as
+  the tile count can use, up to k. Only the first tile evaluates them, by
+  Horner in b <= d < 2^32 (two 32 x 32-bit multiplies a step, sums below
+  2^63; field.m61_muladd_small): at most k(k-1)(k+1)/6 steps, however many
+  tiles. Each later tile advances the tables by T, and each later pass by
+  d, with modular additions of canonical residues (sums below 2^62).
 - Dot products. A term is word XOR coefficient, never reduced: the dot
   product only needs its residue mod p. Its four 16-bit limbs times the
   weight's three 21-bit limbs sum exactly in float64 (each sum below
@@ -247,21 +249,39 @@ def _weights_m61(d: int, x: int, perm_seed: int) -> np.ndarray:
     return weight
 
 
-def _difference_polys(r: tuple, d: int, count: int) -> list:
-    """Coefficients mod M61, lowest first, of Q_m = Delta^m R for m < count.
+def _shifted(poly: list, c: int) -> list:
+    """Coefficients, lowest first, of f(z + c): sum_(j>=e) f_j C(j, e) c^(j-e)."""
+    return [sum(poly[j] * math.comb(j, e) * c ** (j - e) for j in range(e, len(poly)))
+            for e in range(len(poly))]
 
-    R(z) = sum_j r[j] z^j is the coefficient at global index z - 1, and
-    (Delta R)(z) = R(z + d) - R(z) steps it by one pass, so
-    Q_m(b) = sum_i (-1)^(m-i) C(m, i) R(b + i*d) is the m-th forward
-    difference over passes of the coefficient at address b - 1. Q_m has
-    degree len(r) - 1 - m; its higher coefficients cancel and are dropped.
-    R(z + c) expands as sum_m z^m sum_(j>=m) r[j] C(j, m) c^(j-m).
+
+def _difference(poly: list, h: int) -> list:
+    """Coefficients mod M61 of (Delta_h f)(z) = f(z + h) - f(z).
+
+    The difference has one degree less: its top coefficient cancels and is
+    dropped.
     """
-    k = len(r)
-    shifted = [[sum(r[j] * math.comb(j, e) * (i * d) ** (j - e) for j in range(e, k))
-                for e in range(k)] for i in range(count)]
-    return [[sum((-1) ** (m - i) * math.comb(m, i) * shifted[i][e] for i in range(m + 1)) % M61
-             for e in range(k - m)] for m in range(count)]
+    return [(a - b) % M61 for a, b in zip(_shifted(poly, h), poly)][:-1]
+
+
+def _difference_polys(r: tuple, d: int, count: int, step: int, orders: int) -> list:
+    """table[m][e]: coefficients mod M61, lowest first, of Delta_step^e Delta_d^m R.
+
+    R(z) = sum_j r[j] z^j is the coefficient at global index z - 1, so
+    Delta_d steps the coefficient at address z - 1 by one pass and
+    Delta_step steps the address by step. m runs below count and e below
+    min(orders, len(r) - m); Delta_step^e Delta_d^m R has degree
+    len(r) - 1 - m - e, so an entry of one coefficient is a constant.
+    """
+    table = []
+    q = [c % M61 for c in r]
+    for _ in range(count):
+        row = [q]
+        for _ in range(1, min(orders, len(q))):
+            row.append(_difference(row[-1], step))
+        table.append(row)
+        q = _difference(q, d)
+    return table
 
 
 def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
@@ -274,27 +294,38 @@ def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
     in Python ints by x^d. Every call scans and keeps nothing: remembering
     results is evaluate's job.
 
-    The work runs over address tiles of _TILE words, and every array
-    operation of a tile writes into buffers allocated once per call, so
-    besides the permutation table only the weight array grows with d.
+    The work runs over address tiles of T = min(d, _TILE) words, and every
+    array operation of a tile writes into buffers allocated once per call,
+    so besides the permutation table only the weight array grows with d.
 
-    Per tile of n words, with every bound that keeps uint64 exact:
+    With every bound that keeps uint64 exact:
 
     - The coefficient of address b - 1 in pass t is R(t*d + b), a
-      polynomial of degree k-1 in t. Its first K = min(k, P) forward
-      differences over t at t = 0 are Q_m(b) (_difference_polys), each
-      evaluated by Horner in the small operand b <= d < 2^32: a step
-      multiplies the two 32-bit limbs of s < 2^61 + 8 by b (products
+      polynomial of degree k-1 in t and in b. The tables hold
+      E[m][e] = Delta_T^e Delta_d^m R (_difference_polys) at the current
+      tile's b, for m < min(k, P) and e < min(k - m, tiles). Pass t needs
+      the pass differences of order m <= t only, and tile j the tile
+      differences of order e <= j only, so a one-tile challenge holds the
+      pass differences alone. E[m][e] has degree k-1-m-e; a constant is one
+      word that broadcasts. On the first tile, b = 1..T, each entry of
+      degree >= 1 is evaluated by Horner in the small operand b <= d < 2^32:
+      a step multiplies the two 32-bit limbs of s < 2^61 + 8 by b (products
       below 2^61 and 2^64), and its five summands stay below 2^63 before
-      one fold (field.m61_muladd_small). Every later pass advances the
-      table with K-1 modular additions of canonical residues (sums below
-      2^62, reduced by min(v, v - p)).
+      one fold (field.m61_muladd_small). That is at most k(k-1)(k+1)/6 steps
+      however many tiles the words span.
+    - Each later tile advances the tables by T: E[m][e] += E[m][e+1] in
+      ascending e. Within a tile each later pass advances the coefficient
+      by d: C[m] += C[m+1] in ascending m, where C starts as the tile's
+      E[m][0] and is written to a second buffer that leaves them intact.
+      Both are modular additions of canonical residues (field.m61_add: sums
+      below 2^62, reduced by min(v, v - p)), so every coefficient that
+      reaches a term is canonical.
     - A term is the 64-bit XOR of word and coefficient. It is never reduced
       mod p: the dot product only needs its residue. Viewed as four 16-bit
       limbs it multiplies the weight's three 21-bit limbs in one float64
-      (4 x n) @ (n x 3) product per pass. Each of the 12 limb sums is an
-      integer below n * 2^16 * 2^21 <= 2^49 < 2^53, so float64 holds it
-      exactly in any summation order.
+      (4 x n) @ (n x 3) product per pass over a tile of n words. Each of
+      the 12 limb sums is an integer below n * 2^16 * 2^21 <= 2^49 < 2^53,
+      so float64 holds it exactly in any summation order.
     - The 12 limb sums of each pass add into uint64 accumulators that one
       Mersenne fold per tile keeps below 2^61 + 8 (below 2^62 before the
       fold), so nothing wraps for any d. At the end limb (a, c) scales by
@@ -308,41 +339,61 @@ def multipass_m61(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
         raise ValueError(f"vectorized evaluator needs fewer than 2^32 words, got {d}")
     passes = spec.passes
     x = spec.params.x
-    weight = _weights_m61(d, x, spec.perm_seed)
-    polys = _difference_polys(spec.seeds.r, d, min(len(spec.seeds.r), passes))
+    k = len(spec.seeds.r)
+    count = min(k, passes)
     tile = min(d, _TILE)
-    one_based = np.arange(1, tile + 1, dtype=np.uint64)
-    # k rows even when P < k, so the buffers depend on k and the tile, not on P
-    diffs = np.empty((len(spec.seeds.r), tile), dtype=np.uint64)[:len(polys)]
-    b, terms, tmp, tmp2 = np.empty((4, tile), dtype=np.uint64)
+    orders = min(k, -(-d // tile))
+    weight = _weights_m61(d, x, spec.perm_seed)
+    # rows for every m < k even when P < k, so the buffers depend on k, the
+    # tile and the tile count, not on P
+    rows = iter(np.empty((sum(min(orders, k - 1 - m) for m in range(k)), tile), dtype=np.uint64))
+    work = np.empty((k - 1, tile), dtype=np.uint64)
+    terms, tmp, tmp2 = np.empty((3, tile), dtype=np.uint64)
     term_limbs = np.empty((4, tile))
     weight_limbs = np.empty((3, tile))
     tile_sums = np.empty((passes, 4, 3))
     sums = np.zeros((passes, 4, 3), dtype=np.uint64)
     sums_tmp = np.empty_like(sums)
+    b = np.arange(1, tile + 1, dtype=np.uint64)  # address + 1 over the first tile
+    tables = []
+    for polys in _difference_polys(spec.seeds.r, d, count, tile, orders):
+        entries = []
+        for q in polys:
+            if len(q) == 1:
+                entries.append(np.full(1, q[0], dtype=np.uint64))
+                continue
+            row = next(rows)
+            row.fill(q[-1])
+            for c in reversed(q[:-1]):
+                m61_muladd_small(row, b, c, tmp, tmp2)
+            m61_canon(row, tmp)
+            entries.append(row)
+        tables.append(entries)
     for start in range(0, d, tile):
         n = min(tile, d - start)
         if n < tile:
-            diffs, b, terms, tmp, tmp2 = (a[..., :n] for a in (diffs, b, terms, tmp, tmp2))
+            work, terms, tmp = (a[..., :n] for a in (work, terms, tmp))
             term_limbs, weight_limbs = term_limbs[:, :n], weight_limbs[:, :n]
+            tables = [[e[:n] for e in entries] for entries in tables]
+        if start:
+            for entries in tables:
+                for e in range(len(entries) - 1):
+                    m61_add(entries[e], entries[e + 1], tmp)
         w = weight[start:start + n]
         np.bitwise_and(w, _LIMB21, out=weight_limbs[0], casting="unsafe")
         np.right_shift(w, _SHIFT21, out=tmp)
         np.bitwise_and(tmp, _LIMB21, out=weight_limbs[1], casting="unsafe")
         np.right_shift(w, _SHIFT42, out=weight_limbs[2], casting="unsafe")
-        np.add(one_based[:n], np.uint64(start), out=b)
-        for diff, q in zip(diffs, polys):
-            diff.fill(q[-1])
-            for c in reversed(q[:-1]):
-                m61_muladd_small(diff, b, c, tmp, tmp2)
-            m61_canon(diff, tmp)
+        coeffs = [entries[0] for entries in tables]
+        later = [*work[:count - 1], coeffs[-1]]  # the pass differences from pass 1 on
         tile_words = words[start:start + n]
         limbs16 = terms.view(np.uint16).reshape(n, 4).T
         for pass_no in range(passes):
             if pass_no:
-                for m in range(len(diffs) - 1):
-                    m61_add(diffs[m], diffs[m + 1], tmp)
-            np.bitwise_xor(tile_words, diffs[0], out=terms)
+                for m in range(count - 1):
+                    m61_add(coeffs[m], coeffs[m + 1], tmp, out=later[m])
+                coeffs = later
+            np.bitwise_xor(tile_words, coeffs[0], out=terms)
             np.copyto(term_limbs, limbs16)
             np.matmul(term_limbs, weight_limbs.T, out=tile_sums[pass_no])
         np.copyto(sums_tmp, tile_sums, casting="unsafe")

@@ -111,10 +111,14 @@ def m61_reduce(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def m61_add(a: np.ndarray, b: np.ndarray, tmp: np.ndarray) -> None:
-    """In place: a <- (a + b) mod M61 for a and b in [0, M61)."""
-    np.add(a, b, out=a)
-    m61_canon(a, tmp)
+def m61_add(a: np.ndarray, b: np.ndarray, tmp: np.ndarray, out=None) -> None:
+    """out <- (a + b) mod M61 for a and b in [0, M61); out defaults to a (in place).
+
+    b may be a shorter array that broadcasts against a, such as one word.
+    """
+    out = a if out is None else out
+    np.add(a, b, out=out)
+    m61_canon(out, tmp)
 
 
 def m61_muladd_small(s: np.ndarray, b: np.ndarray, c: int,

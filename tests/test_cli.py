@@ -31,6 +31,7 @@ from timecheck.device import (
     load_scenario,
     price,
     save_scenario,
+    scenario_from_json,
     scenario_to_json,
 )
 from timecheck.engine import multipass, random_spec
@@ -828,6 +829,44 @@ def test_wrongly_typed_config_is_an_error(tmp_path, capsys, target, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: ValueError: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+FLOAT_FIELDS = [((), "scan_us_per_word"), ((), "compute_us_per_word"),
+                (("tiers", "sram"), "per_word_cost"), (("tiers", "mmc"), "per_op_fixed_cost"),
+                *((("noise",), name) for name in ("sigma", "width", "drift_us_per_trial",
+                                                   "drift_step_us", "nmi_prob", "nmi_us"))]
+
+
+def _desk_small_with(path, key, value):
+    """desk-small's scenario JSON with one field, under path, set to value (or to
+    its own value as an int when value is None)."""
+    doc = scenario_to_json(builtin_scenario("desk-small"))
+    node = doc
+    for step in path:
+        node = node[step]
+    node[key] = int(node[key]) if value is None else value
+    return doc
+
+
+@pytest.mark.parametrize("path, key", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", ["0.3", True])
+def test_float_field_refuses_a_string_or_a_bool(tmp_path, capsys, path, key, value):
+    # a string used to end in a TypeError traceback from the timing model,
+    # and true to be priced as 1.0
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(_desk_small_with(path, key, value)))
+    out = tmp_path / "out"
+    assert run(["calibrate", "--config", cfg, "--trials", 5, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ValueError: ") and err.count("\n") == 1
+    assert f"{key} must be a number, got {value!r}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, key", FLOAT_FIELDS)
+def test_float_field_takes_an_int(path, key):
+    doc = _desk_small_with(path, key, None)
+    assert scenario_to_json(scenario_from_json(doc)) == doc
 
 
 @pytest.mark.parametrize("command", ["calibrate", "challenge", "serve"])

@@ -512,3 +512,6 @@ def test_noise_model_validation():
         NoiseModel("empirical", values=())
     with pytest.raises(ValueError):
         NoiseModel("gaussian", drift="sideways")
+    for values in (("0.3",), (1.0, True)):
+        with pytest.raises(ValueError, match="noise values must be numbers"):
+            NoiseModel("empirical", values=values)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from timecheck import engine
 from timecheck.checkpoint import MemoryImage, scan_words
 from timecheck.coeffs import RandomSeeds
-from timecheck.device import Scenario, attack_scenario, desk_scenario
+from timecheck.device import Scenario, attack_scenario, builtin_scenario, desk_scenario
 from timecheck.engine import (
     _TILE,
     ChallengeSpec,
@@ -143,6 +143,83 @@ def test_m61_accumulator_pinned():
     spec = random_spec(M61, 4, 3, rng)
     words = np.array([rng.getrandbits(64) for _ in range(24640)], dtype=np.uint64)
     assert multipass_m61(words, spec).accumulator == 180955120824669888
+
+
+def test_sram_baseline_full_challenge_pinned():
+    # one full 500-pass sram-baseline challenge: P >= k, so every pass
+    # difference is used, over 7 tiles, so every tile difference too
+    sc = builtin_scenario("sram-baseline")
+    spec = random_spec(sc.prime, sc.k, sc.passes, random.Random(500), sc.region_id)
+    words = np.array(scan_words(DeviceEndpoint(sc, master_seed=1).checkpoint), dtype=np.uint64)
+    assert (sc.passes, sc.k, words.size) == (500, 4, 24640)
+    assert multipass_m61(words, spec).accumulator == 1253080396173911172
+
+
+@st.composite
+def tiled_instances(draw):
+    # a tile of 8-64 words, so that up to 400 words span up to 50 tiles;
+    # P < k and P >= k both occur, and so do seeds of p - 1 and all-ones words
+    tile = draw(st.integers(8, 64))
+    d = draw(st.integers(1, 400))
+    passes = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 6))
+    seeds = draw(st.one_of(st.just((M61 - 1,) * k),
+                           st.lists(field_elements, min_size=k, max_size=k).map(tuple)))
+    x = draw(st.sampled_from((0, 1, M61 - 1)))
+    words = draw(st.one_of(st.just([WORD_MAX] * d), st.lists(words64, min_size=d, max_size=d)))
+    spec = ChallengeSpec(seeds=RandomSeeds(seeds, FieldParams(M61, x)),
+                         perm_seed=draw(st.integers(0, WORD_MAX)), passes=passes)
+    return tile, words, spec
+
+
+def _extreme(tile, d, passes, k):
+    spec = ChallengeSpec(seeds=RandomSeeds((M61 - 1,) * k, FieldParams(M61, M61 - 1)),
+                         perm_seed=d, passes=passes)
+    return tile, [WORD_MAX] * d, spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiled_instances())
+@example(_extreme(8, 400, 2, 6))
+@example(_extreme(8, 400, 12, 6))
+@example(_extreme(8, 17, 12, 6))
+@example(_extreme(64, 65, 1, 1))
+def test_tile_differences_equal_naive(instance):
+    tile, words, spec = instance
+    with mock.patch.object(engine, "_TILE", tile):
+        got = multipass_m61(np.array(words, dtype=np.uint64), spec)
+    assert got == multipass_naive(MemoryImage(words), spec)
+
+
+@pytest.mark.parametrize("k", (1, 2, 4, 6))
+@pytest.mark.parametrize("passes", (1, 3, 12))
+def test_horner_runs_on_the_first_tile_only(monkeypatch, k, passes):
+    # one tile evaluates only the pass differences, as every tile once did;
+    # from k - 1 tiles on, the Horner step count no longer grows
+    steps = []
+    muladd = engine.m61_muladd_small
+
+    def counted(*args):
+        steps.append(args[0].size)
+        return muladd(*args)
+
+    monkeypatch.setattr(engine, "m61_muladd_small", counted)
+    rng = random.Random(k * 100 + passes)
+    count = min(k, passes)
+
+    def horner_steps(d):
+        steps.clear()
+        words = np.array([rng.getrandbits(64) for _ in range(d)], dtype=np.uint64)
+        multipass_m61(words, random_spec(M61, k, passes, rng))
+        assert set(steps) <= {_TILE}  # all on the first tile
+        return len(steps)
+
+    one_tile = horner_steps(_TILE)
+    assert one_tile == sum(k - 1 - m for m in range(count))
+    many = sum((k - 1 - m) * (k - m) // 2 for m in range(count))
+    assert horner_steps(max(1, k - 1) * _TILE) == horner_steps(6 * _TILE + 64) == many
+    if k <= 2:
+        assert one_tile == many
 
 
 def test_coefficient_equal_to_p_is_made_canonical():
