@@ -29,8 +29,7 @@ import numpy as np
 from .errors import NotQuiesced, SizeMismatch, TimecheckError, VersionMismatch
 
 MAGIC = b"TCCK"
-FORMAT_VERSION = 1
-SUPPORTED_VERSIONS = (1,)
+FORMAT_VERSION = 1  # the only version this module writes or reads
 
 # Shape-fidelity register model: 31 general-purpose + 3 control placeholders.
 # The challenge scans these words appended after the image.
@@ -81,7 +80,6 @@ class Checkpoint:
     words: np.ndarray
     register_count: int
     region_id: str = "sram"
-    format_version: int = FORMAT_VERSION
 
     @property
     def word_count(self) -> int:
@@ -102,8 +100,6 @@ def checkpoint_record(state) -> Checkpoint:
 
 def checkpoint_replay(cp: Checkpoint, state):
     """Restore image and register file to the recorded values, bit-exactly."""
-    if cp.format_version not in SUPPORTED_VERSIONS:
-        raise VersionMismatch(f"checkpoint format_version {cp.format_version} unsupported")
     live = (state.words.size - state.register_count, state.register_count)
     if live != (cp.word_count, cp.register_count):
         raise SizeMismatch(f"live device has {live[0]} image and {live[1]} register words, "
@@ -115,11 +111,11 @@ def checkpoint_replay(cp: Checkpoint, state):
 def save_checkpoint(cp: Checkpoint, path):
     """Write the checkpoint in the binary format above (+ JSON sidecar)."""
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, cp.format_version, cp.word_count, cp.register_count))
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, cp.word_count, cp.register_count))
         fh.write(cp.words.astype("<u8").tobytes())
     meta = {
         "region_id": cp.region_id,
-        "format_version": cp.format_version,
+        "format_version": FORMAT_VERSION,
     }
     with open(str(path) + ".json", "w") as fh:
         json.dump(meta, fh, indent=2)
@@ -137,7 +133,7 @@ def load_checkpoint(path) -> Checkpoint:
     if len(raw) < _HEADER.size or raw[:4] != MAGIC:
         raise VersionMismatch(f"{path}: not a checkpoint file (bad magic)")
     _, version, word_count, reg_count = _HEADER.unpack_from(raw, 0)
-    if version not in SUPPORTED_VERSIONS:
+    if version != FORMAT_VERSION:
         raise VersionMismatch(f"{path}: format_version {version} unsupported")
     expect = _HEADER.size + 8 * (word_count + reg_count)
     if len(raw) != expect:
@@ -162,7 +158,7 @@ def load_checkpoint(path) -> Checkpoint:
     if meta.get("format_version", version) != version:
         raise VersionMismatch(f"{sidecar}: format_version {meta['format_version']!r} "
                               f"does not match the file's {version}")
-    return Checkpoint(words, reg_count, region_id, version)
+    return Checkpoint(words, reg_count, region_id)
 
 
 def scan_words(cp: Checkpoint) -> list:

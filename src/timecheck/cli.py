@@ -19,6 +19,7 @@ import numpy as np
 from . import stats
 from .checkpoint import (
     DEFAULT_REGISTER_COUNT,
+    FORMAT_VERSION,
     checkpoint_record,
     entropy_report,
     load_checkpoint,
@@ -379,7 +380,7 @@ def cmd_checkpoint(args) -> int:
         "word_count": cp.word_count,
         "register_count": cp.register_count,
         "region_id": cp.region_id,
-        "format_version": cp.format_version,
+        "format_version": FORMAT_VERSION,
         "entropy_bits_per_byte_min": round(rep.min_entropy, 3),
         "low_entropy_block_fraction": round(rep.low_entropy_fraction, 3),
     }, indent=2))

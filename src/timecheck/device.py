@@ -14,8 +14,7 @@ persistent implant), so
                                                      + tier.per_op_fixed_cost)
 
 while an mmc_io adversary pays for a single payload transfer once per
-challenge. Its trigger_index is carried in scenario files but does not enter
-the price.
+challenge.
 
 The simulated adversary is time-only: it always returns the correct
 accumulator and pays only latency, which is the strongest stealthy attacker.
@@ -37,10 +36,9 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .checkpoint import DEFAULT_REGISTER_COUNT, Checkpoint, checkpoint_record
-from .engine import random_spec
 from .errors import TimecheckError, UnknownTier
 from .field import is_prime
-from .seeding import STREAM_WORDS, derive_seed, derive_seeds, first_words, random_words, sub_rng
+from .seeding import STREAM_WORDS, derive_seed, derive_seeds, first_words, random_words
 
 # --- default calibration ---------------------------------------------------
 # 192 KB of 8-byte words plus a 64-word register file, scanned 500 times in
@@ -130,11 +128,10 @@ class AdversaryConfig:
 
     kind: str = "none"  # none | dram_swap | iomem_swap | mmc_io | corrupt_result
     words_per_pass: int = 1
-    trigger_index: int = 100  # carried in scenario files; not priced
     payload_bytes: int = MMC_PAYLOAD_BYTES
 
     def __post_init__(self):
-        _check_types(self, int, ("words_per_pass", "trigger_index", "payload_bytes"))
+        _check_types(self, int, ("words_per_pass", "payload_bytes"))
         if self.kind not in ("none", "mmc_io", "corrupt_result", *SWAP_TIERS):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.kind in SWAP_TIERS and self.words_per_pass < 1:
@@ -275,7 +272,7 @@ class Measurement:
     trial_id: int
     scenario: str
     duration_us: int
-    spec_digest: str
+    spec_digest: str = ""  # of the challenge sent; empty when none was sent
     nmi: bool = False
 
     def __post_init__(self):
@@ -357,14 +354,13 @@ class Scenario:
     compute_us_per_word: float = 0.0
     noise: NoiseModel = field(default_factory=NoiseModel)
     adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
-    trials: int = 50
     image_seed: int = 7
 
     def __post_init__(self):
         validate_tiers(self.tiers)
         _check_types(self, str, ("name", "region_id"))
         _check_types(self, int, ("image_words", "register_count", "passes", "prime", "k",
-                                 "trials", "image_seed"))
+                                 "image_seed"))
         if self.timing_words is None:
             object.__setattr__(self, "timing_words",
                                self.image_words + self.register_count)
@@ -445,23 +441,15 @@ def priced_trials(batches):
 
 
 def run_trials(scenario: Scenario, n_trials: int, master_seed: int) -> list:
-    """n timed challenge trials: priced_trials' durations, each with a fresh spec.
+    """priced_trials' n trials as Measurements, in trial order.
 
-    Each Measurement records its spec's digest for the audit trail; the
-    honest accumulator path is exercised by DeviceEndpoint.handle_challenge.
-    A priced duration at or below 0 (wide noise) reads as the timer's
-    1 us floor, as in calibrate's loopback path.
+    No challenge is drawn, so each spec_digest is empty. A priced duration at
+    or below 0 (wide noise) reads as the timer's 1 us floor, as in
+    calibrate's loopback path.
     """
-    out = []
     [priced] = priced_trials([(scenario, n_trials, master_seed)])
-    for trial_id, (duration, nmi) in enumerate(priced):
-        spec_rng = sub_rng(master_seed, f"{scenario.name}/spec", trial_id)
-        spec = random_spec(scenario.prime, scenario.k, scenario.passes, spec_rng,
-                           scenario.region_id)
-        out.append(Measurement(trial_id=trial_id, scenario=scenario.name,
-                               duration_us=max(1, duration), spec_digest=spec.digest(),
-                               nmi=nmi))
-    return out
+    return [Measurement(trial_id, scenario.name, max(1, duration), nmi=nmi)
+            for trial_id, (duration, nmi) in enumerate(priced)]
 
 
 # --- built-in scenarios -----------------------------------------------------
@@ -543,7 +531,6 @@ def desk_scenario() -> Scenario:
         name="desk-small", region_id="sram", image_words=2014, register_count=34,
         passes=8, k=2, tiers=tiers,
         noise=NoiseModel("empirical", values=(-200.0, -100.0, 0.0, 100.0, 200.0)),
-        trials=40,
     )
 
 
@@ -573,6 +560,12 @@ def attack_scenario(base: Scenario, kind: str) -> Scenario:
 
 # --- scenario JSON ----------------------------------------------------------
 
+# Keys of deleted fields that older scenario files still carry: the trial
+# count every command takes from --trials, and an mmc trigger the price
+# never read. Files that hold them load and price as before.
+RETIRED_KEYS = {Scenario: "trials", AdversaryConfig: "trigger_index"}
+
+
 def scenario_to_json(scenario: Scenario) -> dict:
     """Every field of the scenario in field order, with the tiers sorted by name."""
     doc = asdict(scenario)
@@ -583,9 +576,11 @@ def scenario_to_json(scenario: Scenario) -> dict:
 
 
 def _known(cls, doc, where: str, *given):
-    """doc, once each of its keys names a field of cls that the caller has not given."""
+    """doc without cls's RETIRED_KEYS key, once each of its other keys names a
+    field of cls that the caller has not given."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object")
+    doc = {k: v for k, v in doc.items() if k != RETIRED_KEYS.get(cls)}
     unknown = set(doc) - ({f.name for f in fields(cls)} - set(given))
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
@@ -596,9 +591,10 @@ def scenario_from_json(doc: dict) -> Scenario:
     """The inverse of scenario_to_json; an omitted key takes its dataclass default.
 
     A key that names no field, at any level, raises ValueError: a typo must
-    not fall back to the default unnoticed.
+    not fall back to the default unnoticed. A RETIRED_KEYS key is dropped
+    unread, whatever its value.
     """
-    doc = dict(_known(Scenario, doc, "scenario"))
+    doc = _known(Scenario, doc, "scenario")
     if "tiers" in doc:
         doc["tiers"] = {n: TierModel(n, **_known(TierModel, t, f"tiers.{n}", "name"))
                         for n, t in doc["tiers"].items()}

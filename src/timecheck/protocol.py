@@ -89,9 +89,6 @@ MAX_SCAN_WORDS = 1 << 25
 # Modeled time, in microseconds, from a challenge to the device's RESTORED
 # frame. The verifier's clock starts at that frame, so it never enters a duration.
 RESTORE_US = 500
-# Bytes per LoopbackChannel decoder feed: small and odd, so frame boundaries
-# fall mid-chunk.
-_CHUNK = 7
 
 log = logging.getLogger(__name__)
 
@@ -331,12 +328,12 @@ class DeviceEndpoint:
 # --- channels -------------------------------------------------------------------
 
 class LoopbackChannel:
-    """Byte-stream transport: frames are serialized, chunked, and re-parsed.
+    """Byte-stream transport: frames are serialized and re-parsed.
 
-    Reply bytes travel through a single incremental decoder in _CHUNK-byte chunks,
-    so framing bugs cannot hide. With the default jitter_us=0 a measured
-    duration is the device's own: the scenario's NoiseModel is its only
-    noise. Otherwise arrival stamps carry uniform +/-jitter_us, at most
+    Each reply frame is fed whole to one incremental decoder that lives as
+    long as the channel, so framing bugs cannot hide. With the default
+    jitter_us=0 a measured duration is the device's own: the scenario's
+    NoiseModel is its only noise. Otherwise arrival stamps carry uniform +/-jitter_us, at most
     2 * jitter_us off the device's duration. A byte stream delivers frames
     in order, so the stamps never decrease: a RESPONSE sent at once never
     reads earlier than the RESTORED before it.
@@ -362,9 +359,8 @@ class LoopbackChannel:
             self._clock_us += delay_us
             jittered = self._clock_us + self._rng.uniform(-self.jitter_us, self.jitter_us)
             self._arrival_us = max(self._arrival_us, jittered)
-            for start in range(0, len(reply), _CHUNK):
-                for decoded in self._decoder.feed(reply[start:start + _CHUNK]):
-                    out.append((int(round(self._arrival_us)), decoded))
+            for decoded in self._decoder.feed(reply):
+                out.append((int(round(self._arrival_us)), decoded))
         return out
 
 
@@ -408,13 +404,14 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     thread then ends within ACCEPT_POLL_S, or once the connection it serves
     ends. Sessions are strictly serialized. A challenge the device cannot or
     will not evaluate is refused with STATUS_REFUSED and logged, and its
-    connection stays open. Any other error while serving a connection is
-    logged and closes only that connection; the server keeps going. Such
-    errors include bad framing, no bytes for CONN_TIMEOUT_S between frames, a
-    frame not complete CONN_TIMEOUT_S after the read that brought its first
-    byte (time spent serving the frames before it on the connection does not
-    count), and a read begun CONN_BUDGET_S or more after the connection was
-    accepted.
+    connection stays open; so does one that sent a frame other than a
+    CHALLENGE, which is logged and skipped. Any other error while serving a
+    connection is logged and closes only that connection; the server keeps
+    going. Such errors include bad framing, no bytes for CONN_TIMEOUT_S
+    between frames, a frame not complete CONN_TIMEOUT_S after the read that
+    brought its first byte (time spent serving the frames before it on the
+    connection does not count), and a read begun CONN_BUDGET_S or more after
+    the connection was accepted.
     """
     if not 0 <= time_scale < math.inf:  # time.sleep(inf) raises, nan would never sleep
         raise ValueError(f"time_scale must be a finite number >= 0, got {time_scale}")
@@ -453,6 +450,8 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
                         msgs = decoder.feed(data)
                         for msg in msgs:
                             if not isinstance(msg, ChallengeMessage):
+                                log.warning("device server: skipped a %s frame of session %#x",
+                                            type(msg).__name__, msg.session_id)
                                 continue
                             for delay_us, reply in endpoint.handle_challenge(msg):
                                 if time_scale > 0:
@@ -481,7 +480,9 @@ def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedRe
 
     t_start is stamped when the device's RESTORED acknowledgment arrives (so
     checkpoint restore cost is excluded) and t_end at the first byte of the
-    response frame. The session id is drawn from rng (new_session_id).
+    response frame. The session id is drawn from rng (new_session_id). A
+    second RESTORED is a MalformedFrame, so the device cannot move the start
+    of the timed window once it has opened.
     """
     session_id = new_session_id(rng)
     msg = ChallengeMessage(session_id, spec)
@@ -495,6 +496,8 @@ def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedRe
             if reply.session_id != session_id:
                 raise SessionMismatch(
                     f"RESTORED for session {reply.session_id:#x}, expected {session_id:#x}")
+            if t_start is not None:
+                raise MalformedFrame("second RESTORED acknowledgment in one session")
             t_start = arrival_us
         elif isinstance(reply, ResponseMessage):
             if reply.session_id != session_id:

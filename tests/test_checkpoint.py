@@ -4,7 +4,6 @@ import json
 import random
 import struct
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -86,12 +85,6 @@ class TestRecordReplay:
         with pytest.raises(SizeMismatch):
             checkpoint_replay(cp, small)
 
-    def test_replay_version_mismatch(self, state):
-        cp = checkpoint_record(state)
-        bad = replace(cp, format_version=99)
-        with pytest.raises(VersionMismatch):
-            checkpoint_replay(bad, state)
-
     def test_record_replay_identity_randomized(self):
         rng = random.Random(17)
         for _ in range(25):
@@ -112,7 +105,6 @@ class TestSerialization:
         back = load_checkpoint(path)
         assert np.array_equal(back.words, cp.words)
         assert back.register_count == cp.register_count
-        assert back.format_version == cp.format_version
         assert back.region_id == cp.region_id
 
     def test_sidecar_holds_no_creation_time(self, tmp_path, state):

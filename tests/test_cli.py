@@ -63,7 +63,16 @@ class TestCalibrate:
         assert len(csv_lines) == 41
         first = csv_lines[1].split(",")
         assert first[0] == "0" and first[1] == "desk-small"
-        assert int(first[2]) > 0 and len(first[3]) == 32
+        assert int(first[2]) > 0 and first[3] == ""  # --target sim sends no challenge
+
+    def test_loopback_measurements_name_their_challenges(self, tmp_path):
+        # unlike --target sim, each loopback trial sends a challenge
+        assert run(["calibrate", "--scenario", "desk-small", "--target", "loopback",
+                    "--trials", 5, "--seed", 3, "--out", tmp_path]) == 0
+        rows = (tmp_path / "desk-small-measurements.csv").read_text().splitlines()[1:]
+        digests = [row.split(",")[3] for row in rows]
+        assert len(set(digests)) == 5
+        assert all(len(d) == 32 and int(d, 16) >= 0 for d in digests)
 
     def test_single_trial_errors(self, tmp_path):
         assert run(["calibrate", "--scenario", "desk-small", "--trials", 1,
@@ -470,7 +479,7 @@ class TestScenarioFromArgs:
         assert got.base_cost_us(got.passes) != want.base_cost_us(want.passes)
         for name in ("name", "region_id", "image_words", "register_count", "prime", "k",
                      "tiers", "scan_us_per_word", "compute_us_per_word", "noise",
-                     "adversary", "trials", "image_seed"):
+                     "adversary", "image_seed"):
             assert getattr(got, name) == getattr(want, name), name
 
 
@@ -600,17 +609,20 @@ class TestCheckpointCommand:
 # noise streams were seeded in batches: 1,500 trials are seeded with numpy.
 # The profile digests here and below were re-taken when the Ljung-Box p-value
 # moved to stats._chi2_sf; only the last digits of whiteness.q_pvalue moved.
+# The measurement digests were re-taken when --target sim stopped drawing a
+# challenge per trial: each CSV is the earlier one with its spec_digest
+# column emptied.
 CALIBRATE_SHA256 = [
         ("sram-baseline", 50, {
-            "sram-baseline-measurements.csv": "a1ff236c39893100f2e7649a41462d83f8189ddbfdc5232d53480207b43f5d00",
+            "sram-baseline-measurements.csv": "6dd85986ec8e983f5606ad2392094297a5310922afc16fbbbc81c900c744a8c0",
             "sram-baseline-profile.json": "5deec77c5111799a09c1a73d238a65c3a2ccaa9e8436a69dda9c466c4e0f99aa",
         }),
         ("sram-baseline", 1500, {
-            "sram-baseline-measurements.csv": "1a508575a7558c6d0676a19941ce735adec091ff592cf7d3364fd5e02d1b53c3",
+            "sram-baseline-measurements.csv": "8c4d05951afe12abc8d6f901977c0a92cc1099e1defcb9142aff7f8c66f92bc0",
             "sram-baseline-profile.json": "bca9371af1f554fbb0c9eba25a777c1f3ac1409aa1fc1717cf2fdf2cbc340569",
         }),
         ("detector-iomem-baseline", 1500, {
-            "detector-iomem-baseline-measurements.csv": "ddaba44dfcf1efc633ec819e824c3dc0aeae023a0bb07c9c3eb023ee60ebc9b3",
+            "detector-iomem-baseline-measurements.csv": "70698647d31613260aeaff5a9df98fbbfbf6f277e2554f6a733463a356dc4624",
             "detector-iomem-baseline-profile.json": "41e23555b406c0d28a2dd7d2ab614f8778b40c28f23f2733cac135888a31453d",
         }),
 ]
@@ -812,10 +824,9 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
 @pytest.mark.parametrize("key, value", [
     ("passes", 8.5), ("k", 2.0), ("image_words", 2014.0), ("register_count", 34.0),
     ("region_id", 5), ("passes", True), ("image_seed", 7.5), ("timing_words", 2048.5),
-    ("name", 5), ("prime", 65537.0), ("trials", "50"),
+    ("name", 5), ("prime", 65537.0), ("adversary", {"kind": 5}),
     ("adversary", {"kind": "mmc_io", "payload_bytes": 512.0}),
     ("adversary", {"kind": "dram_swap", "words_per_pass": True}),
-    ("adversary", {"trigger_index": 100.5}),
 ])
 def test_wrongly_typed_config_is_an_error(tmp_path, capsys, target, key, value):
     # these used to end in a traceback (struct.error, TypeError,

@@ -408,6 +408,20 @@ class TestHostileStubs:
         with pytest.raises(SessionMismatch):
             issue_challenge(chan, fresh_spec(self.rng, self.sc), rng=self.rng)
 
+    def test_second_restored_is_malformed(self):
+        class LateRestore(DeviceEndpoint):
+            """Acknowledges the restore again just before it responds, to open
+            the timed window where it chooses."""
+
+            def handle_challenge(self, msg):
+                restored, (delay_us, response) = super().handle_challenge(msg)
+                return [restored, (delay_us - 1, restored[1]), (1, response)]
+
+        chan = LoopbackChannel(LateRestore(self.sc, master_seed=19))
+        with pytest.raises(MalformedFrame, match="second RESTORED"):
+            issue_challenge(chan, fresh_spec(self.rng, self.sc), rng=self.rng)
+        assert self._session(DeviceEndpoint(self.sc, master_seed=19)).outcome == "ACCEPT"
+
     def test_wrong_result_rejected_by_value(self):
         verdict = self._session(DeviceEndpoint(attack_scenario(self.sc, "corrupt"),
                                                master_seed=17))
@@ -764,6 +778,25 @@ class TestTcpTransport:
                 timed = issue_challenge(TcpChannel(host, port, timeout_s=5.0), spec, rng=rng)
             assert "MalformedFrame: undecodable body" in caplog.text
             assert timed.response.accumulator == ep.expected_result(spec).accumulator
+        finally:
+            server.close()
+
+    def test_non_challenge_frame_is_logged_and_skipped(self, caplog):
+        sc = desk_scenario()
+        ep = DeviceEndpoint(sc, master_seed=38)
+        server, thread = serve_device(ep, port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        spec = fresh_spec(sub_rng(17, "t"), sc)
+        try:
+            with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+                with socket.create_connection((host, port), timeout=5.0) as sock:
+                    sock.sendall(encode_restored(RestoredMessage(0xABC))
+                                 + encode_challenge(ChallengeMessage(2, spec)))
+                    restored, response = read_through_response(sock, FrameDecoder())
+            assert "skipped a RestoredMessage frame of session 0xabc" in caplog.text
+            assert restored == RestoredMessage(2)
+            assert response == ResponseMessage(2, ep.expected_result(spec).accumulator,
+                                               STATUS_OK)
         finally:
             server.close()
 
