@@ -2,7 +2,8 @@
 
 A checkpoint freezes the word array under challenge plus a small modeled
 register file, as one uint64 array: the image words, then the registers.
-Replay restores both bit-exactly.
+Replay restores both bit-exactly into live device memory, a writable uint64
+array of the same layout.
 
 Checkpoint file format (little-endian, versioned, bit-exact):
 
@@ -11,14 +12,14 @@ Checkpoint file format (little-endian, versioned, bit-exact):
     4       4     format_version (u32)
     8       8     word_count d (u64)
     16      4     register count (u32)
-    20      8*d   image words (u64 each)
+    20      2     region label length L (u16)
+    22      L     region label (UTF-8)
+    22+L    8*d   image words (u64 each)
     ...     8*R   register words (u64 each)
 
-Metadata that does not affect replay (the region label) goes to an
-optional JSON sidecar next to the binary file.
+The file describes itself: renaming or copying it keeps its region.
 """
 
-import json
 import math
 import struct
 from collections import Counter
@@ -26,24 +27,37 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotQuiesced, SizeMismatch, TimecheckError, VersionMismatch
+from .errors import SizeMismatch, TimecheckError, VersionMismatch
 
 MAGIC = b"TCCK"
-FORMAT_VERSION = 1  # the only version this module writes or reads
+FORMAT_VERSION = 2  # the only version this module writes or reads
 
 # Shape-fidelity register model: 31 general-purpose + 3 control placeholders.
 # The challenge scans these words appended after the image.
 DEFAULT_REGISTER_COUNT = 34
 
 _WORD_MASK = (1 << 64) - 1
-_HEADER = struct.Struct("<4sIQI")
+_HEADER = struct.Struct("<4sIQIH")
+
+
+def region_bytes(region_id: str) -> bytes:
+    """A region label's UTF-8 bytes, which checkpoint files and CHALLENGE frames
+    carry after a u16 length. A label that is not UTF-8 or needs more than
+    65,535 bytes raises ValueError."""
+    try:
+        raw = region_id.encode()
+    except UnicodeEncodeError as exc:
+        raise ValueError(f"region_id is not UTF-8: {exc}") from exc
+    if len(raw) > 0xFFFF:
+        raise ValueError(f"region_id is {len(raw)} bytes in UTF-8, over 65535")
+    return raw
 
 
 @dataclass
 class MemoryImage:
     """The word list the streaming reference engines scan, with region metadata.
 
-    Device and checkpoint memory is a uint64 array (DeviceState.words,
+    Device and checkpoint memory is a uint64 array (DeviceEndpoint.words,
     Checkpoint.words). The streaming multipass and multipass_naive take the
     words as Python ints instead, because they multiply them by powers of x
     as exact integers, which a uint64 array would wrap.
@@ -87,77 +101,54 @@ class Checkpoint:
         return self.words.size - self.register_count
 
 
-def checkpoint_record(state) -> Checkpoint:
-    """Deep, immutable copy of the device's image and register file.
-
-    Refuses to run while the device reports active interference sources
-    (unquiesced DMA masters, live peripherals).
-    """
-    if not getattr(state, "quiesced", False):
-        raise NotQuiesced("device has active interference sources; quiesce before recording")
-    return Checkpoint(_frozen(state.words), state.register_count, state.region_id)
+def checkpoint_record(words, register_count: int, region_id: str = "sram") -> Checkpoint:
+    """Deep, immutable copy of live memory: image words, then register_count registers."""
+    frozen = _frozen(words)
+    if not 0 <= register_count < frozen.size:
+        raise ValueError("a device needs at least one image word and "
+                         "a non-negative register count")
+    return Checkpoint(frozen, register_count, region_id)
 
 
-def checkpoint_replay(cp: Checkpoint, state):
-    """Restore image and register file to the recorded values, bit-exactly."""
-    live = (state.words.size - state.register_count, state.register_count)
-    if live != (cp.word_count, cp.register_count):
-        raise SizeMismatch(f"live device has {live[0]} image and {live[1]} register words, "
-                           f"checkpoint has {cp.word_count} and {cp.register_count}")
-    np.copyto(state.words, cp.words)
-    return state
+def checkpoint_replay(cp: Checkpoint, words: np.ndarray) -> np.ndarray:
+    """Restore live memory to the recorded image and registers, bit-exactly, in place."""
+    if words.shape != cp.words.shape:
+        raise SizeMismatch(f"live memory has {words.size} words, checkpoint has "
+                           f"{cp.word_count} image and {cp.register_count} register words")
+    np.copyto(words, cp.words)
+    return words
 
 
 def save_checkpoint(cp: Checkpoint, path):
-    """Write the checkpoint in the binary format above (+ JSON sidecar)."""
+    """Write the checkpoint in the binary format above."""
+    region = region_bytes(cp.region_id)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, cp.word_count, cp.register_count))
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, cp.word_count, cp.register_count,
+                              len(region)) + region)
         fh.write(cp.words.astype("<u8").tobytes())
-    meta = {
-        "region_id": cp.region_id,
-        "format_version": FORMAT_VERSION,
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint file, picking up the JSON sidecar when present.
-
-    A file or sidecar that does not describe a checkpoint raises a
-    TimecheckError naming the file.
-    """
+    """Read a checkpoint file; one that does not describe a checkpoint raises a
+    TimecheckError naming the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size or raw[:4] != MAGIC:
         raise VersionMismatch(f"{path}: not a checkpoint file (bad magic)")
-    _, version, word_count, reg_count = _HEADER.unpack_from(raw, 0)
+    _, version, word_count, reg_count, region_len = _HEADER.unpack_from(raw, 0)
     if version != FORMAT_VERSION:
         raise VersionMismatch(f"{path}: format_version {version} unsupported")
-    expect = _HEADER.size + 8 * (word_count + reg_count)
+    start = _HEADER.size + region_len
+    expect = start + 8 * (word_count + reg_count)
     if len(raw) != expect:
         raise SizeMismatch(f"{path}: expected {expect} bytes, found {len(raw)}")
     if word_count < 1:
         raise SizeMismatch(f"{path}: a checkpoint needs at least one image word")
-    words = _frozen(np.frombuffer(raw, dtype="<u8", offset=_HEADER.size))
-    meta = {}
-    sidecar = f"{path}.json"
     try:
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        pass
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise TimecheckError(f"{sidecar}: {type(exc).__name__}: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise TimecheckError(f"{sidecar}: expected a JSON object")
-    region_id = meta.get("region_id", "sram")
-    if not isinstance(region_id, str):
-        raise TimecheckError(f"{sidecar}: region_id must be a string, got {region_id!r}")
-    if meta.get("format_version", version) != version:
-        raise VersionMismatch(f"{sidecar}: format_version {meta['format_version']!r} "
-                              f"does not match the file's {version}")
+        region_id = raw[_HEADER.size:start].decode()
+    except UnicodeDecodeError as exc:
+        raise TimecheckError(f"{path}: region label is not UTF-8: {exc}") from exc
+    words = _frozen(np.frombuffer(raw, dtype="<u8", offset=start))
     return Checkpoint(words, reg_count, region_id)
 
 

@@ -23,6 +23,7 @@ from .checkpoint import (
     checkpoint_record,
     entropy_report,
     load_checkpoint,
+    region_bytes,
     save_checkpoint,
 )
 from .device import (
@@ -39,6 +40,7 @@ from .device import (
 )
 from .errors import DegenerateSeries, InsufficientSamples, TimecheckError
 from .protocol import (
+    MAX_SCAN_WORDS,
     DeviceEndpoint,
     LoopbackChannel,
     TcpChannel,
@@ -369,8 +371,15 @@ def cmd_checkpoint(args) -> int:
             raise TimecheckError(f"--words must be >= 1, got {args.words}")
         if args.registers < 0:
             raise TimecheckError(f"--registers must be >= 0, got {args.registers}")
-        state = make_device_state(args.seed, args.words, args.region, args.registers)
-        cp = checkpoint_record(state)
+        if args.words + args.registers > MAX_SCAN_WORDS:
+            raise TimecheckError(f"--words plus --registers must be <= {MAX_SCAN_WORDS}, "
+                                 f"got {args.words + args.registers}")
+        try:
+            region_bytes(args.region)
+        except ValueError as exc:
+            raise TimecheckError(f"--region: {exc}") from exc
+        cp = checkpoint_record(make_device_state(args.seed, args.words, args.registers),
+                               args.registers, args.region)
         save_checkpoint(cp, args.make)
         print(f"wrote {args.make} ({cp.word_count} words, {cp.register_count} registers)")
         return EXIT_OK

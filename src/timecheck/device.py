@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .checkpoint import DEFAULT_REGISTER_COUNT, Checkpoint, checkpoint_record
+from .checkpoint import DEFAULT_REGISTER_COUNT, Checkpoint, checkpoint_record, region_bytes
 from .errors import TimecheckError, UnknownTier
 from .field import is_prime
 from .seeding import STREAM_WORDS, derive_seed, derive_seeds, first_words, random_words
@@ -178,6 +178,7 @@ class NoiseModel:
             raise ValueError(f"unknown drift kind {self.drift!r}")
         _check_types(self, float, ("sigma", "width", "drift_us_per_trial", "drift_step_us",
                                    "nmi_prob", "nmi_us"), "noise ")
+        _check_types(self, int, ("drift_step_at",), "noise ")
         if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in self.values):
             raise ValueError(f"noise values must be numbers, got {list(self.values)}")
         for name in ("sigma", "width", "drift_us_per_trial", "drift_step_at",
@@ -280,30 +281,12 @@ class Measurement:
             raise ValueError("durations are positive microsecond counts")
 
 
-class DeviceState:
-    """Live, mutable device memory in a Checkpoint's layout.
-
-    words is one writable uint64 array: the challenged image words, then the
-    register_count register words.
-    """
-
-    def __init__(self, words, register_count: int, region_id: str = "sram",
-                 quiesced: bool = True):
-        self.words = np.array(words, dtype=np.uint64)
-        if not 0 <= register_count < self.words.size:
-            raise ValueError("a device needs at least one image word and "
-                             "a non-negative register count")
-        self.register_count = register_count
-        self.region_id = region_id
-        self.quiesced = quiesced
-
-
-def make_device_state(image_seed: int, image_words: int, region_id: str = "sram",
-                      register_count: int = DEFAULT_REGISTER_COUNT) -> DeviceState:
-    """Seeded device with pseudorandom memory content and register file."""
+def make_device_state(image_seed: int, image_words: int,
+                      register_count: int = DEFAULT_REGISTER_COUNT) -> np.ndarray:
+    """Seeded live device memory: pseudorandom image words, then register file."""
     words = random_words(derive_seed(image_seed, "image"), image_words)
     regs = random_words(derive_seed(image_seed, "registers"), register_count)
-    return DeviceState(words + regs, register_count, region_id)
+    return np.array(words + regs, dtype=np.uint64)
 
 
 @functools.lru_cache(maxsize=8)
@@ -314,8 +297,8 @@ def device_snapshot(image_seed: int, image_words: int, region_id: str = "sram",
     A process-wide cache is safe because a checkpoint's words are read-only
     and determined by its key.
     """
-    return checkpoint_record(make_device_state(image_seed, image_words, region_id,
-                                               register_count))
+    return checkpoint_record(make_device_state(image_seed, image_words, register_count),
+                             register_count, region_id)
 
 
 def adversary_delay_us(adversary: AdversaryConfig, tiers: dict, passes: int) -> float:
@@ -359,6 +342,7 @@ class Scenario:
     def __post_init__(self):
         validate_tiers(self.tiers)
         _check_types(self, str, ("name", "region_id"))
+        region_bytes(self.region_id)
         _check_types(self, int, ("image_words", "register_count", "passes", "prime", "k",
                                  "image_seed"))
         if self.timing_words is None:

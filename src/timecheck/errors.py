@@ -31,10 +31,6 @@ class CycleWalkExceeded(TimecheckError):
 
 # checkpoint
 
-class NotQuiesced(TimecheckError):
-    """Device reported active interference sources during checkpoint_record."""
-
-
 class VersionMismatch(TimecheckError):
     """Checkpoint format_version not supported."""
 

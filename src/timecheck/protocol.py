@@ -44,9 +44,9 @@ import time
 import zlib
 from dataclasses import dataclass
 
-from .checkpoint import checkpoint_replay
+from .checkpoint import checkpoint_replay, region_bytes
 from .coeffs import RandomSeeds
-from .device import DeviceState, Scenario, device_snapshot, price
+from .device import Scenario, device_snapshot, price
 from .engine import ChallengeResult, ChallengeSpec, evaluate, random_spec
 from .errors import ChannelTimeout, MalformedFrame, SessionMismatch, TimecheckError
 from .field import FieldParams
@@ -143,7 +143,7 @@ def frame(body: bytes) -> bytes:
 
 def encode_challenge(msg: ChallengeMessage) -> bytes:
     spec = msg.spec
-    region = spec.region_id.encode()
+    region = region_bytes(spec.region_id)
     body = bytearray()
     body.append(MSG_CHALLENGE)
     body += _U64.pack(msg.session_id)
@@ -256,7 +256,7 @@ class DeviceEndpoint:
     """Simulated device: replays its trusted checkpoint, scans what it restored, responds.
 
     Every endpoint of the same seeded image shares one read-only Checkpoint;
-    each keeps its own writable state, which every session restores from the
+    each keeps its own writable words, which every session restores from the
     checkpoint with one copy and then scans. The verifier's expected_result
     scans the checkpoint itself. For every prime an evaluation over words
     equal to one of the last two evaluated in this process, under an equal
@@ -277,8 +277,7 @@ class DeviceEndpoint:
         self.master_seed = master_seed
         self.checkpoint = device_snapshot(scenario.image_seed, scenario.image_words,
                                           scenario.region_id, scenario.register_count)
-        self.state = DeviceState(self.checkpoint.words, self.checkpoint.register_count,
-                                 scenario.region_id)
+        self.words = self.checkpoint.words.copy()
         self._session_index = 0
 
     def handle_challenge(self, msg: ChallengeMessage):
@@ -288,13 +287,13 @@ class DeviceEndpoint:
         if spec.region_id != scenario.region_id:
             reply = ResponseMessage(msg.session_id, 0, STATUS_REGION_MISMATCH)
             return [(0.0, encode_response(reply))]
-        refusal = budget_refusal(spec.seeds.k, spec.passes * self.state.words.size)
+        refusal = budget_refusal(spec.seeds.k, spec.passes * self.words.size)
         if refusal:
             return self._refuse(msg, refusal)
 
-        checkpoint_replay(self.checkpoint, self.state)
+        checkpoint_replay(self.checkpoint, self.words)
         try:
-            result = evaluate(self.state.words, spec)
+            result = evaluate(self.words, spec)
         except TimecheckError as exc:
             return self._refuse(msg, f"{type(exc).__name__}: {exc}")
         restored = encode_restored(RestoredMessage(msg.session_id))

@@ -1,6 +1,5 @@
 """Tests for checkpoint record/replay, serialization, and entropy."""
 
-import json
 import random
 import struct
 import tempfile
@@ -20,8 +19,8 @@ from timecheck.checkpoint import (
     save_checkpoint,
     scan_words,
 )
-from timecheck.device import DeviceState, make_device_state
-from timecheck.errors import NotQuiesced, SizeMismatch, VersionMismatch
+from timecheck.device import make_device_state
+from timecheck.errors import SizeMismatch, VersionMismatch
 
 
 # words at the signed/unsigned boundaries, which a signed-int slip would mangle
@@ -29,77 +28,78 @@ _EDGE_WORDS = (0, 1, (1 << 63) - 1, 1 << 63, (1 << 63) + 1, (1 << 64) - 1)
 
 
 @pytest.fixture
-def state():
+def words():
     return make_device_state(image_seed=1, image_words=64)
 
 
+@pytest.fixture
+def cp(words):
+    return checkpoint_record(words, DEFAULT_REGISTER_COUNT)
+
+
 class TestRecordReplay:
-    def test_record_copies_bit_for_bit(self, state):
-        cp = checkpoint_record(state)
-        assert np.array_equal(cp.words, state.words)
-        assert cp.register_count == state.register_count
+    def test_record_copies_bit_for_bit(self, words, cp):
+        assert np.array_equal(cp.words, words)
+        assert (cp.word_count, cp.register_count) == (64, DEFAULT_REGISTER_COUNT)
+        assert not cp.words.flags.writeable
 
-    def test_record_requires_quiesce(self, state):
-        state.quiesced = False
-        with pytest.raises(NotQuiesced):
-            checkpoint_record(state)
+    @pytest.mark.parametrize("size, register_count", [(0, 0), (34, 34), (40, -1)],
+                             ids=["empty", "no-image-words", "negative-registers"])
+    def test_record_refuses_bad_layout(self, size, register_count):
+        with pytest.raises(ValueError, match="at least one image word"):
+            checkpoint_record(np.zeros(size, np.uint64), register_count)
 
-    def test_record_is_deep_copy(self, state):
-        cp = checkpoint_record(state)
+    def test_record_is_deep_copy(self, words, cp):
         before = int(cp.words[0])
-        state.words[0] ^= 0xFFFF
+        words[0] ^= 0xFFFF
         assert cp.words[0] == before
 
-    def test_replay_restores_after_mutation(self, state):
-        cp = checkpoint_record(state)
-        state.words[3] ^= 1 << 17
-        state.words[64 + 5] = 0
-        checkpoint_replay(cp, state)
-        assert np.array_equal(state.words, cp.words)
+    def test_replay_restores_after_mutation(self, words, cp):
+        words[3] ^= 1 << 17
+        words[64 + 5] = 0
+        assert checkpoint_replay(cp, words) is words
+        assert np.array_equal(words, cp.words)
 
-    def test_replay_idempotent_on_identical_state(self, state):
-        cp = checkpoint_record(state)
-        before = state.words.copy()
-        checkpoint_replay(cp, state)
-        assert np.array_equal(state.words, before)
+    def test_replay_idempotent_on_identical_state(self, words, cp):
+        before = words.copy()
+        checkpoint_replay(cp, words)
+        assert np.array_equal(words, before)
 
-    def test_replay_onto_zeroed_state(self, state):
-        cp = checkpoint_record(state)
-        zeroed = DeviceState(np.zeros_like(state.words), state.register_count)
+    def test_replay_onto_zeroed_state(self, words, cp):
+        zeroed = np.zeros_like(words)
         checkpoint_replay(cp, zeroed)
-        assert np.array_equal(zeroed.words, cp.words)
+        assert np.array_equal(zeroed, cp.words)
 
-    def test_replay_single_adversary_write(self, state):
-        cp = checkpoint_record(state)
+    def test_replay_single_adversary_write(self, words, cp):
         victim = random.Random(3).randrange(64)
-        state.words[victim] ^= 1  # single-bit implant
-        diff_before = [i for i in range(64) if state.words[i] != cp.words[i]]
+        words[victim] ^= 1  # single-bit implant
+        diff_before = [i for i in range(64) if words[i] != cp.words[i]]
         assert diff_before == [victim]
-        checkpoint_replay(cp, state)
-        diff_after = [i for i in range(64) if state.words[i] != cp.words[i]]
+        checkpoint_replay(cp, words)
+        diff_after = [i for i in range(64) if words[i] != cp.words[i]]
         assert diff_after == []
 
-    def test_replay_size_mismatch(self, state):
-        cp = checkpoint_record(state)
-        small = DeviceState([0] * (63 + state.register_count), state.register_count)
-        with pytest.raises(SizeMismatch):
-            checkpoint_replay(cp, small)
+    def test_replay_size_mismatch(self, words, cp):
+        for size in (words.size - 1, words.size + 1):
+            small = np.zeros(size, np.uint64)
+            with pytest.raises(SizeMismatch):
+                checkpoint_replay(cp, small)
+            assert not small.any()
 
     def test_record_replay_identity_randomized(self):
         rng = random.Random(17)
         for _ in range(25):
-            st = make_device_state(rng.getrandbits(32), rng.randint(1, 200))
-            cp = checkpoint_record(st)
+            live = make_device_state(rng.getrandbits(32), rng.randint(1, 200))
+            cp = checkpoint_record(live, DEFAULT_REGISTER_COUNT)
             for _ in range(rng.randint(0, 30)):
-                st.words[rng.randrange(cp.word_count)] = rng.getrandbits(64)
-                st.words[cp.word_count + rng.randrange(st.register_count)] = rng.getrandbits(64)
-            checkpoint_replay(cp, st)
-            assert np.array_equal(st.words, cp.words)
+                live[rng.randrange(cp.word_count)] = rng.getrandbits(64)
+                live[cp.word_count + rng.randrange(cp.register_count)] = rng.getrandbits(64)
+            checkpoint_replay(cp, live)
+            assert np.array_equal(live, cp.words)
 
 
 class TestSerialization:
-    def test_round_trip_bit_exact(self, tmp_path, state):
-        cp = checkpoint_record(state)
+    def test_round_trip_bit_exact(self, tmp_path, cp):
         path = tmp_path / "dev.ck"
         save_checkpoint(cp, path)
         back = load_checkpoint(path)
@@ -107,20 +107,9 @@ class TestSerialization:
         assert back.register_count == cp.register_count
         assert back.region_id == cp.region_id
 
-    def test_sidecar_holds_no_creation_time(self, tmp_path, state):
-        path = tmp_path / "dev.ck"
-        save_checkpoint(checkpoint_record(state), path)
-        sidecar = Path(f"{path}.json")
-        assert json.loads(sidecar.read_text()) == {"region_id": "sram", "format_version": 1}
-        # a sidecar written before the key was dropped still loads
-        for stamp in (1_700_000_000.5, "yesterday"):
-            sidecar.write_text(json.dumps({"region_id": "dram", "created_at": stamp,
-                                           "format_version": 1}))
-            assert load_checkpoint(path).region_id == "dram"
-
     def test_sram_sized_image_round_trips(self, tmp_path):
-        st = make_device_state(image_seed=2, image_words=24576)
-        cp = checkpoint_record(st)
+        cp = checkpoint_record(make_device_state(image_seed=2, image_words=24576),
+                               DEFAULT_REGISTER_COUNT)
         path = tmp_path / "sram.ck"
         save_checkpoint(cp, path)
         saved = path.read_bytes()
@@ -133,8 +122,7 @@ class TestSerialization:
         with pytest.raises(VersionMismatch):
             load_checkpoint(path)
 
-    def test_truncated_file_rejected(self, tmp_path, state):
-        cp = checkpoint_record(state)
+    def test_truncated_file_rejected(self, tmp_path, cp):
         path = tmp_path / "trunc.ck"
         save_checkpoint(cp, path)
         path.write_bytes(path.read_bytes()[:-8])
@@ -146,14 +134,17 @@ class TestSerialization:
            seed=st.integers(0, 2**32 - 1),
            planted=st.lists(st.tuples(st.integers(0, 4096 + 63),
                                       st.sampled_from(_EDGE_WORDS) | st.integers(0, 2**64 - 1)),
-                            max_size=8))
-    def test_codec_round_trip_property(self, image_words, register_count, seed, planted):
+                            max_size=8),
+           region=st.sampled_from(["sram", "dram", "mémoire", "内存", "\U0001f9e0"])
+           | st.text(st.characters(exclude_categories=("Cs",)), max_size=40))
+    def test_codec_round_trip_property(self, image_words, register_count, seed, planted,
+                                       region):
         # record -> save -> load -> replay onto zeroed memory is bit-exact
         rng = random.Random(seed)
         words = [rng.getrandbits(64) for _ in range(image_words + register_count)]
         for index, word in planted:
             words[index % len(words)] = word
-        cp = checkpoint_record(DeviceState(words, register_count))
+        cp = checkpoint_record(words, register_count, region)
         with tempfile.TemporaryDirectory() as tmp:
             path, again = Path(tmp, "a.ck"), Path(tmp, "b.ck")
             save_checkpoint(cp, path)
@@ -161,17 +152,20 @@ class TestSerialization:
             save_checkpoint(back, again)
             saved = path.read_bytes()
             assert again.read_bytes() == saved
-        assert saved[20:] == struct.pack(f"<{len(words)}Q", *words)
+        label = region.encode()
+        assert saved[:22 + len(label)] == struct.pack(
+            "<4sIQIH", b"TCCK", 2, image_words, register_count, len(label)) + label
+        assert saved[22 + len(label):] == struct.pack(f"<{len(words)}Q", *words)
         assert (back.word_count, back.register_count) == (image_words, register_count)
-        zeroed = DeviceState([0] * len(words), register_count)
+        assert back.region_id == region
+        zeroed = np.zeros(len(words), np.uint64)
         checkpoint_replay(back, zeroed)
-        assert zeroed.words.tolist() == words
+        assert zeroed.tolist() == words
 
-    def test_scan_words_appends_registers(self, state):
-        cp = checkpoint_record(state)
+    def test_scan_words_appends_registers(self, words, cp):
         seq = scan_words(cp)
-        assert seq[:64] == state.words[:64].tolist()
-        assert seq[64:] == state.words[64:].tolist()
+        assert seq[:64] == words[:64].tolist()
+        assert seq[64:] == words[64:].tolist()
         assert len(seq) == 64 + DEFAULT_REGISTER_COUNT
 
 

@@ -565,44 +565,75 @@ class TestCheckpointCommand:
         run(["checkpoint", "--make", a, "--words", 256, "--seed", 9])
         run(["checkpoint", "--make", b, "--words", 256, "--seed", 9])
         assert a.read_bytes() == b.read_bytes()
-        assert (tmp_path / "a.ck.json").read_bytes() == (tmp_path / "b.ck.json").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ck", "b.ck"]
 
+    def test_renamed_file_keeps_its_region(self, tmp_path, capsys):
+        path = tmp_path / "a.ck"
+        assert run(["checkpoint", "--make", path, "--words", 16, "--region", "dram"]) == 0
+        capsys.readouterr()
+        moved = path.rename(tmp_path / "b.ck")
+        assert run(["checkpoint", "--inspect", moved]) == 0
+        assert json.loads(capsys.readouterr().out)["region_id"] == "dram"
+
+    # Re-pinned when the region label moved from the JSON sidecar into the
+    # header (format_version 2): the words are unchanged, after 2 more bytes
+    # of header and the 4 bytes of "sram".
     def test_make_file_bytes_pinned(self, tmp_path):
         path = tmp_path / "x.ck"
         assert run(["checkpoint", "--make", path, "--words", 4096, "--seed", 7]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "9978cfe689277487a5a4f55c971bd70c7190ba88d98bb07d1efeebd7b8b8f300")
+            "ed136fdfe207272fcf86702cbf1835e32dea862299052fd0b72cd5f1c6b95770")
+
+    @staticmethod
+    def _refused_before_building(monkeypatch, capsys, path, flags):
+        """stderr of a checkpoint --make that must exit 1 with no device built."""
+        def make_device_state(*args):
+            raise AssertionError("built a device from refused input")
+
+        monkeypatch.setattr(cli, "make_device_state", make_device_state)
+        assert run(["checkpoint", "--make", path, *flags]) == 1
+        assert not path.exists()
+        return capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--words", 0, "--words must be >= 1, got 0"),
         ("--registers", -3, "--registers must be >= 0, got -3"),
-    ], ids=["words-0", "registers-negative"])
-    def test_make_refuses_bad_sizes(self, tmp_path, capsys, flag, value, message):
-        path = tmp_path / "x.ck"
-        assert run(["checkpoint", "--make", path, flag, value]) == 1
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert not path.exists()
+        ("--words", protocol.MAX_SCAN_WORDS - 33,
+         f"--words plus --registers must be <= {protocol.MAX_SCAN_WORDS}, "
+         f"got {protocol.MAX_SCAN_WORDS + 1}"),
+    ], ids=["words-0", "registers-negative", "one-over-max-scan-words"])
+    def test_make_refuses_bad_sizes(self, tmp_path, monkeypatch, capsys, flag, value, message):
+        err = self._refused_before_building(monkeypatch, capsys, tmp_path / "x.ck",
+                                            [flag, value])
+        assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("name, content", [
-        ("x.ck", b"TCCK" + struct.pack("<IQI", 1, 0, 2) + bytes(16)),
-        ("x.ck.json", b"{broken"),
-        ("x.ck.json", b"[1]"),
-        ("x.ck.json", b'{"region_id": 5}'),
-        ("x.ck.json", b'{"format_version": 99}'),
-    ], ids=["no-image-words", "sidecar-not-json", "sidecar-not-object",
-            "sidecar-region-not-string", "sidecar-version-differs"])
-    def test_inspect_malformed_file_is_an_operational_error(self, tmp_path, capsys, name,
-                                                            content):
+    @pytest.mark.parametrize("region, message", [
+        ("\ud800", "region_id is not UTF-8: "),
+        ("x" * 70_000, "region_id is 70000 bytes in UTF-8, over 65535"),
+    ], ids=["lone-surrogate", "over-65535-bytes"])
+    def test_make_refuses_a_region_a_frame_cannot_carry(self, tmp_path, monkeypatch, capsys,
+                                                         region, message):
+        err = self._refused_before_building(monkeypatch, capsys, tmp_path / "x.ck",
+                                            ["--region", region])
+        assert err.startswith(f"error: --region: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content, needle", [
+        (b"TCCK" + struct.pack("<IQIH", 2, 0, 2, 0) + bytes(16), "at least one image word"),
+        (b"TCCK" + struct.pack("<IQI", 1, 4, 2) + bytes(48), "format_version 1 unsupported"),
+        (b"TCCK" + struct.pack("<IQIH", 2, 4, 2, 1000) + b"sram" + bytes(48),
+         "expected 1070 bytes, found 74"),
+        (b"TCCK" + struct.pack("<IQIH", 2, 4, 2, 2) + b"\xc3\x28" + bytes(48),
+         "region label is not UTF-8"),
+    ], ids=["no-image-words", "version-1-header", "region-past-end", "region-not-utf8"])
+    def test_inspect_malformed_file_is_an_operational_error(self, tmp_path, capsys, content,
+                                                            needle):
         path = tmp_path / "x.ck"
-        assert run(["checkpoint", "--make", path, "--words", 4, "--registers", 2]) == 0
-        bad = tmp_path / name
-        bad.write_bytes(content)
-        with pytest.raises(TimecheckError, match=re.escape(str(bad))):
+        path.write_bytes(content)
+        with pytest.raises(TimecheckError, match=re.escape(f"{path}: ") + ".*" + needle):
             load_checkpoint(path)
-        capsys.readouterr()
         assert run(["checkpoint", "--inspect", path]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(bad) in err and err.count("\n") == 1
+        assert err.startswith(f"error: {path}: ") and needle in err and err.count("\n") == 1
 
 
 # sha256 of calibrate's measurements and profile at --seed 4, taken before the
@@ -827,6 +858,7 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
     ("name", 5), ("prime", 65537.0), ("adversary", {"kind": 5}),
     ("adversary", {"kind": "mmc_io", "payload_bytes": 512.0}),
     ("adversary", {"kind": "dram_swap", "words_per_pass": True}),
+    *(("noise", {"drift": "step", "drift_step_at": v}) for v in (2.5, True, "x")),
 ])
 def test_wrongly_typed_config_is_an_error(tmp_path, capsys, target, key, value):
     # these used to end in a traceback (struct.error, TypeError,
@@ -840,6 +872,26 @@ def test_wrongly_typed_config_is_an_error(tmp_path, capsys, target, key, value):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: ValueError: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("region, needle", [
+    ("\ud800", "region_id is not UTF-8: "),
+    ("x" * 70_000, "region_id is 70000 bytes in UTF-8, over 65535"),
+], ids=["lone-surrogate", "over-65535-bytes"])
+@pytest.mark.parametrize("command", ["calibrate", "challenge"])
+def test_region_label_a_frame_cannot_carry_is_an_error(tmp_path, capsys, command, region,
+                                                        needle):
+    # a lone surrogate used to calibrate and then end challenge in a
+    # UnicodeEncodeError traceback, and a 70,000-character label in a struct.error
+    cfg = tmp_path / "region.json"
+    cfg.write_text(json.dumps(dict(scenario_to_json(builtin_scenario("desk-small")),
+                                   region_id=region)))
+    extra = {"calibrate": ["--trials", 5, "--out", tmp_path / "out"],
+             "challenge": ["--profile", tmp_path / "profile.json"]}[command]
+    assert run([command, "--config", cfg, *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ValueError: {needle}") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 FLOAT_FIELDS = [((), "scan_us_per_word"), ((), "compute_us_per_word"),

@@ -155,9 +155,9 @@ def answer(scenario, spec):
 
 
 def honest_accumulator(scenario, spec):
-    state = make_device_state(scenario.image_seed, scenario.image_words,
-                              register_count=scenario.register_count)
-    return multipass(MemoryImage(state.words.tolist()), spec).accumulator
+    words = make_device_state(scenario.image_seed, scenario.image_words,
+                              scenario.register_count)
+    return multipass(MemoryImage(words.tolist()), spec).accumulator
 
 
 class TestSimulateChallenge:

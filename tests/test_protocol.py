@@ -79,6 +79,15 @@ class TestFraming:
             decoded = FrameDecoder().feed(encode_challenge(msg))
             assert decoded == [msg]
 
+    @pytest.mark.parametrize("region, needle", [
+        ("\ud800", "not UTF-8"), ("r" * 65536, "65536 bytes in UTF-8, over 65535"),
+    ], ids=["lone-surrogate", "over-65535-bytes"])
+    def test_challenge_refuses_a_region_the_frame_cannot_carry(self, region, needle):
+        # these used to raise UnicodeEncodeError and struct.error
+        spec = replace(fresh_spec(), region_id=region)
+        with pytest.raises(ValueError, match=needle):
+            encode_challenge(ChallengeMessage(1, spec))
+
     def test_restored_and_response_round_trip(self):
         rng = random.Random(2)
         for _ in range(100):
@@ -870,9 +879,9 @@ class TestSharedSnapshot:
         a = DeviceEndpoint(sc, master_seed=1)
         b = DeviceEndpoint(attack_scenario(sc, "dram"), master_seed=2)
         assert a.checkpoint is b.checkpoint
-        assert a.state is not b.state
-        assert not np.shares_memory(a.state.words, b.state.words)
-        assert not np.shares_memory(a.state.words, a.checkpoint.words)
+        assert not np.shares_memory(a.words, b.words)
+        assert not np.shares_memory(a.words, a.checkpoint.words)
+        assert a.words.flags.writeable and a.words.dtype == np.uint64
         assert a.checkpoint.words.dtype == np.uint64
         assert a.checkpoint.words.tolist() == scan_words(a.checkpoint)
 
@@ -891,11 +900,11 @@ class TestSharedSnapshot:
         other = DeviceEndpoint(sc, master_seed=5)
         cp = ep.checkpoint
         recorded = scan_words(cp)
-        ep.state.words[0] ^= 1
-        ep.state.words[-1] ^= 1
-        assert ep.state.words[0] != cp.words[0]
-        checkpoint_replay(cp, ep.state)
-        assert ep.state.words.tolist() == recorded
+        ep.words[0] ^= 1
+        ep.words[-1] ^= 1
+        assert ep.words[0] != cp.words[0]
+        checkpoint_replay(cp, ep.words)
+        assert ep.words.tolist() == recorded
         assert scan_words(cp) == recorded
         spec = fresh_spec(sub_rng(9, "t"), sc)
         assert ep.expected_result(spec) == other.expected_result(spec)
@@ -910,13 +919,13 @@ class TestSharedSnapshot:
 
         ep = DeviceEndpoint(sc, master_seed=19)
         spec = fresh_spec(sub_rng(5, "sessions"), sc)
-        ep.state.words[7] ^= 1 << 63
+        ep.words[7] ^= 1 << 63
         timed, verdict = session(ep, spec)  # replay undoes the flip
         assert timed.response.accumulator == ep.expected_result(spec).accumulator
         assert verdict.outcome == "ACCEPT"
 
-        monkeypatch.setattr(protocol, "checkpoint_replay", lambda cp, state: state)
-        ep.state.words[7] ^= 1 << 63
+        monkeypatch.setattr(protocol, "checkpoint_replay", lambda cp, words: words)
+        ep.words[7] ^= 1 << 63
         timed, verdict = session(ep, spec)
         assert timed.response.accumulator != ep.expected_result(spec).accumulator
         assert verdict.outcome == "REJECT" and "accumulator" in verdict.reason
@@ -944,11 +953,11 @@ class TestSharedSnapshot:
         assert expected == multipass(MemoryImage(scan_words(ep.checkpoint)), spec)
 
         # a device that skips the replay scans its tampered state afresh
-        monkeypatch.setattr(protocol, "checkpoint_replay", lambda cp, state: state)
-        ep.state.words[7] ^= 1 << 63
+        monkeypatch.setattr(protocol, "checkpoint_replay", lambda cp, words: words)
+        ep.words[7] ^= 1 << 63
         _, reply = ep.handle_challenge(ChallengeMessage(2, spec))[1]
         assert calls == [spec, spec]
-        tampered = MemoryImage(ep.state.words.tolist())
+        tampered = MemoryImage(ep.words.tolist())
         assert FrameDecoder().feed(reply)[0].accumulator == multipass(tampered, spec).accumulator
         assert multipass(tampered, spec) != expected
 
