@@ -122,22 +122,20 @@ def _read_profile(path):
 
 
 def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
-    """(channel, endpoint) to the device that --target names.
-
-    tcp://host:port is a TcpChannel, with endpoint None. The value simulated
-    names a DeviceEndpoint seeded for the attempt, behind a LoopbackChannel.
-    """
+    """The channel to the device that --target names: tcp://host:port is a
+    TcpChannel, and the value simulated names a DeviceEndpoint seeded for the
+    attempt, behind a LoopbackChannel."""
     if args.target.startswith("tcp://"):
         host, _, port = args.target[len("tcp://"):].partition(":")
         # ASCII digits only (isdigit takes "²"); the socket layer wraps ports mod 2^16
         if not (port.isascii() and port.isdigit() and 1 <= int(port) <= MAX_PORT):
             raise TimecheckError(f"target {args.target!r} is not tcp://host:port "
                                  f"with a port in 1-{MAX_PORT}")
-        return TcpChannel(host, int(port)), None
+        return TcpChannel(host, int(port))
     if args.target != simulated:
         raise TimecheckError(f"unknown target {args.target!r}")
     endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device", attempt))
-    return LoopbackChannel(endpoint), endpoint
+    return LoopbackChannel(endpoint)
 
 
 def cmd_calibrate(args) -> int:
@@ -147,7 +145,7 @@ def cmd_calibrate(args) -> int:
     if args.target == "sim":
         measurements = run_trials(scenario, args.trials, args.seed)
     else:
-        channel, _ = _connect(args, scenario, "loopback")
+        channel = _connect(args, scenario, "loopback")
         rng = sub_rng(args.seed, "calibration")
         measurements = []
         for trial_id in range(args.trials):
@@ -196,12 +194,11 @@ def cmd_challenge(args) -> int:
             f"profile shape {shape} does not match scenario shape {want}; recalibrate")
 
     session_rng = sub_rng(args.seed, "session")  # one stream: each attempt a fresh session id
+    verifier = DeviceEndpoint(scenario)  # the checkpoint is public: rebuild it locally
     for attempt in range(8):
-        channel, endpoint = _connect(args, scenario, "sim", attempt)
-        if endpoint is None:  # the checkpoint is public: rebuild the device's checkpoint locally
-            endpoint = DeviceEndpoint(scenario, master_seed=0)
-        session = run_session(channel, scenario, sub_rng(args.seed, "challenge-spec", attempt),
-                              session_rng, endpoint, profile, args.detector)
+        session = run_session(_connect(args, scenario, "sim", attempt), scenario,
+                              sub_rng(args.seed, "challenge-spec", attempt),
+                              session_rng, verifier, profile, args.detector)
         verdict = session.verdict
         if verdict.outcome != "RETRY":
             break

@@ -19,11 +19,13 @@ counter mixed with randomness, so two challenges never share one.
 
 Timestamps are taken by the verifier side only; the device never
 self-reports time. Timing starts when the RESTORED acknowledgment arrives
-(checkpoint restore cost is excluded) and stops at the first response byte.
+(checkpoint restore cost is excluded) and stops at the read that completes
+the RESPONSE frame, whose first 17 bytes are known before the scan ends.
 
 Transports: a loopback byte stream (frames really are serialized and
 incrementally re-parsed; by default it adds no jitter, so a duration is
-exactly the device's priced one), and plain TCP.
+exactly the device's priced one), and plain TCP, whose two ends (TcpChannel
+and serve_device) read every frame through read_frames.
 
 run_session is the verifier's one session path, for calibration and for
 challenge alike: a fresh spec, the expected result when judging, the timed
@@ -70,9 +72,8 @@ _REFUSALS = {STATUS_REGION_MISMATCH: "region mismatch",
 
 _U64 = struct.Struct("<Q")
 
-# Read timeout of an accepted device-server connection, TcpChannel's default:
-# an idle client must not hold the serialized server. It is also each frame's
-# deadline, so a client trickling a frame byte by byte cannot hold it either.
+# The read limit (read_frames) of a device-server connection, TcpChannel's default:
+# an idle or trickling peer holds neither the serialized server nor the verifier.
 CONN_TIMEOUT_S = 10.0
 # How long the device server reads from one connection, so that a client
 # sending cheap challenges cannot keep the serialized server for good.
@@ -237,6 +238,40 @@ class FrameDecoder:
         return out
 
 
+def read_frames(sock, limit_s: float, budget_s: float = math.inf):
+    """Yield (arrival_us, message) per frame read from sock, stamped at the
+    read that completes the frame; the peer's close ends the iteration.
+
+    Raises TimeoutError on no bytes for limit_s between frames, on a frame
+    still incomplete limit_s after the read that brought its first byte (time
+    the caller spends between frames does not count), and on a read begun
+    budget_s after the first."""
+    decoder = FrameDecoder()
+    closes_at = time.monotonic() + budget_s
+    deadline = time.monotonic() + limit_s  # of the next byte, or of the pending frame
+    while True:
+        now = time.monotonic()
+        if now >= min(deadline, closes_at):
+            raise TimeoutError(f"reading for {budget_s} s" if closes_at <= deadline else
+                               f"frame incomplete {limit_s} s after its first byte"
+                               if decoder.pending else f"no bytes for {limit_s} s")
+        sock.settimeout(min(deadline, closes_at) - now)
+        try:
+            data = sock.recv(4096)
+        except TimeoutError:
+            continue  # the check above names the limit that ran out
+        if not data:
+            return
+        arrival_us = time.monotonic_ns() // 1000
+        sock.settimeout(limit_s)  # for the caller's sends between frames
+        began = not decoder.pending  # a frame began in this read
+        msgs = decoder.feed(data)
+        for msg in msgs:
+            yield arrival_us, msg
+        if msgs or began:
+            deadline = time.monotonic() + limit_s
+
+
 # --- session ids --------------------------------------------------------------
 
 _session_counter = itertools.count(1)
@@ -364,7 +399,9 @@ class LoopbackChannel:
 
 
 class TcpChannel:
-    """Plain TCP transport with real monotonic timestamps."""
+    """Plain TCP transport with real monotonic timestamps. A session reads
+    frames through read_frames under timeout_s, up to a RESPONSE or a second
+    frame; issue_challenge judges them."""
 
     def __init__(self, host: str, port: int, timeout_s: float = CONN_TIMEOUT_S):
         self.host = host
@@ -373,24 +410,16 @@ class TcpChannel:
 
     def request(self, challenge_frame: bytes):
         out = []
-        decoder = FrameDecoder()
         try:
             with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
                 sock.sendall(challenge_frame)
-                pending = 2
-                while pending > 0:
-                    data = sock.recv(4096)
-                    if not data:
-                        raise ChannelTimeout("connection closed mid-session")
-                    now = time.monotonic_ns() // 1000
-                    for decoded in decoder.feed(data):
-                        out.append((now, decoded))
-                        pending -= 1
-                        if isinstance(decoded, ResponseMessage) and decoded.status in _REFUSALS:
-                            pending = 0
+                for arrival in read_frames(sock, self.timeout_s):
+                    out.append(arrival)
+                    if isinstance(arrival[1], ResponseMessage) or len(out) == 2:
+                        return out
         except OSError as exc:
-            raise ChannelTimeout(f"cannot reach {self.host}:{self.port}: {exc}") from exc
-        return out
+            raise ChannelTimeout(f"{self.host}:{self.port}: {type(exc).__name__}: {exc}") from exc
+        raise ChannelTimeout(f"{self.host}:{self.port} closed the connection mid-session")
 
 
 def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 0,
@@ -406,11 +435,8 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     connection stays open; so does one that sent a frame other than a
     CHALLENGE, which is logged and skipped. Any other error while serving a
     connection is logged and closes only that connection; the server keeps
-    going. Such errors include bad framing, no bytes for CONN_TIMEOUT_S
-    between frames, a frame not complete CONN_TIMEOUT_S after the read that
-    brought its first byte (time spent serving the frames before it on the
-    connection does not count), and a read begun CONN_BUDGET_S or more after
-    the connection was accepted.
+    going. Such errors include bad framing and the timeouts of read_frames,
+    which reads each connection under CONN_TIMEOUT_S and CONN_BUDGET_S.
     """
     if not 0 <= time_scale < math.inf:  # time.sleep(inf) raises, nan would never sleep
         raise ValueError(f"time_scale must be a finite number >= 0, got {time_scale}")
@@ -430,36 +456,16 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
             except OSError:
                 return
             with conn:
-                decoder = FrameDecoder()
-                deadline = None  # monotonic time by which the pending frame must be complete
-                closes_at = time.monotonic() + CONN_BUDGET_S
                 try:
-                    while True:
-                        now = time.monotonic()
-                        if now >= closes_at:
-                            raise TimeoutError(f"connection open for {CONN_BUDGET_S} s")
-                        if deadline is not None and now >= deadline:
-                            raise TimeoutError(f"frame incomplete after {CONN_TIMEOUT_S} s")
-                        ends = now + CONN_TIMEOUT_S if deadline is None else deadline
-                        conn.settimeout(min(ends, closes_at) - now)
-                        data = conn.recv(4096)
-                        if not data:
-                            break
-                        conn.settimeout(CONN_TIMEOUT_S)  # replies get the full timeout
-                        msgs = decoder.feed(data)
-                        for msg in msgs:
-                            if not isinstance(msg, ChallengeMessage):
-                                log.warning("device server: skipped a %s frame of session %#x",
-                                            type(msg).__name__, msg.session_id)
-                                continue
-                            for delay_us, reply in endpoint.handle_challenge(msg):
-                                if time_scale > 0:
-                                    time.sleep(delay_us * time_scale / 1e6)
-                                conn.sendall(reply)
-                        if not decoder.pending:
-                            deadline = None
-                        elif msgs or deadline is None:  # a new frame began in this read
-                            deadline = time.monotonic() + CONN_TIMEOUT_S
+                    for _, msg in read_frames(conn, CONN_TIMEOUT_S, CONN_BUDGET_S):
+                        if not isinstance(msg, ChallengeMessage):
+                            log.warning("device server: skipped a %s frame of session %#x",
+                                        type(msg).__name__, msg.session_id)
+                            continue
+                        for delay_us, reply in endpoint.handle_challenge(msg):
+                            if time_scale > 0:
+                                time.sleep(delay_us * time_scale / 1e6)
+                            conn.sendall(reply)
                 except (TimecheckError, OSError) as exc:
                     log.warning("device server: dropped connection: %s: %s",
                                 type(exc).__name__, exc)
@@ -478,17 +484,14 @@ def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedRe
     """Send one challenge, return the externally timed response.
 
     t_start is stamped when the device's RESTORED acknowledgment arrives (so
-    checkpoint restore cost is excluded) and t_end at the first byte of the
-    response frame. The session id is drawn from rng (new_session_id). A
-    second RESTORED is a MalformedFrame, so the device cannot move the start
-    of the timed window once it has opened.
+    checkpoint restore cost is excluded) and t_end at the read that completes
+    the response frame (its first 17 bytes are known before the scan ends).
+    The session id is drawn from rng (new_session_id). A second RESTORED is
+    a MalformedFrame, so the device cannot move the window's opening.
     """
     session_id = new_session_id(rng)
     msg = ChallengeMessage(session_id, spec)
     replies = channel.request(encode_challenge(msg))
-    if not replies:
-        raise ChannelTimeout("no reply frames")
-
     t_start = None
     for arrival_us, reply in replies:
         if isinstance(reply, RestoredMessage):

@@ -94,7 +94,7 @@ class TestCalibrate:
         channel = LoopbackChannel(other_region, jitter_us=0.0)
         session = protocol.run_session(channel, sc, random.Random(0), random.Random(0))
         assert session.refusal == "region mismatch" and session.verdict is None
-        monkeypatch.setattr(cli, "_connect", lambda *args: (channel, other_region))
+        monkeypatch.setattr(cli, "_connect", lambda *args: channel)
         assert run(["calibrate", "--scenario", "desk-small", "--target", "loopback",
                     "--trials", 3, "--out", tmp_path / "out"]) == 1
         assert capsys.readouterr().err == "error: device refused session 0: region mismatch\n"

@@ -3,6 +3,7 @@
 import logging
 import random
 import socket
+import struct
 import threading
 import time
 import zlib
@@ -38,6 +39,7 @@ from timecheck.protocol import (
     encode_restored,
     issue_challenge,
     new_session_id,
+    read_frames,
     serve_device,
     verify_response,
 )
@@ -66,6 +68,24 @@ def read_through_response(sock, decoder):
         assert data, "device closed the connection"
         out.extend(decoder.feed(data))
     return out
+
+
+def stub_device(script):
+    """(host, port) of a device that accepts one connection, reads a challenge
+    and runs script(conn, challenge); the thread ends within 10 s."""
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(5.0)
+
+    def run():
+        try:
+            with listener, listener.accept()[0] as conn:
+                _, challenge = next(read_frames(conn, 5.0))
+                script(conn, challenge)
+        except OSError:
+            pass  # the verifier hung up, or never connected
+
+    threading.Thread(target=run, daemon=True).start()
+    return listener.getsockname()
 
 
 class TestFraming:
@@ -179,6 +199,8 @@ def challenge_messages(draw, k=st.one_of(st.integers(1, 8), st.integers(9, 300),
     return ChallengeMessage(draw(u64), spec)
 
 
+ENCODE = {ChallengeMessage: encode_challenge, ResponseMessage: encode_response,
+          RestoredMessage: encode_restored}
 responses = st.builds(ResponseMessage, u64, u64, st.integers(0, 255))
 messages = st.one_of(challenge_messages(k=st.integers(1, 8)), responses,
                      st.builds(RestoredMessage, u64))
@@ -203,9 +225,7 @@ class TestCodecProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.lists(messages, max_size=6), st.data())
     def test_any_chunking_yields_the_same_messages(self, msgs, data):
-        encode = {ChallengeMessage: encode_challenge, ResponseMessage: encode_response,
-                  RestoredMessage: encode_restored}
-        stream = b"".join(encode[type(m)](m) for m in msgs)
+        stream = b"".join(ENCODE[type(m)](m) for m in msgs)
         cuts = sorted(data.draw(st.sets(st.integers(0, len(stream)), max_size=12)))
         decoder = FrameDecoder()
         out = []
@@ -222,6 +242,31 @@ class TestCodecProperties:
                 decoder.feed(chunk)
         except MalformedFrame:
             pass
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(messages, max_size=6), st.data())
+    def test_read_frames_over_a_socket_in_any_chunking(self, msgs, data):
+        # a peer writes the stream in arbitrary pieces and then closes: the
+        # reader yields every message in order, with stamps that never decrease
+        stream = b"".join(ENCODE[type(m)](m) for m in msgs)
+        cuts = sorted(data.draw(st.sets(st.integers(0, len(stream)), max_size=12)))
+        ours, peer = socket.socketpair()
+
+        def write():
+            with peer:
+                for lo, hi in zip([0] + cuts, cuts + [len(stream)]):
+                    peer.sendall(stream[lo:hi])
+                    time.sleep(0.001)  # most pieces arrive in reads of their own
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        with ours:
+            got = list(read_frames(ours, 5.0))
+        writer.join(timeout=5.0)
+        assert not writer.is_alive()
+        assert [msg for _, msg in got] == msgs
+        stamps = [arrival_us for arrival_us, _ in got]
+        assert stamps == sorted(stamps)
 
 
 class TestSessionIds:
@@ -824,6 +869,65 @@ class TestTcpTransport:
         with pytest.raises(ValueError, match="time_scale must be a finite number >= 0"):
             serve_device(ep, port=0, time_scale=scale)
         assert set(threading.enumerate()) <= before
+
+    def test_response_is_timed_at_the_read_that_completes_it(self):
+        # a RESPONSE's first 17 bytes (magic, length, type, session id) are
+        # known before the scan ends: sent at once, they must not stop the clock
+        def split_response(conn, challenge):
+            sid = challenge.session_id
+            conn.sendall(encode_restored(RestoredMessage(sid)))
+            response = encode_response(ResponseMessage(sid, 0, STATUS_OK))
+            conn.sendall(response[:17])
+            time.sleep(0.3)
+            conn.sendall(response[17:])
+
+        host, port = stub_device(split_response)
+        rng = sub_rng(18, "t")
+        timed = issue_challenge(TcpChannel(host, port, timeout_s=5.0), fresh_spec(rng), rng=rng)
+        assert timed.duration_us >= 300_000
+
+    def test_response_without_restored_is_malformed_at_once(self):
+        def early_response(conn, challenge):
+            conn.sendall(encode_response(ResponseMessage(challenge.session_id, 0, STATUS_OK)))
+            conn.recv(1)  # hold the connection until the verifier hangs up
+
+        host, port = stub_device(early_response)
+        rng = sub_rng(19, "t")
+        start = time.monotonic()
+        with pytest.raises(MalformedFrame, match="before RESTORED"):
+            issue_challenge(TcpChannel(host, port, timeout_s=5.0), fresh_spec(rng), rng=rng)
+        assert time.monotonic() - start < 1.0
+
+    def test_second_restored_is_malformed_at_once(self):
+        def restored_twice(conn, challenge):
+            conn.sendall(encode_restored(RestoredMessage(challenge.session_id)) * 2)
+            conn.recv(1)
+
+        host, port = stub_device(restored_twice)
+        rng = sub_rng(20, "t")
+        start = time.monotonic()
+        with pytest.raises(MalformedFrame, match="second RESTORED"):
+            issue_challenge(TcpChannel(host, port, timeout_s=5.0), fresh_spec(rng), rng=rng)
+        assert time.monotonic() - start < 1.0
+
+    def test_trickled_frame_times_out(self):
+        # each byte comes well inside the read timeout, so only a deadline on
+        # the whole frame stops a device from holding the verifier
+        def trickle(conn, challenge):
+            conn.sendall(protocol.MAGIC + struct.pack("<I", protocol.MAX_FRAME_BODY))
+            for _ in range(30):
+                time.sleep(0.1)
+                conn.sendall(b"\0")
+
+        host, port = stub_device(trickle)
+        rng = sub_rng(21, "t")
+        start = time.monotonic()
+        with pytest.raises(ChannelTimeout) as caught:
+            issue_challenge(TcpChannel(host, port, timeout_s=0.3), fresh_spec(rng), rng=rng)
+        assert time.monotonic() - start < 1.0
+        message = str(caught.value)
+        assert f"{host}:{port}" in message and "frame incomplete 0.3 s" in message
+        assert "cannot reach" not in message
 
     def test_unreachable_target(self):
         with socket.socket() as probe:
