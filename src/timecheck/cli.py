@@ -121,9 +121,9 @@ def _read_profile(path):
             raise TimecheckError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
+def _connect(args, scenario: Scenario, attempt: int = 0):
     """The channel to the device that --target names: tcp://host:port is a
-    TcpChannel, and the value simulated names a DeviceEndpoint seeded for the
+    TcpChannel, and loopback a DeviceEndpoint in this process, seeded for the
     attempt, behind a LoopbackChannel."""
     if args.target.startswith("tcp://"):
         host, _, port = args.target[len("tcp://"):].partition(":")
@@ -132,8 +132,8 @@ def _connect(args, scenario: Scenario, simulated: str, attempt: int = 0):
             raise TimecheckError(f"target {args.target!r} is not tcp://host:port "
                                  f"with a port in 1-{MAX_PORT}")
         return TcpChannel(host, int(port))
-    if args.target != simulated:
-        raise TimecheckError(f"unknown target {args.target!r}")
+    if args.target != "loopback":
+        raise TimecheckError(f"unknown target {args.target!r}: use loopback or tcp://host:port")
     endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device", attempt))
     return LoopbackChannel(endpoint)
 
@@ -145,7 +145,7 @@ def cmd_calibrate(args) -> int:
     if args.target == "sim":
         measurements = run_trials(scenario, args.trials, args.seed)
     else:
-        channel = _connect(args, scenario, "loopback")
+        channel = _connect(args, scenario)
         rng = sub_rng(args.seed, "calibration")
         measurements = []
         for trial_id in range(args.trials):
@@ -196,7 +196,7 @@ def cmd_challenge(args) -> int:
     session_rng = sub_rng(args.seed, "session")  # one stream: each attempt a fresh session id
     verifier = DeviceEndpoint(scenario)  # the checkpoint is public: rebuild it locally
     for attempt in range(8):
-        session = run_session(_connect(args, scenario, "sim", attempt), scenario,
+        session = run_session(_connect(args, scenario, attempt), scenario,
                               sub_rng(args.seed, "challenge-spec", attempt),
                               session_rng, verifier, profile, args.detector)
         verdict = session.verdict
@@ -420,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("challenge", help="one attested challenge session")
     common(p)
     p.add_argument("--profile", required=True, help="profile JSON from calibrate")
-    p.add_argument("--target", default="sim", help="sim or tcp://host:port")
+    p.add_argument("--target", default="loopback", help="loopback or tcp://host:port")
     p.add_argument("--detector", choices=tuple(stats.DETECTORS), default="percentile")
     p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
     p.set_defaults(fn=cmd_challenge)
@@ -440,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--time-scale", type=float, default=1.0,
-                   help="stretch simulated delays into real sleeps "
+                   help="stretch simulated delays into real time "
                         "(1.0 = real time, 0.0 = respond immediately)")
     p.set_defaults(fn=cmd_serve)
 

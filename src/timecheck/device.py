@@ -598,9 +598,3 @@ def load_scenario(path) -> Scenario:
             return scenario_from_json(json.load(fh))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise TimecheckError(f"{path}: {type(exc).__name__}: {exc}") from exc
-
-
-def save_scenario(scenario: Scenario, path):
-    with open(path, "w") as fh:
-        json.dump(scenario_to_json(scenario), fh, indent=2)
-        fh.write("\n")

@@ -416,7 +416,7 @@ def evaluate(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
     are equal element by element returns the remembered result without
     scanning, for any prime. Any other call scans, tampered or unreplayed
     memory included. A verifier and a simulated device in one process
-    (challenge --target sim, LoopbackChannel sessions) thus scan each
+    (challenge --target loopback, LoopbackChannel sessions) thus scan each
     challenge once; a device behind TCP scans in its own process. The memo
     holds at most two d-word arrays, 2 x 8d bytes.
     """

@@ -35,6 +35,7 @@ calibrating). A session an interrupt spike spoiled (STATUS_NMI_RETRY) is
 never judged on its time, only retried, and never enters a profile.
 """
 
+import functools
 import itertools
 import logging
 import math
@@ -90,6 +91,9 @@ MAX_SCAN_WORDS = 1 << 25
 # Modeled time, in microseconds, from a challenge to the device's RESTORED
 # frame. The verifier's clock starts at that frame, so it never enters a duration.
 RESTORE_US = 500
+# A paced device server sleeps until this long before a reply is due and spins
+# on the clock for the rest: a sleep can wake late by the host's timer slack.
+SPIN_NS = 300_000
 
 log = logging.getLogger(__name__)
 
@@ -290,13 +294,13 @@ def new_session_id(rng: random.Random) -> int:
 class DeviceEndpoint:
     """Simulated device: replays its trusted checkpoint, scans what it restored, responds.
 
-    Every endpoint of the same seeded image shares one read-only Checkpoint;
-    each keeps its own writable words, which every session restores from the
-    checkpoint with one copy and then scans. The verifier's expected_result
-    scans the checkpoint itself. For every prime an evaluation over words
-    equal to one of the last two evaluated in this process, under an equal
-    spec, is a lookup (engine.evaluate), so a simulated device in the
-    verifier's process scans a replayed challenge once, not twice.
+    Every endpoint of the same seeded image shares one read-only Checkpoint.
+    Its own writable words are a copy made on first use, which every session
+    restores from the checkpoint with one copy and then scans; the verifier's
+    expected_result scans the checkpoint itself and allocates none. For every
+    prime an evaluation over words equal to one of the last two evaluated in
+    this process, under an equal spec, is a lookup (engine.evaluate), so a
+    simulated device in the verifier's process scans a replayed challenge once.
 
     The endpoint answers as the scenario's device: honestly, or with the
     wrong value or extra time of the scenario's adversary.
@@ -312,8 +316,12 @@ class DeviceEndpoint:
         self.master_seed = master_seed
         self.checkpoint = device_snapshot(scenario.image_seed, scenario.image_words,
                                           scenario.region_id, scenario.register_count)
-        self.words = self.checkpoint.words.copy()
         self._session_index = 0
+
+    @functools.cached_property
+    def words(self):
+        """Live device memory: a writable copy of the checkpoint, made on first use."""
+        return self.checkpoint.words.copy()
 
     def handle_challenge(self, msg: ChallengeMessage):
         """-> [(delay_us, reply_frame), ...] with simulated on-device delays."""
@@ -322,7 +330,7 @@ class DeviceEndpoint:
         if spec.region_id != scenario.region_id:
             reply = ResponseMessage(msg.session_id, 0, STATUS_REGION_MISMATCH)
             return [(0.0, encode_response(reply))]
-        refusal = budget_refusal(spec.seeds.k, spec.passes * self.words.size)
+        refusal = budget_refusal(spec.seeds.k, spec.passes * self.checkpoint.words.size)
         if refusal:
             return self._refuse(msg, refusal)
 
@@ -422,21 +430,38 @@ class TcpChannel:
         raise ChannelTimeout(f"{self.host}:{self.port} closed the connection mid-session")
 
 
+def _wait_until(due_ns: int):
+    """Return at due_ns on the monotonic clock: sleep, then spin the last SPIN_NS."""
+    sleep_ns = due_ns - SPIN_NS - time.monotonic_ns()
+    if sleep_ns > 0:
+        time.sleep(sleep_ns / 1e9)
+    while time.monotonic_ns() < due_ns:
+        pass
+
+
 def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 0,
                  time_scale: float = 0.0):
     """Single-listener TCP server for one device endpoint.
 
-    time_scale stretches simulated on-device delays into real sleeps
-    (1.0 = real time, 0.0 = respond immediately). Returns (server_socket,
-    thread). The server takes connections until the socket is closed: the
-    thread then ends within ACCEPT_POLL_S, or once the connection it serves
-    ends. Sessions are strictly serialized. A challenge the device cannot or
-    will not evaluate is refused with STATUS_REFUSED and logged, and its
-    connection stays open; so does one that sent a frame other than a
-    CHALLENGE, which is logged and skipped. Any other error while serving a
-    connection is logged and closes only that connection; the server keeps
-    going. Such errors include bad framing and the timeouts of read_frames,
-    which reads each connection under CONN_TIMEOUT_S and CONN_BUDGET_S.
+    time_scale stretches simulated on-device delays into real time (1.0 =
+    real time, 0.0 = respond immediately). Each session is paced to absolute
+    deadlines on the monotonic clock, anchored at the CHALLENGE's arrival
+    stamp: RESTORED is due RESTORE_US * time_scale after it, or at once when
+    the restore and scan took longer, and RESPONSE is due its modeled delay *
+    time_scale after RESTORED went out, so a slow host never shortens the
+    timed window. The server sleeps until SPIN_NS before a deadline and
+    spins on the clock for the rest.
+
+    Returns (server_socket, thread). The server takes connections until the
+    socket is closed: the thread then ends within ACCEPT_POLL_S, or once the
+    connection it serves ends. Sessions are strictly serialized. A challenge
+    the device cannot or will not evaluate is refused with STATUS_REFUSED and
+    logged, and its connection stays open; so does one that sent a frame
+    other than a CHALLENGE, which is logged and skipped. Any other error
+    while serving a connection is logged and closes only that connection;
+    the server keeps going. Such errors include bad framing and the timeouts
+    of read_frames, which reads each connection under CONN_TIMEOUT_S and
+    CONN_BUDGET_S.
     """
     if not 0 <= time_scale < math.inf:  # time.sleep(inf) raises, nan would never sleep
         raise ValueError(f"time_scale must be a finite number >= 0, got {time_scale}")
@@ -457,14 +482,17 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
                 return
             with conn:
                 try:
-                    for _, msg in read_frames(conn, CONN_TIMEOUT_S, CONN_BUDGET_S):
+                    for arrival_us, msg in read_frames(conn, CONN_TIMEOUT_S, CONN_BUDGET_S):
                         if not isinstance(msg, ChallengeMessage):
                             log.warning("device server: skipped a %s frame of session %#x",
                                         type(msg).__name__, msg.session_id)
                             continue
+                        due_ns = arrival_us * 1000
                         for delay_us, reply in endpoint.handle_challenge(msg):
                             if time_scale > 0:
-                                time.sleep(delay_us * time_scale / 1e6)
+                                due_ns += round(delay_us * time_scale * 1000)
+                                _wait_until(due_ns)
+                                due_ns = max(due_ns, time.monotonic_ns())  # when it goes out
                             conn.sendall(reply)
                 except (TimecheckError, OSError) as exc:
                     log.warning("device server: dropped connection: %s: %s",

@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -30,7 +31,6 @@ from timecheck.device import (
     builtin_scenario,
     load_scenario,
     price,
-    save_scenario,
     scenario_from_json,
     scenario_to_json,
 )
@@ -42,6 +42,11 @@ from timecheck.seeding import derive_seed
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def _write_scenario(scenario, path):
+    """Save scenario as a --config file."""
+    path.write_text(json.dumps(scenario_to_json(scenario), indent=2))
 
 
 @pytest.fixture
@@ -136,12 +141,13 @@ class TestChallenge:
                     "--target", "tcp://127.0.0.1:1"])
         assert code == 1
 
-    @pytest.mark.parametrize("command", ["calibrate", "challenge"])
-    @pytest.mark.parametrize("target", [
+    @pytest.mark.parametrize("target, command", [*itertools.product((
         "tcp://127.0.0.1", "tcp://127.0.0.1:x", "udp://h:1",
         # the socket layer would connect to 123797 mod 2^16 = 58261, another device
         "tcp://127.0.0.1:123797", "tcp://127.0.0.1:65536", "tcp://127.0.0.1:0",
         "tcp://127.0.0.1:\u00b2",  # isdigit, but int() refuses it
+    ), ("calibrate", "challenge")),
+        ("sim", "challenge"),  # calibrate's priced trials; challenge's session is loopback
     ])
     def test_malformed_target_is_an_operational_error(self, tmp_path, calibrated, capsys,
                                                       monkeypatch, command, target):
@@ -154,6 +160,8 @@ class TestChallenge:
         assert run([command, "--scenario", "desk-small", "--target", target, *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(target) in err and err.count("\n") == 1
+        if not target.startswith("tcp://"):
+            assert "use loopback or tcp://host:port" in err
 
     def test_shape_mismatch_errors(self, tmp_path, calibrated):
         code = run(["challenge", "--profile", calibrated, "--scenario", "desk-small",
@@ -184,12 +192,12 @@ class TestChallenge:
     def test_interrupt_storm_is_operational_error(self, tmp_path, calibrated, capsys):
         from dataclasses import replace
 
-        from timecheck.device import builtin_scenario, save_scenario
+        from timecheck.device import builtin_scenario
 
         sc = builtin_scenario("desk-small")
         stormy = replace(sc, noise=replace(sc.noise, nmi_prob=1.0, nmi_us=50_000.0))
         cfg = tmp_path / "storm.json"
-        save_scenario(stormy, cfg)
+        _write_scenario(stormy, cfg)
         capsys.readouterr()
         code = run(["challenge", "--profile", calibrated, "--config", cfg,
                     "--seed", 5])
@@ -470,7 +478,7 @@ class TestScenarioFromArgs:
         # a scan length that differs from image_words + register_count
         sc = dataclasses.replace(builtin_scenario("desk-small"), timing_words=5000)
         cfg = tmp_path / "sc.json"
-        save_scenario(sc, cfg)
+        _write_scenario(sc, cfg)
         args = build_parser().parse_args(["serve", "--config", str(cfg), "--passes", "3"])
         got = _scenario_from_args(args)
         want = load_scenario(cfg)
@@ -726,6 +734,28 @@ def test_challenge_pinned_stdout(calibrated, capsys, args, code, want):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
 
 
+def test_loopback_is_the_default_challenge_target(calibrated, capsys):
+    for args, code, want in CHALLENGE_STDOUT_SHA256:
+        capsys.readouterr()
+        assert run(["challenge", "--profile", calibrated, "--scenario", "desk-small",
+                    "--target", "loopback", *args]) == code
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == want
+
+
+def test_challenge_verifier_holds_no_device_memory(calibrated, monkeypatch):
+    endpoints = []
+
+    class Recorded(DeviceEndpoint):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            endpoints.append(self)
+
+    monkeypatch.setattr(cli, "DeviceEndpoint", Recorded)
+    assert run(["challenge", "--profile", calibrated, "--scenario", "desk-small"]) == 0
+    verifier, device = endpoints
+    assert "words" not in vars(verifier) and "words" in vars(device)
+
+
 def test_sram_challenge_pinned_stdout(tmp_path, capsys):
     assert run(["calibrate", "--scenario", "sram-baseline", "--passes", 3, "--trials", 20,
                 "--seed", 3, "--out", tmp_path]) == 0
@@ -758,7 +788,7 @@ def _interrupted_config(tmp_path, nmi_prob):
     """desk-small with an nmi_prob chance of a 50 ms interrupt spike per session."""
     sc = builtin_scenario("desk-small")
     cfg = tmp_path / "interrupted.json"
-    save_scenario(dataclasses.replace(sc, noise=dataclasses.replace(
+    _write_scenario(dataclasses.replace(sc, noise=dataclasses.replace(
         sc.noise, nmi_prob=nmi_prob, nmi_us=50_000.0)), cfg)
     return cfg
 
@@ -824,7 +854,7 @@ def test_interrupt_storm_attempts_send_fresh_session_ids(tmp_path, calibrated, m
 def test_config_file_overrides_scenario(tmp_path, capsys):
     sc = builtin_scenario("desk-small")
     cfg = tmp_path / "tweaked.json"
-    save_scenario(sc, cfg)
+    _write_scenario(sc, cfg)
     assert run(["calibrate", "--config", cfg, "--trials", 20,
                 "--out", tmp_path]) == 0
     assert (tmp_path / "desk-small-profile.json").exists()
@@ -994,8 +1024,8 @@ def test_non_positive_priced_durations_are_not_a_traceback(tmp_path, capsys):
     # at or below 0 us: the sim target used to raise in Measurement, and the
     # loopback target and challenge to stamp a RESPONSE before its RESTORED
     cfg = tmp_path / "wide.json"
-    save_scenario(dataclasses.replace(builtin_scenario("desk-small"),
-                                      noise=NoiseModel("gaussian", sigma=20000.0)), cfg)
+    _write_scenario(dataclasses.replace(builtin_scenario("desk-small"),
+                                        noise=NoiseModel("gaussian", sigma=20000.0)), cfg)
     for target in ("sim", "loopback"):
         assert run(["calibrate", "--config", cfg, "--trials", 20, "--target", target,
                     "--out", tmp_path / target]) == 0
@@ -1014,7 +1044,7 @@ def test_challenge_at_another_prime_scans_once(tmp_path, monkeypatch, capsys):
     # the verifier's expected value and the replayed simulated device's scan
     # are one streaming evaluation; a corrupt device's answer is still judged
     cfg = tmp_path / "p64.json"
-    save_scenario(dataclasses.replace(builtin_scenario("desk-small"), prime=(1 << 64) - 59), cfg)
+    _write_scenario(dataclasses.replace(builtin_scenario("desk-small"), prime=(1 << 64) - 59), cfg)
     assert run(["calibrate", "--config", cfg, "--trials", 20, "--out", tmp_path]) == 0
     engine._memo.clear()  # an earlier test may have evaluated this challenge
     scans = []

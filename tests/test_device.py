@@ -31,7 +31,6 @@ from timecheck.device import (
     price,
     priced_trials,
     run_trials,
-    save_scenario,
     scenario_from_json,
     scenario_to_json,
     validate_tiers,
@@ -396,7 +395,7 @@ class TestScenarios:
         for name in ("sram-dram", "detector-iomem-baseline", "full-mmc", "desk-small"):
             sc = builtin_scenario(name)
             path = tmp_path / f"{name}.json"
-            save_scenario(sc, path)
+            path.write_text(json.dumps(scenario_to_json(sc)))
             back = load_scenario(path)
             assert back == sc
 

@@ -938,6 +938,70 @@ class TestTcpTransport:
             chan.request(encode_challenge(ChallengeMessage(1, fresh_spec())))
 
 
+class TestServedPacing:
+    """serve_device releases each reply no earlier than its modeled schedule."""
+
+    @staticmethod
+    def gaps(monkeypatch, sessions, time_scale=1.0):
+        """(released gap, modeled delay) in us of each desk-small session over
+        TCP: the gap between the instants the server released RESTORED and
+        RESPONSE, and the RESPONSE delay a twin endpoint on its seed prices.
+
+        The bound is on the server's release instants: the verifier's own
+        stamps also carry its wake-up lag, which on a busy host puts a few in
+        a hundred measured durations below the modeled delay."""
+        released = []
+        wait_until = protocol._wait_until
+
+        def recorded(due_ns):
+            wait_until(due_ns)
+            released.append(time.monotonic_ns())
+
+        monkeypatch.setattr(protocol, "_wait_until", recorded)
+        sc = desk_scenario()
+        server, _ = serve_device(DeviceEndpoint(sc, master_seed=41), port=0,
+                                 time_scale=time_scale)
+        twin = DeviceEndpoint(sc, master_seed=41)
+        chan = TcpChannel(*server.getsockname(), timeout_s=5.0)
+        rng = sub_rng(41, "t")
+        out = []
+        try:
+            for _ in range(sessions):
+                spec = fresh_spec(rng, sc)
+                issue_challenge(chan, spec, rng=rng)
+                modeled, _ = twin.handle_challenge(ChallengeMessage(1, spec))[-1]
+                out.append(modeled)
+        finally:
+            server.close()
+        return [((resp - rest) / 1000, modeled) for rest, resp, modeled
+                in zip(released[::2], released[1::2], out)]
+
+    def test_no_reply_comes_before_its_modeled_delay(self, monkeypatch):
+        gaps = self.gaps(monkeypatch, 20)
+        assert len(gaps) == 20
+        assert all(gap >= modeled for gap, modeled in gaps), gaps
+
+    def test_slow_scan_does_not_shorten_the_timed_window(self, monkeypatch):
+        # restore and scan overrun RESTORE_US, so RESTORED goes out late; the
+        # RESPONSE is paced from then, not from the CHALLENGE's arrival
+        evaluate = protocol.evaluate
+
+        def slow(words, spec):
+            time.sleep(2 * protocol.RESTORE_US / 1e6)
+            return evaluate(words, spec)
+
+        monkeypatch.setattr(protocol, "evaluate", slow)
+        gaps = self.gaps(monkeypatch, 10)
+        assert len(gaps) == 10
+        assert all(gap >= modeled for gap, modeled in gaps), gaps
+
+    def test_time_scale_zero_answers_without_waiting(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(protocol.time, "sleep", sleeps.append)
+        assert self.gaps(monkeypatch, 5, time_scale=0.0) == []  # never waited
+        assert sleeps == []
+
+
 class TestPricing:
     """The device prices the challenge it received, drift included."""
 
@@ -997,6 +1061,16 @@ class TestSharedSnapshot:
             scan[0] = 1
         with pytest.raises(ValueError):
             scan.flags.writeable = True
+
+    def test_verifier_endpoint_holds_no_device_memory(self):
+        sc = desk_scenario()
+        verifier = DeviceEndpoint(sc, master_seed=7)
+        spec = fresh_spec(sub_rng(7, "t"), sc)
+        verifier.expected_result(spec)
+        assert "words" not in vars(verifier)
+        device = DeviceEndpoint(sc, master_seed=7)
+        device.handle_challenge(ChallengeMessage(1, spec))
+        assert vars(device)["words"].base is None  # its own copy, made when it served
 
     def test_replay_leaves_snapshot_untouched(self):
         sc = desk_scenario()
