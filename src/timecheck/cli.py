@@ -280,7 +280,7 @@ def _reproduce_summary_table(args) -> int:
         header.append("shift_in_baseline_sigmas")
     rows = []
     for name, d in batches.items():
-        mean, std = sum(d) / len(d), stats.calibrate(d).std
+        mean, std = sum(d) / len(d), np.std(d, ddof=1).item()
         row = [name, len(d), f"{mean:.1f}", f"{std:.1f}", "", "", ""]
         if d is base:
             base_mean, base_std = mean, std

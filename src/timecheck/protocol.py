@@ -184,9 +184,10 @@ def decode_body(body: bytes):
             off += 8 * k
             x, p, perm_seed, passes, region_len = struct.unpack_from("<QQQIH", body, off)
             off += 30
-            region = body[off:off + region_len].decode()
-            if off + region_len != len(body):
-                raise MalformedFrame("trailing bytes in challenge body")
+            if short := off + region_len - len(body):
+                raise MalformedFrame(f"challenge body {short} bytes short" if short > 0
+                                     else f"{-short} trailing bytes in challenge body")
+            region = body[off:].decode()
             spec = ChallengeSpec(
                 seeds=RandomSeeds(r, FieldParams(p, x)),
                 perm_seed=perm_seed, passes=passes, region_id=region)

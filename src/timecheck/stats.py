@@ -47,29 +47,52 @@ class BaselineProfile:
 
 def calibrate(samples) -> BaselineProfile:
     """Build a BaselineProfile; percentiles use linear rank interpolation."""
-    arr = np.asarray(list(samples), dtype=float)
+    arr = _finite(np.asarray(list(samples), dtype=float))
     stats = (column.item() for column in _row_statistics(arr[np.newaxis, :]))
     return BaselineProfile(tuple(arr.tolist()), arr.size, *stats)
 
 
+def _finite(samples: np.ndarray) -> np.ndarray:
+    if bad := samples.size - np.count_nonzero(np.isfinite(samples)):
+        raise ValueError(f"{bad} of {samples.size} samples are NaN or +-inf")
+    return samples
+
+
 def _row_statistics(arr: np.ndarray) -> tuple:
-    """Per row of a 2-D float array: (mean, std, median, mad, p2_5, p97_5, mean_ad).
+    """Per row of a 2-D array of finite floats: (mean, std, median, mad, p2_5, p97_5, mean_ad).
 
     Each entry is a float64 column with one value per row, in
     BaselineProfile's field order after samples and n. A row's statistics
     equal calibrate(row)'s exactly: the axis reductions run the same
-    arithmetic as their 1-D forms.
+    arithmetic as their 1-D forms, and the order statistics, from one sort of
+    arr and one of the deviations, equal np.median's and "linear"
+    np.percentile's bit for bit (but either zero may stand for 0.0 and -0.0).
     """
     if arr.shape[1] < 2:
         raise InsufficientSamples(f"calibration needs >= 2 samples, got {arr.shape[1]}")
-    median = np.median(arr, axis=1)
+    mean, std = arr.mean(axis=1), arr.std(axis=1, ddof=1)
+    ranked = np.sort(arr, axis=1)
+    median = _middle(ranked)
+    p2_5, p97_5 = (_linear_percentile(ranked, q) for q in (2.5, 97.5))
+    del ranked  # one array of arr's size at a time beside arr
     deviation = arr - median[:, np.newaxis]
     np.abs(deviation, out=deviation)
     mean_ad = deviation.mean(axis=1)
-    mad = np.median(deviation, axis=1, overwrite_input=True)
-    del deviation  # one array of arr's size at a time beside arr
-    p2_5, p97_5 = np.percentile(arr, (2.5, 97.5), axis=1)
-    return arr.mean(axis=1), arr.std(axis=1, ddof=1), median, mad, p2_5, p97_5, mean_ad
+    deviation.sort(axis=1)
+    return mean, std, median, _middle(deviation), p2_5, p97_5, mean_ad
+
+
+def _middle(ranked: np.ndarray) -> np.ndarray:
+    """np.median of each sorted row, as a new column (a view would keep ranked alive)."""
+    h = ranked.shape[1] // 2
+    return ranked[:, h].copy() if ranked.shape[1] % 2 else (ranked[:, h - 1] + ranked[:, h]) / 2
+
+
+def _linear_percentile(ranked: np.ndarray, q: float) -> np.ndarray:
+    """Each sorted row's q-th percentile, q < 100, by numpy's "linear" virtual index and _lerp."""
+    lo, t = divmod((ranked.shape[1] - 1) * (q / 100), 1)  # the virtual index's parts
+    a, b = ranked[:, int(lo)], ranked[:, int(lo) + 1]
+    return b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t
 
 
 # --- serial correlation ------------------------------------------------------
@@ -399,11 +422,12 @@ def confusion_report(baseline_points, attack_points,
     leave-one-out values (at least one). Every profile of a batch comes from
     one _row_statistics call, which reduces each row with the arithmetic
     calibrate() uses for that row alone: one over the batch's baseline rows,
-    and one over their stacked leave-one-out matrix. Their columns, shaped
-    to broadcast against the points, form the profiles every method scores
-    the batch's points against in one array expression.
+    and one over their stacked leave-one-out matrix, each sorted once per
+    row. Their columns, shaped to broadcast against the points, form the
+    profiles every method scores the batch's points against in one array
+    expression. A NaN or infinite baseline point raises ValueError.
     """
-    baseline = np.atleast_2d(np.asarray(baseline_points, dtype=float))
+    baseline = _finite(np.atleast_2d(np.asarray(baseline_points, dtype=float)))
     attack = np.atleast_2d(np.asarray(attack_points, dtype=float))
     if baseline.ndim > 2 or attack.ndim > 2 or baseline.shape[0] != attack.shape[0]:
         raise ValueError("point sets must be 1-D, or 2-D with one row per run in both")

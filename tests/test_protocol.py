@@ -165,7 +165,16 @@ class TestFraming:
         msg = ChallengeMessage(7, fresh_spec())
         raw = encode_challenge(msg)
         body = raw[8:-4] + b"\x00"
-        with pytest.raises(MalformedFrame):
+        with pytest.raises(MalformedFrame, match="^1 trailing bytes in challenge body$"):
+            decode_body(body)
+
+    @pytest.mark.parametrize("region, cut", [("sram", 1), ("sram", 3), ("région", 5)],
+                             ids=["minus-1", "minus-3", "inside-a-two-byte-character"])
+    def test_decode_body_cut_inside_its_label_is_short(self, region, cut):
+        # these used to read "trailing bytes" and "undecodable body"
+        spec = replace(fresh_spec(), region_id=region)
+        body = encode_challenge(ChallengeMessage(7, spec))[8:-4 - cut]
+        with pytest.raises(MalformedFrame, match=f"^challenge body {cut} bytes short$"):
             decode_body(body)
 
     def test_out_of_field_seed(self):

@@ -151,6 +151,32 @@ class TestCalibrateRows:
                 else:
                     assert got == want
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 200).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from((0.0, 1.0, -1.0, 2e9, 2e9 + 0.5, -2e9)), min_size=n, max_size=n)
+        | st.lists(st.floats(-3e9, 3e9).map(lambda v: v + 0.0), min_size=n, max_size=n)
+        | quantized_samples(min_size=n, max_size=n), min_size=1, max_size=4)))
+    def test_row_statistics_equal_numpy(self, rows):
+        # numpy's median and linear percentile as the oracle, bit for bit
+        # (+ 0.0 makes every zero positive: -0.0 == 0.0 leaves a tied zero's sign open)
+        arr = np.array(rows)
+        median = np.median(arr, axis=1)
+        deviation = np.abs(arr - median[:, np.newaxis])
+        want = (arr.mean(axis=1), arr.std(axis=1, ddof=1), median,
+                np.median(deviation, axis=1), *np.percentile(arr, (2.5, 97.5), axis=1),
+                deviation.mean(axis=1))
+        got = _row_statistics(arr)
+        assert [column.tobytes() for column in got] == [column.tobytes() for column in want]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_refused(self, bad):
+        # a sorted copy puts NaN last: the median would be finite and wrong
+        with pytest.raises(ValueError, match="^1 of 5 samples are NaN or"):
+            calibrate([1.0, 2.0, bad, 4.0, 5.0])
+        base = [[1.0, 2.0, 3.0], [bad, 2.0, bad]]
+        with pytest.raises(ValueError, match="^2 of 6 samples are NaN or"):
+            confusion_report(base, [[9.0], [9.0]])
+
     def test_two_point_baseline_leaves_one(self):
         with pytest.raises(InsufficientSamples, match="needs >= 2 samples, got 1"):
             confusion_report([1.0, 2.0], [5.0])
