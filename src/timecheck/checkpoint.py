@@ -73,10 +73,6 @@ class MemoryImage:
             if not 0 <= w <= _WORD_MASK:
                 raise ValueError(f"word {w:#x} does not fit 64 bits")
 
-    @property
-    def word_count(self) -> int:
-        return len(self.words)
-
 
 def _frozen(words) -> np.ndarray:
     """A uint64 copy of words backed by immutable bytes, so it cannot be made writeable."""

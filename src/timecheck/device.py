@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -70,56 +71,64 @@ SWAP_TIERS = {"dram_swap": "dram", "iomem_swap": "iomem"}
 
 @dataclass(frozen=True)
 class TierModel:
-    """Per-word access cost and per-transaction fixed cost of one memory tier."""
+    """Per-word access cost and per-transaction fixed cost of one memory tier.
 
-    name: str
+    A tier's name is its key in a tier table; validate_tiers checks the table.
+    """
+
     per_word_cost: float  # us per 8-byte access
     per_op_fixed_cost: float = 0.0  # us per swap transaction
-
-    def __post_init__(self):
-        _check_types(self, float, ("per_word_cost", "per_op_fixed_cost"), f"tier {self.name}: ")
-        if self.per_word_cost < 0 or self.per_op_fixed_cost < 0:
-            raise ValueError(f"tier {self.name}: costs must be non-negative")
 
 
 def default_tiers() -> dict:
     mmc_fixed = MMC_DELAY_US - (MMC_PAYLOAD_BYTES // 8) * 100.0
     return {
-        "sram": TierModel("sram", SRAM_SCAN_US_PER_WORD),
-        "iomem": TierModel("iomem", 1.0),
-        "dram": TierModel("dram", 4.0),
-        "mmc": TierModel("mmc", 100.0, mmc_fixed),
+        "sram": TierModel(SRAM_SCAN_US_PER_WORD),
+        "iomem": TierModel(1.0),
+        "dram": TierModel(4.0),
+        "mmc": TierModel(100.0, mmc_fixed),
     }
 
 
 def validate_tiers(tiers: dict):
-    """Physical ordering: sram and iomem are faster than dram, dram than mmc."""
-    def cost(name):
-        t = tiers.get(name)
-        return None if t is None else t.per_word_cost
-
-    sram, dram, iomem, mmc = cost("sram"), cost("dram"), cost("iomem"), cost("mmc")
-    if sram is not None and dram is not None and not sram < dram:
-        raise ValueError("tier ordering violated: sram must be faster than dram")
-    if iomem is not None and dram is not None and not iomem < dram:
-        raise ValueError("tier ordering violated: iomem must be faster than dram")
-    if dram is not None and mmc is not None and not dram < mmc:
-        raise ValueError("tier ordering violated: dram must be faster than mmc")
-    return tiers
+    """Raise ValueError unless each tier's fields hold their types (see
+    _check_fields), its costs are >= 0, and the tiers keep their physical
+    ordering: sram and iomem are faster than dram, dram than mmc."""
+    for name, tier in tiers.items():
+        _check_fields(tier, f"tier {name}: ")
+        if tier.per_word_cost < 0 or tier.per_op_fixed_cost < 0:
+            raise ValueError(f"tier {name}: costs must be non-negative")
+    for faster, slower in (("sram", "dram"), ("iomem", "dram"), ("dram", "mmc")):
+        if (faster in tiers and slower in tiers
+                and not tiers[faster].per_word_cost < tiers[slower].per_word_cost):
+            raise ValueError(f"tier ordering violated: {faster} must be faster than {slower}")
 
 
-def _check_types(obj, want: type, names, where: str = ""):
-    """Raise ValueError unless each named field of obj is a want.
+# The field annotations _check_fields checks, and what a value of each must be.
+_KINDS = {int: "an int", str: "a str", float: "a number"}
 
-    A bool is no int and no float; an int is a float. where prefixes the
-    field name in the message.
-    """
-    accepted = (int, float) if want is float else want
-    for name in names:
-        value = getattr(obj, name)
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            kind = {int: "an int", str: "a str", float: "a number"}[want]
-            raise ValueError(f"{where}{name} must be {kind}, got {value!r}")
+
+def _fault(value, want: type):
+    """None when value fits a field annotated want (a _KINDS key), else what
+    it must be: a bool is neither an int nor a number, and a float field takes
+    an int or float no larger than the largest finite float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if want is float else want):
+        return _KINDS[want]
+    if want is float and not abs(value) <= sys.float_info.max:  # nan, inf or a huge int
+        return "finite"
+    return None
+
+
+def _check_fields(obj, where: str = ""):
+    """Raise ValueError naming the first int, str or float field of the
+    dataclass obj whose value does not fit its annotation (see _fault). A None
+    in a field whose default is None is left for __post_init__ to fill. where
+    prefixes the field name in the message."""
+    for f in obj.__dataclass_fields__.values():
+        if f.type in _KINDS:
+            value = getattr(obj, f.name)
+            if not (value is None is f.default) and (fault := _fault(value, f.type)):
+                raise ValueError(f"{where}{f.name} must be {fault}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -131,11 +140,13 @@ class AdversaryConfig:
     payload_bytes: int = MMC_PAYLOAD_BYTES
 
     def __post_init__(self):
-        _check_types(self, int, ("words_per_pass", "payload_bytes"))
+        _check_fields(self)
         if self.kind not in ("none", "mmc_io", "corrupt_result", *SWAP_TIERS):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
         if self.kind in SWAP_TIERS and self.words_per_pass < 1:
             raise ValueError("swap adversaries move at least one word per pass")
+        if self.payload_bytes < 0:
+            raise ValueError(f"payload_bytes must be >= 0, got {self.payload_bytes}")
 
 
 # Each --attack name and the adversary it installs.
@@ -170,23 +181,17 @@ class NoiseModel:
     nmi_us: float = 50_000.0
 
     def __post_init__(self):
+        _check_fields(self, "noise ")
         if self.kind not in ("gaussian", "uniform", "empirical"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
         if self.kind == "empirical" and not self.values:
             raise ValueError("empirical noise needs sample values")
         if self.drift not in ("none", "linear", "step"):
             raise ValueError(f"unknown drift kind {self.drift!r}")
-        _check_types(self, float, ("sigma", "width", "drift_us_per_trial", "drift_step_us",
-                                   "nmi_prob", "nmi_us"), "noise ")
-        _check_types(self, int, ("drift_step_at",), "noise ")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in self.values):
-            raise ValueError(f"noise values must be numbers, got {list(self.values)}")
-        for name in ("sigma", "width", "drift_us_per_trial", "drift_step_at",
-                     "drift_step_us", "nmi_prob", "nmi_us"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"noise {name} must be finite, got {getattr(self, name)}")
-        if not all(math.isfinite(v) for v in self.values):
-            raise ValueError(f"noise values must be finite, got {list(self.values)}")
+        faults = {_fault(v, float) for v in self.values} - {None}
+        if faults:
+            must = "finite" if faults == {"finite"} else "numbers"
+            raise ValueError(f"noise values must be {must}, got {list(self.values)}")
         if self.sigma < 0 or self.width < 0:
             raise ValueError(f"noise sigma and width must be >= 0, got {self.sigma} "
                              f"and {self.width}")
@@ -340,24 +345,20 @@ class Scenario:
     image_seed: int = 7
 
     def __post_init__(self):
+        _check_fields(self)
         validate_tiers(self.tiers)
-        _check_types(self, str, ("name", "region_id"))
         region_bytes(self.region_id)
-        _check_types(self, int, ("image_words", "register_count", "passes", "prime", "k",
-                                 "image_seed"))
         if self.timing_words is None:
             object.__setattr__(self, "timing_words",
                                self.image_words + self.register_count)
-        _check_types(self, int, ("timing_words",))
         if self.scan_us_per_word is None:
             object.__setattr__(self, "scan_us_per_word",
                                self.tiers["sram"].per_word_cost)
-        _check_types(self, float, ("scan_us_per_word", "compute_us_per_word"))
-        for name in ("passes", "k", "image_words", "timing_words"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.register_count < 0:
-            raise ValueError(f"register_count must be >= 0, got {self.register_count}")
+        for name, least in (("passes", 1), ("k", 1), ("image_words", 1), ("timing_words", 1),
+                            ("register_count", 0), ("scan_us_per_word", 0),
+                            ("compute_us_per_word", 0)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (2 <= self.prime < 1 << 64 and is_prime(self.prime)):
             raise ValueError(f"prime must be a prime below 2^64, got {self.prime}")
 
@@ -506,10 +507,10 @@ def desk_scenario() -> Scenario:
     of magnitude.
     """
     tiers = {
-        "sram": TierModel("sram", 0.75),
-        "iomem": TierModel("iomem", 100.0),
-        "dram": TierModel("dram", 400.0),
-        "mmc": TierModel("mmc", MMC_DELAY_US / (MMC_PAYLOAD_BYTES // 8)),
+        "sram": TierModel(0.75),
+        "iomem": TierModel(100.0),
+        "dram": TierModel(400.0),
+        "mmc": TierModel(MMC_DELAY_US / (MMC_PAYLOAD_BYTES // 8)),
     }
     return Scenario(
         name="desk-small", region_id="sram", image_words=2014, register_count=34,
@@ -553,19 +554,18 @@ RETIRED_KEYS = {Scenario: "trials", AdversaryConfig: "trigger_index"}
 def scenario_to_json(scenario: Scenario) -> dict:
     """Every field of the scenario in field order, with the tiers sorted by name."""
     doc = asdict(scenario)
-    doc["tiers"] = {n: {k: v for k, v in t.items() if k != "name"}
-                    for n, t in sorted(doc["tiers"].items())}
+    doc["tiers"] = dict(sorted(doc["tiers"].items()))
     doc["noise"]["values"] = list(doc["noise"]["values"])
     return doc
 
 
-def _known(cls, doc, where: str, *given):
+def _known(cls, doc, where: str):
     """doc without cls's RETIRED_KEYS key, once each of its other keys names a
-    field of cls that the caller has not given."""
+    field of cls."""
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: expected a JSON object")
     doc = {k: v for k, v in doc.items() if k != RETIRED_KEYS.get(cls)}
-    unknown = set(doc) - ({f.name for f in fields(cls)} - set(given))
+    unknown = set(doc) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"{where}: unknown key(s) {', '.join(sorted(unknown))}")
     return doc
@@ -580,7 +580,7 @@ def scenario_from_json(doc: dict) -> Scenario:
     """
     doc = _known(Scenario, doc, "scenario")
     if "tiers" in doc:
-        doc["tiers"] = {n: TierModel(n, **_known(TierModel, t, f"tiers.{n}", "name"))
+        doc["tiers"] = {n: TierModel(**_known(TierModel, t, f"tiers.{n}"))
                         for n, t in doc["tiers"].items()}
     if "noise" in doc:
         noise = _known(NoiseModel, doc["noise"], "noise")

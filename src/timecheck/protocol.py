@@ -175,15 +175,15 @@ def decode_body(body: bytes):
     try:
         kind = body[0]
         if kind == MSG_CHALLENGE:
-            off = 1
-            (session_id,) = _U64.unpack_from(body, off)
-            off += 8
-            (k,) = struct.unpack_from("<H", body, off)
-            off += 2
-            r = struct.unpack_from(f"<{k}Q", body, off)
-            off += 8 * k
-            x, p, perm_seed, passes, region_len = struct.unpack_from("<QQQIH", body, off)
-            off += 30
+            # the part before the label: type, session id, k, k seeds, then x,
+            # p, perm seed, passes and the label's length (k is 1 until read)
+            k = int.from_bytes(body[9:11], "little") if len(body) >= 11 else 1
+            if len(body) < (off := 41 + 8 * k):
+                raise MalformedFrame(f"challenge body of {len(body)} bytes, "
+                                     f"at least {off} needed")
+            (session_id,) = _U64.unpack_from(body, 1)
+            r = struct.unpack_from(f"<{k}Q", body, 11)
+            x, p, perm_seed, passes, region_len = struct.unpack_from("<QQQIH", body, off - 30)
             if short := off + region_len - len(body):
                 raise MalformedFrame(f"challenge body {short} bytes short" if short > 0
                                      else f"{-short} trailing bytes in challenge body")

@@ -27,7 +27,10 @@ from timecheck.cli import (
 from timecheck.device import (
     ATTACKS,
     SCENARIOS,
+    AdversaryConfig,
     NoiseModel,
+    Scenario,
+    TierModel,
     builtin_scenario,
     load_scenario,
     price,
@@ -871,6 +874,12 @@ def test_config_file_overrides_scenario(tmp_path, capsys):
     ('{"name": "x", "noise": {"kind": "empirical", "values": [Infinity]}}',
      "noise values must be finite, got [inf]"),
     ('{"name": "x", "noise": {"nmi_prob": 1.5}}', "noise nmi_prob must be in [0, 1], got 1.5"),
+    # these used to calibrate every duration to the 1 us floor and fail on
+    # the constant series
+    ('{"name": "x", "scan_us_per_word": -5}', "scan_us_per_word must be >= 0, got -5"),
+    ('{"name": "x", "compute_us_per_word": -5}', "compute_us_per_word must be >= 0, got -5"),
+    ('{"name": "x", "adversary": {"kind": "mmc_io", "payload_bytes": -8}}',
+     "payload_bytes must be >= 0, got -8"),
 ])
 def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.json"
@@ -924,10 +933,20 @@ def test_region_label_a_frame_cannot_carry_is_an_error(tmp_path, capsys, command
     assert list(tmp_path.iterdir()) == [cfg]
 
 
-FLOAT_FIELDS = [((), "scan_us_per_word"), ((), "compute_us_per_word"),
-                (("tiers", "sram"), "per_word_cost"), (("tiers", "mmc"), "per_op_fixed_cost"),
-                *((("noise",), name) for name in ("sigma", "width", "drift_us_per_trial",
-                                                   "drift_step_us", "nmi_prob", "nmi_us"))]
+# Where each scenario record sits in desk-small's scenario JSON: the sram tier
+# first, then the other tiers of its table.
+RECORDS = [((), Scenario), (("tiers", "sram"), TierModel), (("noise",), NoiseModel),
+           (("adversary",), AdversaryConfig),
+           *((("tiers", name), TierModel) for name in ("dram", "iomem", "mmc"))]
+
+
+def _fields_of(want):
+    """(path, key) of every field of RECORDS annotated want."""
+    return [(path, f.name) for path, cls in RECORDS for f in dataclasses.fields(cls)
+            if f.type is want]
+
+
+FLOAT_FIELDS = _fields_of(float)
 
 
 def _desk_small_with(path, key, value):
@@ -941,25 +960,50 @@ def _desk_small_with(path, key, value):
     return doc
 
 
+def _refusal(tmp_path, capsys, doc) -> str:
+    """What calibrate --config says of the scenario doc, once it has exited 1
+    with one line of stderr naming the file and written nothing."""
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run(["calibrate", "--config", cfg, "--trials", 5, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ValueError: ") and err.count("\n") == 1
+    assert not out.exists()
+    return err
+
+
 @pytest.mark.parametrize("path, key", FLOAT_FIELDS)
 @pytest.mark.parametrize("value", ["0.3", True])
 def test_float_field_refuses_a_string_or_a_bool(tmp_path, capsys, path, key, value):
     # a string used to end in a TypeError traceback from the timing model,
     # and true to be priced as 1.0
-    cfg = tmp_path / "typed.json"
-    cfg.write_text(json.dumps(_desk_small_with(path, key, value)))
-    out = tmp_path / "out"
-    assert run(["calibrate", "--config", cfg, "--trials", 5, "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {cfg}: ValueError: ") and err.count("\n") == 1
+    err = _refusal(tmp_path, capsys, _desk_small_with(path, key, value))
     assert f"{key} must be a number, got {value!r}" in err
-    assert not out.exists()
+
+
+@pytest.mark.parametrize("path, key", FLOAT_FIELDS)
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_float_field_refuses_a_non_finite_value(tmp_path, capsys, path, key, value):
+    # inf and nan in a scan or tier cost used to end in a traceback from
+    # rounding the priced duration
+    err = _refusal(tmp_path, capsys, _desk_small_with(path, key, value))
+    assert f"{key} must be finite, got {value!r}" in err
 
 
 @pytest.mark.parametrize("path, key", FLOAT_FIELDS)
 def test_float_field_takes_an_int(path, key):
     doc = _desk_small_with(path, key, None)
     assert scenario_to_json(scenario_from_json(doc)) == doc
+
+
+@pytest.mark.parametrize("path, key, kind, value", [
+    (path, key, kind, value)
+    for want, kind, values in ((int, "an int", (2.0, 2.5, True, "2")), (str, "a str", (5, True)))
+    for path, key in _fields_of(want) for value in values])
+def test_int_or_str_field_refuses_another_type(tmp_path, capsys, path, key, kind, value):
+    err = _refusal(tmp_path, capsys, _desk_small_with(path, key, value))
+    assert f"{key} must be {kind}, got {value!r}" in err
 
 
 @pytest.mark.parametrize("command", ["calibrate", "challenge", "serve"])

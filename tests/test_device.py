@@ -85,19 +85,19 @@ class TestTiers:
 
     def test_sram_slower_than_dram_rejected(self):
         tiers = default_tiers()
-        tiers["sram"] = TierModel("sram", 9.0)
+        tiers["sram"] = TierModel(9.0)
         with pytest.raises(ValueError):
             validate_tiers(tiers)
 
     def test_iomem_slower_than_dram_rejected(self):
         tiers = default_tiers()
-        tiers["iomem"] = TierModel("iomem", 5.0)
+        tiers["iomem"] = TierModel(5.0)
         with pytest.raises(ValueError):
             validate_tiers(tiers)
 
     def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError):
-            TierModel("sram", -1.0)
+        with pytest.raises(ValueError, match="^tier sram: costs must be non-negative$"):
+            validate_tiers(dict(default_tiers(), sram=TierModel(-1.0)))
 
 
 class TestAdversaryDelay:
@@ -119,7 +119,7 @@ class TestAdversaryDelay:
         assert adversary_delay_us(AdversaryConfig("none"), default_tiers(), 500) == 0.0
 
     def test_missing_tier(self):
-        tiers = {"sram": TierModel("sram", 0.5)}
+        tiers = {"sram": TierModel(0.5)}
         with pytest.raises(UnknownTier):
             adversary_delay_us(AdversaryConfig("dram_swap"), tiers, 10)
 
@@ -130,7 +130,7 @@ class TestAdversaryDelay:
         assert adversary_delay_us(AdversaryConfig("dram_swap", words_per_pass=3),
                                   tiers, 100) > base
         slower = dict(tiers)
-        slower["dram"] = TierModel("dram", 8.0)
+        slower["dram"] = TierModel(8.0)
         assert adversary_delay_us(AdversaryConfig("dram_swap"), slower, 100) > base
 
     def test_invalid_kinds(self):

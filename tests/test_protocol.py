@@ -168,13 +168,22 @@ class TestFraming:
         with pytest.raises(MalformedFrame, match="^1 trailing bytes in challenge body$"):
             decode_body(body)
 
-    @pytest.mark.parametrize("region, cut", [("sram", 1), ("sram", 3), ("région", 5)],
-                             ids=["minus-1", "minus-3", "inside-a-two-byte-character"])
-    def test_decode_body_cut_inside_its_label_is_short(self, region, cut):
-        # these used to read "trailing bytes" and "undecodable body"
+    @pytest.mark.parametrize("region, cut, message", [
+        ("sram", 1, "challenge body 1 bytes short"),
+        ("sram", 3, "challenge body 3 bytes short"),
+        ("région", 5, "challenge body 5 bytes short"),
+        # k = 2: 57 bytes before the label, and a k-less body needs k = 1's 49
+        ("sram", 5, "challenge body of 56 bytes, at least 57 needed"),
+        ("sram", 14, "challenge body of 47 bytes, at least 57 needed"),
+        ("sram", 58, "challenge body of 3 bytes, at least 49 needed"),
+    ], ids=["minus-1", "minus-3", "inside-a-two-byte-character", "minus-5", "minus-14",
+            "three-bytes"])
+    def test_decode_body_cut_inside_its_label_is_short(self, region, cut, message):
+        # these used to read "trailing bytes", "undecodable body" and
+        # struct's "unpack_from requires a buffer of at least ..."
         spec = replace(fresh_spec(), region_id=region)
         body = encode_challenge(ChallengeMessage(7, spec))[8:-4 - cut]
-        with pytest.raises(MalformedFrame, match=f"^challenge body {cut} bytes short$"):
+        with pytest.raises(MalformedFrame, match=f"^{message}$"):
             decode_body(body)
 
     def test_out_of_field_seed(self):
