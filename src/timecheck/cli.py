@@ -38,7 +38,7 @@ from .device import (
     priced_trials,
     run_trials,
 )
-from .errors import DegenerateSeries, InsufficientSamples, TimecheckError
+from .errors import DegenerateSeries, InsufficientSamples, TimecheckError, UnknownTier
 from .protocol import (
     MAX_SCAN_WORDS,
     DeviceEndpoint,
@@ -63,16 +63,20 @@ def _check_finite_nonnegative(flag: str, value: float):
 
 def _scenario_from_args(args) -> Scenario:
     scenario = load_scenario(args.config) if args.config else builtin_scenario(args.scenario)
-    if args.passes is not None:
-        if args.passes < 1:
-            raise TimecheckError(f"--passes must be >= 1, got {args.passes}")
-        scenario = dataclasses.replace(scenario, passes=args.passes)
-    if getattr(args, "attack", "none") != "none":
-        scenario = attack_scenario(scenario, args.attack)
-    refusal = budget_refusal(scenario.k, scenario.passes
-                             * (scenario.image_words + scenario.register_count))
+    passes = scenario.passes if args.passes is None else args.passes
+    if passes < 1:
+        raise TimecheckError(f"--passes must be >= 1, got {passes}")
+    refusal = budget_refusal(scenario.k, passes * (scenario.image_words + scenario.register_count))
     if refusal:  # checked before anything is evaluated or sent
         raise TimecheckError(f"a device refuses this challenge: {refusal}")
+    try:  # the scenario checks its tiers and duration bound at these passes and attack
+        if args.passes is not None:
+            scenario = dataclasses.replace(scenario, passes=passes)
+        if getattr(args, "attack", "none") != "none":
+            scenario = attack_scenario(scenario, args.attack)
+    except (UnknownTier, ValueError) as exc:
+        raise TimecheckError(f"{args.config or args.scenario}: "
+                             f"{type(exc).__name__}: {exc}") from exc
     return scenario
 
 

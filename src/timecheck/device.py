@@ -16,10 +16,10 @@ persistent implant), so
 while an mmc_io adversary pays for a single payload transfer once per
 challenge.
 
-The simulated adversary is time-only: it always returns the correct
-accumulator and pays only latency, which is the strongest stealthy attacker.
-A separate corrupt_result mode (wrong value, zero delay) exists to exercise
-the verifier's value check.
+Each time-only adversary (ADVERSARY_TIERS) answers correctly and pays only
+latency, the strongest stealthy attacker; corrupt_result's wrong answer
+(AdversaryConfig.answer, zero delay) exercises the value check. Tiers are
+checked at load: a Scenario refuses a tier table that lacks one it prices.
 
 Default calibration solves per-word costs from published aggregate timings
 for a 500-pass scan of a 192 KB region rather than inventing absolute
@@ -65,8 +65,9 @@ FULL_MMC_SIGMA_US = 28587.0
 MMC_PAYLOAD_BYTES = 512
 MMC_DELAY_US = 3.570e6  # mean shift of the full-memory storage attack
 
-# The tier each swap adversary evicts words to.
-SWAP_TIERS = {"dram_swap": "dram", "iomem_swap": "iomem"}
+# The tier each time-only adversary kind is priced from: a swap evicts words
+# to it, and mmc_io moves its payload through it.
+ADVERSARY_TIERS = {"dram_swap": "dram", "iomem_swap": "iomem", "mmc_io": "mmc"}
 
 
 @dataclass(frozen=True)
@@ -141,12 +142,16 @@ class AdversaryConfig:
 
     def __post_init__(self):
         _check_fields(self)
-        if self.kind not in ("none", "mmc_io", "corrupt_result", *SWAP_TIERS):
+        if self.kind not in ("none", "corrupt_result", *ADVERSARY_TIERS):
             raise ValueError(f"unknown adversary kind {self.kind!r}")
-        if self.kind in SWAP_TIERS and self.words_per_pass < 1:
+        if self.kind in ADVERSARY_TIERS and self.kind != "mmc_io" and self.words_per_pass < 1:
             raise ValueError("swap adversaries move at least one word per pass")
         if self.payload_bytes < 0:
             raise ValueError(f"payload_bytes must be >= 0, got {self.payload_bytes}")
+
+    def answer(self, accumulator: int, p: int) -> int:
+        """The accumulator this adversary reports for an honest one mod p."""
+        return (accumulator + 1) % p if self.kind == "corrupt_result" else accumulator
 
 
 # Each --attack name and the adversary it installs.
@@ -157,6 +162,12 @@ ATTACKS = {
     "mmc": AdversaryConfig("mmc_io"),
     "corrupt": AdversaryConfig("corrupt_result"),
 }
+
+
+# Every duration a Scenario prices stays below 2^53 us, where a float still
+# holds each whole microsecond and noise still moves it.
+MAX_DURATION_US = 2.0 ** 53
+GAUSS_REACH = math.sqrt(-2.0 * math.log(2.0 ** -53))  # max |gauss(0, 1)|: 1 - random() >= 2^-53
 
 
 @dataclass(frozen=True)
@@ -199,6 +210,13 @@ class NoiseModel:
             raise ValueError(f"noise nmi_prob must be in [0, 1], got {self.nmi_prob}")
         if self.drift_step_at < 0:
             raise ValueError(f"noise drift_step_at must be >= 0, got {self.drift_step_at}")
+
+    def reach_us(self) -> float:
+        """The most one sample moves a duration, a linear drift counted for one trial."""
+        spread = {"gaussian": GAUSS_REACH * self.sigma, "uniform": self.width,
+                  "empirical": max(map(abs, self.values), default=0.0)}[self.kind]
+        drift = {"none": 0.0, "linear": self.drift_us_per_trial, "step": self.drift_step_us}
+        return spread + abs(drift[self.drift]) + (abs(self.nmi_us) if self.nmi_prob else 0.0)
 
     def sample(self, rng: random.Random, trial_id: int = 0):
         """(noise_us, nmi_fired) for one trial."""
@@ -307,22 +325,15 @@ def device_snapshot(image_seed: int, image_words: int, region_id: str = "sram",
 
 
 def adversary_delay_us(adversary: AdversaryConfig, tiers: dict, passes: int) -> float:
-    """Total injected latency for one challenge."""
-    if adversary.kind in ("none", "corrupt_result"):
+    """Total injected latency for one challenge; tiers holds the adversary's
+    ADVERSARY_TIERS tier, as a Scenario checks."""
+    if adversary.kind not in ADVERSARY_TIERS:
         return 0.0
-    if adversary.kind in SWAP_TIERS:
-        tier_name = SWAP_TIERS[adversary.kind]
-        tier = tiers.get(tier_name)
-        if tier is None:
-            raise UnknownTier(f"adversary targets missing tier {tier_name!r}")
-        # evict + refill: two transfers per word, every pass
-        per_word = 2.0 * (tier.per_word_cost + tier.per_op_fixed_cost)
-        return passes * adversary.words_per_pass * per_word
-    tier = tiers.get("mmc")
-    if tier is None:
-        raise UnknownTier("adversary targets missing tier 'mmc'")
-    payload_words = math.ceil(adversary.payload_bytes / 8)
-    return payload_words * tier.per_word_cost + tier.per_op_fixed_cost
+    tier = tiers[ADVERSARY_TIERS[adversary.kind]]
+    if adversary.kind == "mmc_io":  # one payload transfer per challenge
+        return math.ceil(adversary.payload_bytes / 8) * tier.per_word_cost + tier.per_op_fixed_cost
+    per_word = 2.0 * (tier.per_word_cost + tier.per_op_fixed_cost)  # evict + refill
+    return passes * adversary.words_per_pass * per_word  # every pass
 
 
 @dataclass(frozen=True)
@@ -352,8 +363,13 @@ class Scenario:
             object.__setattr__(self, "timing_words",
                                self.image_words + self.register_count)
         if self.scan_us_per_word is None:
+            if "sram" not in self.tiers:
+                raise UnknownTier("an unset scan_us_per_word needs tier 'sram'")
             object.__setattr__(self, "scan_us_per_word",
                                self.tiers["sram"].per_word_cost)
+        needed = ADVERSARY_TIERS.get(self.adversary.kind)
+        if needed not in (None, *self.tiers):
+            raise UnknownTier(f"adversary {self.adversary.kind} needs tier {needed!r}")
         for name, least in (("passes", 1), ("k", 1), ("image_words", 1), ("timing_words", 1),
                             ("register_count", 0), ("scan_us_per_word", 0),
                             ("compute_us_per_word", 0)):
@@ -361,6 +377,13 @@ class Scenario:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (2 <= self.prime < 1 << 64 and is_prime(self.prime)):
             raise ValueError(f"prime must be a prime below 2^64, got {self.prime}")
+        try:  # an int too large to price in a float reads as inf
+            nominal = _nominal_us(self, self.passes)
+        except OverflowError:
+            nominal = math.inf
+        if not nominal + self.noise.reach_us() < MAX_DURATION_US:
+            raise ValueError(f"a priced duration must stay below 2^53 us: {nominal:.6g} us at "
+                             f"{self.passes} passes, noise reaching {self.noise.reach_us():.6g} us")
 
     def base_cost_us(self, passes: int) -> float:
         """Honest scan time of a challenge of this many passes, before noise."""
@@ -596,5 +619,5 @@ def load_scenario(path) -> Scenario:
     with open(path) as fh:
         try:
             return scenario_from_json(json.load(fh))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, UnknownTier, ValueError) as exc:
             raise TimecheckError(f"{path}: {type(exc).__name__}: {exc}") from exc

@@ -52,7 +52,7 @@ class PermutationDomainMismatch(TimecheckError):
 # device simulator
 
 class UnknownTier(TimecheckError):
-    """Adversary targets a tier missing from the tier table."""
+    """A scenario prices a tier missing from its tier table."""
 
 
 # verifier statistics

@@ -348,10 +348,7 @@ class DeviceEndpoint:
         noise_rng = random.Random(derive_seed(self.master_seed, "device-noise", trial_id))
         duration, nmi = price(scenario, msg.spec.passes, noise_rng, trial_id)
 
-        accumulator = result.accumulator
-        if scenario.adversary.kind == "corrupt_result":
-            accumulator = (accumulator + 1) % msg.spec.params.p
-
+        accumulator = scenario.adversary.answer(result.accumulator, msg.spec.params.p)
         status = STATUS_NMI_RETRY if nmi else STATUS_OK
         reply = ResponseMessage(msg.session_id, accumulator, status)
         # delays leave the device at the timer's microsecond granularity

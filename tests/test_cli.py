@@ -880,6 +880,22 @@ def test_config_file_overrides_scenario(tmp_path, capsys):
     ('{"name": "x", "compute_us_per_word": -5}', "compute_us_per_word must be >= 0, got -5"),
     ('{"name": "x", "adversary": {"kind": "mmc_io", "payload_bytes": -8}}',
      "payload_bytes must be >= 0, got -8"),
+    # these used to end in an OverflowError traceback, to calibrate overflowed
+    # samples, or to calibrate durations whose noise had rounded away
+    ('{"name": "x", "noise": {"sigma": 1e308}}', "below 2^53 us: 9.591e+06 us at 500 passes, "
+     "noise reaching inf us"),
+    pytest.param('{"name": "x", "timing_words": 1%s}' % ("0" * 400),
+                 "below 2^53 us: inf us at 500 passes", id="timing_words-10**400"),
+    ('{"name": "x", "adversary": {"kind": "mmc_io"}, "tiers": {"sram": {"per_word_cost": 0.5}, '
+     '"mmc": {"per_word_cost": 1e307}}}', "below 2^53 us: inf us at 500 passes"),
+    ('{"name": "x", "adversary": {"kind": "mmc_io", "payload_bytes": 1000000000000000000000000000000}}',
+     "below 2^53 us: 1.25e+31 us at 500 passes"),
+    # a tier the scenario prices and lacks: "KeyError: 'sram'", and a load
+    # that failed every priced trial
+    ('{"name": "x", "tiers": {"dram": {"per_word_cost": 4.0}}}',
+     "UnknownTier: an unset scan_us_per_word needs tier 'sram'"),
+    ('{"name": "x", "adversary": {"kind": "mmc_io"}, "tiers": {"sram": {"per_word_cost": 0.5}}}',
+     "UnknownTier: adversary mmc_io needs tier 'mmc'"),
 ])
 def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
     cfg = tmp_path / "bad.json"
@@ -888,6 +904,63 @@ def test_bad_config_is_an_error_not_a_traceback(tmp_path, capsys, text, needle):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg}: ") and needle in err
     assert not list(tmp_path.glob("*-profile.json"))
+
+
+def _desk_small_tiers(**tiers):
+    """desk-small's scenario JSON with these tiers replaced; None drops one."""
+    doc = scenario_to_json(builtin_scenario("desk-small"))
+    doc["tiers"] = {n: t for n, t in dict(doc["tiers"], **tiers).items() if t is not None}
+    return doc
+
+
+def test_attack_on_a_missing_tier_is_refused_before_serving(tmp_path, monkeypatch, capsys):
+    # this used to print "listening" and then drop every connection
+
+    def serve_device(*args, **kwargs):
+        raise AssertionError("serve started with a tier the attack cannot price")
+
+    monkeypatch.setattr(cli, "serve_device", serve_device)
+    cfg = tmp_path / "nodram.json"
+    cfg.write_text(json.dumps(_desk_small_tiers(dram=None)))
+    assert run(["serve", "--config", cfg, "--attack", "dram", "--port", 0]) == 1
+    out, err = capsys.readouterr()
+    assert "listening" not in out
+    assert err == f"error: {cfg}: UnknownTier: adversary dram_swap needs tier 'dram'\n"
+
+
+@pytest.mark.parametrize("tiers, attack, needle", [
+    # this used to end every session in "closed the connection mid-session"
+    ({"dram": None}, "dram", "UnknownTier: adversary dram_swap needs tier 'dram'"),
+    # and this in an OverflowError traceback from the priced reply delay
+    ({"mmc": {"per_word_cost": 1e307}}, "mmc", "ValueError: a priced duration must stay "
+                                              "below 2^53 us: inf us at 8 passes, noise "
+                                              "reaching 200 us"),
+], ids=["no-dram-tier", "mmc-past-2^53-us"])
+def test_attack_the_scenario_cannot_price_sends_no_challenge(tmp_path, monkeypatch, capsys,
+                                                            tiers, attack, needle):
+    cfg = tmp_path / "attack.json"
+    cfg.write_text(json.dumps(_desk_small_tiers(**tiers)))
+    assert run(["calibrate", "--config", cfg, "--trials", 20, "--out", tmp_path]) == 0
+    received = []
+    monkeypatch.setattr(DeviceEndpoint, "handle_challenge",
+                        lambda self, msg: received.append(msg) or [])
+    capsys.readouterr()
+    assert run(["challenge", "--config", cfg, "--attack", attack,
+                "--profile", tmp_path / "desk-small-profile.json"]) == 1
+    assert capsys.readouterr().err == f"error: {cfg}: {needle}\n"
+    assert received == []
+
+
+def test_passes_past_the_duration_bound_is_refused_naming_the_file(tmp_path, capsys):
+    # desk-small at 1e11 us a word loads at its 8 passes, and not at 100
+    cfg = tmp_path / "slow.json"
+    cfg.write_text(json.dumps(dict(scenario_to_json(builtin_scenario("desk-small")),
+                                   scan_us_per_word=1e11)))
+    assert run(["calibrate", "--config", cfg, "--passes", 100, "--out", tmp_path / "out"]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: ValueError: a priced duration must stay below 2^53 us: "
+        f"2.048e+16 us at 100 passes, noise reaching 200 us\n")
+    assert run(["calibrate", "--config", cfg, "--trials", 5, "--out", tmp_path / "out"]) == 0
 
 
 @pytest.mark.parametrize("target", ["sim", "loopback"])
@@ -962,12 +1035,17 @@ def _desk_small_with(path, key, value):
 
 def _refusal(tmp_path, capsys, doc) -> str:
     """What calibrate --config says of the scenario doc, once it has exited 1
-    with one line of stderr naming the file and written nothing."""
+    on --target sim and loopback alike with one line of stderr naming the
+    file and written nothing."""
     cfg = tmp_path / "typed.json"
     cfg.write_text(json.dumps(doc))
     out = tmp_path / "out"
-    assert run(["calibrate", "--config", cfg, "--trials", 5, "--out", out]) == 1
-    err = capsys.readouterr().err
+    errs = set()
+    for target in ("sim", "loopback"):
+        assert run(["calibrate", "--config", cfg, "--target", target, "--trials", 5,
+                    "--out", out]) == 1
+        errs.add(capsys.readouterr().err)
+    [err] = errs
     assert err.startswith(f"error: {cfg}: ValueError: ") and err.count("\n") == 1
     assert not out.exists()
     return err

@@ -1,6 +1,7 @@
 """Tests for the device timing simulator."""
 
 import hashlib
+import inspect
 import json
 import random
 from dataclasses import replace
@@ -10,10 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timecheck import protocol
 from timecheck.checkpoint import MemoryImage
 from timecheck.cli import main
 from timecheck.device import (
+    ADVERSARY_TIERS,
     ATTACKS,
+    GAUSS_REACH,
     SCENARIOS,
     SRAM_SCAN_WORDS,
     AdversaryConfig,
@@ -119,9 +123,10 @@ class TestAdversaryDelay:
         assert adversary_delay_us(AdversaryConfig("none"), default_tiers(), 500) == 0.0
 
     def test_missing_tier(self):
+        # refused when the scenario is built, before anything is priced
         tiers = {"sram": TierModel(0.5)}
-        with pytest.raises(UnknownTier):
-            adversary_delay_us(AdversaryConfig("dram_swap"), tiers, 10)
+        with pytest.raises(UnknownTier, match="^adversary dram_swap needs tier 'dram'$"):
+            Scenario("x", tiers=tiers, adversary=AdversaryConfig("dram_swap"))
 
     def test_monotone_in_passes_words_and_cost(self):
         tiers = default_tiers()
@@ -138,6 +143,52 @@ class TestAdversaryDelay:
             AdversaryConfig("laser")
         with pytest.raises(ValueError):
             AdversaryConfig("dram_swap", words_per_pass=0)
+
+    def test_answer_is_wrong_only_for_corrupt_result(self):
+        for kind in ("none", "corrupt_result", *ADVERSARY_TIERS):
+            want = 0 if kind == "corrupt_result" else 1008
+            assert AdversaryConfig(kind).answer(1008, 1009) == want, kind
+
+    def test_protocol_names_no_adversary_kind(self):
+        # the device model alone decides each kind's tier, delay and answer
+        source = inspect.getsource(protocol)
+        assert [kind for kind in ("corrupt_result", *ADVERSARY_TIERS) if kind in source] == []
+
+
+class TestDurationBound:
+    def test_noise_reach(self):
+        assert NoiseModel("gaussian", sigma=2.0).reach_us() == 2.0 * GAUSS_REACH
+        assert NoiseModel("uniform", width=3.0, drift="step", drift_step_us=-4.0).reach_us() == 7.0
+        assert NoiseModel("empirical", values=(1.0, -5.0), nmi_prob=0.1,
+                          nmi_us=10.0).reach_us() == 15.0
+        assert NoiseModel("gaussian", sigma=1.0, drift="linear",
+                          drift_us_per_trial=-2.0).reach_us() == GAUSS_REACH + 2.0
+        # a field the model does not draw from moves nothing
+        assert NoiseModel("uniform", sigma=1e308, width=1.0, drift_step_us=1e308,
+                          nmi_us=1e308).reach_us() == 1.0
+
+    def test_gauss_reach_is_the_largest_gaussian_draw(self):
+        class Extreme(random.Random):
+            def random(self):  # random()'s largest value, so 1 - random() is 2^-53
+                return 1.0 - 2.0 ** -53
+
+        z = Extreme().gauss(0.0, 1.0)
+        assert GAUSS_REACH * (1 - 1e-12) < z <= GAUSS_REACH
+
+    def test_bound_holds_up_to_2_53_us(self):
+        edge = dict(image_words=1, register_count=0, passes=1,
+                    noise=NoiseModel("uniform", width=1.0))
+        assert Scenario("x", scan_us_per_word=2.0 ** 53 - 2, **edge).base_cost_us(1) == 2 ** 53 - 2
+        with pytest.raises(ValueError, match=r"^a priced duration must stay below 2\^53 us: "
+                                             r"9.0072e\+15 us at 1 passes, noise reaching 1 us$"):
+            Scenario("x", scan_us_per_word=2.0 ** 53 - 1, **edge)
+
+    def test_every_builtin_and_attack_is_inside_the_bound(self):
+        for name in SCENARIOS:
+            for kind in ATTACKS:
+                sc = attack_scenario(builtin_scenario(name), kind)
+                assert sc.base_cost_us(sc.passes) + adversary_delay_us(
+                    sc.adversary, sc.tiers, sc.passes) + sc.noise.reach_us() < 2 ** 53
 
 
 def small_scenario(**overrides):
