@@ -33,6 +33,7 @@ from .device import (
     Scenario,
     attack_scenario,
     builtin_scenario,
+    duration_bound_fault,
     load_scenario,
     make_device_state,
     priced_trials,
@@ -125,10 +126,10 @@ def _read_profile(path):
             raise TimecheckError(f"{path}: {type(exc).__name__}: {exc}") from exc
 
 
-def _connect(args, scenario: Scenario, attempt: int = 0):
-    """The channel to the device that --target names: tcp://host:port is a
-    TcpChannel, and loopback a DeviceEndpoint in this process, seeded for the
-    attempt, behind a LoopbackChannel."""
+def _connect(args, scenario: Scenario):
+    """The channel to the one device that --target names: tcp://host:port is a
+    TcpChannel, and loopback a DeviceEndpoint in this process, seeded as serve
+    seeds its device, behind a LoopbackChannel."""
     if args.target.startswith("tcp://"):
         host, _, port = args.target[len("tcp://"):].partition(":")
         # ASCII digits only (isdigit takes "²"); the socket layer wraps ports mod 2^16
@@ -138,14 +139,16 @@ def _connect(args, scenario: Scenario, attempt: int = 0):
         return TcpChannel(host, int(port))
     if args.target != "loopback":
         raise TimecheckError(f"unknown target {args.target!r}: use loopback or tcp://host:port")
-    endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device", attempt))
-    return LoopbackChannel(endpoint)
+    return LoopbackChannel(DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device")))
 
 
 def cmd_calibrate(args) -> int:
     scenario = _scenario_from_args(args)
     if args.trials < 2:
         raise InsufficientSamples("calibration needs --trials >= 2")
+    fault = duration_bound_fault(scenario, scenario.passes, args.trials - 1)
+    if fault:  # a linear drift grows with the trial index
+        raise TimecheckError(f"--trials {args.trials}: {fault} by trial {args.trials - 1}")
     if args.target == "sim":
         measurements = run_trials(scenario, args.trials, args.seed)
     else:
@@ -153,7 +156,7 @@ def cmd_calibrate(args) -> int:
         rng = sub_rng(args.seed, "calibration")
         measurements = []
         for trial_id in range(args.trials):
-            session = run_session(channel, scenario, rng, rng)
+            session = run_session(channel, scenario, rng)
             if session.refusal:
                 raise TimecheckError(f"device refused session {trial_id}: {session.refusal}")
             measurements.append(Measurement(trial_id, scenario.name,
@@ -197,12 +200,11 @@ def cmd_challenge(args) -> int:
         raise TimecheckError(
             f"profile shape {shape} does not match scenario shape {want}; recalibrate")
 
-    session_rng = sub_rng(args.seed, "session")  # one stream: each attempt a fresh session id
     verifier = DeviceEndpoint(scenario)  # the checkpoint is public: rebuild it locally
-    for attempt in range(8):
-        session = run_session(_connect(args, scenario, attempt), scenario,
-                              sub_rng(args.seed, "challenge-spec", attempt),
-                              session_rng, verifier, profile, args.detector)
+    channel = _connect(args, scenario)
+    rng = sub_rng(args.seed, "challenge-spec")  # each attempt: the device's next session
+    for _ in range(8):
+        session = run_session(channel, scenario, rng, verifier, profile, args.detector)
         verdict = session.verdict
         if verdict.outcome != "RETRY":
             break

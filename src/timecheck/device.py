@@ -211,11 +211,12 @@ class NoiseModel:
         if self.drift_step_at < 0:
             raise ValueError(f"noise drift_step_at must be >= 0, got {self.drift_step_at}")
 
-    def reach_us(self) -> float:
-        """The most one sample moves a duration, a linear drift counted for one trial."""
+    def reach_us(self, trial_id: int = 1) -> float:
+        """The most one sample of trial trial_id, or of an earlier one, moves a duration."""
         spread = {"gaussian": GAUSS_REACH * self.sigma, "uniform": self.width,
                   "empirical": max(map(abs, self.values), default=0.0)}[self.kind]
-        drift = {"none": 0.0, "linear": self.drift_us_per_trial, "step": self.drift_step_us}
+        drift = {"none": 0.0, "linear": self.drift_us_per_trial * trial_id,
+                 "step": self.drift_step_us}
         return spread + abs(drift[self.drift]) + (abs(self.nmi_us) if self.nmi_prob else 0.0)
 
     def sample(self, rng: random.Random, trial_id: int = 0):
@@ -377,13 +378,9 @@ class Scenario:
                 raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not (2 <= self.prime < 1 << 64 and is_prime(self.prime)):
             raise ValueError(f"prime must be a prime below 2^64, got {self.prime}")
-        try:  # an int too large to price in a float reads as inf
-            nominal = _nominal_us(self, self.passes)
-        except OverflowError:
-            nominal = math.inf
-        if not nominal + self.noise.reach_us() < MAX_DURATION_US:
-            raise ValueError(f"a priced duration must stay below 2^53 us: {nominal:.6g} us at "
-                             f"{self.passes} passes, noise reaching {self.noise.reach_us():.6g} us")
+        fault = duration_bound_fault(self, self.passes)
+        if fault:
+            raise ValueError(fault)
 
     def base_cost_us(self, passes: int) -> float:
         """Honest scan time of a challenge of this many passes, before noise."""
@@ -394,6 +391,19 @@ def _nominal_us(scenario: Scenario, passes: int) -> float:
     """Base cost + adversary delay of one challenge: its duration before noise."""
     return (scenario.base_cost_us(passes)
             + adversary_delay_us(scenario.adversary, scenario.tiers, passes))
+
+
+def duration_bound_fault(scenario: Scenario, passes: int, trial_id: int = 1):
+    """Why trial trial_id, or an earlier one, of a challenge of this many passes
+    could price a duration at or past 2^53 us, or None."""
+    try:  # an int too large to price in a float reads as inf
+        nominal = _nominal_us(scenario, passes)
+    except OverflowError:
+        nominal = math.inf
+    reach = scenario.noise.reach_us(trial_id)
+    if not nominal + reach < MAX_DURATION_US:
+        return (f"a priced duration must stay below 2^53 us: {nominal:.6g} us at "
+                f"{passes} passes, noise reaching {reach:.6g} us")
 
 
 def price(scenario: Scenario, passes: int, rng: random.Random, trial_id: int = 0):

@@ -22,17 +22,18 @@ self-reports time. Timing starts when the RESTORED acknowledgment arrives
 (checkpoint restore cost is excluded) and stops at the read that completes
 the RESPONSE frame, whose first 17 bytes are known before the scan ends.
 
-Transports: a loopback byte stream (frames really are serialized and
-incrementally re-parsed; by default it adds no jitter, so a duration is
-exactly the device's priced one), and plain TCP, whose two ends (TcpChannel
-and serve_device) read every frame through read_frames.
+Transports only move and stamp frames: a channel's request yields
+(arrival_us, message) per reply frame. The loopback byte stream re-parses
+every frame (with no jitter by default, so a duration is the device's priced
+one); TCP's two ends read frames through read_frames. Only a session's two
+ends know its rules: issue_challenge and DeviceEndpoint.handle_challenge.
 
 run_session is the verifier's one session path, for calibration and for
-challenge alike: a fresh spec, the expected result when judging, the timed
-exchange (issue_challenge), then the verdict (verify_response). It returns a
-Session record: spec digest, TimedResponse, and verdict (None when
-calibrating). A session an interrupt spike spoiled (STATUS_NMI_RETRY) is
-never judged on its time, only retried, and never enters a profile.
+challenge alike: a spec and then a session id from one stream, the expected
+result when judging, the timed exchange (issue_challenge), then the verdict
+(verify_response), in a Session record (verdict None when calibrating). A
+session an interrupt spike spoiled (STATUS_NMI_RETRY) is never judged on its
+time, only retried as the device's next session, and never enters a profile.
 """
 
 import functools
@@ -45,11 +46,12 @@ import struct
 import threading
 import time
 import zlib
+from contextlib import closing
 from dataclasses import dataclass
 
 from .checkpoint import checkpoint_replay, region_bytes
 from .coeffs import RandomSeeds
-from .device import Scenario, device_snapshot, price
+from .device import Scenario, device_snapshot, duration_bound_fault, price
 from .engine import ChallengeResult, ChallengeSpec, evaluate, random_spec
 from .errors import ChannelTimeout, MalformedFrame, SessionMismatch, TimecheckError
 from .field import FieldParams
@@ -304,12 +306,15 @@ class DeviceEndpoint:
     simulated device in the verifier's process scans a replayed challenge once.
 
     The endpoint answers as the scenario's device: honestly, or with the
-    wrong value or extra time of the scenario's adversary.
+    wrong value or extra time of the scenario's adversary. Whatever brought
+    it, a frame other than a CHALLENGE is logged and answered with nothing.
 
-    A challenge for another region, one over MAX_K or MAX_SCAN_WORDS, or one
-    whose evaluation raises a TimecheckError (say a prime too small for the
-    image), is answered at once with a refusal status and no RESTORED frame;
-    a refusal for any reason but the region is logged.
+    A challenge for another region, one over MAX_K or MAX_SCAN_WORDS, one
+    this session could price at or past 2^53 us (a linear drift grows with
+    the session index), or one whose evaluation raises a TimecheckError (say
+    a prime too small for the image), is answered at once with a refusal
+    status and no RESTORED frame; a refusal for any reason but the region is
+    logged.
     """
 
     def __init__(self, scenario: Scenario, master_seed: int = 0):
@@ -324,14 +329,19 @@ class DeviceEndpoint:
         """Live device memory: a writable copy of the checkpoint, made on first use."""
         return self.checkpoint.words.copy()
 
-    def handle_challenge(self, msg: ChallengeMessage):
+    def handle_challenge(self, msg):
         """-> [(delay_us, reply_frame), ...] with simulated on-device delays."""
+        if not isinstance(msg, ChallengeMessage):
+            log.warning("device skipped a %s frame of session %#x",
+                        type(msg).__name__, msg.session_id)
+            return []
         scenario = self.scenario
         spec = msg.spec
         if spec.region_id != scenario.region_id:
             reply = ResponseMessage(msg.session_id, 0, STATUS_REGION_MISMATCH)
             return [(0.0, encode_response(reply))]
-        refusal = budget_refusal(spec.seeds.k, spec.passes * self.checkpoint.words.size)
+        refusal = (budget_refusal(spec.seeds.k, spec.passes * self.checkpoint.words.size)
+                   or duration_bound_fault(scenario, spec.passes, self._session_index))
         if refusal:
             return self._refuse(msg, refusal)
 
@@ -370,10 +380,12 @@ class DeviceEndpoint:
 class LoopbackChannel:
     """Byte-stream transport: frames are serialized and re-parsed.
 
-    Each reply frame is fed whole to one incremental decoder that lives as
-    long as the channel, so framing bugs cannot hide. With the default
-    jitter_us=0 a measured duration is the device's own: the scenario's
-    NoiseModel is its only noise. Otherwise arrival stamps carry uniform +/-jitter_us, at most
+    request hands each decoded message to the endpoint, as serve_device
+    does, and yields (arrival_us, message) per reply frame. Each reply frame
+    is fed whole to one incremental decoder that lives as long as the
+    channel, so framing bugs cannot hide. With the default jitter_us=0 a
+    measured duration is the device's own: the scenario's NoiseModel is its
+    only noise. Otherwise arrival stamps carry uniform +/-jitter_us, at most
     2 * jitter_us off the device's duration. A byte stream delivers frames
     in order, so the stamps never decrease: a RESPONSE sent at once never
     reads earlier than the RESTORED before it.
@@ -391,23 +403,19 @@ class LoopbackChannel:
         self._decoder = FrameDecoder()
 
     def request(self, challenge_frame: bytes):
-        msgs = FrameDecoder().feed(challenge_frame)
-        if len(msgs) != 1 or not isinstance(msgs[0], ChallengeMessage):
-            raise MalformedFrame("channel expects exactly one challenge frame")
-        out = []
-        for delay_us, reply in self.endpoint.handle_challenge(msgs[0]):
-            self._clock_us += delay_us
-            jittered = self._clock_us + self._rng.uniform(-self.jitter_us, self.jitter_us)
-            self._arrival_us = max(self._arrival_us, jittered)
-            for decoded in self._decoder.feed(reply):
-                out.append((int(round(self._arrival_us)), decoded))
-        return out
+        for msg in FrameDecoder().feed(challenge_frame):
+            for delay_us, reply in self.endpoint.handle_challenge(msg):
+                self._clock_us += delay_us
+                jittered = self._clock_us + self._rng.uniform(-self.jitter_us, self.jitter_us)
+                self._arrival_us = max(self._arrival_us, jittered)
+                for decoded in self._decoder.feed(reply):
+                    yield int(round(self._arrival_us)), decoded
 
 
 class TcpChannel:
-    """Plain TCP transport with real monotonic timestamps. A session reads
-    frames through read_frames under timeout_s, up to a RESPONSE or a second
-    frame; issue_challenge judges them."""
+    """Plain TCP transport with real monotonic timestamps. request opens one
+    connection and yields every frame read_frames reads on it under
+    timeout_s, until its caller closes the generator or the peer hangs up."""
 
     def __init__(self, host: str, port: int, timeout_s: float = CONN_TIMEOUT_S):
         self.host = host
@@ -415,14 +423,10 @@ class TcpChannel:
         self.timeout_s = timeout_s
 
     def request(self, challenge_frame: bytes):
-        out = []
         try:
             with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
                 sock.sendall(challenge_frame)
-                for arrival in read_frames(sock, self.timeout_s):
-                    out.append(arrival)
-                    if isinstance(arrival[1], ResponseMessage) or len(out) == 2:
-                        return out
+                yield from read_frames(sock, self.timeout_s)
         except OSError as exc:
             raise ChannelTimeout(f"{self.host}:{self.port}: {type(exc).__name__}: {exc}") from exc
         raise ChannelTimeout(f"{self.host}:{self.port} closed the connection mid-session")
@@ -448,18 +452,17 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     the restore and scan took longer, and RESPONSE is due its modeled delay *
     time_scale after RESTORED went out, so a slow host never shortens the
     timed window. The server sleeps until SPIN_NS before a deadline and
-    spins on the clock for the rest.
+    spins on the clock for the rest. Every frame goes to the endpoint's
+    handle_challenge, which alone decides what the device answers.
 
     Returns (server_socket, thread). The server takes connections until the
     socket is closed: the thread then ends within ACCEPT_POLL_S, or once the
     connection it serves ends. Sessions are strictly serialized. A challenge
     the device cannot or will not evaluate is refused with STATUS_REFUSED and
-    logged, and its connection stays open; so does one that sent a frame
-    other than a CHALLENGE, which is logged and skipped. Any other error
-    while serving a connection is logged and closes only that connection;
-    the server keeps going. Such errors include bad framing and the timeouts
-    of read_frames, which reads each connection under CONN_TIMEOUT_S and
-    CONN_BUDGET_S.
+    logged, and its connection stays open. Any other error while serving a
+    connection is logged and closes only that connection; the server keeps
+    going. Such errors include bad framing and the timeouts of read_frames,
+    which reads each connection under CONN_TIMEOUT_S and CONN_BUDGET_S.
     """
     if not 0 <= time_scale < math.inf:  # time.sleep(inf) raises, nan would never sleep
         raise ValueError(f"time_scale must be a finite number >= 0, got {time_scale}")
@@ -481,10 +484,6 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
             with conn:
                 try:
                     for arrival_us, msg in read_frames(conn, CONN_TIMEOUT_S, CONN_BUDGET_S):
-                        if not isinstance(msg, ChallengeMessage):
-                            log.warning("device server: skipped a %s frame of session %#x",
-                                        type(msg).__name__, msg.session_id)
-                            continue
                         due_ns = arrival_us * 1000
                         for delay_us, reply in endpoint.handle_challenge(msg):
                             if time_scale > 0:
@@ -513,31 +512,32 @@ def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedRe
     checkpoint restore cost is excluded) and t_end at the read that completes
     the response frame (its first 17 bytes are known before the scan ends).
     The session id is drawn from rng (new_session_id). A second RESTORED is
-    a MalformedFrame, so the device cannot move the window's opening.
+    a MalformedFrame, so the device cannot move the window's opening. It
+    alone ends a session, and closes the channel's reply generator when it
+    returns or raises, so a TCP connection never outlives its session.
     """
     session_id = new_session_id(rng)
-    msg = ChallengeMessage(session_id, spec)
-    replies = channel.request(encode_challenge(msg))
     t_start = None
-    for arrival_us, reply in replies:
-        if isinstance(reply, RestoredMessage):
-            if reply.session_id != session_id:
-                raise SessionMismatch(
-                    f"RESTORED for session {reply.session_id:#x}, expected {session_id:#x}")
-            if t_start is not None:
-                raise MalformedFrame("second RESTORED acknowledgment in one session")
-            t_start = arrival_us
-        elif isinstance(reply, ResponseMessage):
-            if reply.session_id != session_id:
-                raise SessionMismatch(
-                    f"response for session {reply.session_id:#x}, expected {session_id:#x}")
-            if reply.status in _REFUSALS:
-                return TimedResponse(reply, arrival_us, arrival_us)
-            if t_start is None:
-                raise MalformedFrame("response arrived before RESTORED acknowledgment")
-            return TimedResponse(reply, t_start, arrival_us)
-        else:
-            raise MalformedFrame(f"unexpected message {type(reply).__name__}")
+    with closing(channel.request(encode_challenge(ChallengeMessage(session_id, spec)))) as replies:
+        for arrival_us, reply in replies:
+            if isinstance(reply, RestoredMessage):
+                if reply.session_id != session_id:
+                    raise SessionMismatch(
+                        f"RESTORED for session {reply.session_id:#x}, expected {session_id:#x}")
+                if t_start is not None:
+                    raise MalformedFrame("second RESTORED acknowledgment in one session")
+                t_start = arrival_us
+            elif isinstance(reply, ResponseMessage):
+                if reply.session_id != session_id:
+                    raise SessionMismatch(
+                        f"response for session {reply.session_id:#x}, expected {session_id:#x}")
+                if reply.status in _REFUSALS:
+                    return TimedResponse(reply, arrival_us, arrival_us)
+                if t_start is None:
+                    raise MalformedFrame("response arrived before RESTORED acknowledgment")
+                return TimedResponse(reply, t_start, arrival_us)
+            else:
+                raise MalformedFrame(f"unexpected message {type(reply).__name__}")
     raise ChannelTimeout("device never sent a response frame")
 
 
@@ -591,14 +591,13 @@ class Session:
         return self.timed.response.status == STATUS_NMI_RETRY
 
 
-def run_session(channel, scenario: Scenario, spec_rng: random.Random,
-                session_rng: random.Random, verifier: DeviceEndpoint = None,
-                profile=None, method: str = "percentile") -> Session:
-    """One session over channel, judged only when given a verifier endpoint. The
-    spec is drawn from spec_rng before the session id from session_rng."""
-    spec = random_spec(scenario.prime, scenario.k, scenario.passes, spec_rng,
-                       scenario.region_id)
+def run_session(channel, scenario: Scenario, rng: random.Random,
+                verifier: DeviceEndpoint = None, profile=None,
+                method: str = "percentile") -> Session:
+    """One session over channel, judged only when given a verifier endpoint.
+    rng draws the spec and then the session id."""
+    spec = random_spec(scenario.prime, scenario.k, scenario.passes, rng, scenario.region_id)
     expected = None if verifier is None else verifier.expected_result(spec)
-    timed = issue_challenge(channel, spec, rng=session_rng)
+    timed = issue_challenge(channel, spec, rng=rng)
     verdict = None if verifier is None else verify_response(expected, timed, profile, method)
     return Session(spec.digest(), timed, verdict)

@@ -100,7 +100,7 @@ class TestCalibrate:
         sc = builtin_scenario("desk-small")
         other_region = DeviceEndpoint(dataclasses.replace(sc, region_id="dram"))
         channel = LoopbackChannel(other_region, jitter_us=0.0)
-        session = protocol.run_session(channel, sc, random.Random(0), random.Random(0))
+        session = protocol.run_session(channel, sc, random.Random(0))
         assert session.refusal == "region mismatch" and session.verdict is None
         monkeypatch.setattr(cli, "_connect", lambda *args: channel)
         assert run(["calibrate", "--scenario", "desk-small", "--target", "loopback",
@@ -205,9 +205,10 @@ class TestChallenge:
         code = run(["challenge", "--profile", calibrated, "--config", cfg,
                     "--seed", 5])
         assert code == 1
-        # the last of 8 attempts, each with its own spec and device streams
+        # the last of 8 attempts: the one device's session 7, whose spec is the
+        # 8th drawn from the command's one challenge stream
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
-            "5eeddae32b535d434c8234976c536a598cf8139211c1521ecbc372ba7d54ac6c")
+            "69451ad41ec044ea5fd5d66797ccc05876e51391bfbd3a2baed9cad2b8c1d2d0")
 
     @pytest.mark.parametrize("edit, needle", [
         (lambda doc: "not json", "JSONDecodeError"),
@@ -854,6 +855,30 @@ def test_interrupt_storm_attempts_send_fresh_session_ids(tmp_path, calibrated, m
     assert len({session_id & 0xFFFFFFFF for session_id in received}) == 8
 
 
+def test_interrupt_storm_attempts_are_one_device_s_sessions(tmp_path, calibrated,
+                                                            monkeypatch):
+    # each retry is the next session of the one device: its drift and noise
+    # streams go on, where every attempt used to build a device at session 0
+    endpoints, sessions = [], []
+
+    class Recorded(DeviceEndpoint):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            endpoints.append(self)
+
+        def handle_challenge(self, msg):
+            sessions.append((self, self._session_index))
+            return super().handle_challenge(msg)
+
+    monkeypatch.setattr(cli, "DeviceEndpoint", Recorded)
+    assert run(["challenge", "--profile", calibrated, "--config",
+                _interrupted_config(tmp_path, 1.0), "--seed", 5]) == 1
+    verifier, device = endpoints
+    assert "words" not in vars(verifier)  # it only computed expected results
+    assert device.master_seed == derive_seed(5, "device")
+    assert sessions == [(device, index) for index in range(8)]
+
+
 def test_config_file_overrides_scenario(tmp_path, capsys):
     sc = builtin_scenario("desk-small")
     cfg = tmp_path / "tweaked.json"
@@ -961,6 +986,36 @@ def test_passes_past_the_duration_bound_is_refused_naming_the_file(tmp_path, cap
         f"error: {cfg}: ValueError: a priced duration must stay below 2^53 us: "
         f"2.048e+16 us at 100 passes, noise reaching 200 us\n")
     assert run(["calibrate", "--config", cfg, "--trials", 5, "--out", tmp_path / "out"]) == 0
+
+
+@pytest.mark.parametrize("target", ["sim", "loopback"])
+def test_trials_a_linear_drift_carries_past_2_53_us_are_refused(tmp_path, monkeypatch, capsys,
+                                                                 target):
+    # at 1e15 us a trial, trial 9 stays below 2^53 us and trial 10 does not;
+    # 3,000 trials used to calibrate on durations that had lost their noise
+    doc = scenario_to_json(builtin_scenario("desk-small"))
+    cfg = tmp_path / "drift.json"
+    cfg.write_text(json.dumps(dict(doc, noise=dict(doc["noise"], drift="linear",
+                                                   drift_us_per_trial=1e15))))
+
+    def priced(*args):
+        raise AssertionError("a trial was priced")
+
+    monkeypatch.setattr(cli, "run_trials", priced)
+    monkeypatch.setattr(cli, "_connect", priced)
+    for trials in (3000, 11):
+        assert run(["calibrate", "--config", cfg, "--target", target, "--trials", trials,
+                    "--out", tmp_path / "out"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --trials {trials}: a priced duration must stay "
+                              f"below 2^53 us: ") and err.count("\n") == 1
+        assert err.endswith(f" by trial {trials - 1}\n")
+    assert not (tmp_path / "out").exists()
+    monkeypatch.undo()
+    assert run(["calibrate", "--config", cfg, "--target", target, "--trials", 10,
+                "--out", tmp_path / "out"]) == 0
+    doc = json.loads((tmp_path / "out" / "desk-small-profile.json").read_text())
+    assert doc["n"] == 10 and max(doc["samples_us"]) < 2 ** 53
 
 
 @pytest.mark.parametrize("target", ["sim", "loopback"])

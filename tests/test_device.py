@@ -161,8 +161,10 @@ class TestDurationBound:
         assert NoiseModel("uniform", width=3.0, drift="step", drift_step_us=-4.0).reach_us() == 7.0
         assert NoiseModel("empirical", values=(1.0, -5.0), nmi_prob=0.1,
                           nmi_us=10.0).reach_us() == 15.0
-        assert NoiseModel("gaussian", sigma=1.0, drift="linear",
-                          drift_us_per_trial=-2.0).reach_us() == GAUSS_REACH + 2.0
+        drifting = NoiseModel("gaussian", sigma=1.0, drift="linear", drift_us_per_trial=-2.0)
+        assert drifting.reach_us() == GAUSS_REACH + 2.0
+        # a linear drift counted to a given trial: trial 0 has none
+        assert [drifting.reach_us(t) for t in (0, 5)] == [GAUSS_REACH, GAUSS_REACH + 10.0]
         # a field the model does not draw from moves nothing
         assert NoiseModel("uniform", sigma=1e308, width=1.0, drift_step_us=1e308,
                           nmi_us=1e308).reach_us() == 1.0

@@ -382,7 +382,7 @@ class TestChannels:
                 self.status = status
 
             def request(self, challenge_frame):
-                return [(100, ResponseMessage(0xBAD, 0, self.status))]
+                yield 100, ResponseMessage(0xBAD, 0, self.status)
 
         for status in (STATUS_REGION_MISMATCH, STATUS_REFUSED):
             with pytest.raises(SessionMismatch):
@@ -470,9 +470,9 @@ class TestHostileStubs:
                 session_id = FrameDecoder().feed(challenge_frame)[0].session_id
                 stale = session_id if self.last_id is None else self.last_id
                 self.last_id = session_id
-                return [(t, replace(reply, session_id=stale)
-                         if isinstance(reply, ResponseMessage) else reply)
-                        for t, reply in self.inner.request(challenge_frame)]
+                yield from [(t, replace(reply, session_id=stale)
+                             if isinstance(reply, ResponseMessage) else reply)
+                            for t, reply in self.inner.request(challenge_frame)]
 
         chan = StaleChannel(DeviceEndpoint(self.sc, master_seed=15))
         first = fresh_spec(self.rng, self.sc)
@@ -872,6 +872,63 @@ class TestTcpTransport:
         finally:
             server.close()
 
+    def test_loopback_and_server_skip_a_non_challenge_frame_alike(self, caplog):
+        # the skip rule is the endpoint's, so both transports answer one byte
+        # stream the same: nothing to the RESTORED, a session to the CHALLENGE
+        sc = desk_scenario()
+        spec = fresh_spec(sub_rng(22, "t"), sc)
+        stream = (encode_restored(RestoredMessage(0xABC))
+                  + encode_challenge(ChallengeMessage(2, spec)))
+        answers, warnings = [], []
+        with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+            chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=39))
+            answers.append([msg for _, msg in chan.request(stream)])
+            warnings.append([record.getMessage() for record in caplog.records])
+            caplog.clear()
+            server, _ = serve_device(DeviceEndpoint(sc, master_seed=39), port=0,
+                                     time_scale=0.0)
+            try:
+                with socket.create_connection(server.getsockname(), timeout=5.0) as sock:
+                    sock.sendall(stream)
+                    answers.append(read_through_response(sock, FrameDecoder()))
+            finally:
+                server.close()
+            warnings.append([record.getMessage() for record in caplog.records])
+        accumulator = DeviceEndpoint(sc).expected_result(spec).accumulator
+        assert answers == [[RestoredMessage(2), ResponseMessage(2, accumulator, STATUS_OK)]] * 2
+        assert warnings == [["device skipped a RestoredMessage frame of session 0xabc"]] * 2
+
+    @pytest.mark.parametrize("ends", ["returns", "raises"])
+    def test_connection_ends_with_its_session(self, ends):
+        # issue_challenge alone ends a session: the device reads EOF as soon
+        # as it returns at the RESPONSE or raises on a second RESTORED
+        hang_ups = []
+
+        def script(conn, challenge):
+            sid = challenge.session_id
+            last = (encode_response(ResponseMessage(sid, 0, STATUS_OK)) if ends == "returns"
+                    else encode_restored(RestoredMessage(sid)))
+            conn.sendall(encode_restored(RestoredMessage(sid)) + last)
+            try:
+                hang_ups.append((conn.recv(1), time.monotonic()))
+            except TimeoutError:
+                hang_ups.append((None, time.monotonic()))
+
+        host, port = stub_device(script)
+        rng = sub_rng(23, "t")
+        chan = TcpChannel(host, port, timeout_s=5.0)
+        if ends == "returns":
+            issue_challenge(chan, fresh_spec(rng), rng=rng)
+        else:  # the exception, and its traceback, are still held below
+            with pytest.raises(MalformedFrame, match="second RESTORED") as caught:
+                issue_challenge(chan, fresh_spec(rng), rng=rng)
+        ended = time.monotonic()
+        while not hang_ups and time.monotonic() < ended + 6.0:
+            time.sleep(0.01)
+        [(data, at)] = hang_ups
+        assert data == b"" and at - ended < 1.0
+        assert ends == "returns" or caught.value.__traceback__ is not None
+
     def test_closing_the_socket_stops_the_server(self):
         ep = DeviceEndpoint(desk_scenario(), master_seed=32)
         server, thread = serve_device(ep, port=0, time_scale=0.0)
@@ -953,7 +1010,7 @@ class TestTcpTransport:
             dead_port = probe.getsockname()[1]
         chan = TcpChannel("127.0.0.1", dead_port, timeout_s=0.5)
         with pytest.raises(ChannelTimeout):
-            chan.request(encode_challenge(ChallengeMessage(1, fresh_spec())))
+            next(chan.request(encode_challenge(ChallengeMessage(1, fresh_spec()))))
 
 
 class TestServedPacing:
@@ -1057,6 +1114,23 @@ class TestPricing:
         durations = [self._duration(ep, fresh_spec(rng, sc)) for _ in range(4)]
         assert [b - a for a, b in zip(durations, durations[1:])] == [50, 50, 50]
         assert durations[0] == round(sc.base_cost_us(sc.passes))
+
+    def test_session_past_the_duration_bound_is_refused(self, caplog):
+        # at 1e15 us a session, session 9 stays below 2^53 us and session 10
+        # does not: it is refused, and so is every later one
+        sc = desk_scenario()
+        sc = replace(sc, noise=replace(sc.noise, drift="linear", drift_us_per_trial=1e15))
+        ep = DeviceEndpoint(sc, master_seed=32)
+        rng = sub_rng(12, "t")
+        durations = [self._duration(ep, fresh_spec(rng, sc)) for _ in range(10)]
+        assert max(durations) < 2 ** 53
+        with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
+            for session_id in (10, 11):
+                replies = ep.handle_challenge(ChallengeMessage(session_id, fresh_spec(rng, sc)))
+                assert [FrameDecoder().feed(reply) for _, reply in replies] == [
+                    [ResponseMessage(session_id, 0, STATUS_REFUSED)]]
+        assert ("device refused session 0xa: a priced duration must stay below 2^53 us"
+                in caplog.text)
 
 
 class TestSharedSnapshot:
@@ -1170,10 +1244,10 @@ def _loopback(sc, seed):
 
 
 def test_calibration_session_draws_spec_then_session_id():
-    # one generator as both streams: the spec's draws, then the session id's
+    # one generator: the spec's draws, then the session id's
     sc = desk_scenario()
     rng = random.Random(0xCA1)
-    session = protocol.run_session(_loopback(sc, 5), sc, rng, rng)
+    session = protocol.run_session(_loopback(sc, 5), sc, rng)
     manual_rng = random.Random(0xCA1)
     spec = fresh_spec(manual_rng, sc)
     timed = issue_challenge(_loopback(sc, 5), spec, rng=manual_rng)
@@ -1203,7 +1277,7 @@ def test_judged_session_calls_the_protocol_functions_once(monkeypatch):
                         counted("expected_result", DeviceEndpoint.expected_result))
     sc = desk_scenario()
     profile = stats.calibrate([12_000.0 + i for i in range(30)])
-    session = protocol.run_session(_loopback(sc, 6), sc, random.Random(1), random.Random(2),
+    session = protocol.run_session(_loopback(sc, 6), sc, random.Random(1),
                                    DeviceEndpoint(sc), profile, "zscore")
     assert calls == ["expected_result", "issue_challenge", "verify_response"]
     assert session.verdict.detector.method == "zscore"
@@ -1213,10 +1287,9 @@ def test_spoiled_session_is_retried_not_judged():
     sc = desk_scenario()
     spiky = replace(sc, noise=replace(sc.noise, nmi_prob=1.0, nmi_us=50_000.0))
     profile = stats.calibrate([12_000.0 + i for i in range(30)])
-    calibration = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3),
-                                       random.Random(4))
+    calibration = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3))
     judged = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3),
-                                  random.Random(4), DeviceEndpoint(sc), profile)
+                                  DeviceEndpoint(sc), profile)
     for session in (calibration, judged):
         assert session.spoiled and session.timed.duration_us > 50_000
     assert calibration.verdict is None
