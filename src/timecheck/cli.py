@@ -472,10 +472,7 @@ def main(argv=None) -> int:
         raise
     try:
         return args.fn(args)
-    except TimecheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+    except (TimecheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

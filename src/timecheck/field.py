@@ -28,7 +28,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality check for n < 2^64 (Miller-Rabin, fixed witnesses)."""
     if n < 2:
         return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for small in _MR_WITNESSES:  # a witness that is a multiple of n cannot test n
         if n == small:
             return True
         if n % small == 0:

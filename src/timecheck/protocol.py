@@ -1,17 +1,19 @@
 """Challenge/response wire protocol between verifier and device under test.
 
-Framing (little-endian throughout):
+Framing (little-endian throughout). Each layout is declared once, as the
+struct.Struct named with it, and every encoder and decoder reads it:
 
     +------+----------+------------------+-----------+
-    | TCH1 | len: u32 | body (len bytes) | crc32 u32 |
+    | TCH1 | len: u32 | body (len bytes) | crc32 u32 |   (_HEAD, body, _CRC)
     +------+----------+------------------+-----------+
 
 The CRC covers the body only. Body starts with a one-byte message type:
 
-    CHALLENGE (1): session_id u64, k u16, r[k] u64 each, x u64, p u64,
-                   perm_seed u64, passes u32, region_id u16-len + utf-8
-    RESTORED  (2): session_id u64
-    RESPONSE  (3): session_id u64, accumulator u64, status u8
+    CHALLENGE (1): session_id u64, k u16 (_CHALLENGE_HEAD), r[k] u64 each
+                   (_SEED), x u64, p u64, perm_seed u64, passes u32,
+                   region_id u16-len (_CHALLENGE_TAIL) + utf-8
+    RESTORED  (2): session_id u64 (_RESTORED)
+    RESPONSE  (3): session_id u64, accumulator u64, status u8 (_RESPONSE)
 
 The protocol is deliberately secret-free: challenges carry all randomness in
 the clear, and only freshness matters. Session ids come from a monotonic
@@ -27,6 +29,7 @@ Transports only move and stamp frames: a channel's request yields
 every frame (with no jitter by default, so a duration is the device's priced
 one); TCP's two ends read frames through read_frames. Only a session's two
 ends know its rules: issue_challenge and DeviceEndpoint.handle_challenge.
+issue_challenge alone ends a session, in ChannelTimeout if no RESPONSE comes.
 
 run_session is the verifier's one session path, for calibration and for
 challenge alike: a spec and then a session id from one stream, the expected
@@ -73,7 +76,13 @@ STATUS_REFUSED = 3
 _REFUSALS = {STATUS_REGION_MISMATCH: "region mismatch",
              STATUS_REFUSED: "challenge cannot be evaluated"}
 
-_U64 = struct.Struct("<Q")
+_HEAD = struct.Struct("<4sI")               # magic, body length
+_CRC = struct.Struct("<I")                  # CRC-32 of the body
+_CHALLENGE_HEAD = struct.Struct("<BQH")     # type, session id, k
+_SEED = struct.Struct("<Q")                 # each of the k seeds r[i]
+_CHALLENGE_TAIL = struct.Struct("<QQQIH")   # x, p, perm seed, passes, label length
+_RESTORED = struct.Struct("<BQ")            # type, session id
+_RESPONSE = struct.Struct("<BQQB")          # type, session id, accumulator, status
 
 # The read limit (read_frames) of a device-server connection, TcpChannel's default:
 # an idle or trickling peer holds neither the serialized server nor the verifier.
@@ -145,31 +154,27 @@ class TimedResponse:
 # --- frame encode / decode ---------------------------------------------------
 
 def frame(body: bytes) -> bytes:
-    return MAGIC + struct.pack("<I", len(body)) + body + struct.pack("<I", zlib.crc32(body))
+    return _HEAD.pack(MAGIC, len(body)) + body + _CRC.pack(zlib.crc32(body))
 
 
 def encode_challenge(msg: ChallengeMessage) -> bytes:
     spec = msg.spec
     region = region_bytes(spec.region_id)
-    body = bytearray()
-    body.append(MSG_CHALLENGE)
-    body += _U64.pack(msg.session_id)
-    body += struct.pack("<H", len(spec.seeds.r))
-    for r in spec.seeds.r:
-        body += _U64.pack(r)
-    body += struct.pack("<QQQIH", spec.params.x, spec.params.p,
-                        spec.perm_seed & ((1 << 64) - 1), spec.passes, len(region))
-    body += region
-    return frame(bytes(body))
+    r = spec.seeds.r
+    return frame(_CHALLENGE_HEAD.pack(MSG_CHALLENGE, msg.session_id, len(r))
+                 + b"".join(map(_SEED.pack, r))
+                 + _CHALLENGE_TAIL.pack(spec.params.x, spec.params.p,
+                                        spec.perm_seed & ((1 << 64) - 1), spec.passes,
+                                        len(region))
+                 + region)
 
 
 def encode_restored(msg: RestoredMessage) -> bytes:
-    return frame(bytes([MSG_RESTORED]) + _U64.pack(msg.session_id))
+    return frame(_RESTORED.pack(MSG_RESTORED, msg.session_id))
 
 
 def encode_response(msg: ResponseMessage) -> bytes:
-    return frame(bytes([MSG_RESPONSE]) + struct.pack("<QQB", msg.session_id,
-                                                     msg.accumulator, msg.status))
+    return frame(_RESPONSE.pack(MSG_RESPONSE, msg.session_id, msg.accumulator, msg.status))
 
 
 def decode_body(body: bytes):
@@ -177,32 +182,31 @@ def decode_body(body: bytes):
     try:
         kind = body[0]
         if kind == MSG_CHALLENGE:
-            # the part before the label: type, session id, k, k seeds, then x,
-            # p, perm seed, passes and the label's length (k is 1 until read)
-            k = int.from_bytes(body[9:11], "little") if len(body) >= 11 else 1
-            if len(body) < (off := 41 + 8 * k):
+            # k is 1 until the head is read
+            k = _CHALLENGE_HEAD.unpack_from(body)[2] if len(body) >= _CHALLENGE_HEAD.size else 1
+            tail_at = _CHALLENGE_HEAD.size + k * _SEED.size
+            if len(body) < (label_at := tail_at + _CHALLENGE_TAIL.size):
                 raise MalformedFrame(f"challenge body of {len(body)} bytes, "
-                                     f"at least {off} needed")
-            (session_id,) = _U64.unpack_from(body, 1)
-            r = struct.unpack_from(f"<{k}Q", body, 11)
-            x, p, perm_seed, passes, region_len = struct.unpack_from("<QQQIH", body, off - 30)
-            if short := off + region_len - len(body):
+                                     f"at least {label_at} needed")
+            _, session_id, _ = _CHALLENGE_HEAD.unpack_from(body)
+            r = [seed for (seed,) in _SEED.iter_unpack(body[_CHALLENGE_HEAD.size:tail_at])]
+            x, p, perm_seed, passes, region_len = _CHALLENGE_TAIL.unpack_from(body, tail_at)
+            if short := label_at + region_len - len(body):
                 raise MalformedFrame(f"challenge body {short} bytes short" if short > 0
                                      else f"{-short} trailing bytes in challenge body")
-            region = body[off:].decode()
+            region = body[label_at:].decode()
             spec = ChallengeSpec(
                 seeds=RandomSeeds(r, FieldParams(p, x)),
                 perm_seed=perm_seed, passes=passes, region_id=region)
             return ChallengeMessage(session_id, spec)
         if kind == MSG_RESTORED:
-            if len(body) != 9:
+            if len(body) != _RESTORED.size:
                 raise MalformedFrame("bad RESTORED length")
-            return RestoredMessage(_U64.unpack_from(body, 1)[0])
+            return RestoredMessage(*_RESTORED.unpack(body)[1:])
         if kind == MSG_RESPONSE:
-            if len(body) != 18:
+            if len(body) != _RESPONSE.size:
                 raise MalformedFrame("bad RESPONSE length")
-            session_id, accumulator, status = struct.unpack_from("<QQB", body, 1)
-            return ResponseMessage(session_id, accumulator, status)
+            return ResponseMessage(*_RESPONSE.unpack(body)[1:])
     except MalformedFrame:
         raise
     except Exception as exc:
@@ -225,22 +229,20 @@ class FrameDecoder:
         """Append raw bytes; yield decoded messages for each complete frame."""
         self._buf += data
         out = []
-        while True:
-            if len(self._buf) < 8:
-                break
-            if self._buf[:4] != MAGIC:
+        while len(self._buf) >= _HEAD.size:
+            magic, length = _HEAD.unpack_from(self._buf)
+            if magic != MAGIC:
                 raise MalformedFrame("bad frame magic")
-            (length,) = struct.unpack_from("<I", self._buf, 4)
             if length > MAX_FRAME_BODY:
                 raise MalformedFrame(f"frame body of {length} bytes exceeds cap")
-            end = 8 + length + 4
-            if len(self._buf) < end:
+            crc_at = _HEAD.size + length
+            if len(self._buf) < crc_at + _CRC.size:
                 break
-            body = bytes(self._buf[8:8 + length])
-            (crc,) = struct.unpack_from("<I", self._buf, 8 + length)
+            body = bytes(self._buf[_HEAD.size:crc_at])
+            (crc,) = _CRC.unpack_from(self._buf, crc_at)
             if crc != zlib.crc32(body):
                 raise MalformedFrame("frame CRC mismatch")
-            del self._buf[:end]
+            del self._buf[:crc_at + _CRC.size]
             out.append(decode_body(body))
         return out
 
@@ -339,7 +341,7 @@ class DeviceEndpoint:
         spec = msg.spec
         if spec.region_id != scenario.region_id:
             reply = ResponseMessage(msg.session_id, 0, STATUS_REGION_MISMATCH)
-            return [(0.0, encode_response(reply))]
+            return [(0, encode_response(reply))]
         refusal = (budget_refusal(spec.seeds.k, spec.passes * self.checkpoint.words.size)
                    or duration_bound_fault(scenario, spec.passes, self._session_index))
         if refusal:
@@ -368,7 +370,7 @@ class DeviceEndpoint:
     @staticmethod
     def _refuse(msg: ChallengeMessage, reason: str):
         log.warning("device refused session %#x: %s", msg.session_id, reason)
-        return [(0.0, encode_response(ResponseMessage(msg.session_id, 0, STATUS_REFUSED)))]
+        return [(0, encode_response(ResponseMessage(msg.session_id, 0, STATUS_REFUSED)))]
 
     def expected_result(self, spec: ChallengeSpec) -> ChallengeResult:
         """What an honest scan of the (public) checkpoint must produce."""
@@ -385,10 +387,11 @@ class LoopbackChannel:
     is fed whole to one incremental decoder that lives as long as the
     channel, so framing bugs cannot hide. With the default jitter_us=0 a
     measured duration is the device's own: the scenario's NoiseModel is its
-    only noise. Otherwise arrival stamps carry uniform +/-jitter_us, at most
-    2 * jitter_us off the device's duration. A byte stream delivers frames
-    in order, so the stamps never decrease: a RESPONSE sent at once never
-    reads earlier than the RESTORED before it.
+    only noise. Otherwise each stamp on the int clock carries uniform
+    +/-jitter_us rounded to whole microseconds, so a duration is at most
+    2 * round(jitter_us) off the device's at any clock size. A byte stream delivers
+    frames in order, so the stamps never decrease: a RESPONSE sent at once
+    never reads earlier than the RESTORED before it.
     """
 
     def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 0.0,
@@ -398,18 +401,18 @@ class LoopbackChannel:
         self.endpoint = endpoint
         self.jitter_us = jitter_us
         self._rng = random.Random(derive_seed(jitter_seed, "channel-jitter"))
-        self._clock_us = 0.0
-        self._arrival_us = -math.inf
+        self._clock_us = 0
+        self._arrival_us = -round(jitter_us)  # the lowest stamp
         self._decoder = FrameDecoder()
 
     def request(self, challenge_frame: bytes):
         for msg in FrameDecoder().feed(challenge_frame):
             for delay_us, reply in self.endpoint.handle_challenge(msg):
                 self._clock_us += delay_us
-                jittered = self._clock_us + self._rng.uniform(-self.jitter_us, self.jitter_us)
-                self._arrival_us = max(self._arrival_us, jittered)
+                jitter = round(self._rng.uniform(-self.jitter_us, self.jitter_us))
+                self._arrival_us = max(self._arrival_us, self._clock_us + jitter)
                 for decoded in self._decoder.feed(reply):
-                    yield int(round(self._arrival_us)), decoded
+                    yield self._arrival_us, decoded
 
 
 class TcpChannel:
@@ -429,7 +432,6 @@ class TcpChannel:
                 yield from read_frames(sock, self.timeout_s)
         except OSError as exc:
             raise ChannelTimeout(f"{self.host}:{self.port}: {type(exc).__name__}: {exc}") from exc
-        raise ChannelTimeout(f"{self.host}:{self.port} closed the connection mid-session")
 
 
 def _wait_until(due_ns: int):
@@ -520,24 +522,21 @@ def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedRe
     t_start = None
     with closing(channel.request(encode_challenge(ChallengeMessage(session_id, spec)))) as replies:
         for arrival_us, reply in replies:
+            if not isinstance(reply, (RestoredMessage, ResponseMessage)):
+                raise MalformedFrame(f"unexpected message {type(reply).__name__}")
+            if reply.session_id != session_id:
+                raise SessionMismatch(f"{type(reply).__name__} for session "
+                                      f"{reply.session_id:#x}, expected {session_id:#x}")
             if isinstance(reply, RestoredMessage):
-                if reply.session_id != session_id:
-                    raise SessionMismatch(
-                        f"RESTORED for session {reply.session_id:#x}, expected {session_id:#x}")
                 if t_start is not None:
                     raise MalformedFrame("second RESTORED acknowledgment in one session")
                 t_start = arrival_us
-            elif isinstance(reply, ResponseMessage):
-                if reply.session_id != session_id:
-                    raise SessionMismatch(
-                        f"response for session {reply.session_id:#x}, expected {session_id:#x}")
-                if reply.status in _REFUSALS:
-                    return TimedResponse(reply, arrival_us, arrival_us)
-                if t_start is None:
-                    raise MalformedFrame("response arrived before RESTORED acknowledgment")
-                return TimedResponse(reply, t_start, arrival_us)
+            elif reply.status in _REFUSALS:
+                return TimedResponse(reply, arrival_us, arrival_us)
+            elif t_start is None:
+                raise MalformedFrame("response arrived before RESTORED acknowledgment")
             else:
-                raise MalformedFrame(f"unexpected message {type(reply).__name__}")
+                return TimedResponse(reply, t_start, arrival_us)
     raise ChannelTimeout("device never sent a response frame")
 
 

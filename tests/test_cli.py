@@ -3,6 +3,7 @@
 import argparse
 import dataclasses
 import hashlib
+import importlib.util
 import itertools
 import json
 import os
@@ -1302,3 +1303,21 @@ def test_no_command_needs_scipy(tmp_path):
         server.send_signal(signal.SIGINT)  # serve's only way out
         _, err = server.communicate(timeout=30)
     assert server.returncode == 0, err
+
+
+def test_every_traced_name_resolves():
+    # the benchmark's tracer wraps these names from outside the package
+    # (bench/tracing.py, Tracer.install): a module attribute, or a method in
+    # its class's own __dict__; a rename must fail here, not only under tracing
+    spec = importlib.util.spec_from_file_location(
+        "tracing", os.path.join(os.path.dirname(__file__), "..", "bench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.TARGETS
+    for name, (modname, attr, clsname, kind) in tracing.TARGETS.items():
+        owner = importlib.import_module(modname)
+        if clsname is None:
+            assert callable(getattr(owner, attr, None)), name
+        else:
+            assert callable(vars(getattr(owner, clsname)).get(attr)), name
+        assert kind in ("span", "counter"), name

@@ -1,5 +1,6 @@
 """Tests for framing, channels, hostile stubs, and session verification."""
 
+import hashlib
 import logging
 import random
 import socket
@@ -286,6 +287,60 @@ class TestCodecProperties:
         stamps = [arrival_us for arrival_us, _ in got]
         assert stamps == sorted(stamps)
 
+    @settings(max_examples=40, deadline=None)
+    @given(challenge_messages(k=st.integers(1, 70)))
+    def test_every_cut_of_a_challenge_body_names_its_shortfall(self, msg):
+        # the layout, stated apart from the codec: 11 bytes of type, session id
+        # and k, 8 per seed, 30 of x, p, perm seed, passes and label length,
+        # then the label; k is 1 until it is read
+        body = encode_challenge(msg)[8:-4]
+        for n in range(1, len(body)):
+            needed = 11 + 8 * (msg.spec.seeds.k if n >= 11 else 1) + 30
+            message = (f"challenge body {len(body) - n} bytes short" if n >= needed
+                       else f"challenge body of {n} bytes, at least {needed} needed")
+            with pytest.raises(MalformedFrame, match=f"^{message}$"):
+                decode_body(body[:n])
+
+
+def pinned_challenge(k, region):
+    """A fixed CHALLENGE of k seeds; its perm seed is negative, so the frame
+    carries it masked to 64 bits."""
+    seeds = RandomSeeds([(i + 1) * 0x9E3779B97F4A7C15 % M61 for i in range(k)],
+                        FieldParams(M61, 0x1D2C3B4A5968778))
+    spec = ChallengeSpec(seeds=seeds, perm_seed=-0x5A5A5A5A, passes=500, region_id=region)
+    return ChallengeMessage(0x0123456789ABCDEF, spec)
+
+
+RESPONSES = {status: ResponseMessage(0xFEDCBA9876543210, 0x1122334455667788, status)
+             for status in (STATUS_OK, STATUS_NMI_RETRY, STATUS_REGION_MISMATCH, STATUS_REFUSED)}
+
+
+# SHA-256 of fixed frames as the codec wrote them before its layouts were
+# declared once: a round trip cannot see an encoder and a decoder that change
+# together.
+@pytest.mark.parametrize("msg, sha256", [
+    (pinned_challenge(1, "sram"),
+     "2ed9bf29c4a6924689484d1d8df39a75b2960dd22680952f7a3d53eb712bd514"),
+    (pinned_challenge(4, "région"),
+     "966e19418d2390da7697dc7256695447144b185e03d8c0775bdc24e79db4a91d"),
+    (pinned_challenge(64, ""),
+     "22c8ad674df06cde12028e48b2fb622a4c04e7a20374c3c3328656f6b8f084b6"),
+    (RestoredMessage(0xFEDCBA9876543210),
+     "831f2252762a725639d06f0c713ffb8f30b11ed79c5cf439d9e1c8868c9b9bef"),
+    (RESPONSES[STATUS_OK],
+     "5a94b302a86d18d36cf785e2fbaa641367aa01e4213b1a8b01f985dc09f89d5d"),
+    (RESPONSES[STATUS_NMI_RETRY],
+     "ce72b7b8fcb4d9ebf3cc467267920969e10b8b773f276a7a230bf648697ece6a"),
+    (RESPONSES[STATUS_REGION_MISMATCH],
+     "e29ad3504ddbee4a5bca4abc2c741c8be1a6869647bd2bd38c8900aad1f046f4"),
+    (RESPONSES[STATUS_REFUSED],
+     "79ae739a7cfa755bc9c327e1194539be28af34f536e2100ef2cb104f689cd6c3"),
+], ids=["challenge-k1-sram", "challenge-k4-region-accented", "challenge-k64-no-label",
+        "restored", "response-ok", "response-nmi-retry", "response-region-mismatch",
+        "response-refused"])
+def test_wire_bytes_are_pinned(msg, sha256):
+    assert hashlib.sha256(ENCODE[type(msg)](msg)).hexdigest() == sha256
+
 
 class TestSessionIds:
     def test_unique_and_fresh(self):
@@ -359,6 +414,18 @@ class TestChannels:
             durations.append(issue_challenge(chan, spec, rng=rng).duration_us)
         assert stamps == sorted(stamps)
         assert min(durations) == 0 and max(durations) <= 2 * jitter
+
+    @pytest.mark.parametrize("jitter", [0.0, 0.4])
+    def test_stamps_stay_exact_past_2_53_us(self, jitter):
+        # a float clock rounded every stamp past 2^53 us: this one read 12,288
+        class LateDevice:
+            def handle_challenge(self, msg):
+                return [(1 << 60, encode_restored(RestoredMessage(msg.session_id))),
+                        (12_345, encode_response(ResponseMessage(msg.session_id, 0, STATUS_OK)))]
+
+        rng = sub_rng(5, "t")
+        chan = LoopbackChannel(LateDevice(), jitter_us=jitter, jitter_seed=6)
+        assert issue_challenge(chan, fresh_spec(rng), rng=rng).duration_us == 12_345
 
     @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -1.0])
     def test_jitter_must_be_finite_and_nonnegative(self, jitter):
@@ -928,6 +995,27 @@ class TestTcpTransport:
         [(data, at)] = hang_ups
         assert data == b"" and at - ended < 1.0
         assert ends == "returns" or caught.value.__traceback__ is not None
+
+    @pytest.mark.parametrize("target", ["tcp", "loopback"])
+    def test_hang_up_before_the_response_is_one_timeout(self, target):
+        # a transport only moves frames: replies that stop after RESTORED end
+        # in issue_challenge's ChannelTimeout over either channel
+        def restored_only(session_id):
+            return encode_restored(RestoredMessage(session_id))
+
+        class HangsUp:
+            def handle_challenge(self, msg):
+                return [(500, restored_only(msg.session_id))]
+
+        if target == "tcp":
+            host, port = stub_device(lambda conn, challenge:
+                                     conn.sendall(restored_only(challenge.session_id)))
+            chan = TcpChannel(host, port, timeout_s=5.0)
+        else:
+            chan = LoopbackChannel(HangsUp())
+        rng = sub_rng(24, "t")
+        with pytest.raises(ChannelTimeout, match="^device never sent a response frame$"):
+            issue_challenge(chan, fresh_spec(rng), rng=rng)
 
     def test_closing_the_socket_stops_the_server(self):
         ep = DeviceEndpoint(desk_scenario(), master_seed=32)
