@@ -81,15 +81,15 @@ def _scenario_from_args(args) -> Scenario:
     return scenario
 
 
+# The scenario fields a profile was calibrated at, which a challenge must share.
+_PROFILE_SHAPE = ("region_id", "timing_words", "passes", "prime", "k")
+
+
 def _profile_doc(profile: stats.BaselineProfile, scenario: Scenario,
                  whiteness: stats.SerialCorrelation, master_seed: int) -> dict:
     return {
         "scenario": scenario.name,
-        "region_id": scenario.region_id,
-        "timing_words": scenario.timing_words,
-        "passes": scenario.passes,
-        "prime": scenario.prime,
-        "k": scenario.k,
+        **{key: getattr(scenario, key) for key in _PROFILE_SHAPE},
         "master_seed": master_seed,
         "n": profile.n,
         "mean_us": profile.mean,
@@ -109,21 +109,26 @@ def _profile_doc(profile: stats.BaselineProfile, scenario: Scenario,
     }
 
 
-_PROFILE_SHAPE = ("region_id", "timing_words", "passes", "prime", "k")
-
-
-def _read_profile(path):
-    """(profile, shape) from a calibrate profile JSON; a malformed file raises TimecheckError."""
+def _read_profile(path, scenario: Scenario) -> stats.BaselineProfile:
+    """The baseline in a calibrate profile JSON calibrated at scenario's shape;
+    a malformed file or another shape raises TimecheckError."""
     with open(path) as fh:
         try:
             doc = json.load(fh)
             shape = tuple(doc[key] for key in _PROFILE_SHAPE)
             samples = doc["samples_us"]
-            if not all(type(s) in (int, float) and math.isfinite(s) for s in samples):
+            # a float field's rule (device._fault): a huge int is not finite either
+            if not all(type(s) in (int, float) and abs(s) <= sys.float_info.max
+                       for s in samples):
                 raise ValueError("samples_us holds a value that is not a finite number")
-            return stats.calibrate(samples), shape
+            profile = stats.calibrate(samples)
         except (KeyError, TypeError, ValueError, TimecheckError) as exc:
             raise TimecheckError(f"{path}: {type(exc).__name__}: {exc}") from exc
+    want = tuple(getattr(scenario, key) for key in _PROFILE_SHAPE)
+    if shape != want:
+        raise TimecheckError(
+            f"profile shape {shape} does not match scenario shape {want}; recalibrate")
+    return profile
 
 
 def _connect(args, scenario: Scenario):
@@ -152,16 +157,17 @@ def cmd_calibrate(args) -> int:
     if args.target == "sim":
         measurements = run_trials(scenario, args.trials, args.seed)
     else:
+        verifier = DeviceEndpoint(scenario)  # a baseline comes only from correct values
         channel = _connect(args, scenario)
         rng = sub_rng(args.seed, "calibration")
         measurements = []
         for trial_id in range(args.trials):
-            session = run_session(channel, scenario, rng)
-            if session.refusal:
-                raise TimecheckError(f"device refused session {trial_id}: {session.refusal}")
+            session = run_session(channel, scenario, rng, verifier)
+            if session.verdict.outcome == "REJECT":
+                raise TimecheckError(f"calibration session {trial_id}: {session.verdict.reason}")
             measurements.append(Measurement(trial_id, scenario.name,
-                                            max(1, session.timed.duration_us),
-                                            session.spec_digest, session.spoiled))
+                                            max(1, session.timed.duration_us), session.spec_digest,
+                                            session.verdict.outcome == "RETRY"))
     durations = [m.duration_us for m in measurements if not m.nmi]
     spoiled = len(measurements) - len(durations)
     if len(durations) < 2:
@@ -194,12 +200,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_challenge(args) -> int:
     scenario = _scenario_from_args(args)
-    profile, shape = _read_profile(args.profile)
-    want = tuple(getattr(scenario, key) for key in _PROFILE_SHAPE)
-    if shape != want:
-        raise TimecheckError(
-            f"profile shape {shape} does not match scenario shape {want}; recalibrate")
-
+    profile = _read_profile(args.profile, scenario)
     verifier = DeviceEndpoint(scenario)  # the checkpoint is public: rebuild it locally
     channel = _connect(args, scenario)
     rng = sub_rng(args.seed, "challenge-spec")  # each attempt: the device's next session

@@ -31,12 +31,12 @@ one); TCP's two ends read frames through read_frames. Only a session's two
 ends know its rules: issue_challenge and DeviceEndpoint.handle_challenge.
 issue_challenge alone ends a session, in ChannelTimeout if no RESPONSE comes.
 
-run_session is the verifier's one session path, for calibration and for
-challenge alike: a spec and then a session id from one stream, the expected
-result when judging, the timed exchange (issue_challenge), then the verdict
-(verify_response), in a Session record (verdict None when calibrating). A
-session an interrupt spike spoiled (STATUS_NMI_RETRY) is never judged on its
-time, only retried as the device's next session, and never enters a profile.
+run_session is the verifier's one session path, and judges every session:
+a spec and then a session id from one stream, the expected result, the timed
+exchange (issue_challenge), then the verdict (verify_response; a calibration
+session is not timed), in a Session record. A session an interrupt spike
+spoiled (STATUS_NMI_RETRY) is never judged on its time, only retried as the
+device's next session, and never enters a profile.
 """
 
 import functools
@@ -405,6 +405,9 @@ class LoopbackChannel:
         self._arrival_us = -round(jitter_us)  # the lowest stamp
         self._decoder = FrameDecoder()
 
+    def __str__(self):
+        return "loopback"
+
     def request(self, challenge_frame: bytes):
         for msg in FrameDecoder().feed(challenge_frame):
             for delay_us, reply in self.endpoint.handle_challenge(msg):
@@ -425,13 +428,16 @@ class TcpChannel:
         self.port = port
         self.timeout_s = timeout_s
 
+    def __str__(self):
+        return f"{self.host}:{self.port}"
+
     def request(self, challenge_frame: bytes):
         try:
             with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
                 sock.sendall(challenge_frame)
                 yield from read_frames(sock, self.timeout_s)
         except OSError as exc:
-            raise ChannelTimeout(f"{self.host}:{self.port}: {type(exc).__name__}: {exc}") from exc
+            raise ChannelTimeout(f"{self}: {type(exc).__name__}: {exc}") from exc
 
 
 def _wait_until(due_ns: int):
@@ -537,7 +543,7 @@ def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedRe
                 raise MalformedFrame("response arrived before RESTORED acknowledgment")
             else:
                 return TimedResponse(reply, t_start, arrival_us)
-    raise ChannelTimeout("device never sent a response frame")
+    raise ChannelTimeout(f"{channel}: device never sent a response frame")
 
 
 @dataclass(frozen=True)
@@ -547,14 +553,14 @@ class SessionVerdict:
     detector: object  # stats.Verdict for timing decisions, else None
 
 
-def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
+def verify_response(expected: ChallengeResult, timed: TimedResponse, profile=None,
                     method: str = "percentile") -> SessionVerdict:
     """Value check first, then the configured timing detector.
 
     A refusal or a status the protocol does not define rejects before the
-    value check. A wrong accumulator rejects unconditionally, whatever the
-    timing says. An interrupt-spoiled measurement asks for a retry. All
-    failures are verdicts, not exceptions.
+    value check, and a wrong accumulator whatever the timing says. An
+    interrupt-spoiled measurement asks for a retry; with no profile a correct
+    value is accepted untimed. All failures are verdicts, not exceptions.
     """
     resp = timed.response
     if resp.status in _REFUSALS:
@@ -565,6 +571,8 @@ def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
         return SessionVerdict("REJECT", "accumulator mismatch", None)
     if resp.status == STATUS_NMI_RETRY:
         return SessionVerdict("RETRY", "interrupt spike spoiled the measurement", None)
+    if profile is None:
+        return SessionVerdict("ACCEPT", "value correct; not timed", None)
     verdict = detect(method, profile, float(timed.duration_us))
     if verdict.flagged:
         return SessionVerdict("REJECT", f"timing outlier ({method})", verdict)
@@ -573,30 +581,19 @@ def verify_response(expected: ChallengeResult, timed: TimedResponse, profile,
 
 @dataclass(frozen=True)
 class Session:
-    """One verifier session as recorded; verdict is None for a calibration session."""
+    """One verifier session as recorded, with its verdict."""
 
     spec_digest: str
     timed: TimedResponse
-    verdict: SessionVerdict = None
-
-    @property
-    def refusal(self):
-        """Why the device refused the challenge, or None."""
-        return _REFUSALS.get(self.timed.response.status)
-
-    @property
-    def spoiled(self) -> bool:
-        """Whether an interrupt spike spoiled the measured duration."""
-        return self.timed.response.status == STATUS_NMI_RETRY
+    verdict: SessionVerdict
 
 
 def run_session(channel, scenario: Scenario, rng: random.Random,
-                verifier: DeviceEndpoint = None, profile=None,
+                verifier: DeviceEndpoint, profile=None,
                 method: str = "percentile") -> Session:
-    """One session over channel, judged only when given a verifier endpoint.
-    rng draws the spec and then the session id."""
+    """One judged session over channel, timed against profile when one is
+    given. rng draws the spec and then the session id."""
     spec = random_spec(scenario.prime, scenario.k, scenario.passes, rng, scenario.region_id)
-    expected = None if verifier is None else verifier.expected_result(spec)
+    expected = verifier.expected_result(spec)
     timed = issue_challenge(channel, spec, rng=rng)
-    verdict = None if verifier is None else verify_response(expected, timed, profile, method)
-    return Session(spec.digest(), timed, verdict)
+    return Session(spec.digest(), timed, verify_response(expected, timed, profile, method))

@@ -32,14 +32,16 @@ from timecheck.device import (
     NoiseModel,
     Scenario,
     TierModel,
+    attack_scenario,
     builtin_scenario,
     load_scenario,
     price,
     scenario_from_json,
     scenario_to_json,
 )
-from timecheck.engine import multipass, random_spec
+from timecheck.engine import multipass, multipass_m61, random_spec
 from timecheck.errors import TimecheckError
+from timecheck.field import M61
 from timecheck.protocol import DeviceEndpoint, LoopbackChannel
 from timecheck.seeding import derive_seed
 
@@ -101,13 +103,66 @@ class TestCalibrate:
         sc = builtin_scenario("desk-small")
         other_region = DeviceEndpoint(dataclasses.replace(sc, region_id="dram"))
         channel = LoopbackChannel(other_region, jitter_us=0.0)
-        session = protocol.run_session(channel, sc, random.Random(0))
-        assert session.refusal == "region mismatch" and session.verdict is None
+        session = protocol.run_session(channel, sc, random.Random(0), DeviceEndpoint(sc))
+        assert session.verdict.outcome == "REJECT"
+        assert session.verdict.reason == "device refused: region mismatch"
         monkeypatch.setattr(cli, "_connect", lambda *args: channel)
         assert run(["calibrate", "--scenario", "desk-small", "--target", "loopback",
                     "--trials", 3, "--out", tmp_path / "out"]) == 1
-        assert capsys.readouterr().err == "error: device refused session 0: region mismatch\n"
+        assert capsys.readouterr().err == "error: calibration session 0: device refused: region mismatch\n"
         assert not (tmp_path / "out").exists()
+
+    def test_wrong_value_is_not_recorded(self, tmp_path, capsys):
+        # the value check runs before any duration enters a baseline
+        sc = builtin_scenario("desk-small")
+        cfg = tmp_path / "corrupt.json"
+        _write_scenario(dataclasses.replace(sc, adversary=AdversaryConfig("corrupt_result")), cfg)
+        assert run(["calibrate", "--config", cfg, "--target", "loopback", "--trials", 3,
+                    "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: calibration session 0: accumulator mismatch\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_undefined_status_is_not_recorded(self, tmp_path, monkeypatch, capsys):
+        class AnswersSeven(DeviceEndpoint):
+            def handle_challenge(self, msg):
+                restored, (delay_us, _) = super().handle_challenge(msg)
+                return [restored, (delay_us, protocol.encode_response(
+                    protocol.ResponseMessage(msg.session_id, 12345, 7)))]
+
+        channel = LoopbackChannel(AnswersSeven(builtin_scenario("desk-small")))
+        monkeypatch.setattr(cli, "_connect", lambda *args: channel)
+        assert run(["calibrate", "--scenario", "desk-small", "--target", "loopback",
+                    "--trials", 3, "--out", tmp_path / "out"]) == 1
+        assert capsys.readouterr().err == "error: calibration session 0: unknown status 7\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_wrong_value_over_tcp_is_not_recorded(self, tmp_path, capsys):
+        corrupt = attack_scenario(builtin_scenario("desk-small"), "corrupt")
+        server, thread = protocol.serve_device(DeviceEndpoint(corrupt), port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        try:
+            assert run(["calibrate", "--scenario", "desk-small", "--target",
+                        f"tcp://{host}:{port}", "--trials", 3, "--out", tmp_path / "out"]) == 1
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+        assert capsys.readouterr().err == "error: calibration session 0: accumulator mismatch\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_loopback_session_is_scanned_once(self, tmp_path, monkeypatch):
+        # the verifier scans, and the device's equal evaluation is a memo hit
+        scans = []
+
+        def counted(words, spec):
+            scans.append(spec)
+            return multipass_m61(words, spec)
+
+        monkeypatch.setattr(engine, "_memo", [])
+        monkeypatch.setattr(engine, "multipass_m61", counted)
+        assert builtin_scenario("desk-small").prime == M61
+        assert run(["calibrate", "--scenario", "desk-small", "--target", "loopback",
+                    "--trials", 5, "--out", tmp_path]) == 0
+        assert len(scans) == len(set(scans)) == 5
 
     def test_deterministic_outputs(self, tmp_path):
         for sub in ("a", "b"):
@@ -218,10 +273,15 @@ class TestChallenge:
         (lambda doc: [doc], "TypeError"),
         (lambda doc: dict(doc, samples_us=["fast", 1.0]), "not a finite number"),
         (lambda doc: dict(doc, samples_us=[None, 1.0]), "not a finite number"),
+        # too large for a float: read as one, it would raise OverflowError
+        (lambda doc: dict(doc, samples_us=[10**400, 1.0]),
+         "ValueError: samples_us holds a value that is not a finite number"),
+        (lambda doc: dict(doc, samples_us=[float("inf"), 1.0]), "not a finite number"),
         (lambda doc: dict(doc, samples_us=12.0), "TypeError"),
         (lambda doc: dict(doc, samples_us=doc["samples_us"][:1]), "InsufficientSamples"),
     ], ids=["not-json", "no-region-id", "no-samples", "not-an-object", "string-sample",
-            "null-sample", "samples-not-a-list", "one-sample"])
+            "null-sample", "huge-int-sample", "infinite-sample", "samples-not-a-list",
+            "one-sample"])
     def test_malformed_profile_is_an_operational_error(self, tmp_path, calibrated, capsys,
                                                        edit, needle):
         doc = edit(json.loads(calibrated.read_text()))

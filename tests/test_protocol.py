@@ -3,6 +3,7 @@
 import hashlib
 import logging
 import random
+import re
 import socket
 import struct
 import threading
@@ -1011,10 +1012,12 @@ class TestTcpTransport:
             host, port = stub_device(lambda conn, challenge:
                                      conn.sendall(restored_only(challenge.session_id)))
             chan = TcpChannel(host, port, timeout_s=5.0)
+            name = re.escape(f"{host}:{port}")
         else:
             chan = LoopbackChannel(HangsUp())
+            name = "loopback"
         rng = sub_rng(24, "t")
-        with pytest.raises(ChannelTimeout, match="^device never sent a response frame$"):
+        with pytest.raises(ChannelTimeout, match=f"^{name}: device never sent a response frame$"):
             issue_challenge(chan, fresh_spec(rng), rng=rng)
 
     def test_closing_the_socket_stops_the_server(self):
@@ -1335,11 +1338,13 @@ def test_calibration_session_draws_spec_then_session_id():
     # one generator: the spec's draws, then the session id's
     sc = desk_scenario()
     rng = random.Random(0xCA1)
-    session = protocol.run_session(_loopback(sc, 5), sc, rng)
+    session = protocol.run_session(_loopback(sc, 5), sc, rng, DeviceEndpoint(sc))
     manual_rng = random.Random(0xCA1)
     spec = fresh_spec(manual_rng, sc)
     timed = issue_challenge(_loopback(sc, 5), spec, rng=manual_rng)
-    assert session.verdict is None and not session.spoiled and session.refusal is None
+    # judged on its value, and not timed without a profile
+    assert session.verdict.outcome == "ACCEPT" and session.verdict.detector is None
+    assert "not timed" in session.verdict.reason
     assert session.spec_digest == spec.digest()
     got = session.timed
     # the random low half of the session id; a process-wide counter fills the high half
@@ -1375,10 +1380,11 @@ def test_spoiled_session_is_retried_not_judged():
     sc = desk_scenario()
     spiky = replace(sc, noise=replace(sc.noise, nmi_prob=1.0, nmi_us=50_000.0))
     profile = stats.calibrate([12_000.0 + i for i in range(30)])
-    calibration = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3))
+    calibration = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3),
+                                       DeviceEndpoint(sc))
     judged = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3),
                                   DeviceEndpoint(sc), profile)
     for session in (calibration, judged):
-        assert session.spoiled and session.timed.duration_us > 50_000
-    assert calibration.verdict is None
-    assert judged.verdict.outcome == "RETRY" and judged.verdict.detector is None
+        assert session.timed.response.status == STATUS_NMI_RETRY
+        assert session.timed.duration_us > 50_000
+        assert session.verdict.outcome == "RETRY" and session.verdict.detector is None
