@@ -31,6 +31,8 @@ from .device import (
     SCENARIOS,
     Measurement,
     Scenario,
+    _fault,
+    _nominal_us,
     attack_scenario,
     builtin_scenario,
     duration_bound_fault,
@@ -41,6 +43,7 @@ from .device import (
 )
 from .errors import DegenerateSeries, InsufficientSamples, TimecheckError, UnknownTier
 from .protocol import (
+    CONN_TIMEOUT_S,
     MAX_SCAN_WORDS,
     DeviceEndpoint,
     LoopbackChannel,
@@ -117,9 +120,7 @@ def _read_profile(path, scenario: Scenario) -> stats.BaselineProfile:
             doc = json.load(fh)
             shape = tuple(doc[key] for key in _PROFILE_SHAPE)
             samples = doc["samples_us"]
-            # a float field's rule (device._fault): a huge int is not finite either
-            if not all(type(s) in (int, float) and abs(s) <= sys.float_info.max
-                       for s in samples):
+            if any(_fault(s, float) for s in samples):  # a huge int is not finite either
                 raise ValueError("samples_us holds a value that is not a finite number")
             profile = stats.calibrate(samples)
         except (KeyError, TypeError, ValueError, TimecheckError) as exc:
@@ -133,15 +134,21 @@ def _read_profile(path, scenario: Scenario) -> stats.BaselineProfile:
 
 def _connect(args, scenario: Scenario):
     """The channel to the one device that --target names: tcp://host:port is a
-    TcpChannel, and loopback a DeviceEndpoint in this process, seeded as serve
-    seeds its device, behind a LoopbackChannel."""
+    TcpChannel that waits for a frame CONN_TIMEOUT_S beyond the longest
+    duration scenario prices, and loopback a DeviceEndpoint in this process,
+    seeded as serve seeds its device, behind a LoopbackChannel. --attack sets
+    only that loopback device: a tcp target refuses it."""
     if args.target.startswith("tcp://"):
+        if getattr(args, "attack", "none") != "none":
+            raise TimecheckError(f"--attack sets only the loopback device; the device at "
+                                 f"{args.target} answers as its serve --attack set it")
         host, _, port = args.target[len("tcp://"):].partition(":")
         # ASCII digits only (isdigit takes "²"); the socket layer wraps ports mod 2^16
         if not (port.isascii() and port.isdigit() and 1 <= int(port) <= MAX_PORT):
             raise TimecheckError(f"target {args.target!r} is not tcp://host:port "
                                  f"with a port in 1-{MAX_PORT}")
-        return TcpChannel(host, int(port))
+        longest_us = _nominal_us(scenario, scenario.passes) + scenario.noise.reach_us()
+        return TcpChannel(host, int(port), CONN_TIMEOUT_S + longest_us / 1e6)
     if args.target != "loopback":
         raise TimecheckError(f"unknown target {args.target!r}: use loopback or tcp://host:port")
     return LoopbackChannel(DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device")))

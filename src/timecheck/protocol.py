@@ -421,7 +421,8 @@ class LoopbackChannel:
 class TcpChannel:
     """Plain TCP transport with real monotonic timestamps. request opens one
     connection and yields every frame read_frames reads on it under
-    timeout_s, until its caller closes the generator or the peer hangs up."""
+    timeout_s, until its caller closes the generator or the peer hangs up.
+    A RESPONSE follows RESTORED by the whole scan, which timeout_s must outlast."""
 
     def __init__(self, host: str, port: int, timeout_s: float = CONN_TIMEOUT_S):
         self.host = host

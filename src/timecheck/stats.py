@@ -1,8 +1,8 @@
 """Baseline calibration and the statistical decision pipeline.
 
-Calibration turns a batch of timed trials into a BaselineProfile holding
-location, spread, and tail statistics. Detectors classify a single timing
-against that profile; distribution tests compare whole batches.
+Calibration turns timed trials into a BaselineProfile of location, spread
+and tail statistics, refusing a batch where one is not finite. Detectors
+classify a single timing against it; distribution tests compare batches.
 
 Everything here is pure over immutable inputs and safe for concurrent use.
 
@@ -47,19 +47,13 @@ class BaselineProfile:
 
 def calibrate(samples) -> BaselineProfile:
     """Build a BaselineProfile; percentiles use linear rank interpolation."""
-    arr = _finite(np.asarray(list(samples), dtype=float))
+    arr = np.asarray(list(samples), dtype=float)
     stats = (column.item() for column in _row_statistics(arr[np.newaxis, :]))
     return BaselineProfile(tuple(arr.tolist()), arr.size, *stats)
 
 
-def _finite(samples: np.ndarray) -> np.ndarray:
-    if bad := samples.size - np.count_nonzero(np.isfinite(samples)):
-        raise ValueError(f"{bad} of {samples.size} samples are NaN or +-inf")
-    return samples
-
-
 def _row_statistics(arr: np.ndarray) -> tuple:
-    """Per row of a 2-D array of finite floats: (mean, std, median, mad, p2_5, p97_5, mean_ad).
+    """Per row of a 2-D float array: (mean, std, median, mad, p2_5, p97_5, mean_ad).
 
     Each entry is a float64 column with one value per row, in
     BaselineProfile's field order after samples and n. A row's statistics
@@ -67,19 +61,25 @@ def _row_statistics(arr: np.ndarray) -> tuple:
     arithmetic as their 1-D forms, and the order statistics, from one sort of
     arr and one of the deviations, equal np.median's and "linear"
     np.percentile's bit for bit (but either zero may stand for 0.0 and -0.0).
+    A row with a statistic that is not finite raises ValueError: detectors read them.
     """
     if arr.shape[1] < 2:
         raise InsufficientSamples(f"calibration needs >= 2 samples, got {arr.shape[1]}")
-    mean, std = arr.mean(axis=1), arr.std(axis=1, ddof=1)
-    ranked = np.sort(arr, axis=1)
-    median = _middle(ranked)
-    p2_5, p97_5 = (_linear_percentile(ranked, q) for q in (2.5, 97.5))
-    del ranked  # one array of arr's size at a time beside arr
-    deviation = arr - median[:, np.newaxis]
-    np.abs(deviation, out=deviation)
-    mean_ad = deviation.mean(axis=1)
-    deviation.sort(axis=1)
-    return mean, std, median, _middle(deviation), p2_5, p97_5, mean_ad
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, not warned
+        mean, std = arr.mean(axis=1), arr.std(axis=1, ddof=1)
+        ranked = np.sort(arr, axis=1)
+        median = _middle(ranked)
+        p2_5, p97_5 = (_linear_percentile(ranked, q) for q in (2.5, 97.5))
+        del ranked  # one array of arr's size at a time beside arr
+        deviation = arr - median[:, np.newaxis]
+        np.abs(deviation, out=deviation)
+        mean_ad = deviation.mean(axis=1)
+        deviation.sort(axis=1)
+        columns = mean, std, median, _middle(deviation), p2_5, p97_5, mean_ad
+    if bad := arr.shape[0] - np.count_nonzero(np.isfinite(columns).all(axis=0)):
+        raise ValueError(f"{bad} of {arr.shape[0]} baselines have a statistic that is not a "
+                         f"finite number (a sample is NaN or infinite, or a sum overflows)")
+    return columns
 
 
 def _middle(ranked: np.ndarray) -> np.ndarray:
@@ -425,9 +425,9 @@ def confusion_report(baseline_points, attack_points,
     and one over their stacked leave-one-out matrix, each sorted once per
     row. Their columns, shaped to broadcast against the points, form the
     profiles every method scores the batch's points against in one array
-    expression. A NaN or infinite baseline point raises ValueError.
+    expression. A baseline with a statistic that is not finite raises ValueError.
     """
-    baseline = _finite(np.atleast_2d(np.asarray(baseline_points, dtype=float)))
+    baseline = np.atleast_2d(np.asarray(baseline_points, dtype=float))
     attack = np.atleast_2d(np.asarray(attack_points, dtype=float))
     if baseline.ndim > 2 or attack.ndim > 2 or baseline.shape[0] != attack.shape[0]:
         raise ValueError("point sets must be 1-D, or 2-D with one row per run in both")

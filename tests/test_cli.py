@@ -13,6 +13,7 @@ import signal
 import struct
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -221,6 +222,53 @@ class TestChallenge:
         assert err.startswith("error: ") and repr(target) in err and err.count("\n") == 1
         if not target.startswith("tcp://"):
             assert "use loopback or tcp://host:port" in err
+
+    def test_attack_on_a_tcp_target_is_refused_before_connecting(self, calibrated, capsys,
+                                                                  monkeypatch):
+        # the served device answers as serve --attack set it: the flag would be ignored
+        def create_connection(*args, **kwargs):
+            raise AssertionError("connected")
+
+        monkeypatch.setattr(protocol.socket, "create_connection", create_connection)
+        assert run(["challenge", "--profile", calibrated, "--scenario", "desk-small",
+                    "--target", "tcp://127.0.0.1:9000", "--attack", "dram"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: --attack ") and err.count("\n") == 1
+        assert "serve --attack" in err
+
+    def test_tcp_read_limit_covers_the_longest_priced_session(self):
+        # 7,000 desk-small passes price 10.752 s, inside the scan budget: a RESPONSE
+        # comes that long after RESTORED, past the 10 s CONN_TIMEOUT_S alone
+        args = build_parser().parse_args(["challenge", "--profile", "p.json", "--scenario",
+                                          "desk-small", "--passes", "7000",
+                                          "--target", "tcp://127.0.0.1:9000"])
+        scenario = _scenario_from_args(args)
+        assert scenario.base_cost_us(7000) > 10.75e6
+        channel = cli._connect(args, scenario)
+        assert channel.timeout_s >= protocol.CONN_TIMEOUT_S + 10.75
+        # the longest priced duration: the nominal one plus the noise's reach
+        assert channel.timeout_s == protocol.CONN_TIMEOUT_S + (
+            scenario.base_cost_us(7000) + scenario.noise.reach_us()) / 1e6
+
+    @pytest.mark.parametrize("attack", ["none", "dram"])
+    @pytest.mark.parametrize("detector", ["percentile", "zscore", "modz"])
+    def test_profile_whose_sum_overflows_is_refused(self, tmp_path, calibrated, capsys,
+                                                    detector, attack):
+        # each sample is finite, their sum is not: the mean would read inf, the
+        # z-score NaN (an ACCEPT), and the bands reject the honest device
+        doc = json.loads(calibrated.read_text())
+        bad = tmp_path / "overflow-profile.json"
+        bad.write_text(json.dumps(dict(doc, samples_us=[1e308, 1.7e308, 1.5e308])))
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run(["challenge", "--profile", bad, "--scenario", "desk-small",
+                        "--detector", detector, "--attack", attack, "--seed", 2])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {bad}: ValueError: 1 of 1 baselines have a statistic "
+                              "that is not a finite number") and err.count("\n") == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_shape_mismatch_errors(self, tmp_path, calibrated):
         code = run(["challenge", "--profile", calibrated, "--scenario", "desk-small",

@@ -2,7 +2,9 @@
 
 import math
 import random
+import sys
 import tracemalloc
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -70,6 +72,15 @@ def quantized_samples(draw, min_size=2, max_size=80):
     steps = draw(st.lists(st.integers(-3, 3) | st.integers(-10**6, 10**6),
                           min_size=min_size, max_size=max_size))
     return [float(base + s) for s in steps]
+
+
+# Ordinary durations, magnitudes near the largest float, and non-finite values.
+EXTREME_FLOATS = (st.floats(-3e9, 3e9)
+                  | st.floats(1e307, sys.float_info.max) | st.floats(-sys.float_info.max, -1e307)
+                  | st.sampled_from((math.nan, math.inf, -math.inf, 5e-324))).map(lambda v: v + 0.0)
+# Rows of n of them, some of one kind alone: only a mixed row is refused most times.
+EXTREME_ROW_VALUES = (EXTREME_FLOATS, st.floats(-3e9, 3e9).map(lambda v: v + 0.0),
+                      st.floats(1e307, sys.float_info.max), st.sampled_from((0.0, 5e-324, 1e300)))
 
 
 def _outcome(fn):
@@ -171,11 +182,61 @@ class TestCalibrateRows:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_refused(self, bad):
         # a sorted copy puts NaN last: the median would be finite and wrong
-        with pytest.raises(ValueError, match="^1 of 5 samples are NaN or"):
+        with pytest.raises(ValueError, match="^1 of 1 baselines have a statistic that is not"):
             calibrate([1.0, 2.0, bad, 4.0, 5.0])
         base = [[1.0, 2.0, 3.0], [bad, 2.0, bad]]
-        with pytest.raises(ValueError, match="^2 of 6 samples are NaN or"):
+        with pytest.raises(ValueError, match="^1 of 2 baselines have a statistic that is not"):
             confusion_report(base, [[9.0], [9.0]])
+
+    def test_overflowing_sum_refused(self):
+        # every sample is finite, but their sum is not: the mean would read inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nor does numpy warn of the overflow
+            with pytest.raises(ValueError, match=r"^1 of 1 baselines .* a sum overflows\)$"):
+                calibrate([1e308, 1.7e308, 1.5e308])
+            with pytest.raises(ValueError, match="^1 of 2 baselines have a statistic"):
+                confusion_report([[1.0, 2.0, 3.0, 4.0], [1e308, 1.7e308, 1.5e308, 1.2e308]],
+                                 [[9.0], [9.0]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 60).flatmap(lambda n: st.lists(
+        st.sampled_from(EXTREME_ROW_VALUES).flatmap(
+            lambda values: st.lists(values, min_size=n, max_size=n)), min_size=1, max_size=3)),
+        EXTREME_FLOATS.filter(math.isfinite))
+    def test_statistics_are_finite_or_refused(self, rows, point):
+        arr = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):  # test_row_statistics_equal_numpy's oracle
+            median = np.median(arr, axis=1)
+            deviation = np.abs(arr - median[:, np.newaxis])
+            want = (arr.mean(axis=1), arr.std(axis=1, ddof=1), median,
+                    np.median(deviation, axis=1), *np.percentile(arr, (2.5, 97.5), axis=1),
+                    deviation.mean(axis=1))
+        bad = len(rows) - np.count_nonzero(np.isfinite(want).all(axis=0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if bad:
+                with pytest.raises(ValueError, match=f"^{bad} of {len(rows)} baselines"):
+                    _row_statistics(arr)
+                return
+            got = _row_statistics(arr)
+        assert all(np.isfinite(column).all() for column in got)
+        assert [(column + 0.0).tobytes() for column in got] == [
+            (column + 0.0).tobytes() for column in want]
+        # A profile's median scores finitely under every detector. Another finite
+        # point may score +-inf (a MAD of 5e-324 spreads nothing), which flags
+        # it; no point scores NaN, which no threshold would flag.
+        for row in rows:
+            profile = calibrate(row)
+            for method in DETECTORS:
+                with np.errstate(over="ignore"):
+                    verdicts = _error_or(lambda: [detect(method, profile, v) for v in
+                                                  (profile.median, point, *row)])
+                if isinstance(verdicts, tuple):
+                    assert verdicts[0] is DegenerateSeries
+                    continue
+                assert math.isfinite(verdicts[0].score)
+                assert all(v.flagged for v in verdicts if not math.isfinite(v.score))
+                assert not any(math.isnan(v.score) for v in verdicts)
 
     def test_two_point_baseline_leaves_one(self):
         with pytest.raises(InsufficientSamples, match="needs >= 2 samples, got 1"):
