@@ -22,6 +22,7 @@ The file describes itself: renaming or copying it keeps its region.
 
 import math
 import struct
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -55,15 +56,16 @@ def region_bytes(region_id: str) -> bytes:
 
 @dataclass
 class MemoryImage:
-    """The word list the streaming reference engines scan, with region metadata.
+    """The words the streaming reference engines scan, with region metadata.
 
     Device and checkpoint memory is a uint64 array (DeviceEndpoint.words,
-    Checkpoint.words). The streaming multipass and multipass_naive take the
-    words as Python ints instead, because they multiply them by powers of x
-    as exact integers, which a uint64 array would wrap.
+    Checkpoint.words). The streaming multipass and multipass_naive multiply
+    words by powers of x as exact integers, which numpy's uint64 scalars
+    would wrap, so words is a sequence whose items read back as Python ints:
+    a list, a tuple, or an array("Q") at 8 bytes a word.
     """
 
-    words: "list | tuple"
+    words: "list | tuple | array"
     region_id: str = "sram"
 
     def __post_init__(self):

@@ -61,6 +61,7 @@ import random
 import struct
 import sys
 import threading
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,9 +188,13 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
     """Independent oracle: materialize everything, evaluate by explicit powers.
 
     Structurally disjoint from the streaming path: builds the full
-    coefficient array and the full permuted term sequence, then sums
-    term[j] * x^(N-1-j) with the builtin pow. Slow and memory-hungry by design;
-    capped at 2^16 words.
+    coefficient table and the full permuted term sequence (P*d entries
+    each) and the scan order (d entries), then sums term[j] * x^(N-1-j)
+    exactly in Python ints, one builtin pow per term. Every entry lies below
+    2^64, so each table is an array("Q") of 8 bytes an entry whose items
+    read back as exact Python ints: 16 bytes a term plus 8 a word, where
+    lists of boxed ints cost about 115 bytes a term. Slow by design; capped
+    at 2^16 words.
     """
     d = _check_shape(image.words, spec, perm)
     if d > 1 << 16:
@@ -200,7 +205,7 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
     x = spec.params.x
     r = spec.seeds.r
 
-    coeffs = []
+    coeffs = array("Q")
     for index in range(spec.passes * d):
         base = index + 1
         acc = 0
@@ -208,8 +213,8 @@ def multipass_naive(image: MemoryImage, spec: ChallengeSpec, perm=None) -> Chall
             acc = (acc * base + r[j]) % p
         coeffs.append(acc)
 
-    scan_order = [perm.get(i) for i in range(d - 1, -1, -1)]
-    terms = []
+    scan_order = array("Q", map(perm.get, range(d - 1, -1, -1)))
+    terms = array("Q")
     for pass_no in range(spec.passes):
         for idx in scan_order:
             terms.append((image.words[idx] ^ coeffs[pass_no * d + idx]) % p)

@@ -342,9 +342,20 @@ class Verdict:
 # the same IEEE operations in the same order as Python floats, so both forms
 # give bit-identical scores.
 
-def _require_spread(spread, message: str):
+def _scaled(points, center, spread, scale, message: str):
+    """scale * (points - center) / spread, where no finite point scores +-inf.
+
+    A spread of 0, or one so small (a subnormal MAD, say) that a finite
+    point's score overflows, raises DegenerateSeries: no verdict rests on a
+    score that is not finite. Every detector that divides goes through here.
+    """
     if np.any(spread == 0.0):
         raise DegenerateSeries(message)
+    with np.errstate(over="ignore"):  # checked below, not warned
+        score = scale * (points - center) / spread
+    if np.any(np.isfinite(points) & ~np.isfinite(score)):
+        raise DegenerateSeries(f"{message}, and one that scores every finite point finitely")
+    return score
 
 
 def _percentile(profile, points):
@@ -355,8 +366,7 @@ def _percentile(profile, points):
 
 def _zscore(profile, points):
     """Classical z-score against baseline mean and standard deviation."""
-    _require_spread(profile.std, "z-score needs nonzero baseline spread")
-    z = (points - profile.mean) / profile.std
+    z = _scaled(points, profile.mean, profile.std, 1.0, "z-score needs nonzero baseline spread")
     return z, abs(z) > DEFAULT_Z_THRESHOLD, DEFAULT_Z_THRESHOLD
 
 
@@ -364,8 +374,8 @@ def _modified_z(profile, points):
     """Robust z-score from median and MAD (Iglewicz-Hoaglin), or MeanAD where MAD is 0."""
     has_mad = profile.mad != 0.0
     spread = np.where(has_mad, profile.mad, MEANAD_SCALE * profile.mean_ad)
-    _require_spread(spread, "modified z-score needs nonzero baseline MAD or MeanAD")
-    m = np.where(has_mad, MODIFIED_Z_SCALE, 1.0) * (points - profile.median) / spread
+    m = _scaled(points, profile.median, spread, np.where(has_mad, MODIFIED_Z_SCALE, 1.0),
+                "modified z-score needs nonzero baseline MAD or MeanAD")
     return m, abs(m) > DEFAULT_MODIFIED_Z_THRESHOLD, DEFAULT_MODIFIED_Z_THRESHOLD
 
 

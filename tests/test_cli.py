@@ -270,6 +270,23 @@ class TestChallenge:
                               "that is not a finite number") and err.count("\n") == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_profile_whose_mad_scores_a_duration_infinite_is_refused(self, tmp_path, calibrated,
+                                                                     capsys):
+        # every statistic is finite, but a MAD of 5e-324 scores any duration
+        # +-inf: "score": Infinity is not JSON, and no verdict rests on it
+        doc = json.loads(calibrated.read_text())
+        bad = tmp_path / "tiny-mad-profile.json"
+        bad.write_text(json.dumps(dict(doc, samples_us=[0, 0, 0, 5e-324, 5e-324, 5e-324, 1.0])))
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["challenge", "--profile", bad, "--scenario", "desk-small",
+                        "--detector", "modz", "--seed", 2])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == ("error: modified z-score needs nonzero baseline MAD or MeanAD, and one "
+                       "that scores every finite point finitely\n")
+
     def test_shape_mismatch_errors(self, tmp_path, calibrated):
         code = run(["challenge", "--profile", calibrated, "--scenario", "desk-small",
                     "--passes", 9])

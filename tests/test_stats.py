@@ -222,21 +222,19 @@ class TestCalibrateRows:
         assert all(np.isfinite(column).all() for column in got)
         assert [(column + 0.0).tobytes() for column in got] == [
             (column + 0.0).tobytes() for column in want]
-        # A profile's median scores finitely under every detector. Another finite
-        # point may score +-inf (a MAD of 5e-324 spreads nothing), which flags
-        # it; no point scores NaN, which no threshold would flag.
+        # Every detector scores every finite point finitely, without a warning,
+        # or refuses the profile: a MAD of 5e-324 would score a point +-inf.
         for row in rows:
             profile = calibrate(row)
             for method in DETECTORS:
-                with np.errstate(over="ignore"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
                     verdicts = _error_or(lambda: [detect(method, profile, v) for v in
                                                   (profile.median, point, *row)])
                 if isinstance(verdicts, tuple):
                     assert verdicts[0] is DegenerateSeries
                     continue
-                assert math.isfinite(verdicts[0].score)
-                assert all(v.flagged for v in verdicts if not math.isfinite(v.score))
-                assert not any(math.isnan(v.score) for v in verdicts)
+                assert all(math.isfinite(v.score) for v in verdicts)
 
     def test_two_point_baseline_leaves_one(self):
         with pytest.raises(InsufficientSamples, match="needs >= 2 samples, got 1"):
@@ -456,6 +454,25 @@ class TestDetectors:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             detect("magic", calibrate([1.0, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("samples, point, refused", [
+        ([0.0, 0.0, 0.0, 5e-324, 5e-324, 5e-324, 1.0], 1.0, {"modz"}),  # subnormal MAD
+        ([-1.0, 0.0, 1e-300, 2e-300, 1.0], 1e10, {"modz"}),  # normal but tiny MAD
+        ([0.0, 1e-160], 1e160, {"modz", "zscore"}),  # a std of 7e-161, squared subnormal
+    ])
+    @pytest.mark.parametrize("method", list(DETECTORS))
+    def test_no_finite_point_scores_infinite(self, method, samples, point, refused):
+        # every statistic is finite, but a spread this small would score the point
+        # +-inf: the detector refuses the profile instead, and numpy warns of nothing
+        profile = calibrate(samples)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = _error_or(lambda: detect(method, profile, point))
+        if method in refused:
+            assert verdict[0] is DegenerateSeries
+            assert verdict[1].endswith(", and one that scores every finite point finitely")
+        else:
+            assert math.isfinite(verdict.score) and verdict.flagged
 
 
 @st.composite

@@ -1,7 +1,9 @@
 """Tests for the vectorized M61 evaluator, the array permutation and the dispatch."""
 
 import contextlib
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -312,6 +314,49 @@ def test_working_set_bounded():
     assert peaks[3] <= 1.25e6
     # nothing but a few P x 12 accumulators depends on the pass count
     assert abs(peaks[50] - peaks[3]) <= 8 * _TILE
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_naive_oracle_at_the_sram_snapshot(seed):
+    # the benchmark's sram-scan shape, d = 24,640, P = 3, k = 4
+    sc = builtin_scenario("sram-baseline")
+    ep = DeviceEndpoint(sc, master_seed=seed)
+    spec = random_spec(sc.prime, sc.k, 3, random.Random(seed), sc.region_id)
+    assert (ep.checkpoint.words.size, spec.params.p, len(spec.seeds.r)) == (24640, M61, 4)
+    image = MemoryImage(scan_words(ep.checkpoint), sc.region_id)
+    assert multipass_naive(image, spec) == multipass_m61(ep.checkpoint.words, spec)
+
+
+# The peak resident set (VmHWM, kB) before and after one oracle call at the
+# sram-scan shape, in a fresh process: ru_maxrss would carry the forking
+# process's peak across exec.
+_ORACLE_RSS_GROWTH = """
+import random
+from timecheck.checkpoint import MemoryImage
+from timecheck.engine import multipass_naive, random_spec
+def hwm():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+rng = random.Random(3)
+image = MemoryImage([rng.getrandbits(64) for _ in range(24640)])
+spec = random_spec((1 << 61) - 1, 4, 3, rng)
+before = hwm()
+multipass_naive(image, spec)
+print(hwm() - before)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_naive_oracle_footprint_at_the_sram_shape():
+    # 73,920 terms: coefficient and term tables of 8 bytes an entry and the
+    # 24,640-entry scan order hold 1.4 MB; lists of boxed ints grew the
+    # process by 9 MB
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _ORACLE_RSS_GROWTH], capture_output=True,
+                          text=True, env=env, timeout=60, check=True)
+    assert int(proc.stdout) * 1024 < 4e6
 
 
 def test_vectorized_rejects_2_32_words(monkeypatch):
