@@ -60,11 +60,6 @@ EXIT_REJECT = 2
 MAX_PORT = 65535
 
 
-def _check_finite_nonnegative(flag: str, value: float):
-    if not 0 <= value < math.inf:
-        raise TimecheckError(f"{flag} must be a finite number >= 0, got {value}")
-
-
 def _scenario_from_args(args) -> Scenario:
     scenario = load_scenario(args.config) if args.config else builtin_scenario(args.scenario)
     passes = scenario.passes if args.passes is None else args.passes
@@ -169,7 +164,7 @@ def cmd_calibrate(args) -> int:
         rng = sub_rng(args.seed, "calibration")
         measurements = []
         for trial_id in range(args.trials):
-            session = run_session(channel, scenario, rng, verifier)
+            session = run_session(channel, verifier, rng)
             if session.verdict.outcome == "REJECT":
                 raise TimecheckError(f"calibration session {trial_id}: {session.verdict.reason}")
             measurements.append(Measurement(trial_id, scenario.name,
@@ -211,11 +206,14 @@ def cmd_challenge(args) -> int:
     verifier = DeviceEndpoint(scenario)  # the checkpoint is public: rebuild it locally
     channel = _connect(args, scenario)
     rng = sub_rng(args.seed, "challenge-spec")  # each attempt: the device's next session
-    for _ in range(8):
-        session = run_session(channel, scenario, rng, verifier, profile, args.detector)
-        verdict = session.verdict
-        if verdict.outcome != "RETRY":
-            break
+    try:  # a profile too narrow for the detector is a fault of the profile file
+        for _ in range(8):
+            session = run_session(channel, verifier, rng, profile, args.detector)
+            verdict = session.verdict
+            if verdict.outcome != "RETRY":
+                break
+    except DegenerateSeries as exc:
+        raise TimecheckError(f"{args.profile}: {type(exc).__name__}: {exc}") from exc
     out = {
         "outcome": verdict.outcome,
         "reason": verdict.reason,
@@ -359,7 +357,8 @@ def _reproduce_detection_table(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    _check_finite_nonnegative("--time-scale", args.time_scale)
+    if not 0 <= args.time_scale < math.inf:
+        raise TimecheckError(f"--time-scale must be a finite number >= 0, got {args.time_scale}")
     if not 0 <= args.port <= MAX_PORT:
         raise TimecheckError(f"--port must be in 0-{MAX_PORT} (0: any free port), "
                              f"got {args.port}")

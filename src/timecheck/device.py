@@ -506,6 +506,15 @@ def _sram(noise: NoiseModel, attack: str = "none"):
     return lambda name: Scenario(name, noise=noise, adversary=ATTACKS[attack])
 
 
+def _full(sigma: float, attack: str = "none"):
+    """Factory of a full-memory preset: 4 GiB of DRAM plus SRAM priced in one pass
+    over a FULL_STANDIN_WORDS stand-in image; mmc pays one payload per challenge."""
+    return lambda name: Scenario(
+        name, region_id="full", image_words=FULL_STANDIN_WORDS, register_count=SRAM_REGISTER_WORDS,
+        timing_words=FULL_IMAGE_WORDS, passes=FULL_PASSES, scan_us_per_word=FULL_SCAN_US_PER_WORD,
+        noise=NoiseModel("gaussian", sigma=sigma), adversary=ATTACKS[attack])
+
+
 _FIG13_DRAM_NOISE = NoiseModel("empirical", values=_quantized(FIG13_DRAM_FRAME_US, 2))
 _FIG13_IOMEM_NOISE = NoiseModel("empirical", values=_weighted_values(FIG13_IOMEM_ATOMS))
 
@@ -518,8 +527,8 @@ SCENARIOS = {
     "detector-dram-attack": _sram(_FIG13_DRAM_NOISE, "dram"),
     "detector-iomem-baseline": _sram(_FIG13_IOMEM_NOISE),
     "detector-iomem-attack": _sram(_FIG13_IOMEM_NOISE, "iomem"),
-    "full-baseline": lambda name: full_memory_scenario(attack=False),
-    "full-mmc": lambda name: full_memory_scenario(attack=True),
+    "full-baseline": _full(FULL_BASELINE_SIGMA_US),
+    "full-mmc": _full(FULL_MMC_SIGMA_US, "mmc"),
     "desk-small": lambda name: desk_scenario(),
 }
 
@@ -550,23 +559,6 @@ def desk_scenario() -> Scenario:
         passes=8, k=2, tiers=tiers,
         noise=NoiseModel("empirical", values=(-200.0, -100.0, 0.0, 100.0, 200.0)),
     )
-
-
-def full_memory_scenario(attack: bool) -> Scenario:
-    """Whole-memory scan pricing: 4 GiB of DRAM plus SRAM in a single pass.
-
-    The materialized image is a desk-scale stand-in of FULL_STANDIN_WORDS
-    words; the timing model prices the nominal full word count. The storage
-    attack pays one 512-byte payload transfer per challenge.
-    """
-    name = "full-mmc" if attack else "full-baseline"
-    sigma = FULL_MMC_SIGMA_US if attack else FULL_BASELINE_SIGMA_US
-    return Scenario(name=name, region_id="full",
-                    image_words=FULL_STANDIN_WORDS, register_count=SRAM_REGISTER_WORDS,
-                    timing_words=FULL_IMAGE_WORDS, passes=FULL_PASSES,
-                    scan_us_per_word=FULL_SCAN_US_PER_WORD,
-                    noise=NoiseModel("gaussian", sigma=sigma),
-                    adversary=ATTACKS["mmc" if attack else "none"])
 
 
 def attack_scenario(base: Scenario, kind: str) -> Scenario:

@@ -32,11 +32,12 @@ ends know its rules: issue_challenge and DeviceEndpoint.handle_challenge.
 issue_challenge alone ends a session, in ChannelTimeout if no RESPONSE comes.
 
 run_session is the verifier's one session path, and judges every session:
-a spec and then a session id from one stream, the expected result, the timed
-exchange (issue_challenge), then the verdict (verify_response; a calibration
-session is not timed), in a Session record. A session an interrupt spike
-spoiled (STATUS_NMI_RETRY) is never judged on its time, only retried as the
-device's next session, and never enters a profile.
+a spec for the verifier's scenario and then a session id from one stream,
+the expected result from that scenario's checkpoint, the timed exchange
+(issue_challenge), then the verdict (verify_response; a calibration session
+is not timed), in a Session record. A session an interrupt spike spoiled
+(STATUS_NMI_RETRY) is never judged on its time, only retried as the device's
+next session, and never enters a profile.
 """
 
 import functools
@@ -464,9 +465,10 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     spins on the clock for the rest. Every frame goes to the endpoint's
     handle_challenge, which alone decides what the device answers.
 
-    Returns (server_socket, thread). The server takes connections until the
-    socket is closed: the thread then ends within ACCEPT_POLL_S, or once the
-    connection it serves ends. Sessions are strictly serialized. A challenge
+    Returns (server_socket, thread). A bind that fails raises OSError naming
+    the address, and closes the listener. The server takes connections until
+    the socket is closed: the thread then ends within ACCEPT_POLL_S, or once
+    the connection it serves ends. Sessions are strictly serialized. A challenge
     the device cannot or will not evaluate is refused with STATUS_REFUSED and
     logged, and its connection stays open. Any other error while serving a
     connection is logged and closes only that connection; the server keeps
@@ -475,10 +477,7 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     """
     if not 0 <= time_scale < math.inf:  # time.sleep(inf) raises, nan would never sleep
         raise ValueError(f"time_scale must be a finite number >= 0, got {time_scale}")
-    server = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    server.bind((host, port))
-    server.listen(1)
+    server = socket.create_server((host, port), backlog=1)
     # on Linux a close from another thread does not wake a blocked accept()
     server.settimeout(ACCEPT_POLL_S)
 
@@ -589,11 +588,11 @@ class Session:
     verdict: SessionVerdict
 
 
-def run_session(channel, scenario: Scenario, rng: random.Random,
-                verifier: DeviceEndpoint, profile=None,
+def run_session(channel, verifier: DeviceEndpoint, rng: random.Random, profile=None,
                 method: str = "percentile") -> Session:
-    """One judged session over channel, timed against profile when one is
-    given. rng draws the spec and then the session id."""
+    """One judged session over channel, timed against profile when one is given.
+    rng draws a spec for verifier.scenario, then the session id."""
+    scenario = verifier.scenario
     spec = random_spec(scenario.prime, scenario.k, scenario.passes, rng, scenario.region_id)
     expected = verifier.expected_result(spec)
     timed = issue_challenge(channel, spec, rng=rng)

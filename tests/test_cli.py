@@ -41,7 +41,7 @@ from timecheck.device import (
     scenario_to_json,
 )
 from timecheck.engine import multipass, multipass_m61, random_spec
-from timecheck.errors import TimecheckError
+from timecheck.errors import DegenerateSeries, TimecheckError
 from timecheck.field import M61
 from timecheck.protocol import DeviceEndpoint, LoopbackChannel
 from timecheck.seeding import derive_seed
@@ -104,7 +104,7 @@ class TestCalibrate:
         sc = builtin_scenario("desk-small")
         other_region = DeviceEndpoint(dataclasses.replace(sc, region_id="dram"))
         channel = LoopbackChannel(other_region, jitter_us=0.0)
-        session = protocol.run_session(channel, sc, random.Random(0), DeviceEndpoint(sc))
+        session = protocol.run_session(channel, DeviceEndpoint(sc), random.Random(0))
         assert session.verdict.outcome == "REJECT"
         assert session.verdict.reason == "device refused: region mismatch"
         monkeypatch.setattr(cli, "_connect", lambda *args: channel)
@@ -284,8 +284,28 @@ class TestChallenge:
                         "--detector", "modz", "--seed", 2])
         out, err = capsys.readouterr()
         assert code == 1 and out == ""
-        assert err == ("error: modified z-score needs nonzero baseline MAD or MeanAD, and one "
-                       "that scores every finite point finitely\n")
+        assert err == (f"error: {bad}: DegenerateSeries: modified z-score needs nonzero "
+                       "baseline MAD or MeanAD, and one that scores every finite point finitely\n")
+
+    @pytest.mark.parametrize("samples, detector", [
+        ([0, 0, 0, 5e-324, 5e-324, 5e-324, 1.0], "modz"),  # a MAD that scores +-inf
+        ([12_000.0] * 10, "zscore"),  # no spread at all
+    ])
+    def test_degenerate_profile_error_names_the_profile(self, tmp_path, calibrated, capsys,
+                                                        samples, detector):
+        # a fault of the profile file: named as _read_profile names a malformed one,
+        # with the detector's own message after it
+        doc = json.loads(calibrated.read_text())
+        bad = tmp_path / "degenerate-profile.json"
+        bad.write_text(json.dumps(dict(doc, samples_us=samples)))
+        with pytest.raises(DegenerateSeries) as raised:
+            stats.detect(detector, stats.calibrate(samples), 12_000.0)
+        capsys.readouterr()
+        code = run(["challenge", "--profile", bad, "--scenario", "desk-small",
+                    "--detector", detector, "--seed", 2])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err == f"error: {bad}: DegenerateSeries: {raised.value}\n"
 
     def test_shape_mismatch_errors(self, tmp_path, calibrated):
         code = run(["challenge", "--profile", calibrated, "--scenario", "desk-small",

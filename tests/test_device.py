@@ -29,7 +29,6 @@ from timecheck.device import (
     builtin_scenario,
     default_tiers,
     desk_scenario,
-    full_memory_scenario,
     load_scenario,
     make_device_state,
     price,
@@ -416,15 +415,15 @@ class TestRunTrials:
 
 class TestScenarios:
     def test_full_memory_calibration(self):
-        base = full_memory_scenario(attack=False)
-        atk = full_memory_scenario(attack=True)
+        base = builtin_scenario("full-baseline")
+        atk = builtin_scenario("full-mmc")
         assert base.base_cost_us(base.passes) == pytest.approx(1.731895e9)
         delta = adversary_delay_us(atk.adversary, atk.tiers, atk.passes)
         assert delta == pytest.approx(3.570e6)
 
     def test_full_memory_shift_in_nominal_sigmas(self):
         # (1735.465e6 - 1731.895e6) / 16543 = about 216 baseline sigmas
-        atk = full_memory_scenario(attack=True)
+        atk = builtin_scenario("full-mmc")
         shift = adversary_delay_us(atk.adversary, atk.tiers, atk.passes)
         ratio = shift / 16543.0
         assert 210 < ratio < 220

@@ -1,5 +1,6 @@
 """Tests for framing, channels, hostile stubs, and session verification."""
 
+import gc
 import hashlib
 import logging
 import random
@@ -8,6 +9,7 @@ import socket
 import struct
 import threading
 import time
+import warnings
 import zlib
 from dataclasses import replace
 
@@ -1027,6 +1029,22 @@ class TestTcpTransport:
         thread.join(timeout=2.0)
         assert not thread.is_alive()
 
+    def test_busy_port_is_refused_naming_the_address_and_leaks_no_socket(self):
+        ep = DeviceEndpoint(desk_scenario(), master_seed=32)
+        with socket.create_server(("127.0.0.1", 0)) as held:
+            port = held.getsockname()[1]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                try:
+                    serve_device(ep, "127.0.0.1", port, time_scale=0.0)
+                except OSError as exc:
+                    message = str(exc)
+                else:
+                    pytest.fail("a second listener bound a port that one already holds")
+                gc.collect()  # an unclosed listener warns when it is collected
+        assert repr(("127.0.0.1", port)) in message
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
     @pytest.mark.parametrize("scale", [float("inf"), float("nan"), -0.5])
     def test_time_scale_must_be_finite_and_nonnegative(self, scale):
         # refused before a server thread starts: inf used to drop every session
@@ -1338,7 +1356,7 @@ def test_calibration_session_draws_spec_then_session_id():
     # one generator: the spec's draws, then the session id's
     sc = desk_scenario()
     rng = random.Random(0xCA1)
-    session = protocol.run_session(_loopback(sc, 5), sc, rng, DeviceEndpoint(sc))
+    session = protocol.run_session(_loopback(sc, 5), DeviceEndpoint(sc), rng)
     manual_rng = random.Random(0xCA1)
     spec = fresh_spec(manual_rng, sc)
     timed = issue_challenge(_loopback(sc, 5), spec, rng=manual_rng)
@@ -1370,8 +1388,8 @@ def test_judged_session_calls_the_protocol_functions_once(monkeypatch):
                         counted("expected_result", DeviceEndpoint.expected_result))
     sc = desk_scenario()
     profile = stats.calibrate([12_000.0 + i for i in range(30)])
-    session = protocol.run_session(_loopback(sc, 6), sc, random.Random(1),
-                                   DeviceEndpoint(sc), profile, "zscore")
+    session = protocol.run_session(_loopback(sc, 6), DeviceEndpoint(sc), random.Random(1),
+                                   profile, "zscore")
     assert calls == ["expected_result", "issue_challenge", "verify_response"]
     assert session.verdict.detector.method == "zscore"
 
@@ -1380,10 +1398,10 @@ def test_spoiled_session_is_retried_not_judged():
     sc = desk_scenario()
     spiky = replace(sc, noise=replace(sc.noise, nmi_prob=1.0, nmi_us=50_000.0))
     profile = stats.calibrate([12_000.0 + i for i in range(30)])
-    calibration = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3),
-                                       DeviceEndpoint(sc))
-    judged = protocol.run_session(_loopback(spiky, 7), sc, random.Random(3),
-                                  DeviceEndpoint(sc), profile)
+    calibration = protocol.run_session(_loopback(spiky, 7), DeviceEndpoint(sc),
+                                       random.Random(3))
+    judged = protocol.run_session(_loopback(spiky, 7), DeviceEndpoint(sc), random.Random(3),
+                                  profile)
     for session in (calibration, judged):
         assert session.timed.response.status == STATUS_NMI_RETRY
         assert session.timed.duration_us > 50_000
