@@ -51,6 +51,8 @@ from .protocol import (
     budget_refusal,
     run_session,
     serve_device,
+    tcp_address,
+    tcp_target,
 )
 from .seeding import derive_seed, sub_rng
 
@@ -58,6 +60,7 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_REJECT = 2
 MAX_PORT = 65535
+_TCP_FORMS = "tcp://host:port (tcp://[::1]:port for an IPv6 host)"
 
 
 def _scenario_from_args(args) -> Scenario:
@@ -137,13 +140,11 @@ def _connect(args, scenario: Scenario):
         if getattr(args, "attack", "none") != "none":
             raise TimecheckError(f"--attack sets only the loopback device; the device at "
                                  f"{args.target} answers as its serve --attack set it")
-        host, _, port = args.target[len("tcp://"):].partition(":")
-        # ASCII digits only (isdigit takes "²"); the socket layer wraps ports mod 2^16
-        if not (port.isascii() and port.isdigit() and 1 <= int(port) <= MAX_PORT):
+        if (address := tcp_address(args.target)) is None:
             raise TimecheckError(f"target {args.target!r} is not tcp://host:port "
                                  f"with a port in 1-{MAX_PORT}")
         longest_us = _nominal_us(scenario, scenario.passes) + scenario.noise.reach_us()
-        return TcpChannel(host, int(port), CONN_TIMEOUT_S + longest_us / 1e6)
+        return TcpChannel(*address, CONN_TIMEOUT_S + longest_us / 1e6)
     if args.target != "loopback":
         raise TimecheckError(f"unknown target {args.target!r}: use loopback or tcp://host:port")
     return LoopbackChannel(DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device")))
@@ -364,10 +365,8 @@ def cmd_serve(args) -> int:
                              f"got {args.port}")
     scenario = _scenario_from_args(args)
     endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device"))
-    server, thread = serve_device(endpoint, args.host, args.port,
-                                  time_scale=args.time_scale)
-    host, port = server.getsockname()
-    print(f"device {scenario.name} listening on tcp://{host}:{port}")
+    server, thread = serve_device(endpoint, args.host, args.port, time_scale=args.time_scale)
+    print(f"device {scenario.name} listening on {tcp_target(*server.getsockname()[:2])}")
     try:
         thread.join()
     except KeyboardInterrupt:
@@ -427,13 +426,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--out", default=".")
     p.add_argument("--target", default="sim",
-                   help="sim (timing model), loopback (full protocol), or tcp://host:port")
+                   help=f"sim (timing model), loopback (full protocol), or {_TCP_FORMS}")
     p.set_defaults(fn=cmd_calibrate)
 
     p = sub.add_parser("challenge", help="one attested challenge session")
     common(p)
     p.add_argument("--profile", required=True, help="profile JSON from calibrate")
-    p.add_argument("--target", default="loopback", help="loopback or tcp://host:port")
+    p.add_argument("--target", default="loopback", help=f"loopback or {_TCP_FORMS}")
     p.add_argument("--detector", choices=tuple(stats.DETECTORS), default="percentile")
     p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
     p.set_defaults(fn=cmd_challenge)
@@ -450,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="serve a simulated device over TCP")
     common(p)
     p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
-    p.add_argument("--host", default="127.0.0.1")
+    p.add_argument("--host", default="127.0.0.1", help="listen address; ::1 is tcp://[::1]:port")
     p.add_argument("--port", type=int, default=0)
     p.add_argument("--time-scale", type=float, default=1.0,
                    help="stretch simulated delays into real time "

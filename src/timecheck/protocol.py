@@ -50,8 +50,9 @@ import struct
 import threading
 import time
 import zlib
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 from .checkpoint import checkpoint_replay, region_bytes
 from .coeffs import RandomSeeds
@@ -419,6 +420,20 @@ class LoopbackChannel:
                     yield self._arrival_us, decoded
 
 
+def tcp_address(target: str):
+    """(host, port) of a target as tcp_target writes it, port in 1-65535; else None."""
+    with suppress(ValueError):  # urlsplit's bad [host], or a port not ASCII digits in 0-65535
+        parts = urlsplit(target)
+        host, port = parts.netloc.rpartition(":")[0].strip("[]"), parts.port
+        if port and host and "@" not in host and tcp_target(host, port) == target:
+            return host, port
+
+
+def tcp_target(host: str, port: int) -> str:
+    """The target that names a TCP device; a host holding a colon (IPv6) is bracketed."""
+    return f"tcp://[{host}]:{port}" if ":" in host else f"tcp://{host}:{port}"
+
+
 class TcpChannel:
     """Plain TCP transport with real monotonic timestamps. request opens one
     connection and yields every frame read_frames reads on it under
@@ -431,7 +446,7 @@ class TcpChannel:
         self.timeout_s = timeout_s
 
     def __str__(self):
-        return f"{self.host}:{self.port}"
+        return tcp_target(self.host, self.port).removeprefix("tcp://")
 
     def request(self, challenge_frame: bytes):
         try:
@@ -477,7 +492,8 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     """
     if not 0 <= time_scale < math.inf:  # time.sleep(inf) raises, nan would never sleep
         raise ValueError(f"time_scale must be a finite number >= 0, got {time_scale}")
-    server = socket.create_server((host, port), backlog=1)
+    family = socket.AF_INET6 if ":" in host else socket.AF_INET  # as tcp_target brackets it
+    server = socket.create_server((host, port), family=family, backlog=1)
     # on Linux a close from another thread does not wake a blocked accept()
     server.settimeout(ACCEPT_POLL_S)
 

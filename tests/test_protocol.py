@@ -632,6 +632,40 @@ class TestTcpTransport:
         finally:
             server.close()
 
+    def test_round_trip_over_ipv6(self):
+        # a host holding a colon is served over IPv6 and named in brackets
+        sc = desk_scenario()
+        server, thread = serve_device(DeviceEndpoint(sc, master_seed=25), "::1", 0,
+                                      time_scale=0.0)
+        host, port = server.getsockname()[:2]
+        try:
+            assert (server.family, host) == (socket.AF_INET6, "::1")
+            chan = TcpChannel("::1", port, timeout_s=5.0)
+            assert str(chan) == f"[::1]:{port}"
+            rng = sub_rng(5, "t")
+            spec = fresh_spec(rng, sc)
+            timed = issue_challenge(chan, spec, rng=rng)
+            assert timed.response.status == STATUS_OK
+            expected = DeviceEndpoint(sc).expected_result(spec)
+            assert timed.response.accumulator == expected.accumulator
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+
+    def test_channel_names_its_target(self):
+        # the host:port of tcp_target's form: an IPv4 name is as it always was
+        assert str(TcpChannel("127.0.0.1", 9000)) == "127.0.0.1:9000"
+        assert str(TcpChannel("localhost", 9000)) == "localhost:9000"
+        assert str(TcpChannel("::1", 9000)) == "[::1]:9000"
+        for host in ("127.0.0.1", "localhost", "::1", "fe80::1%eth0"):
+            target = protocol.tcp_target(host, 9000)
+            assert target == f"tcp://{TcpChannel(host, 9000)}"
+            assert protocol.tcp_address(target) == (host, 9000)
+        # and only what it writes: no other spelling of a port, host or scheme
+        for target in ("tcp://h:09000", "tcp://h\t:9000", "tcp://h:9000\n", "TCP://h:9000",
+                       "tcp://[h]:9000", "tcp://[::1]x:9000", "tcp://[::1]", "tcp://h:9000#x"):
+            assert protocol.tcp_address(target) is None, target
+
     def test_server_survives_spec_out_of_field(self, caplog):
         # p=13 cannot index 2,048 words: the device refuses this challenge at
         # once, logs why, and answers a good challenge on the same connection
