@@ -65,14 +65,14 @@ _TCP_FORMS = "tcp://host:port (tcp://[::1]:port for an IPv6 host)"
 
 def _scenario_from_args(args) -> Scenario:
     scenario = load_scenario(args.config) if args.config else builtin_scenario(args.scenario)
-    passes = scenario.passes if args.passes is None else args.passes
+    passes = scenario.passes if getattr(args, "passes", None) is None else args.passes
     if passes < 1:
         raise TimecheckError(f"--passes must be >= 1, got {passes}")
     refusal = budget_refusal(scenario.k, passes * (scenario.image_words + scenario.register_count))
     if refusal:  # checked before anything is evaluated or sent
         raise TimecheckError(f"a device refuses this challenge: {refusal}")
     try:  # the scenario checks its tiers and duration bound at these passes and attack
-        if args.passes is not None:
+        if passes != scenario.passes:
             scenario = dataclasses.replace(scenario, passes=passes)
         if getattr(args, "attack", "none") != "none":
             scenario = attack_scenario(scenario, args.attack)
@@ -418,8 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--scenario", choices=tuple(SCENARIOS), default="sram-baseline")
         p.add_argument("--config", help="scenario JSON file (overrides --scenario)")
-        p.add_argument("--passes", type=int, default=None,
-                       help="override pass count (default from scenario)")
 
     p = sub.add_parser("calibrate", help="run baseline trials, write profile + CSV")
     common(p)
@@ -436,6 +434,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detector", choices=tuple(stats.DETECTORS), default="percentile")
     p.add_argument("--attack", choices=tuple(ATTACKS), default="none")
     p.set_defaults(fn=cmd_challenge)
+
+    for name in ("calibrate", "challenge"):  # serve prices each CHALLENGE's own passes
+        sub.choices[name].add_argument("--passes", type=int, default=None,
+                                       help="override pass count (default from scenario)")
 
     p = sub.add_parser("reproduce", help="regenerate the evaluation tables as CSV")
     p.add_argument("table", choices=("fig10", "fig11", "fig13"))

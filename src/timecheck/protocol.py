@@ -24,11 +24,11 @@ self-reports time. Timing starts when the RESTORED acknowledgment arrives
 (checkpoint restore cost is excluded) and stops at the read that completes
 the RESPONSE frame, whose first 17 bytes are known before the scan ends.
 
-Transports only move and stamp frames: a channel's request yields
-(arrival_us, message) per reply frame. The loopback byte stream re-parses
-every frame (with no jitter by default, so a duration is the device's priced
-one); TCP's two ends read frames through read_frames. Only a session's two
-ends know its rules: issue_challenge and DeviceEndpoint.handle_challenge.
+Transports only move and stamp frames: a channel's session() gives send,
+which returns a frame's send stamp, and replies, which yields (arrival_us,
+message) per reply frame. The loopback byte stream re-parses every frame;
+TCP's two ends read frames through read_frames. Only a session's two ends
+know its rules: issue_challenge and DeviceEndpoint.handle_challenge.
 issue_challenge alone ends a session, in ChannelTimeout if no RESPONSE comes.
 
 run_session is the verifier's one session path, and judges every session:
@@ -50,7 +50,8 @@ import struct
 import threading
 import time
 import zlib
-from contextlib import closing, suppress
+from collections import deque
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -384,16 +385,16 @@ class DeviceEndpoint:
 class LoopbackChannel:
     """Byte-stream transport: frames are serialized and re-parsed.
 
-    request hands each decoded message to the endpoint, as serve_device
-    does, and yields (arrival_us, message) per reply frame. Each reply frame
-    is fed whole to one incremental decoder that lives as long as the
-    channel, so framing bugs cannot hide. With the default jitter_us=0 a
-    measured duration is the device's own: the scenario's NoiseModel is its
-    only noise. Otherwise each stamp on the int clock carries uniform
+    session() yields (send, replies), as TcpChannel's does. send hands each
+    message it decodes to the endpoint, through one decoder per session as
+    serve_device keeps one per connection, and returns the int device clock.
+    replies() stamps each reply frame as it is read and feeds it whole to one
+    decoder that lives as long as the channel, so framing bugs cannot hide.
+    With the default jitter_us=0 a duration is the device's own: the scenario's
+    NoiseModel is its only noise. Otherwise each arrival stamp carries uniform
     +/-jitter_us rounded to whole microseconds, so a duration is at most
-    2 * round(jitter_us) off the device's at any clock size. A byte stream delivers
-    frames in order, so the stamps never decrease: a RESPONSE sent at once
-    never reads earlier than the RESTORED before it.
+    2 * round(jitter_us) off the device's at any clock size. A byte stream
+    delivers frames in order, so the arrival stamps never decrease.
     """
 
     def __init__(self, endpoint: DeviceEndpoint, jitter_us: float = 0.0,
@@ -410,14 +411,27 @@ class LoopbackChannel:
     def __str__(self):
         return "loopback"
 
-    def request(self, challenge_frame: bytes):
-        for msg in FrameDecoder().feed(challenge_frame):
-            for delay_us, reply in self.endpoint.handle_challenge(msg):
-                self._clock_us += delay_us
-                jitter = round(self._rng.uniform(-self.jitter_us, self.jitter_us))
-                self._arrival_us = max(self._arrival_us, self._clock_us + jitter)
-                for decoded in self._decoder.feed(reply):
-                    yield self._arrival_us, decoded
+    @contextmanager
+    def session(self):
+        device, frames, stamped = FrameDecoder(), deque(), deque()  # stamped: read, not yielded
+
+        def send(frame: bytes) -> int:
+            for msg in device.feed(frame):
+                frames.extend(self.endpoint.handle_challenge(msg))
+            return self._clock_us
+
+        def replies():
+            while stamped or frames:
+                if not stamped:
+                    delay_us, reply = frames.popleft()
+                    self._clock_us += delay_us
+                    jitter = round(self._rng.uniform(-self.jitter_us, self.jitter_us))
+                    self._arrival_us = max(self._arrival_us, self._clock_us + jitter)
+                    stamped.extend((self._arrival_us, msg) for msg in self._decoder.feed(reply))
+                if stamped:
+                    yield stamped.popleft()
+
+        yield send, replies
 
 
 def tcp_address(target: str):
@@ -435,9 +449,10 @@ def tcp_target(host: str, port: int) -> str:
 
 
 class TcpChannel:
-    """Plain TCP transport with real monotonic timestamps. request opens one
-    connection and yields every frame read_frames reads on it under
-    timeout_s, until its caller closes the generator or the peer hangs up.
+    """Plain TCP transport with real monotonic timestamps. session() opens one
+    connection, closed however the session is left; send stamps the clock just
+    before sendall, and replies yields every frame read_frames reads under
+    timeout_s until the peer hangs up. An OSError in it is a ChannelTimeout.
     A RESPONSE follows RESTORED by the whole scan, which timeout_s must outlast."""
 
     def __init__(self, host: str, port: int, timeout_s: float = CONN_TIMEOUT_S):
@@ -448,11 +463,17 @@ class TcpChannel:
     def __str__(self):
         return tcp_target(self.host, self.port).removeprefix("tcp://")
 
-    def request(self, challenge_frame: bytes):
+    @contextmanager
+    def session(self):
         try:
             with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
-                sock.sendall(challenge_frame)
-                yield from read_frames(sock, self.timeout_s)
+                def send(frame: bytes) -> int:
+                    sent_us = time.monotonic_ns() // 1000
+                    sock.sendall(frame)
+                    return sent_us
+
+                frames = read_frames(sock, self.timeout_s)
+                yield send, lambda: frames
         except OSError as exc:
             raise ChannelTimeout(f"{self}: {type(exc).__name__}: {exc}") from exc
 
@@ -537,13 +558,14 @@ def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedRe
     the response frame (its first 17 bytes are known before the scan ends).
     The session id is drawn from rng (new_session_id). A second RESTORED is
     a MalformedFrame, so the device cannot move the window's opening. It
-    alone ends a session, and closes the channel's reply generator when it
-    returns or raises, so a TCP connection never outlives its session.
+    alone ends a session: the exchange runs in one channel session, which
+    ends when it returns or raises, so a TCP connection never outlives it.
     """
     session_id = new_session_id(rng)
     t_start = None
-    with closing(channel.request(encode_challenge(ChallengeMessage(session_id, spec)))) as replies:
-        for arrival_us, reply in replies:
+    with channel.session() as (send, replies):
+        send(encode_challenge(ChallengeMessage(session_id, spec)))
+        for arrival_us, reply in replies():
             if not isinstance(reply, (RestoredMessage, ResponseMessage)):
                 raise MalformedFrame(f"unexpected message {type(reply).__name__}")
             if reply.session_id != session_id:

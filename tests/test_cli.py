@@ -694,7 +694,7 @@ class TestScenarioFromArgs:
         sc = dataclasses.replace(builtin_scenario("desk-small"), timing_words=5000)
         cfg = tmp_path / "sc.json"
         _write_scenario(sc, cfg)
-        args = build_parser().parse_args(["serve", "--config", str(cfg), "--passes", "3"])
+        args = build_parser().parse_args(["calibrate", "--config", str(cfg), "--passes", "3"])
         got = _scenario_from_args(args)
         want = load_scenario(cfg)
         assert got.passes == 3
@@ -723,6 +723,8 @@ def test_choices_come_from_the_registries(command):
         assert tuple(options["--attack"].choices) == tuple(ATTACKS)
     if command == "challenge":
         assert tuple(options["--detector"].choices) == tuple(stats.DETECTORS)
+    # a served device prices the passes each CHALLENGE carries: serve has no --passes
+    assert ("--passes" in options) == (command != "serve")
 
 
 def test_parser_is_built_once_per_process():
@@ -1348,19 +1350,12 @@ def test_int_or_str_field_refuses_another_type(tmp_path, capsys, path, key, kind
     assert f"{key} must be {kind}, got {value!r}" in err
 
 
-@pytest.mark.parametrize("command", ["calibrate", "challenge", "serve"])
+@pytest.mark.parametrize("command", ["calibrate", "challenge"])
 @pytest.mark.parametrize("passes", [0, -2])
-def test_passes_below_one_is_an_operational_error(tmp_path, monkeypatch, capsys,
-                                                  command, passes):
+def test_passes_below_one_is_an_operational_error(tmp_path, capsys, command, passes):
     # 0 used to fall back to the scenario's passes, and -2 to end in a traceback
-
-    def serve_device(*args, **kwargs):
-        raise AssertionError("serve started with a bad --passes")
-
-    monkeypatch.setattr(cli, "serve_device", serve_device)
     extra = {"calibrate": ["--trials", 5, "--out", tmp_path / "out"],
-             "challenge": ["--profile", tmp_path / "profile.json"],
-             "serve": ["--port", 0]}[command]
+             "challenge": ["--profile", tmp_path / "profile.json"]}[command]
     assert run([command, "--scenario", "desk-small", "--passes", passes, *extra]) == 1
     err = capsys.readouterr().err
     assert err == f"error: --passes must be >= 1, got {passes}\n"

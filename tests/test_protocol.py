@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import itertools
 import logging
 import random
 import re
@@ -11,6 +12,7 @@ import threading
 import time
 import warnings
 import zlib
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -413,7 +415,9 @@ class TestChannels:
         for session_id in range(100):
             spec = fresh_spec(rng)
             frame = encode_challenge(ChallengeMessage(session_id, spec))
-            stamps += [t for t, _ in chan.request(frame)]
+            with chan.session() as (send, replies):
+                send(frame)
+                stamps += [t for t, _ in replies()]
             durations.append(issue_challenge(chan, spec, rng=rng).duration_us)
         assert stamps == sorted(stamps)
         assert min(durations) == 0 and max(durations) <= 2 * jitter
@@ -451,8 +455,9 @@ class TestChannels:
             def __init__(self, status):
                 self.status = status
 
-            def request(self, challenge_frame):
-                yield 100, ResponseMessage(0xBAD, 0, self.status)
+            @contextmanager
+            def session(self):
+                yield (lambda frame: 0), lambda: iter([(100, ResponseMessage(0xBAD, 0, self.status))])
 
         for status in (STATUS_REGION_MISMATCH, STATUS_REFUSED):
             with pytest.raises(SessionMismatch):
@@ -536,13 +541,18 @@ class TestHostileStubs:
                 self.inner = LoopbackChannel(endpoint, jitter_us=0.4, jitter_seed=16)
                 self.last_id = None
 
-            def request(self, challenge_frame):
-                session_id = FrameDecoder().feed(challenge_frame)[0].session_id
-                stale = session_id if self.last_id is None else self.last_id
-                self.last_id = session_id
-                yield from [(t, replace(reply, session_id=stale)
-                             if isinstance(reply, ResponseMessage) else reply)
-                            for t, reply in self.inner.request(challenge_frame)]
+            @contextmanager
+            def session(self):
+                with self.inner.session() as (send, replies):
+                    def stale_send(frame):
+                        session_id = FrameDecoder().feed(frame)[0].session_id
+                        self.stale = session_id if self.last_id is None else self.last_id
+                        self.last_id = session_id
+                        return send(frame)
+
+                    yield stale_send, lambda: ((t, replace(reply, session_id=self.stale)
+                                                if isinstance(reply, ResponseMessage) else reply)
+                                               for t, reply in replies())
 
         chan = StaleChannel(DeviceEndpoint(self.sc, master_seed=15))
         first = fresh_spec(self.rng, self.sc)
@@ -986,7 +996,9 @@ class TestTcpTransport:
         answers, warnings = [], []
         with caplog.at_level(logging.WARNING, logger="timecheck.protocol"):
             chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=39))
-            answers.append([msg for _, msg in chan.request(stream)])
+            with chan.session() as (send, replies):
+                send(stream)
+                answers.append([msg for _, msg in replies()])
             warnings.append([record.getMessage() for record in caplog.records])
             caplog.clear()
             server, _ = serve_device(DeviceEndpoint(sc, master_seed=39), port=0,
@@ -1153,7 +1165,100 @@ class TestTcpTransport:
             dead_port = probe.getsockname()[1]
         chan = TcpChannel("127.0.0.1", dead_port, timeout_s=0.5)
         with pytest.raises(ChannelTimeout):
-            next(chan.request(encode_challenge(ChallengeMessage(1, fresh_spec()))))
+            with chan.session():
+                pytest.fail("a session opened to a port no one listens on")
+
+
+def through_response(replies):
+    """(arrival_us, message) of a session's replies up to and including a RESPONSE."""
+    out = []
+    for arrival_us, msg in replies():
+        out.append((arrival_us, msg))
+        if isinstance(msg, ResponseMessage):
+            return out
+    raise AssertionError(f"no RESPONSE among {out}")
+
+
+@contextmanager
+def desk_channel(kind, master_seed, time_scale=0.0):
+    """(channel, endpoint) of a desk-small device over loopback or a served TCP device."""
+    endpoint = DeviceEndpoint(desk_scenario(), master_seed=master_seed)
+    if kind == "loopback":
+        yield LoopbackChannel(endpoint), endpoint
+        return
+    server, thread = serve_device(endpoint, port=0, time_scale=time_scale)
+    try:
+        yield TcpChannel(*server.getsockname(), timeout_s=5.0), endpoint
+    finally:
+        server.close()
+        thread.join(timeout=5.0)
+
+
+class TestChannelSession:
+    """A session sends any number of frames, stamps each send, and reads the
+    replies between sends."""
+
+    def test_loopback_send_stamp_is_restore_us_before_restored(self):
+        sc = desk_scenario()
+        chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=44))
+        rng = sub_rng(44, "t")
+        for session_id in (1, 2):  # the second session starts where the first left the clock
+            with chan.session() as (send, replies):
+                sent = send(encode_challenge(ChallengeMessage(session_id, fresh_spec(rng, sc))))
+                (restored_at, restored), _ = through_response(replies)
+            assert restored == RestoredMessage(session_id)
+            assert restored_at - sent == protocol.RESTORE_US
+        assert sent > 0
+
+    def test_tcp_send_stamp_precedes_restored_by_restore_us(self):
+        with desk_channel("tcp", 45, time_scale=1.0) as (chan, _):
+            with chan.session() as (send, replies):
+                sent = send(encode_challenge(ChallengeMessage(1, fresh_spec(sub_rng(45, "t")))))
+                (restored_at, restored), _ = through_response(replies)
+        assert restored == RestoredMessage(1)
+        assert restored_at - sent >= protocol.RESTORE_US
+
+    @pytest.mark.parametrize("kind", ["loopback", "tcp"])
+    def test_second_challenge_in_one_session(self, kind):
+        rng = sub_rng(46, "t")
+        specs = {1: fresh_spec(rng), 2: fresh_spec(rng)}
+        endpoint = DeviceEndpoint(desk_scenario(), master_seed=46)
+        if kind == "loopback":
+            chan = LoopbackChannel(endpoint)
+        else:  # a device that serves one connection: a second would wait, and time out
+            def serve_every_frame(conn, challenge):
+                later = (msg for _, msg in read_frames(conn, 5.0))
+                for msg in itertools.chain([challenge], later):
+                    for _, reply in endpoint.handle_challenge(msg):
+                        conn.sendall(reply)
+
+            chan = TcpChannel(*stub_device(serve_every_frame), timeout_s=2.0)
+        with chan.session() as (send, replies):
+            for session_id, spec in specs.items():
+                send(encode_challenge(ChallengeMessage(session_id, spec)))
+                got = [msg for _, msg in through_response(replies)]
+                accumulator = endpoint.expected_result(spec).accumulator
+                assert got == [RestoredMessage(session_id),
+                               ResponseMessage(session_id, accumulator, STATUS_OK)]
+
+    @pytest.mark.parametrize("kind", ["loopback", "tcp"])
+    def test_a_stream_cut_across_two_sends_reassembles(self, kind):
+        spec = fresh_spec(sub_rng(47, "t"))
+        stream = (encode_restored(RestoredMessage(0xABC))
+                  + encode_challenge(ChallengeMessage(2, spec)))
+        with desk_channel(kind, 47) as (chan, endpoint):
+            def replies_to(*parts):
+                with chan.session() as (send, replies):
+                    for part in parts:
+                        send(part)
+                    return [msg for _, msg in through_response(replies)]
+
+            whole = replies_to(stream)
+            assert whole == [RestoredMessage(2),
+                             ResponseMessage(2, endpoint.expected_result(spec).accumulator,
+                                             STATUS_OK)]
+            for cut in range(len(stream) + 1):
+                assert replies_to(stream[:cut], stream[cut:]) == whole, cut
 
 
 class TestServedPacing:
