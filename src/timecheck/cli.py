@@ -130,12 +130,12 @@ def _read_profile(path, scenario: Scenario) -> stats.BaselineProfile:
     return profile
 
 
-def _connect(args, scenario: Scenario):
+def _connect(args, scenario: Scenario, last_trial: int = 1):
     """The channel to the one device that --target names: tcp://host:port is a
-    TcpChannel that waits for a frame CONN_TIMEOUT_S beyond the longest
-    duration scenario prices, and loopback a DeviceEndpoint in this process,
-    seeded as serve seeds its device, behind a LoopbackChannel. --attack sets
-    only that loopback device: a tcp target refuses it."""
+    TcpChannel that waits for a frame CONN_TIMEOUT_S beyond the longest duration
+    scenario prices by trial last_trial, and loopback a DeviceEndpoint in this
+    process, seeded as serve seeds its device, behind a LoopbackChannel. --attack
+    sets only that loopback device: a tcp target refuses it."""
     if args.target.startswith("tcp://"):
         if getattr(args, "attack", "none") != "none":
             raise TimecheckError(f"--attack sets only the loopback device; the device at "
@@ -143,7 +143,7 @@ def _connect(args, scenario: Scenario):
         if (address := tcp_address(args.target)) is None:
             raise TimecheckError(f"target {args.target!r} is not tcp://host:port "
                                  f"with a port in 1-{MAX_PORT}")
-        longest_us = _nominal_us(scenario, scenario.passes) + scenario.noise.reach_us()
+        longest_us = _nominal_us(scenario, scenario.passes) + scenario.noise.reach_us(last_trial)
         return TcpChannel(*address, CONN_TIMEOUT_S + longest_us / 1e6)
     if args.target != "loopback":
         raise TimecheckError(f"unknown target {args.target!r}: use loopback or tcp://host:port")
@@ -161,7 +161,7 @@ def cmd_calibrate(args) -> int:
         measurements = run_trials(scenario, args.trials, args.seed)
     else:
         verifier = DeviceEndpoint(scenario)  # a baseline comes only from correct values
-        channel = _connect(args, scenario)
+        channel = _connect(args, scenario, args.trials - 1)  # its last trial drifts most
         rng = sub_rng(args.seed, "calibration")
         measurements = []
         for trial_id in range(args.trials):

@@ -23,8 +23,8 @@ never materializes a coefficient array or a permuted copy of the image; that
 working set is the security argument, and tests assert it structurally.
 
 The verifier and the simulated device both go through evaluate(), which
-remembers its last two results for every prime and hands a scan at
-p = M61 to the vectorized multipass_m61, at any other prime to multipass.
+remembers its last result for every prime and hands a scan at p = M61 to
+the vectorized multipass_m61, at any other prime to multipass.
 multipass_m61 is exactly equal to multipass; the streaming multipass stays
 the constant-working-set reference for what a real device computes.
 
@@ -36,8 +36,8 @@ multipass_m61 works on numpy uint64 arrays in tiles of _TILE words:
   tables encrypt the block domain [0, 2^bits) into one uint32 table, and
   cycle walking gathers from it. The weight array (d uint64) and that
   table (2^bits < 2d uint32 for d > 2) are the only buffers growing with d.
-  Each scan builds its weights and keeps none: a repeated challenge over
-  equal words is a lookup in evaluate's memo, not a scan.
+  Each scan builds its weights and keeps none: the last challenge repeated
+  over equal words is a lookup in evaluate's memo, not a scan.
 - Coefficients. The coefficient of address b - 1 in pass t is
   R(t*d + b), a polynomial of degree k-1 in both directions: over passes
   (step d) and over tiles (step T, the tile width). Its forward
@@ -60,7 +60,6 @@ import operator
 import random
 import struct
 import sys
-import threading
 from array import array
 from dataclasses import dataclass
 
@@ -84,13 +83,10 @@ _SHIFT42 = np.uint64(42)
 _LIMB16_SHIFTS = (0, 16, 32, 48) if sys.byteorder == "little" else (48, 32, 16, 0)
 _LIMB_SCALES = tuple(pow(2, (s + 21 * c) % 61, M61)
                      for s in _LIMB16_SHIFTS for c in range(3))
-# evaluate's remembered evaluations, least recently used first:
-# (spec, private copy of the words, result). Two entries: a verifier's
-# expected_result and a simulated device's scan of the same challenge. The
-# lock lets serve_device's thread and a verifier share it.
-_MEMO_SIZE = 2
-_memo = []
-_memo_lock = threading.Lock()
+# evaluate's last evaluation, (spec, private copy of the words, result), or
+# None. evaluate rebinds it to a new tuple and mutates none, so
+# serve_device's thread and a verifier share it without a lock.
+_last = None
 
 
 @dataclass(frozen=True)
@@ -416,26 +412,21 @@ def evaluate(words: np.ndarray, spec: ChallengeSpec) -> ChallengeResult:
 
     p = M61 goes to multipass_m61; any other prime to the streaming multipass.
     The result is a pure function of the spec and the word values, so the
-    last _MEMO_SIZE evaluations are remembered process-wide, each with a
-    private copy of its words: a call whose spec is equal and whose words
-    are equal element by element returns the remembered result without
-    scanning, for any prime. Any other call scans, tampered or unreplayed
-    memory included. A verifier and a simulated device in one process
-    (challenge --target loopback, LoopbackChannel sessions) thus scan each
-    challenge once; a device behind TCP scans in its own process. The memo
-    holds at most two d-word arrays, 2 x 8d bytes.
+    last evaluation is remembered process-wide with a private copy of its
+    words: a call whose spec is equal and whose words are equal element by
+    element returns the remembered result without scanning, for any prime.
+    Any other call scans, tampered or unreplayed memory included. A verifier
+    and a simulated device in one process (challenge --target loopback,
+    LoopbackChannel sessions) thus scan each challenge once; a device behind
+    TCP scans in its own process. The memo holds one d-word array, 8d bytes.
     """
-    with _memo_lock:
-        for i, (seen_spec, seen_words, result) in enumerate(_memo):
-            if seen_spec == spec and np.array_equal(seen_words, words):
-                _memo.append(_memo.pop(i))
-                return result
+    global _last
+    last = _last
+    if last is not None and last[0] == spec and np.array_equal(last[1], words):
+        return last[2]
     if spec.params.p == M61:
         result = multipass_m61(words, spec)
     else:
         result = multipass(MemoryImage(words.tolist()), spec)
-    entry = (spec, np.array(words, dtype=np.uint64), result)  # copied: callers may mutate
-    with _memo_lock:
-        _memo.append(entry)
-        del _memo[:-_MEMO_SIZE]
+    _last = (spec, np.array(words, dtype=np.uint64), result)  # copied: callers may mutate
     return result

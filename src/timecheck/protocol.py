@@ -306,8 +306,8 @@ class DeviceEndpoint:
     Its own writable words are a copy made on first use, which every session
     restores from the checkpoint with one copy and then scans; the verifier's
     expected_result scans the checkpoint itself and allocates none. For every
-    prime an evaluation over words equal to one of the last two evaluated in
-    this process, under an equal spec, is a lookup (engine.evaluate), so a
+    prime an evaluation over words equal to the last ones evaluated in this
+    process, under an equal spec, is a lookup (engine.evaluate), so a
     simulated device in the verifier's process scans a replayed challenge once.
 
     The endpoint answers as the scenario's device: honestly, or with the

@@ -4,7 +4,6 @@ import argparse
 import dataclasses
 import hashlib
 import importlib.util
-import itertools
 import json
 import os
 import random
@@ -158,7 +157,7 @@ class TestCalibrate:
             scans.append(spec)
             return multipass_m61(words, spec)
 
-        monkeypatch.setattr(engine, "_memo", [])
+        monkeypatch.setattr(engine, "_last", None)
         monkeypatch.setattr(engine, "multipass_m61", counted)
         assert builtin_scenario("desk-small").prime == M61
         assert run(["calibrate", "--scenario", "desk-small", "--target", "loopback",
@@ -201,12 +200,9 @@ class TestChallenge:
                     "--target", "tcp://127.0.0.1:1"])
         assert code == 1
 
-    @pytest.mark.parametrize("target, command", [*itertools.product((
-        "tcp://127.0.0.1", "tcp://127.0.0.1:x", "udp://h:1",
-        # the socket layer would connect to 123797 mod 2^16 = 58261, another device
-        "tcp://127.0.0.1:123797", "tcp://127.0.0.1:65536", "tcp://127.0.0.1:0",
-        "tcp://127.0.0.1:\u00b2",  # isdigit, but int() refuses it
-    ), ("calibrate", "challenge")),
+    @pytest.mark.parametrize("target, command", [
+        # TCP_TARGETS holds the malformed tcp:// ones
+        ("udp://h:1", "calibrate"), ("udp://h:1", "challenge"),
         ("sim", "challenge"),  # calibrate's priced trials; challenge's session is loopback
     ])
     def test_malformed_target_is_an_operational_error(self, tmp_path, calibrated, capsys,
@@ -220,8 +216,7 @@ class TestChallenge:
         assert run([command, "--scenario", "desk-small", "--target", target, *extra]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(target) in err and err.count("\n") == 1
-        if not target.startswith("tcp://"):
-            assert "use loopback or tcp://host:port" in err
+        assert "use loopback or tcp://host:port" in err
 
     def test_attack_on_a_tcp_target_is_refused_before_connecting(self, calibrated, capsys,
                                                                   monkeypatch):
@@ -249,6 +244,27 @@ class TestChallenge:
         # the longest priced duration: the nominal one plus the noise's reach
         assert channel.timeout_s == protocol.CONN_TIMEOUT_S + (
             scenario.base_cost_us(7000) + scenario.noise.reach_us()) / 1e6
+
+    def test_calibrate_read_limit_covers_a_drifting_device_s_last_trial(self, tmp_path,
+                                                                        monkeypatch):
+        # 30,000 us of drift a trial: trial 5 takes about 162 ms, past trial 1's
+        # limit of 0.05 s + 12.3 ms scan + 30 ms drift and noise, and timed out
+        doc = scenario_to_json(builtin_scenario("desk-small"))
+        scenario = scenario_from_json(dict(doc, noise=dict(doc["noise"], drift="linear",
+                                                           drift_us_per_trial=30_000)))
+        cfg = tmp_path / "drift.json"
+        _write_scenario(scenario, cfg)
+        monkeypatch.setattr(cli, "CONN_TIMEOUT_S", 0.05)
+        server, thread = protocol.serve_device(DeviceEndpoint(scenario), port=0, time_scale=1.0)
+        host, port = server.getsockname()
+        try:
+            assert run(["calibrate", "--config", cfg, "--target", f"tcp://{host}:{port}",
+                        "--trials", 6, "--out", tmp_path]) == 0
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+        samples = json.loads((tmp_path / "desk-small-profile.json").read_text())["samples_us"]
+        assert len(samples) == 6 and max(samples) > 150_000
 
     @pytest.mark.parametrize("attack", ["none", "dram"])
     @pytest.mark.parametrize("detector", ["percentile", "zscore", "modz"])
@@ -410,6 +426,8 @@ TCP_TARGETS = [
     *((target, False) for target in (
         "tcp://::1:9000",  # an IPv6 host is bracketed
         "tcp://h:0", "tcp://h:65536",  # the socket layer would wrap 65536 to 0
+        "tcp://h:123797",  # to 123797 mod 2^16 = 58261, another device
+        "tcp://h:x",
         "tcp://h:\u00b2", "tcp://h:\u0669\u0660\u0660\u0660",  # isdigit, not ASCII digits
         "tcp://h:+9000", "tcp://h", "tcp://:9000",
         "tcp://u@h:9000", "tcp://h:9000/x", "tcp://h:9000?x")),
@@ -1427,7 +1445,7 @@ def test_challenge_at_another_prime_scans_once(tmp_path, monkeypatch, capsys):
     cfg = tmp_path / "p64.json"
     _write_scenario(dataclasses.replace(builtin_scenario("desk-small"), prime=(1 << 64) - 59), cfg)
     assert run(["calibrate", "--config", cfg, "--trials", 20, "--out", tmp_path]) == 0
-    engine._memo.clear()  # an earlier test may have evaluated this challenge
+    monkeypatch.setattr(engine, "_last", None)  # an earlier test may have evaluated this challenge
     scans = []
 
     def counted(image, spec, perm=None):

@@ -1462,7 +1462,7 @@ class TestSharedSnapshot:
 
         monkeypatch.setattr(engine, "multipass", spy)
         monkeypatch.setattr(engine, "multipass_m61", vectorized)
-        engine._memo.clear()  # an earlier test may have evaluated this challenge
+        monkeypatch.setattr(engine, "_last", None)  # an earlier test may have left this challenge
         spec = fresh_spec(sub_rng(10, "t"), sc)
         expected = ep.expected_result(spec)
         _, reply = ep.handle_challenge(ChallengeMessage(1, spec))[1]
