@@ -16,8 +16,9 @@ The CRC covers the body only. Body starts with a one-byte message type:
     RESPONSE  (3): session_id u64, accumulator u64, status u8 (_RESPONSE)
 
 The protocol is deliberately secret-free: challenges carry all randomness in
-the clear, and only freshness matters. Session ids come from a monotonic
-counter mixed with randomness, so two challenges never share one.
+the clear, and only freshness matters. A session id names the challenge a
+reply answers, within one channel session; it is the verifier's next draw
+from the stream that drew the spec, so a seeded session's frames repeat.
 
 Timestamps are taken by the verifier side only; the device never
 self-reports time. Timing starts when the RESTORED acknowledgment arrives
@@ -41,7 +42,6 @@ next session, and never enters a profile.
 """
 
 import functools
-import itertools
 import logging
 import math
 import random
@@ -61,7 +61,7 @@ from .device import Scenario, device_snapshot, duration_bound_fault, price
 from .engine import ChallengeResult, ChallengeSpec, evaluate, random_spec
 from .errors import ChannelTimeout, MalformedFrame, SessionMismatch, TimecheckError
 from .field import FieldParams
-from .seeding import derive_seed
+from .seeding import sub_rng
 from .stats import detect
 
 MAGIC = b"TCH1"
@@ -284,19 +284,6 @@ def read_frames(sock, limit_s: float, budget_s: float = math.inf):
             deadline = time.monotonic() + limit_s
 
 
-# --- session ids --------------------------------------------------------------
-
-_session_counter = itertools.count(1)
-_counter_lock = threading.Lock()
-
-
-def new_session_id(rng: random.Random) -> int:
-    """Monotonic counter in the high bits (uniqueness), randomness below."""
-    with _counter_lock:
-        count = next(_session_counter)
-    return ((count & 0xFFFFFFFF) << 32) | rng.getrandbits(32)
-
-
 # --- simulated device endpoint -------------------------------------------------
 
 class DeviceEndpoint:
@@ -360,7 +347,7 @@ class DeviceEndpoint:
         # price the challenge actually received; the session index drives drift
         trial_id = self._session_index
         self._session_index += 1
-        noise_rng = random.Random(derive_seed(self.master_seed, "device-noise", trial_id))
+        noise_rng = sub_rng(self.master_seed, "device-noise", trial_id)
         duration, nmi = price(scenario, msg.spec.passes, noise_rng, trial_id)
 
         accumulator = scenario.adversary.answer(result.accumulator, msg.spec.params.p)
@@ -403,7 +390,7 @@ class LoopbackChannel:
             raise ValueError(f"jitter_us must be a finite number >= 0, got {jitter_us}")
         self.endpoint = endpoint
         self.jitter_us = jitter_us
-        self._rng = random.Random(derive_seed(jitter_seed, "channel-jitter"))
+        self._rng = sub_rng(jitter_seed, "channel-jitter")
         self._clock_us = 0
         self._arrival_us = -round(jitter_us)  # the lowest stamp
         self._decoder = FrameDecoder()
@@ -413,7 +400,7 @@ class LoopbackChannel:
 
     @contextmanager
     def session(self):
-        device, frames, stamped = FrameDecoder(), deque(), deque()  # stamped: read, not yielded
+        device, frames = FrameDecoder(), deque()
 
         def send(frame: bytes) -> int:
             for msg in device.feed(frame):
@@ -421,15 +408,13 @@ class LoopbackChannel:
             return self._clock_us
 
         def replies():
-            while stamped or frames:
-                if not stamped:
-                    delay_us, reply = frames.popleft()
-                    self._clock_us += delay_us
-                    jitter = round(self._rng.uniform(-self.jitter_us, self.jitter_us))
-                    self._arrival_us = max(self._arrival_us, self._clock_us + jitter)
-                    stamped.extend((self._arrival_us, msg) for msg in self._decoder.feed(reply))
-                if stamped:
-                    yield stamped.popleft()
+            while frames:
+                delay_us, reply = frames.popleft()
+                self._clock_us += delay_us
+                jitter = round(self._rng.uniform(-self.jitter_us, self.jitter_us))
+                self._arrival_us = max(self._arrival_us, self._clock_us + jitter)
+                for msg in self._decoder.feed(reply):
+                    yield self._arrival_us, msg
 
         yield send, replies
 
@@ -556,12 +541,14 @@ def issue_challenge(channel, spec: ChallengeSpec, rng: random.Random) -> TimedRe
     t_start is stamped when the device's RESTORED acknowledgment arrives (so
     checkpoint restore cost is excluded) and t_end at the read that completes
     the response frame (its first 17 bytes are known before the scan ends).
-    The session id is drawn from rng (new_session_id). A second RESTORED is
-    a MalformedFrame, so the device cannot move the window's opening. It
-    alone ends a session: the exchange runs in one channel session, which
-    ends when it returns or raises, so a TCP connection never outlives it.
+    The session id is rng.getrandbits(32), required and never unseeded: it
+    names the challenge a reply answers, within this one channel session. A
+    second RESTORED is a MalformedFrame, so the device cannot move the
+    window's opening. It alone ends a session: the exchange runs in one
+    channel session, which ends when it returns or raises, so a TCP
+    connection never outlives it.
     """
-    session_id = new_session_id(rng)
+    session_id = rng.getrandbits(32)
     t_start = None
     with channel.session() as (send, replies):
         send(encode_challenge(ChallengeMessage(session_id, spec)))

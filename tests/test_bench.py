@@ -34,6 +34,8 @@ def test_tracer_wraps_every_target_and_restores_it(bench_path):
     finally:
         tracer.uninstall()
     assert len(patched) >= len(tracing.TARGETS)
+    assert all(callable(original) for _, _, original in patched)
+    assert {kind for *_, kind in tracing.TARGETS.values()} <= {"span", "counter"}
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
 
 
@@ -61,3 +63,20 @@ def test_desk_loopback_session_passes_its_check(bench_path, tmp_path):
     finally:
         wl.close()
     assert not failed
+
+
+@pytest.mark.parametrize("name", ["Reports", "DeskTcp"])
+def test_workload_runs_one_operation_and_finishes(bench_path, tmp_path, name):
+    # DeskTcp serves from a child process and replays its challenges on a twin
+    import workloads
+
+    wl = getattr(workloads, name)(seed=1, workdir=str(tmp_path))
+    try:
+        wl.build()
+        rec = wl.op(0)
+        failed, _ = wl.check(rec)
+        _, problems = wl.finish([rec], [rec])
+    finally:
+        wl.close()
+    assert not failed
+    assert problems == []

@@ -44,7 +44,6 @@ from timecheck.protocol import (
     encode_response,
     encode_restored,
     issue_challenge,
-    new_session_id,
     read_frames,
     serve_device,
     verify_response,
@@ -348,10 +347,36 @@ def test_wire_bytes_are_pinned(msg, sha256):
 
 
 class TestSessionIds:
-    def test_unique_and_fresh(self):
-        rng = random.Random(3)
-        ids = {new_session_id(rng) for _ in range(2000)}
-        assert len(ids) == 2000
+    def test_equal_streams_send_identical_challenge_frames(self):
+        # no unseeded fallback and no process-wide state: rng is required, and
+        # the id is its next getrandbits(32) after the spec, so equal streams
+        # send equal bytes whatever sessions ran before in the process
+        sc = desk_scenario()
+        with pytest.raises(TypeError):
+            issue_challenge(LoopbackChannel(DeviceEndpoint(sc, master_seed=31)),
+                            fresh_spec(random.Random(1), sc))
+
+        class Recording(LoopbackChannel):
+            @contextmanager
+            def session(self):
+                with super().session() as (send, replies):
+                    yield (lambda frame: self.sent.append(frame) or send(frame)), replies
+
+        def sent_frames(seed):
+            rng = random.Random(seed)
+            spec = fresh_spec(rng, sc)
+            chan = Recording(DeviceEndpoint(sc, master_seed=31))
+            chan.sent = []
+            timed = issue_challenge(chan, spec, rng=rng)
+            assert timed.response.session_id == FrameDecoder().feed(chan.sent[0])[0].session_id
+            return spec, chan.sent
+
+        spec, first = sent_frames(5)
+        sent_frames(6)  # another session between two equal streams
+        assert sent_frames(5)[1] == first and len(first) == 1
+        rng = random.Random(5)
+        fresh_spec(rng, sc)
+        assert FrameDecoder().feed(first[0]) == [ChallengeMessage(rng.getrandbits(32), spec)]
 
     def test_fresh_challenge_randomness(self):
         rng = random.Random(4)
@@ -462,21 +487,6 @@ class TestChannels:
         for status in (STATUS_REGION_MISMATCH, STATUS_REFUSED):
             with pytest.raises(SessionMismatch):
                 issue_challenge(ReplayChannel(status), fresh_spec(), rng=random.Random(5))
-
-    def test_session_id_comes_from_the_seeded_rng(self):
-        # no unseeded fallback: rng is required, and it alone draws the random
-        # low half of the id; the high half is the process-wide counter
-        sc = desk_scenario()
-        spec = fresh_spec(random.Random(1), sc)
-        with pytest.raises(TypeError):
-            issue_challenge(LoopbackChannel(DeviceEndpoint(sc, master_seed=31)), spec)
-        responses = [issue_challenge(LoopbackChannel(DeviceEndpoint(sc, master_seed=31),
-                                                     jitter_us=0.0),
-                                     spec, rng=random.Random(5)).response for _ in range(2)]
-        low = random.Random(5).getrandbits(32)
-        assert [r.session_id & 0xFFFFFFFF for r in responses] == [low, low]
-        assert responses[0].session_id != responses[1].session_id
-        assert responses[0].accumulator == responses[1].accumulator
 
     def test_refusal_is_a_reject_verdict(self):
         sc = desk_scenario()
@@ -1504,8 +1514,7 @@ def test_calibration_session_draws_spec_then_session_id():
     assert "not timed" in session.verdict.reason
     assert session.spec_digest == spec.digest()
     got = session.timed
-    # the random low half of the session id; a process-wide counter fills the high half
-    assert got.response.session_id & 0xFFFFFFFF == timed.response.session_id & 0xFFFFFFFF
+    assert got.response.session_id == timed.response.session_id
     assert got.response.accumulator == timed.response.accumulator
     assert (got.t_start_us, got.t_end_us) == (timed.t_start_us, timed.t_end_us)
     assert rng.getstate() == manual_rng.getstate()
