@@ -308,9 +308,8 @@ class Measurement:
 def make_device_state(image_seed: int, image_words: int,
                       register_count: int = DEFAULT_REGISTER_COUNT) -> np.ndarray:
     """Seeded live device memory: pseudorandom image words, then register file."""
-    words = random_words(derive_seed(image_seed, "image"), image_words)
-    regs = random_words(derive_seed(image_seed, "registers"), register_count)
-    return np.array(words + regs, dtype=np.uint64)
+    return np.concatenate([random_words(derive_seed(image_seed, "image"), image_words),
+                           random_words(derive_seed(image_seed, "registers"), register_count)])
 
 
 @functools.lru_cache(maxsize=8)

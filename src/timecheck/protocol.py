@@ -87,8 +87,9 @@ _CHALLENGE_TAIL = struct.Struct("<QQQIH")   # x, p, perm seed, passes, label len
 _RESTORED = struct.Struct("<BQ")            # type, session id
 _RESPONSE = struct.Struct("<BQQB")          # type, session id, accumulator, status
 
-# The read limit (read_frames) of a device-server connection, TcpChannel's default:
-# an idle or trickling peer holds neither the serialized server nor the verifier.
+# The read limit (read_frames) of a device-server connection, TcpChannel's default
+# and the longest it waits to connect: an idle or trickling peer, or an unreachable
+# one, holds neither the serialized server nor the verifier.
 CONN_TIMEOUT_S = 10.0
 # How long the device server reads from one connection, so that a client
 # sending cheap challenges cannot keep the serialized server for good.
@@ -438,7 +439,8 @@ class TcpChannel:
     connection, closed however the session is left; send stamps the clock just
     before sendall, and replies yields every frame read_frames reads under
     timeout_s until the peer hangs up. An OSError in it is a ChannelTimeout.
-    A RESPONSE follows RESTORED by the whole scan, which timeout_s must outlast."""
+    A RESPONSE follows RESTORED by the whole scan, which timeout_s must outlast;
+    the connect waits CONN_TIMEOUT_S at most, as no scan precedes it."""
 
     def __init__(self, host: str, port: int, timeout_s: float = CONN_TIMEOUT_S):
         self.host = host
@@ -451,7 +453,8 @@ class TcpChannel:
     @contextmanager
     def session(self):
         try:
-            with socket.create_connection((self.host, self.port), timeout=self.timeout_s) as sock:
+            with socket.create_connection((self.host, self.port),
+                                          timeout=min(self.timeout_s, CONN_TIMEOUT_S)) as sock:
                 def send(frame: bytes) -> int:
                     sent_us = time.monotonic_ns() // 1000
                     sock.sendall(frame)

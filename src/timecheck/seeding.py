@@ -61,10 +61,12 @@ def sub_rng(master: int, label: str, index: int = 0) -> random.Random:
     return random.Random(derive_seed(master, label, index))
 
 
-def random_words(seed: int, count: int) -> list:
-    """count seeded pseudorandom 64-bit words."""
-    rng = random.Random(seed)
-    return [rng.getrandbits(64) for _ in range(count)]
+def random_words(seed: int, count: int) -> np.ndarray:
+    """count seeded pseudorandom 64-bit words, read-only: the words of count
+    getrandbits(64) draws, from one draw of 64 * count bits (CPython fills
+    the low 32-bit word first), with no Python int per word."""
+    bits = random.Random(seed).getrandbits(64 * count)
+    return np.frombuffer(bits.to_bytes(8 * count, "little"), dtype="<u8")
 
 
 # --- MT19937 seeding, vectorized over seeds ---------------------------------

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, artifacts, determinism."""
 
 import argparse
+import ast
 import dataclasses
 import hashlib
 import importlib.util
@@ -9,6 +10,7 @@ import os
 import random
 import re
 import signal
+import socket
 import struct
 import subprocess
 import sys
@@ -42,7 +44,7 @@ from timecheck.device import (
 from timecheck.engine import multipass, multipass_m61, random_spec
 from timecheck.errors import DegenerateSeries, TimecheckError
 from timecheck.field import M61
-from timecheck.protocol import DeviceEndpoint, LoopbackChannel
+from timecheck.protocol import ChannelTimeout, DeviceEndpoint, LoopbackChannel
 from timecheck.seeding import derive_seed
 
 
@@ -231,6 +233,22 @@ class TestChallenge:
         assert out == "" and err.startswith("error: --attack ") and err.count("\n") == 1
         assert "serve --attack" in err
 
+    def test_wrong_value_over_tcp_is_rejected(self, calibrated, capsys):
+        # the served device answers as serve --attack set it: its wrong value is judged
+        corrupt = attack_scenario(builtin_scenario("desk-small"), "corrupt")
+        server, thread = protocol.serve_device(DeviceEndpoint(corrupt), port=0, time_scale=0.0)
+        host, port = server.getsockname()
+        capsys.readouterr()
+        try:
+            code = run(["challenge", "--profile", calibrated, "--scenario", "desk-small",
+                        "--target", f"tcp://{host}:{port}"])
+        finally:
+            server.close()
+            thread.join(timeout=5.0)
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_REJECT, "")
+        assert json.loads(out)["reason"] == "accumulator mismatch"
+
     def test_tcp_read_limit_covers_the_longest_priced_session(self):
         # 7,000 desk-small passes price 10.752 s, inside the scan budget: a RESPONSE
         # comes that long after RESTORED, past the 10 s CONN_TIMEOUT_S alone
@@ -244,6 +262,40 @@ class TestChallenge:
         # the longest priced duration: the nominal one plus the noise's reach
         assert channel.timeout_s == protocol.CONN_TIMEOUT_S + (
             scenario.base_cost_us(7000) + scenario.noise.reach_us()) / 1e6
+
+    def test_tcp_connect_waits_conn_timeout_s_at_most(self, monkeypatch):
+        # full-baseline's read limit is about 1,742 s: an unreachable host used
+        # to hold the verifier that long before its ChannelTimeout
+        args = build_parser().parse_args(["challenge", "--profile", "p.json", "--scenario",
+                                          "full-baseline", "--target", "tcp://127.0.0.1:9000"])
+        channel = cli._connect(args, _scenario_from_args(args))
+        assert channel.timeout_s > 1700
+        waits = []
+
+        def unreachable(address, timeout):
+            waits.append(timeout)
+            raise ConnectionRefusedError("refused")
+
+        monkeypatch.setattr(protocol.socket, "create_connection", unreachable)
+        with pytest.raises(ChannelTimeout, match="refused"):
+            with channel.session():
+                pytest.fail("a session opened to an unreachable device")
+        # a connected session still reads each frame under the whole read limit
+        verifier_end, device_end = socket.socketpair()
+
+        def connected(address, timeout):
+            waits.append(timeout)
+            return verifier_end
+
+        def read_frames(sock, limit_s):
+            waits.append(limit_s)
+            return iter(())
+
+        monkeypatch.setattr(protocol.socket, "create_connection", connected)
+        monkeypatch.setattr(protocol, "read_frames", read_frames)
+        with device_end, channel.session() as (send, replies):
+            assert list(replies()) == []
+        assert waits == [protocol.CONN_TIMEOUT_S, protocol.CONN_TIMEOUT_S, channel.timeout_s]
 
     def test_calibrate_read_limit_covers_a_drifting_device_s_last_trial(self, tmp_path,
                                                                         monkeypatch):
@@ -362,10 +414,12 @@ class TestChallenge:
         code = run(["challenge", "--profile", calibrated, "--config", cfg,
                     "--seed", 5])
         assert code == 1
+        out, err = capsys.readouterr()
         # the last of 8 attempts: the one device's session 7, whose spec is the
         # 8th drawn from the command's one challenge stream
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        assert hashlib.sha256(out.encode()).hexdigest() == (
             "69451ad41ec044ea5fd5d66797ccc05876e51391bfbd3a2baed9cad2b8c1d2d0")
+        assert err == "error: measurement kept getting spoiled by interrupt spikes\n"
 
     @pytest.mark.parametrize("edit, needle", [
         (lambda doc: "not json", "JSONDecodeError"),
@@ -1252,7 +1306,6 @@ def test_trials_a_linear_drift_carries_past_2_53_us_are_refused(tmp_path, monkey
 @pytest.mark.parametrize("target", ["sim", "loopback"])
 @pytest.mark.parametrize("key, value", [
     ("passes", 8.5), ("k", 2.0), ("image_words", 2014.0), ("register_count", 34.0),
-    ("region_id", 5), ("passes", True), ("image_seed", 7.5), ("timing_words", 2048.5),
 ])
 def test_wrongly_typed_config_is_an_error(tmp_path, capsys, target, key, value):
     # these used to end in a traceback (struct.error, TypeError,
@@ -1442,7 +1495,8 @@ def test_challenge_at_another_prime_scans_once(tmp_path, monkeypatch, capsys):
     # are one streaming evaluation; a corrupt device's answer is still judged
     cfg = tmp_path / "p64.json"
     _write_scenario(dataclasses.replace(builtin_scenario("desk-small"), prime=(1 << 64) - 59), cfg)
-    assert run(["calibrate", "--config", cfg, "--trials", 20, "--out", tmp_path]) == 0
+    assert run(["calibrate", "--config", cfg, "--target", "loopback", "--trials", 20,
+                "--out", tmp_path]) == 0
     monkeypatch.setattr(engine, "_last", None)  # an earlier test may have evaluated this challenge
     scans = []
 
@@ -1527,6 +1581,41 @@ def test_no_command_needs_scipy(tmp_path):
         server.send_signal(signal.SIGINT)  # serve's only way out
         _, err = server.communicate(timeout=30)
     assert server.returncode == 0, err
+
+
+def test_no_module_imports_scipy():
+    # test_no_command_needs_scipy runs the success paths; no error path may
+    # import scipy either, so no module of the package names it in an import
+    package = os.path.dirname(cli.__file__)
+    imported = {}
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                imported.setdefault(module.partition(".")[0], []).append(f"{name}:{node.lineno}")
+    assert "numpy" in imported  # the walk sees the package's imports
+    assert "scipy" not in imported, imported["scipy"]
+
+
+def test_busy_port_is_refused_through_main():
+    # a second server on a port another listener holds: one error naming the
+    # address, and no listening line; a fresh process, scipy unimportable
+    with socket.create_server(("127.0.0.1", 0)) as held:
+        port = held.getsockname()[1]
+        proc = subprocess.run(_no_scipy_cli("serve", "--scenario", "desk-small", "--port", port),
+                              capture_output=True, text=True, env=_src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "while attempting to bind" in proc.stderr and repr(("127.0.0.1", port)) in proc.stderr
 
 
 @pytest.mark.parametrize("host, shown", [("127.0.0.1", "127.0.0.1"), ("::1", "[::1]")])

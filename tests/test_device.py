@@ -3,7 +3,10 @@
 import hashlib
 import inspect
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -470,6 +473,13 @@ class TestScenarios:
         assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_JSON_SHA256[name]
         assert scenario_from_json(json.loads(text)) == builtin_scenario(name)
 
+    def test_readme_dump_one_liner_prints_the_builtin_json(self, capsys):
+        # README's one-liner star-imports the module: both names stay public
+        exec("from timecheck.device import *; import json; "
+             "print(json.dumps(scenario_to_json(builtin_scenario('desk-small')), indent=2))", {})
+        text = capsys.readouterr().out.removesuffix("\n")
+        assert hashlib.sha256(text.encode()).hexdigest() == BUILTIN_JSON_SHA256["desk-small"]
+
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_attack_json_bytes_pinned(self, name):
         text = "".join(json.dumps(scenario_to_json(attack_scenario(builtin_scenario(name),
@@ -570,3 +580,21 @@ def test_noise_model_validation():
     for values in (("0.3",), (1.0, True)):
         with pytest.raises(ValueError, match="noise values must be numbers"):
             NoiseModel("empirical", values=values)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads Linux's VmHWM")
+def test_device_state_peaks_near_its_own_size():
+    # one draw of 64 * n bits, read as n words: a list of n Python ints and
+    # its copy would raise the peak by about 9x the array
+    code = ("import re; from timecheck.device import make_device_state\n"
+            "def hwm(): return int(re.search(r'VmHWM:\\s+(\\d+) kB', "
+            "open('/proc/self/status').read()).group(1))\n"
+            "before = hwm(); words = make_device_state(5, 1 << 20)\n"
+            "print((hwm() - before) * 1024, words.nbytes)")
+    src = os.path.dirname(os.path.dirname(protocol.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown, nbytes = map(int, proc.stdout.split())
+    assert nbytes == 8 * ((1 << 20) + 34)
+    assert grown <= 4 * nbytes

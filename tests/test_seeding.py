@@ -13,6 +13,7 @@ from timecheck.seeding import (
     derive_seed,
     derive_seeds,
     first_words,
+    random_words,
 )
 
 
@@ -51,3 +52,11 @@ def test_first_words_equal_random_draws(size, drawn, master, count):
 def test_first_words_count_is_one_twist(count):
     with pytest.raises(ValueError, match="count"):
         first_words([1], count)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 2014, 24576])
+def test_random_words_equal_per_word_draws(count):
+    rng = random.Random(99)
+    words = random_words(99, count)
+    assert words.shape == (count,) and words.dtype == np.uint64
+    assert words.tolist() == [rng.getrandbits(64) for _ in range(count)]
