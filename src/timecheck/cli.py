@@ -13,6 +13,8 @@ import json
 import math
 import os
 import sys
+import threading
+from contextlib import suppress
 
 import numpy as np
 
@@ -365,12 +367,10 @@ def cmd_serve(args) -> int:
                              f"got {args.port}")
     scenario = _scenario_from_args(args)
     endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device"))
-    server, thread = serve_device(endpoint, args.host, args.port, time_scale=args.time_scale)
-    print(f"device {scenario.name} listening on {tcp_target(*server.getsockname()[:2])}")
-    try:
-        thread.join()
-    except KeyboardInterrupt:
-        server.close()
+    with serve_device(endpoint, args.host, args.port, time_scale=args.time_scale) as server:
+        print(f"device {scenario.name} listening on {tcp_target(*server.getsockname()[:2])}")
+        with suppress(KeyboardInterrupt):  # serve until SIGINT
+            threading.Event().wait()
     return EXIT_OK
 
 

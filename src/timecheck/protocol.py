@@ -95,7 +95,7 @@ CONN_TIMEOUT_S = 10.0
 # sending cheap challenges cannot keep the serialized server for good.
 # TcpChannel opens one connection per session and never meets it.
 CONN_BUDGET_S = 60.0
-# How often the device server's accept loop checks whether it was closed.
+# How often the device server checks whether its block was left; its wait after a failed accept.
 ACCEPT_POLL_S = 0.1
 # The largest challenge a device evaluates: k seed values, and passes * d
 # scanned words (2^25 is 2.7x the paper's 500-pass SRAM scan of 12.3 M words).
@@ -466,18 +466,19 @@ class TcpChannel:
             raise ChannelTimeout(f"{self}: {type(exc).__name__}: {exc}") from exc
 
 
-def _wait_until(due_ns: int):
-    """Return at due_ns on the monotonic clock: sleep, then spin the last SPIN_NS."""
+def _wait_until(due_ns: int, stop: threading.Event):
+    """Return at due_ns on the monotonic clock, or once stop is set: sleep, then spin SPIN_NS."""
     sleep_ns = due_ns - SPIN_NS - time.monotonic_ns()
-    if sleep_ns > 0:
-        time.sleep(sleep_ns / 1e9)
+    if sleep_ns > 0 and stop.wait(sleep_ns / 1e9):
+        return
     while time.monotonic_ns() < due_ns:
         pass
 
 
+@contextmanager
 def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 0,
                  time_scale: float = 0.0):
-    """Single-listener TCP server for one device endpoint.
+    """Single-listener TCP server for one device endpoint, for one with block.
 
     time_scale stretches simulated on-device delays into real time (1.0 =
     real time, 0.0 = respond immediately). Each session is paced to absolute
@@ -489,31 +490,32 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
     spins on the clock for the rest. Every frame goes to the endpoint's
     handle_challenge, which alone decides what the device answers.
 
-    Returns (server_socket, thread). A bind that fails raises OSError naming
-    the address, and closes the listener. The server takes connections until
-    the socket is closed: the thread then ends within ACCEPT_POLL_S, or once
-    the connection it serves ends. Sessions are strictly serialized. A challenge
-    the device cannot or will not evaluate is refused with STATUS_REFUSED and
-    logged, and its connection stays open. Any other error while serving a
-    connection is logged and closes only that connection; the server keeps
-    going. Such errors include bad framing and the timeouts of read_frames,
-    which reads each connection under CONN_TIMEOUT_S and CONN_BUDGET_S.
+    Yields the listener; a bind that fails raises OSError naming the address.
+    Leaving the block ends the session in progress, joins the server thread
+    and closes the listener. Sessions are strictly serialized. A failed accept
+    is logged and retried ACCEPT_POLL_S later. A challenge the device cannot
+    or will not evaluate is refused with STATUS_REFUSED and logged, and its
+    connection stays open. Any other error while serving a connection is
+    logged and closes only that connection; the server keeps going. Such
+    errors include bad framing and the timeouts of read_frames, which reads
+    each connection under CONN_TIMEOUT_S and CONN_BUDGET_S.
     """
     if not 0 <= time_scale < math.inf:  # time.sleep(inf) raises, nan would never sleep
         raise ValueError(f"time_scale must be a finite number >= 0, got {time_scale}")
     family = socket.AF_INET6 if ":" in host else socket.AF_INET  # as tcp_target brackets it
-    server = socket.create_server((host, port), family=family, backlog=1)
-    # on Linux a close from another thread does not wake a blocked accept()
-    server.settimeout(ACCEPT_POLL_S)
+    stop, conn = threading.Event(), None  # conn: the connection last accepted
 
     def run():
-        while True:
+        nonlocal conn
+        while not stop.is_set():
             try:
                 conn, _ = server.accept()
             except socket.timeout:
                 continue
-            except OSError:
-                return
+            except OSError as exc:  # a new connection's network error, EMFILE, ...
+                log.warning("device server: accept failed: %s: %s", type(exc).__name__, exc)
+                stop.wait(ACCEPT_POLL_S)
+                continue
             with conn:
                 try:
                     for arrival_us, msg in read_frames(conn, CONN_TIMEOUT_S, CONN_BUDGET_S):
@@ -521,7 +523,7 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
                         for delay_us, reply in endpoint.handle_challenge(msg):
                             if time_scale > 0:
                                 due_ns += round(delay_us * time_scale * 1000)
-                                _wait_until(due_ns)
+                                _wait_until(due_ns, stop)
                                 due_ns = max(due_ns, time.monotonic_ns())  # when it goes out
                             conn.sendall(reply)
                 except (TimecheckError, OSError) as exc:
@@ -531,9 +533,19 @@ def serve_device(endpoint: DeviceEndpoint, host: str = "127.0.0.1", port: int = 
                     # a defect, not a hostile peer: keep serving, keep the traceback
                     log.exception("device server: dropped connection")
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    return server, thread
+    with socket.create_server((host, port), family=family, backlog=1) as server:
+        # on Linux a close from another thread wakes neither a blocked accept() nor recv()
+        server.settimeout(ACCEPT_POLL_S)
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        try:
+            yield server
+        finally:
+            stop.set()
+            while thread.is_alive():  # again if it accepted a connection meanwhile
+                with suppress(AttributeError, OSError):  # no connection yet, or closed
+                    conn.shutdown(socket.SHUT_RDWR)  # its read returns end of stream
+                thread.join(ACCEPT_POLL_S)
 
 
 # --- verifier-side operations ----------------------------------------------------

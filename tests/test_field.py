@@ -17,9 +17,6 @@ from timecheck.engine import (
 from timecheck.field import M61, FieldParams, is_prime, m61_add, m61_mul
 from timecheck.permutation import PermutationGenerator
 
-SMALL_PRIMES = (7, 13, 17, 1000003)
-
-
 class TestPrimality:
     def test_known_primes(self):
         for p in (2, 3, 5, 7, 13, 17, 1000003, M61):
@@ -56,56 +53,24 @@ class TestFieldParams:
             FieldParams(1, 0)
 
 
-def mul(a, b, p):
-    """a * b mod p as the engines' inline Horner step (acc * x + t) % p, zero term."""
-    return (a * b + 0) % p
-
-
-def add(a, b, p):
-    """a + b mod p as one inline Horner step at x = 1."""
-    return (a * 1 + b) % p
-
-
 class TestMulMod:
-    def test_small(self):
-        assert mul(3, 4, 7) == 5
-
     def test_zero_annihilates(self):
-        for b in (0, 1, 12, M61 - 1):
-            assert mul(0, b, M61) == 0
         b = np.array([0, 1, 12, M61 - 1], dtype=np.uint64)
         assert m61_mul(np.zeros(4, dtype=np.uint64), b).tolist() == [0] * 4
 
     def test_near_word_size_against_bigint(self):
-        a = b = (1 << 63) - 1
-        assert mul(a, b, M61) == (a * b) % M61
         top = np.array([M61 - 1], dtype=np.uint64)
         assert m61_mul(top, top).tolist() == [(M61 - 1) ** 2 % M61]
 
-    @pytest.mark.parametrize("p", [M61, 18446744073709551557])  # largest 64-bit prime
-    def test_bigint_oracle_randomized(self, p):
+    def test_bigint_oracle_randomized(self):
         rng = random.Random(1234)
-        pairs = [(rng.randrange(p), rng.randrange(p)) for _ in range(100_000)]
-        for a, b in pairs:
-            assert mul(a, b, p) == (a * b) % p
-        if p == M61:
-            a, b = (np.array(col, dtype=np.uint64) for col in zip(*pairs))
-            assert m61_mul(a, b).tolist() == [(x * y) % p for x, y in pairs]
+        pairs = [(rng.randrange(M61), rng.randrange(M61)) for _ in range(100_000)]
+        a, b = (np.array(col, dtype=np.uint64) for col in zip(*pairs))
+        assert m61_mul(a, b).tolist() == [(x * y) % M61 for x, y in pairs]
 
 
 class TestAddMod:
-    def test_small(self):
-        assert add(5, 6, 7) == 4
-
-    def test_identity(self):
-        rng = random.Random(2)
-        for _ in range(100):
-            a = rng.randrange(M61)
-            assert add(a, 0, M61) == a
-
     def test_wraparound_symmetry(self):
-        for p in SMALL_PRIMES + (M61,):
-            assert add(p - 1, p - 1, p) == p - 2
         top = np.array([M61 - 1], dtype=np.uint64)
         m61_add(top, top.copy(), np.empty_like(top))
         assert top.tolist() == [M61 - 2]

@@ -10,6 +10,7 @@ honest session on a fresh connection.
 import itertools
 import random
 import socket
+from contextlib import ExitStack
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -127,7 +128,8 @@ class ServedDevice(RuleBasedStateMachine):
     @initialize()
     def start(self):
         self.endpoint = DeviceEndpoint(DESK, master_seed=43)
-        self.server, self.thread = serve_device(self.endpoint, port=0, time_scale=0.0)
+        self.served = ExitStack()
+        self.server = self.served.enter_context(serve_device(self.endpoint, time_scale=0.0))
         self.rng = sub_rng(43, "served-device")
         self.conn = None
 
@@ -180,12 +182,10 @@ class ServedDevice(RuleBasedStateMachine):
         timed = issue_challenge(TcpChannel(*self.server.getsockname(), timeout_s=5.0),
                                 spec, self.rng)
         assert timed.response.accumulator == self.endpoint.expected_result(spec).accumulator
-        assert self.thread.is_alive()
 
     def teardown(self):
         self.hang_up()
-        self.server.close()
-        self.thread.join(timeout=5.0)
+        self.served.close()
 
 
 ServedDevice.TestCase.settings = settings(max_examples=15, stateful_step_count=12,

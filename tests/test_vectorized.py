@@ -547,25 +547,23 @@ def test_concurrent_evaluation_with_a_served_device_stays_exact():
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
-    server, thread = serve_device(device, port=0, time_scale=0.0)
     others = [threading.Thread(target=verify_elsewhere) for _ in range(4)]
     try:
-        for t in others:
-            t.start()
-        chan = TcpChannel(*server.getsockname(), timeout_s=5.0)
-        rng = random.Random()
-        for _ in range(40):
-            spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
-            timed = issue_challenge(chan, spec, rng=rng)
-            want = multipass_naive(image, spec)
-            assert timed.response.accumulator == want.accumulator
-            assert verifier.expected_result(spec) == want  # may hit the server's entry
+        with serve_device(device, port=0, time_scale=0.0) as server:
+            for t in others:
+                t.start()
+            chan = TcpChannel(*server.getsockname(), timeout_s=5.0)
+            rng = random.Random()
+            for _ in range(40):
+                spec = random_spec(sc.prime, sc.k, sc.passes, rng, sc.region_id)
+                timed = issue_challenge(chan, spec, rng=rng)
+                want = multipass_naive(image, spec)
+                assert timed.response.accumulator == want.accumulator
+                assert verifier.expected_result(spec) == want  # may hit the server's entry
     finally:
         stop.set()
         for t in others:
             t.join(timeout=10.0)
-        server.close()
-        thread.join(timeout=2.0)
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in others)
     assert wrong == []
