@@ -368,7 +368,8 @@ def cmd_serve(args) -> int:
     scenario = _scenario_from_args(args)
     endpoint = DeviceEndpoint(scenario, master_seed=derive_seed(args.seed, "device"))
     with serve_device(endpoint, args.host, args.port, time_scale=args.time_scale) as server:
-        print(f"device {scenario.name} listening on {tcp_target(*server.getsockname()[:2])}")
+        print(f"device {scenario.name} listening on {tcp_target(*server.getsockname()[:2])}",
+              flush=True)
         with suppress(KeyboardInterrupt):  # serve until SIGINT
             threading.Event().wait()
     return EXIT_OK

@@ -186,6 +186,8 @@ class TestEntropy:
         rep = entropy_report(np.arange(1000, dtype=np.uint64), block_bytes=512)
         assert len(rep.block_entropies) == (8000 + 511) // 512
         assert all(0.0 <= h <= 8.0 for h in rep.block_entropies)
+        with pytest.raises(ValueError, match="block size must be positive"):
+            entropy_report(np.arange(8, dtype=np.uint64), block_bytes=0)
 
     def test_permutation_invariant_within_block(self):
         rng = random.Random(4)

@@ -24,6 +24,7 @@ from timecheck.device import (
     SCENARIOS,
     SRAM_SCAN_WORDS,
     AdversaryConfig,
+    Measurement,
     NoiseModel,
     Scenario,
     TierModel,
@@ -267,6 +268,8 @@ class TestRunTrials:
         ms = run_trials(wide, 40, 5)
         assert min(duration for duration, _ in priced) <= 0
         assert [m.duration_us for m in ms] == [max(1, duration) for duration, _ in priced]
+        with pytest.raises(ValueError, match="durations are positive"):
+            Measurement(0, wide.name, 0)
 
     def test_trial_count_validation(self):
         with pytest.raises(ValueError):

@@ -91,6 +91,8 @@ class TestMultipass:
         spec = spec_for(13, 3, [1], passes=4)
         with pytest.raises(SpecOutOfField):
             multipass(MemoryImage([1, 2, 3, 4]), spec)  # 4*4 > 12
+        with pytest.raises(ValueError, match="need at least one pass"):
+            spec_for(13, 3, [1], passes=0)
 
     def test_permutation_domain_mismatch(self):
         spec = spec_for(13, 3, [1])
@@ -123,19 +125,16 @@ class TestMultipass:
 
 
 class TestOracleEquivalence:
-    def test_matches_naive_randomized(self):
-        rng = random.Random(11)
-        for _ in range(200):
-            image, spec = rand_instance(rng)
-            a = multipass(image, spec)
-            b = multipass_naive(image, spec)
-            assert a.accumulator == b.accumulator
-            assert a.words_scanned == b.words_scanned
-
     def test_naive_caps_word_count(self):
         spec = spec_for(M61, 3, [1])
         with pytest.raises(ValueError):
             multipass_naive(MemoryImage([0] * ((1 << 16) + 1)), spec)
+        # and every image holds at least one word, each of 64 bits
+        with pytest.raises(ValueError, match="needs at least one word"):
+            MemoryImage([])
+        for word in (-1, 1 << 64):
+            with pytest.raises(ValueError, match="does not fit 64 bits"):
+                MemoryImage([0, word])
 
 
 class TestSensitivity:
@@ -180,14 +179,6 @@ class TestSensitivity:
 
 
 class TestCollisionProbe:
-    def test_determinism_on_identical_images(self):
-        rng = random.Random(14)
-        spec = spec_for(13, 5, [3, 7], perm_seed=21)
-        words = [rng.getrandbits(64) for _ in range(4)]
-        a = multipass(MemoryImage(words), spec)
-        b = multipass(MemoryImage(list(words)), spec)
-        assert a.accumulator == b.accumulator
-
     def test_small_prime_rate_near_uniform(self):
         rng = random.Random(15)
         spec = random_spec(1009, 2, 1, rng)

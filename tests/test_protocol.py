@@ -100,16 +100,6 @@ def stub_device(script):
 
 
 class TestFraming:
-    def test_challenge_round_trip_randomized(self):
-        rng = random.Random(1)
-        for _ in range(200):
-            p = rng.choice((13, 1009, M61))
-            spec = random_spec(p, rng.randint(1, 8), rng.randint(1, 1000), rng,
-                               region_id=rng.choice(("sram", "full", "x" * 40)))
-            msg = ChallengeMessage(rng.getrandbits(64), spec)
-            decoded = FrameDecoder().feed(encode_challenge(msg))
-            assert decoded == [msg]
-
     @pytest.mark.parametrize("region, needle", [
         ("\ud800", "not UTF-8"), ("r" * 65536, "65536 bytes in UTF-8, over 65535"),
     ], ids=["lone-surrogate", "over-65535-bytes"])
@@ -118,16 +108,6 @@ class TestFraming:
         spec = replace(fresh_spec(), region_id=region)
         with pytest.raises(ValueError, match=needle):
             encode_challenge(ChallengeMessage(1, spec))
-
-    def test_restored_and_response_round_trip(self):
-        rng = random.Random(2)
-        for _ in range(100):
-            r = RestoredMessage(rng.getrandbits(64))
-            assert FrameDecoder().feed(encode_restored(r)) == [r]
-            resp = ResponseMessage(rng.getrandbits(64), rng.getrandbits(64),
-                                   rng.choice((STATUS_OK, STATUS_NMI_RETRY,
-                                               STATUS_REGION_MISMATCH)))
-            assert FrameDecoder().feed(encode_response(resp)) == [resp]
 
     def test_incremental_reassembly(self):
         msg = ChallengeMessage(7, fresh_spec())
@@ -173,11 +153,17 @@ class TestFraming:
             FrameDecoder().feed(b"TCH1" + struct.pack("<I", 1 << 30))
 
     def test_decode_body_trailing_garbage(self):
-        msg = ChallengeMessage(7, fresh_spec())
-        raw = encode_challenge(msg)
-        body = raw[8:-4] + b"\x00"
-        with pytest.raises(MalformedFrame, match="^1 trailing bytes in challenge body$"):
-            decode_body(body)
+        # and RESTORED (9 bytes) and RESPONSE (18 bytes) bodies a byte short or long
+        challenge = encode_challenge(ChallengeMessage(7, fresh_spec()))[8:-4]
+        restored = encode_restored(RestoredMessage(7))[8:-4]
+        response = encode_response(ResponseMessage(7, 2, STATUS_OK))[8:-4]
+        for body, message in ((challenge + b"\x00", "1 trailing bytes in challenge body"),
+                              (restored[:-1], "bad RESTORED length"),
+                              (restored + b"\x00", "bad RESTORED length"),
+                              (response[:-1], "bad RESPONSE length"),
+                              (response + b"\x00", "bad RESPONSE length")):
+            with pytest.raises(MalformedFrame, match=f"^{message}$"):
+                decode_body(body)
 
     @pytest.mark.parametrize("region, cut, message", [
         ("sram", 1, "challenge body 1 bytes short"),
@@ -400,7 +386,7 @@ class TestChannels:
         sc = desk_scenario()
         ep = DeviceEndpoint(sc, master_seed=5)
         twin = DeviceEndpoint(sc, master_seed=5)  # replays the same noise draws
-        chan = LoopbackChannel(ep, jitter_us=0.0)
+        chan = LoopbackChannel(ep)
         rng = sub_rng(0, "t")
         for i in range(5):
             spec = fresh_spec(rng, sc)
@@ -474,7 +460,7 @@ class TestChannels:
     def test_region_mismatch_status(self):
         sc = desk_scenario()
         ep = DeviceEndpoint(sc, master_seed=10)
-        chan = LoopbackChannel(ep, jitter_us=0.0)
+        chan = LoopbackChannel(ep)
         rng = sub_rng(3, "t")
         spec = random_spec(sc.prime, sc.k, sc.passes, rng, region_id="full")
         timed = issue_challenge(chan, spec, rng=rng)
@@ -496,7 +482,7 @@ class TestChannels:
 
     def test_refusal_is_a_reject_verdict(self):
         sc = desk_scenario()
-        chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=30), jitter_us=0.0)
+        chan = LoopbackChannel(DeviceEndpoint(sc, master_seed=30))
         hostile = ChallengeSpec(seeds=RandomSeeds((1, 2), FieldParams(13, 5)),
                                 perm_seed=1, passes=1, region_id=sc.region_id)
         timed = issue_challenge(chan, hostile, rng=random.Random(5))
@@ -529,8 +515,7 @@ def desk_profile():
     """Loopback-calibrated baseline for the desk scenario (one per module)."""
     sc = desk_scenario()
     rng = sub_rng(4, "cal")
-    cal = LoopbackChannel(DeviceEndpoint(sc, master_seed=11), jitter_us=0.4,
-                          jitter_seed=12)
+    cal = LoopbackChannel(DeviceEndpoint(sc, master_seed=11))
     durations = [issue_challenge(cal, fresh_spec(rng, sc), rng=rng).duration_us
                  for _ in range(40)]
     return sc, stats.calibrate(durations)
@@ -543,7 +528,7 @@ class TestHostileStubs:
         self.rng = sub_rng(5, "sessions")
 
     def _session(self, endpoint):
-        chan = LoopbackChannel(endpoint, jitter_us=0.4, jitter_seed=13)
+        chan = LoopbackChannel(endpoint)
         spec = fresh_spec(self.rng, self.sc)
         timed = issue_challenge(chan, spec, rng=self.rng)
         honest = DeviceEndpoint(self.sc, master_seed=14)
@@ -554,7 +539,7 @@ class TestHostileStubs:
             """An honest device whose responses carry the previous session's id."""
 
             def __init__(self, endpoint):
-                self.inner = LoopbackChannel(endpoint, jitter_us=0.4, jitter_seed=16)
+                self.inner = LoopbackChannel(endpoint)
                 self.last_id = None
 
             @contextmanager
@@ -590,20 +575,11 @@ class TestHostileStubs:
             issue_challenge(chan, fresh_spec(self.rng, self.sc), rng=self.rng)
         assert self._session(DeviceEndpoint(self.sc, master_seed=19)).outcome == "ACCEPT"
 
-    def test_wrong_result_rejected_by_value(self):
-        verdict = self._session(DeviceEndpoint(attack_scenario(self.sc, "corrupt"),
-                                               master_seed=17))
-        assert verdict.outcome == "REJECT" and "accumulator" in verdict.reason
-
-    def test_honest_device_accepted(self):
-        verdict = self._session(DeviceEndpoint(self.sc, master_seed=19))
-        assert verdict.outcome == "ACCEPT"
-
     def test_unknown_status_rejected(self):
         # the right accumulator at a normal time, under a status the protocol
         # does not define: the decoder passes any u8 through
         ep = DeviceEndpoint(self.sc, master_seed=19)
-        chan = LoopbackChannel(ep, jitter_us=0.4, jitter_seed=13)
+        chan = LoopbackChannel(ep)
         spec = fresh_spec(self.rng, self.sc)
         timed = issue_challenge(chan, spec, rng=self.rng)
         expected = DeviceEndpoint(self.sc, master_seed=14).expected_result(spec)
@@ -618,7 +594,7 @@ class TestHostileStubs:
         # wrong value at a perfectly normal time: REJECT for the value
         ep = DeviceEndpoint(attack_scenario(self.sc, "corrupt"), master_seed=20)
         verdict = self._session(ep)
-        assert verdict.outcome == "REJECT"
+        assert verdict.outcome == "REJECT" and "accumulator" in verdict.reason
         assert verdict.detector is None
 
     def test_attack_kinds_rejected(self):
@@ -633,7 +609,7 @@ class TestHostileStubs:
         spiky = replace(self.sc, noise=replace(self.sc.noise, nmi_prob=1.0,
                                                nmi_us=50_000.0))
         ep = DeviceEndpoint(spiky, master_seed=22)
-        chan = LoopbackChannel(ep, jitter_us=0.4, jitter_seed=23)
+        chan = LoopbackChannel(ep)
         spec = fresh_spec(self.rng, self.sc)
         timed = issue_challenge(chan, spec, rng=self.rng)
         honest = DeviceEndpoint(self.sc, master_seed=24)
@@ -1294,6 +1270,21 @@ class TestServedPacing:
     def test_time_scale_zero_answers_without_waiting(self, monkeypatch):
         assert self.gaps(monkeypatch, 5, time_scale=0.0) == []  # never waited
 
+    def test_leaving_the_block_ends_a_paced_wait(self):
+        # at time scale 1,000 the RESPONSE is due about 12 s after RESTORED
+        before = set(threading.enumerate())
+        with socket.socket() as sock:
+            with serve_device(DeviceEndpoint(desk_scenario(), master_seed=42),
+                              time_scale=1000.0) as server:
+                [thread] = set(threading.enumerate()) - before
+                sock.settimeout(5.0)
+                sock.connect(server.getsockname())
+                sock.sendall(encode_challenge(ChallengeMessage(1, fresh_spec())))
+                assert next(read_frames(sock, 5.0))[1] == RestoredMessage(1)
+                left = time.monotonic()
+            assert time.monotonic() - left < 1.0
+        assert not thread.is_alive()
+
 
 class TestPricing:
     """The device prices the challenge it received, drift included."""
@@ -1401,7 +1392,7 @@ class TestSharedSnapshot:
         sc, profile = desk_profile
 
         def session(ep, spec):
-            chan = LoopbackChannel(ep, jitter_us=0.4, jitter_seed=13)
+            chan = LoopbackChannel(ep)
             timed = issue_challenge(chan, spec, rng=random.Random(2))
             return timed, verify_response(ep.expected_result(spec), timed, profile)
 
@@ -1458,7 +1449,7 @@ def test_timed_response_ordering_enforced():
 
 
 def _loopback(sc, seed):
-    return LoopbackChannel(DeviceEndpoint(sc, master_seed=seed), jitter_seed=seed)
+    return LoopbackChannel(DeviceEndpoint(sc, master_seed=seed))
 
 
 def test_calibration_session_draws_spec_then_session_id():

@@ -306,6 +306,9 @@ class TestTTest:
             t_test([5.0, 5.0, 5.0], [5.0, 5.0])
         with pytest.raises(InsufficientSamples):
             t_test([1.0], [1.0, 2.0])
+        for a, b in (([], [1.0]), ([1.0], [])):  # the KS test needs a sample per side
+            with pytest.raises(InsufficientSamples, match="needs >= 1 sample per side"):
+                ks_test(a, b)
 
 
 class TestTails:

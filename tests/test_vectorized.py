@@ -383,20 +383,6 @@ def test_dispatch_raises_spec_out_of_field():
         evaluate(np.zeros(13, dtype=np.uint64), spec)
 
 
-def test_c01_family_through_dispatch():
-    # the c01 instance family, evaluated by the dispatch both endpoint
-    # methods use: every prime, exact against the naive oracle
-    rng = random.Random(0xACCE5501)
-    for i in range(1000):
-        p = PRIMES[i % 3]
-        passes = rng.randint(1, 4)
-        d = rng.randint(1, max(1, min(64, (p - 1) // passes)))
-        spec = random_spec(p, rng.randint(1, 4), passes, rng)
-        words = [rng.getrandbits(64) for _ in range(d)]
-        got = evaluate(np.array(words, dtype=np.uint64), spec)
-        assert got == multipass_naive(MemoryImage(words), spec), (p, passes, d)
-
-
 @pytest.mark.parametrize("p", PRIMES)
 def test_endpoints_match_naive_for_every_prime(p):
     sc = Scenario(name=f"tiny-{p}", image_words=3, register_count=1, passes=2,
